@@ -240,8 +240,8 @@ func (r *Result) ScrubHostMetrics() {
 // a sharded and a single-engine plane).
 type City struct {
 	cfg   Config
-	caps  []float64     // per-extender PLC capacities
-	extX  []float64     // extender grid positions
+	caps  []float64 // per-extender PLC capacities
+	extX  []float64 // extender grid positions
 	extY  []float64
 	trace []workload.Event
 	// users is indexed by user ID (workload IDs are dense ascending).

@@ -1,6 +1,10 @@
 package localsearch
 
-import "github.com/plcwifi/wolt/internal/model"
+import (
+	"slices"
+
+	"github.com/plcwifi/wolt/internal/model"
+)
 
 // Candidates is the neighborhood cache behind the search loops: for
 // every user, the top-M reachable extenders ordered by WiFi PHY rate
@@ -13,32 +17,40 @@ import "github.com/plcwifi/wolt/internal/model"
 // far below its best link drags the whole cell's harmonic mean down).
 //
 // The cache is keyed on the network's identity and mutation counter
-// (Network.Generation): Ensure is a no-op while both match and rebuilds
-// otherwise, so a topology edit followed by Invalidate transparently
-// refreshes the neighborhoods on the next search, mirroring the
-// re-attach discipline of model.DeltaEval.
+// (Network.Generation), and filled lazily: Ensure only sizes the
+// buffers and starts a new epoch when either (or M) changed, and For
+// fills a user's fixed-stride slot the first time it is asked for in
+// that epoch. A warm repair that visits a few dozen users therefore
+// pays for a few dozen rows, not for every user the network holds, and
+// a topology edit followed by Invalidate still refreshes every
+// neighborhood on its next use, mirroring the re-attach discipline of
+// model.DeltaEval.
 type Candidates struct {
 	net *model.Network
 	gen uint64
 	m   int
 
-	// flat stores all users' candidate lists back to back;
-	// off[i]:off[i+1] delimits user i's slice. One backing array keeps
-	// rebuilds allocation-free once warm and the per-user lookups
-	// cache-friendly during a scan.
-	flat []int
-	off  []int
+	// epoch numbers the Ensure calls that changed the key; stamp[i] ==
+	// epoch marks user i's slot as filled for the current key.
+	epoch uint64
+	stamp []uint64
 
-	// selection scratch: the current user's best-so-far extenders and
-	// rates, insertion-sorted by (rate desc, index asc).
-	selIdx  []int
+	// flat holds user i's candidates at flat[i*m : i*m+cnt[i]]. One
+	// backing array keeps fills allocation-free once warm.
+	flat []int
+	cnt  []int
+
+	// selection scratch: the best-so-far rates of the user being
+	// filled, insertion-sorted by (rate desc, index asc) alongside the
+	// slot itself.
 	selRate []float64
 }
 
 // Ensure makes the cache current for network n with neighborhoods of
 // size m (m <= 0 or m >= NumExtenders means "all reachable extenders",
-// still rate-ordered). It rebuilds only when the network identity, its
-// generation, or m changed since the last call.
+// still rate-ordered). It is O(1) apart from growing buffers: when the
+// network identity, its generation, or m changed since the last call
+// it starts a new epoch, which marks every user's slot stale.
 func (c *Candidates) Ensure(n *model.Network, m int) {
 	if m <= 0 || m > n.NumExtenders() {
 		m = n.NumExtenders()
@@ -46,58 +58,59 @@ func (c *Candidates) Ensure(n *model.Network, m int) {
 	if c.net == n && c.gen == n.Generation() && c.m == m {
 		return
 	}
-	c.rebuild(n, m)
+	// Grown with append's headroom, so a population that gains one user
+	// per call does not reallocate on every call. Reused stamps all
+	// predate the epoch bumped below, so no stale slot survives.
+	users := n.NumUsers()
+	c.stamp = slices.Grow(c.stamp[:0], users)[:users]
+	c.cnt = slices.Grow(c.cnt[:0], users)[:users]
+	c.flat = slices.Grow(c.flat[:0], users*m)[:users*m]
+	c.selRate = slices.Grow(c.selRate[:0], m)
+	c.epoch++
+	c.net, c.gen, c.m = n, n.Generation(), m
 }
 
-// For returns user i's candidate extenders, best rate first. The slice
-// is owned by the cache and must not be mutated; it is valid until the
-// next Ensure that rebuilds.
+// For returns user i's candidate extenders, best rate first, filling
+// the user's slot on its first use since the last Ensure that changed
+// the key. The slice is owned by the cache and must not be mutated; it
+// is valid until that next Ensure.
 func (c *Candidates) For(i int) []int {
-	return c.flat[c.off[i]:c.off[i+1]]
+	if c.stamp[i] != c.epoch {
+		c.fill(i)
+	}
+	base := i * c.m
+	return c.flat[base : base+c.cnt[i]]
 }
 
-// M returns the neighborhood size the cache was last built with.
+// M returns the neighborhood size the cache was last ensured with.
 func (c *Candidates) M() int { return c.m }
 
-func (c *Candidates) rebuild(n *model.Network, m int) {
-	users := n.NumUsers()
-	if cap(c.off) < users+1 {
-		c.off = make([]int, users+1)
-	}
-	c.off = c.off[:users+1]
-	c.flat = c.flat[:0]
-	if cap(c.selIdx) < m {
-		c.selIdx = make([]int, m)
-		c.selRate = make([]float64, m)
-	}
-
-	for i := 0; i < users; i++ {
-		c.off[i] = len(c.flat)
-		sel, rate := c.selIdx[:0], c.selRate[:0]
-		for j, r := range n.WiFiRates[i] {
-			if r <= 0 {
-				continue
-			}
-			// Insertion position: after every strictly better rate and
-			// after equal rates (which have smaller indices, since j
-			// ascends).
-			k := len(sel)
-			for k > 0 && rate[k-1] < r {
-				k--
-			}
-			if k == m {
-				continue
-			}
-			if len(sel) < m {
-				sel = append(sel, 0)
-				rate = append(rate, 0)
-			}
-			copy(sel[k+1:], sel[k:])
-			copy(rate[k+1:], rate[k:])
-			sel[k], rate[k] = j, r
+// fill selects user i's top-m reachable extenders into its slot.
+func (c *Candidates) fill(i int) {
+	m := c.m
+	sel, rate := c.flat[i*m:i*m:i*m+m], c.selRate[:0]
+	for j, r := range c.net.WiFiRates[i] {
+		if r <= 0 {
+			continue
 		}
-		c.flat = append(c.flat, sel...)
+		// Insertion position: after every strictly better rate and
+		// after equal rates (which have smaller indices, since j
+		// ascends).
+		k := len(sel)
+		for k > 0 && rate[k-1] < r {
+			k--
+		}
+		if k == m {
+			continue
+		}
+		if len(sel) < m {
+			sel = append(sel, 0)
+			rate = append(rate, 0)
+		}
+		copy(sel[k+1:], sel[k:])
+		copy(rate[k+1:], rate[k:])
+		sel[k], rate[k] = j, r
 	}
-	c.off[users] = len(c.flat)
-	c.net, c.gen, c.m = n, n.Generation(), m
+	c.cnt[i] = len(sel)
+	c.stamp[i] = c.epoch
 }

@@ -1,0 +1,215 @@
+package localsearch
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"github.com/plcwifi/wolt/internal/model"
+	"github.com/plcwifi/wolt/internal/seed"
+)
+
+// eagerCandidates is the reference neighbourhood build: every user's
+// top-m reachable extenders by (rate desc, index asc), computed for all
+// users up front with the same insertion selection the lazy fill uses.
+func eagerCandidates(n *model.Network, m int) [][]int {
+	if m <= 0 || m > n.NumExtenders() {
+		m = n.NumExtenders()
+	}
+	out := make([][]int, n.NumUsers())
+	for i, row := range n.WiFiRates {
+		var sel []int
+		var rate []float64
+		for j, r := range row {
+			if r <= 0 {
+				continue
+			}
+			k := len(sel)
+			for k > 0 && rate[k-1] < r {
+				k--
+			}
+			if k == m {
+				continue
+			}
+			if len(sel) < m {
+				sel = append(sel, 0)
+				rate = append(rate, 0)
+			}
+			copy(sel[k+1:], sel[k:])
+			copy(rate[k+1:], rate[k:])
+			sel[k], rate[k] = j, r
+		}
+		out[i] = sel
+	}
+	return out
+}
+
+// tieNetwork draws rates from a handful of PHY steps, so equal-rate
+// ties are common, with unreachable links and some fully unreachable
+// users.
+func tieNetwork(rng *rand.Rand, numExt, numUsers int) *model.Network {
+	steps := []float64{6, 12, 12, 24, 54}
+	n := &model.Network{
+		WiFiRates: make([][]float64, numUsers),
+		PLCCaps:   make([]float64, numExt),
+	}
+	for j := range n.PLCCaps {
+		n.PLCCaps[j] = 50 + 100*rng.Float64()
+	}
+	for i := range n.WiFiRates {
+		row := make([]float64, numExt)
+		if rng.Intn(8) != 0 {
+			for j := range row {
+				if rng.Intn(3) != 0 {
+					row[j] = steps[rng.Intn(len(steps))]
+				}
+			}
+		}
+		n.WiFiRates[i] = row
+	}
+	return n
+}
+
+// TestCandidatesLazyMatchesEager: whatever subset of users a caller
+// asks for between Ensure calls, For(i) equals the eager reference for
+// the current network — across neighbourhood sizes below, at and above
+// the reachable count, equal-rate ties, unreachable entries, user
+// counts that shrink and grow, and in-place edits that bump the
+// generation (a slot filled before the bump must never be returned).
+func TestCandidatesLazyMatchesEager(t *testing.T) {
+	rng := seed.Rand(7, seed.LocalSearchFuzz, 0)
+	var c Candidates
+	n := tieNetwork(rng, 6, 20)
+	for step := 0; step < 60; step++ {
+		switch rng.Intn(3) {
+		case 0: // a different network, often with a different user count
+			n = tieNetwork(rng, 1+rng.Intn(8), 1+rng.Intn(40))
+		case 1: // in-place edit of rows that may already be cached
+			for k := 0; k < 3; k++ {
+				i := rng.Intn(n.NumUsers())
+				j := rng.Intn(n.NumExtenders())
+				n.WiFiRates[i][j] = []float64{0, 6, 12, 54}[rng.Intn(4)]
+			}
+			n.Invalidate()
+		case 2: // same network and generation: Ensure must be a no-op
+		}
+		m := []int{-1, 0, 1, 2, 3, 8}[rng.Intn(6)]
+		c.Ensure(n, m)
+		want := eagerCandidates(n, m)
+		// Ask for a random subset, some users twice.
+		for q := 0; q < n.NumUsers(); q++ {
+			i := rng.Intn(n.NumUsers())
+			if got := c.For(i); !slices.Equal(got, want[i]) {
+				t.Fatalf("step %d (m=%d): For(%d) = %v, want %v (row %v)",
+					step, m, i, got, want[i], n.WiFiRates[i])
+			}
+		}
+		// Every slot handed out must still hold its user's list.
+		for i := range want {
+			if got := c.For(i); !slices.Equal(got, want[i]) {
+				t.Fatalf("step %d (m=%d): full scan For(%d) = %v, want %v", step, m, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestSweepHeapMatchesSort: popping the sweep heap visits users in
+// exactly the order sort.Sort gives deficitOrder, for deficits full of
+// exact ties, +Inf (unassigned under α-fair) and −Inf (no candidate)
+// under the sum-rate, α=2 and max-min utilities; and the row max-scan
+// behind each deficit equals the rate of the user's first candidate.
+func TestSweepHeapMatchesSort(t *testing.T) {
+	utils := []model.Utility{{}, model.AlphaFair(2), model.MaxMinFairness()}
+	var posInf, negInf, ties int
+	for base := int64(0); base < 12; base++ {
+		rng := seed.Rand(base, seed.LocalSearchFuzz, 1)
+		n := tieNetwork(rng, 1+rng.Intn(6), 1+rng.Intn(60))
+		a := make(model.Assignment, n.NumUsers())
+		for i, row := range n.WiFiRates {
+			a[i] = model.Unassigned
+			if rng.Intn(4) != 0 {
+				for _, j := range rng.Perm(len(row)) {
+					if row[j] > 0 {
+						a[i] = j
+						break
+					}
+				}
+			}
+		}
+		for _, u := range utils {
+			var s Searcher
+			opts := Options{Model: model.Options{Redistribute: true, Utility: u}, Neighborhood: 1 + rng.Intn(4)}
+			if err := s.delta.Attach(n, a, opts.Model); err != nil {
+				t.Fatal(err)
+			}
+			s.cands.Ensure(n, opts.neighborhood())
+			s.util = u
+			s.best = a.Clone()
+			s.sweepOrder()
+
+			ref := deficitOrder{
+				order:   make([]int, n.NumUsers()),
+				deficit: slices.Clone(s.sweep.deficit),
+			}
+			for i := range ref.order {
+				ref.order[i] = i
+			}
+			sort.Sort(&ref)
+			for k, i := range ref.order {
+				switch dv := ref.deficit[i]; {
+				case math.IsInf(dv, 1):
+					posInf++
+				case math.IsInf(dv, -1):
+					negInf++
+				case k > 0 && dv == ref.deficit[ref.order[k-1]]:
+					ties++
+				}
+			}
+			var got []int
+			for s.sweep.Len() > 0 {
+				got = append(got, s.sweep.pop())
+			}
+			if !slices.Equal(got, ref.order) {
+				t.Fatalf("base %d utility %+v: heap order %v != sort order %v (deficits %v)",
+					base, u, got, ref.order, ref.deficit)
+			}
+
+			for i, row := range n.WiFiRates {
+				want := 0.0
+				if cand := s.cands.For(i); len(cand) > 0 {
+					want = row[cand[0]]
+				}
+				if got := bestRate(row); got != want {
+					t.Fatalf("user %d: max-scan %v != For(i)[0] rate %v", i, got, want)
+				}
+			}
+		}
+	}
+
+	if posInf == 0 || negInf == 0 || ties == 0 {
+		t.Fatalf("instances lack coverage: %d +Inf, %d -Inf, %d finite ties", posInf, negInf, ties)
+	}
+
+	// Synthetic deficits drawn from a tiny value set with both infinities.
+	rng := seed.Rand(99, seed.LocalSearchFuzz, 2)
+	vals := []float64{math.Inf(-1), -1, 0, 0, 2.5, 2.5, math.Inf(1)}
+	for trial := 0; trial < 200; trial++ {
+		users := rng.Intn(50)
+		var d, ref deficitOrder
+		for i := 0; i < users; i++ {
+			d.order = append(d.order, i)
+			d.deficit = append(d.deficit, vals[rng.Intn(len(vals))])
+		}
+		ref.order = slices.Clone(d.order)
+		ref.deficit = d.deficit
+		sort.Sort(&ref)
+		d.heapify()
+		for k := 0; d.Len() > 0; k++ {
+			if got := d.pop(); got != ref.order[k] {
+				t.Fatalf("trial %d: pop %d = %d, sort order %v", trial, k, got, ref.order)
+			}
+		}
+	}
+}

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"github.com/plcwifi/wolt/internal/model"
@@ -381,16 +380,16 @@ type Searcher struct {
 	// random draw can never spin on an unreachable user.
 	movable []int
 
-	// hill-climb scratch: the deficit-ordered sweep permutation.
+	// hill-climb scratch: the deficit-ordered sweep heap.
 	sweep deficitOrder
 }
 
-// deficitOrder sorts a user permutation by descending rate deficit
-// (ties by ascending index, keeping sweeps deterministic). It lives in
-// the Searcher and is sorted through a pointer, so repeated passes stay
-// allocation-free.
+// deficitOrder orders users by descending rate deficit, ties by
+// ascending index: a strict total order, so the sweep is deterministic
+// and popping the heap yields exactly the sorted order. It lives in the
+// Searcher, so repeated passes stay allocation-free.
 type deficitOrder struct {
-	order   []int
+	order   []int // binary heap under Less: order[0] is visited next
 	deficit []float64
 }
 
@@ -403,6 +402,41 @@ func (d *deficitOrder) Less(a, b int) bool {
 	return ia < ib
 }
 func (d *deficitOrder) Swap(a, b int) { d.order[a], d.order[b] = d.order[b], d.order[a] }
+
+// heapify arranges order into a heap in O(n).
+func (d *deficitOrder) heapify() {
+	for k := len(d.order)/2 - 1; k >= 0; k-- {
+		d.down(k)
+	}
+}
+
+// pop removes and returns the user that sorts first, in O(log n).
+func (d *deficitOrder) pop() int {
+	last := len(d.order) - 1
+	d.Swap(0, last)
+	top := d.order[last]
+	d.order = d.order[:last]
+	d.down(0)
+	return top
+}
+
+func (d *deficitOrder) down(k int) {
+	n := len(d.order)
+	for {
+		c := 2*k + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && d.Less(r, c) {
+			c = r
+		}
+		if !d.Less(c, k) {
+			return
+		}
+		d.Swap(k, c)
+		k = c
+	}
+}
 
 // Search runs one method of the family from the start assignment and
 // returns the best state found. The start may contain Unassigned
@@ -542,13 +576,13 @@ func (s *Searcher) noteBest() {
 
 // hillClimb runs deficit-ordered greedy sweeps: each pass visits users
 // in descending rate deficit (the user's best candidate rate minus its
-// current rate — plain arithmetic over the candidate cache, no probes)
-// and commits each user's best improving move the moment it is found.
-// The ordering is what makes warm re-solves sub-millisecond: users
-// parked far below their best link — churned arrivals, roamed users —
-// are examined within the first few hundred probes, so a tight budget
-// repairs the damage long before a full pass would finish. The
-// local-optimum certificate is unchanged: only a complete pass that
+// current rate — plain arithmetic, no probes), popped one at a time
+// from a heap, and commits each user's best improving move the moment
+// it is found. The ordering is what makes warm re-solves
+// sub-millisecond: users parked far below their best link — churned
+// arrivals, roamed users — are examined within the first few hundred
+// probes, so a tight budget repairs the damage long before a full pass
+// would finish. The local-optimum certificate is unchanged: only a complete pass that
 // commits nothing (and therefore probed every candidate of every user)
 // ends the climb. Each commit strictly increases the aggregate by more
 // than improveEps, so the loop terminates; the visit order is a pure
@@ -558,7 +592,8 @@ func (s *Searcher) hillClimb(r *run) {
 	for {
 		s.sweepOrder()
 		committed := false
-		for _, i := range s.sweep.order {
+		for s.sweep.Len() > 0 {
+			i := s.sweep.pop()
 			from := s.delta.Assigned(i)
 			if from == model.Unassigned {
 				continue // unplaced only when placement ran out of budget
@@ -591,15 +626,18 @@ func (s *Searcher) hillClimb(r *run) {
 	}
 }
 
-// sweepOrder rebuilds the pass permutation: every user, sorted by
-// descending rate deficit in the utility's own units
-// (model.Utility.Deficit of the best candidate rate vs the current
-// rate — plain arithmetic over the candidate cache, no probes). The
-// zero sum-rate utility keeps today's raw rate difference bit-for-bit;
-// fairness-hungry members send users at or near zero throughput to the
-// front. Unassigned users keep their full best rate as the deficit
-// (+∞ under finite α > 0), so any user the placement pass could not
-// afford sorts first.
+// sweepOrder rebuilds the pass heap: every user, keyed by descending
+// rate deficit in the utility's own units (model.Utility.Deficit of the
+// best reachable rate vs the current rate — plain arithmetic, no
+// probes). The zero sum-rate utility keeps today's raw rate difference
+// bit-for-bit; fairness-hungry members send users at or near zero
+// throughput to the front. Unassigned users keep their full best rate
+// as the deficit (+∞ under finite α > 0), so any user the placement
+// pass could not afford sorts first; users with no reachable extender
+// sort last (−∞). The best reachable rate is a max-scan of the rate
+// row, equal to the rate of Candidates.For(i)[0] by construction, so
+// ordering fills no neighbourhood; the heap is built in O(users) and a
+// budgeted pass pops, and fills, only the users it visits.
 func (s *Searcher) sweepOrder() {
 	users := len(s.best)
 	if cap(s.sweep.order) < users {
@@ -610,19 +648,30 @@ func (s *Searcher) sweepOrder() {
 	s.sweep.deficit = s.sweep.deficit[:users]
 	for i := 0; i < users; i++ {
 		s.sweep.order[i] = i
-		cand := s.cands.For(i)
-		if len(cand) == 0 {
+		best := bestRate(s.cands.net.WiFiRates[i])
+		if best <= 0 {
 			s.sweep.deficit[i] = math.Inf(-1)
 			continue
 		}
-		best := s.cands.net.WiFiRates[i][cand[0]]
 		cur := 0.0
 		if from := s.delta.Assigned(i); from != model.Unassigned {
 			cur = s.cands.net.WiFiRates[i][from]
 		}
 		s.sweep.deficit[i] = s.util.Deficit(best, cur)
 	}
-	sort.Sort(&s.sweep)
+	s.sweep.heapify()
+}
+
+// bestRate returns the row's largest positive rate, or 0 when no
+// extender is reachable.
+func bestRate(row []float64) float64 {
+	best := 0.0
+	for _, r := range row {
+		if r > best {
+			best = r
+		}
+	}
+	return best
 }
 
 // kopt escapes single-move local optima with eject/reinsert chains:

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // DeltaEval is a stateful evaluator for single-move what-if probes. It
@@ -22,12 +23,13 @@ import (
 // cell's Σ 1/r in ascending user-index order, walks the active set in
 // ascending extender order through the water-fill, and sums the
 // aggregate in that same order; DeltaEval maintains each cell's member
-// list sorted ascending and recomputes an affected cell's harmonic sum
-// by re-summing its members in that exact order, so the floating-point
-// operation sequence — and therefore every rounding — matches the full
-// evaluator's. Probe-driven search loops rewired from EvaluateWith to
-// DeltaEval make identical decisions, keeping the §7 determinism
-// contracts intact.
+// list sorted ascending, alongside a parallel array of the members'
+// 1/r terms (each computed by the same division EvaluateWith performs),
+// and recomputes an affected cell's harmonic sum by re-summing that
+// array in member order, so the floating-point operation sequence —
+// and therefore every rounding — matches the full evaluator's.
+// Probe-driven search loops rewired from EvaluateWith to DeltaEval make
+// identical decisions, keeping the §7 determinism contracts intact.
 //
 // Validation happens once, at Attach. The network's generation counter
 // is recorded there; a network mutated in place afterwards (which must
@@ -47,12 +49,20 @@ type DeltaEval struct {
 	opts Options
 	gen  uint64
 
-	assign  Assignment // private copy, updated by Commit
-	members [][]int    // per-cell user indices, ascending
-	invSum  []float64  // per-cell Σ 1/r over members, summed ascending
-	count   []int      // len(members[j])
-	demand  []float64  // T_WiFi_j = count/invSum (0 for empty cells)
-	active  []int      // cells with count > 0, ascending
+	assign  Assignment  // private copy, updated by Commit
+	members [][]int     // per-cell user indices, ascending
+	inv     [][]float64 // per-cell 1/r of each member, parallel to members
+	invSum  []float64   // per-cell Σ 1/r over members, summed ascending
+	count   []int       // len(members[j])
+	demand  []float64   // T_WiFi_j = count/invSum (0 for empty cells)
+	active  []int       // cells with count > 0, ascending
+
+	// from-cell memo: memoDem is the demand of memoUser's committed
+	// cell without memoUser. A user's candidate probes all share it, so
+	// it is summed once per user; only Commit moves a user, so Commit
+	// (and Attach) reset memoUser to -1.
+	memoUser int
+	memoDem  float64
 
 	perExt    []float64 // committed per-extender delivered throughput
 	aggregate float64   // committed Σ perExt over active, ascending
@@ -77,21 +87,26 @@ func (d *DeltaEval) Attach(n *Network, a Assignment, opts Options) error {
 	d.opts = opts
 	d.gen = n.gen
 	d.Evals++
+	d.memoUser = -1
 
 	numExt := n.NumExtenders()
 	d.assign = append(d.assign[:0], a...)
 	if cap(d.members) < numExt {
 		d.members = make([][]int, numExt)
+		d.inv = make([][]float64, numExt)
 	}
 	d.members = d.members[:numExt]
+	d.inv = d.inv[:numExt]
 	for j := range d.members {
 		d.members[j] = d.members[j][:0]
+		d.inv[j] = d.inv[j][:0]
 	}
 	// Appending users in ascending index order keeps every member list
 	// sorted — the invariant all delta recomputation relies on.
 	for i, j := range a {
 		if j != Unassigned {
 			d.members[j] = append(d.members[j], i)
+			d.inv[j] = append(d.inv[j], 1/n.WiFiRates[i][j])
 		}
 	}
 	d.invSum = growFloats(d.invSum, numExt)
@@ -213,34 +228,26 @@ func (d *DeltaEval) ProbeMoveScore(i, from, to int) Score {
 }
 
 // Commit applies the move (i: from → to) to the committed state: the two
-// affected member lists are edited in place, their harmonic sums
-// recomputed in ascending member order, the active set updated, and the
-// water-fill re-run — leaving every accumulator bit-identical to a fresh
-// Attach of the moved assignment.
+// affected member lists (and their parallel 1/r arrays) are edited in
+// place, their harmonic sums recomputed in ascending member order, the
+// active set updated, and the water-fill re-run — leaving every
+// accumulator bit-identical to a fresh Attach of the moved assignment.
 func (d *DeltaEval) Commit(i, from, to int) {
 	d.checkMove(i, from, to)
 	if from == to {
 		return
 	}
+	d.memoUser = -1
 	if from != Unassigned {
-		m := d.members[from]
-		for k, u := range m {
-			if u == i {
-				d.members[from] = append(m[:k], m[k+1:]...)
-				break
-			}
-		}
+		k, _ := slices.BinarySearch(d.members[from], i)
+		d.members[from] = slices.Delete(d.members[from], k, k+1)
+		d.inv[from] = slices.Delete(d.inv[from], k, k+1)
 		d.recomputeCell(from)
 	}
 	if to != Unassigned {
-		m := append(d.members[to], 0)
-		k := len(m) - 1
-		for k > 0 && m[k-1] > i {
-			m[k] = m[k-1]
-			k--
-		}
-		m[k] = i
-		d.members[to] = m
+		k, _ := slices.BinarySearch(d.members[to], i)
+		d.members[to] = slices.Insert(d.members[to], k, i)
+		d.inv[to] = slices.Insert(d.inv[to], k, 1/d.net.WiFiRates[i][to])
 		d.recomputeCell(to)
 	}
 	d.assign[i] = to
@@ -270,13 +277,13 @@ func (d *DeltaEval) Commit(i, from, to int) {
 }
 
 // recomputeCell rebuilds cell j's harmonic sum, count and WiFi demand
-// from its member list. Members are ascending, so the summation order —
+// from its 1/r array. Members are ascending, so the summation order —
 // and every rounding — matches EvaluateWith's user-index-order
 // accumulation exactly.
 func (d *DeltaEval) recomputeCell(j int) {
 	var inv float64
-	for _, u := range d.members[j] {
-		inv += 1 / d.net.WiFiRates[u][j]
+	for _, v := range d.inv[j] {
+		inv += v
 	}
 	d.invSum[j] = inv
 	c := len(d.members[j])
@@ -329,7 +336,8 @@ func (d *DeltaEval) recommit() {
 
 // probe evaluates the (i: from → to) hypothesis without touching the
 // committed state: the two affected cells' sums are recomputed from the
-// member lists (with i removed or merged at its sorted position), the
+// cached 1/r arrays (with i removed or merged at its sorted position;
+// the from-cell demand is memoised per user until the next Commit), the
 // hypothetical active set is built ascending, and the water-fill and
 // aggregate sum run over it in exactly EvaluateWith's order. The
 // utility rides the same single pass: each cell's contribution is
@@ -348,26 +356,31 @@ func (d *DeltaEval) probe(i, from, to int) (agg, own, util float64) {
 	fromDem, toDem := 0.0, 0.0
 	toCount := 0
 	if from != Unassigned && d.count[from] > 1 {
-		var inv float64
-		for _, u := range d.members[from] {
-			if u != i {
-				inv += 1 / d.net.WiFiRates[u][from]
+		if d.memoUser != i {
+			k, _ := slices.BinarySearch(d.members[from], i)
+			cell := d.inv[from]
+			var inv float64
+			for _, v := range cell[:k] {
+				inv += v
 			}
+			for _, v := range cell[k+1:] {
+				inv += v
+			}
+			d.memoUser = i
+			d.memoDem = float64(d.count[from]-1) / inv
 		}
-		fromDem = float64(d.count[from]-1) / inv
+		fromDem = d.memoDem
 	}
 	if to != Unassigned {
+		k, _ := slices.BinarySearch(d.members[to], i)
+		cell := d.inv[to]
 		var inv float64
-		merged := false
-		for _, u := range d.members[to] {
-			if !merged && u > i {
-				inv += 1 / d.net.WiFiRates[i][to]
-				merged = true
-			}
-			inv += 1 / d.net.WiFiRates[u][to]
+		for _, v := range cell[:k] {
+			inv += v
 		}
-		if !merged {
-			inv += 1 / d.net.WiFiRates[i][to]
+		inv += 1 / d.net.WiFiRates[i][to]
+		for _, v := range cell[k:] {
+			inv += v
 		}
 		toCount = d.count[to] + 1
 		toDem = float64(toCount) / inv

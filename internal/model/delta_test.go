@@ -275,3 +275,105 @@ func TestDeltaCommitNoOp(t *testing.T) {
 		t.Fatalf("no-op commits changed aggregate: %v != %v", got, before)
 	}
 }
+
+// TestDeltaMemoAndInverseCache interleaves probes with commits that
+// invalidate the from-cell memo. Each step probes one user against every
+// target, commits a different user out of that user's cell, and probes
+// the first user again; every probe must equal a fresh EvaluateWith
+// (==). After the long commit sequence, each cell's cached 1/r array
+// must hold exactly 1/WiFiRates[u][j] for its members, in member order.
+func TestDeltaMemoAndInverseCache(t *testing.T) {
+	for _, u := range deltaUtilities {
+		for _, opts := range deltaOptions {
+			opts.Utility = u
+			for base := int64(0); base < 4; base++ {
+				checkDeltaMemo(t, base, 4, 24, 60, opts)
+			}
+		}
+	}
+}
+
+func checkDeltaMemo(t *testing.T, base int64, numExt, numUsers, steps int, opts Options) {
+	t.Helper()
+	n, assign := deltaInstance(base, numExt, numUsers)
+	rng := seed.Rand(base, seed.DeltaFuzz, 2)
+	var d DeltaEval
+	if err := d.Attach(n, assign, opts); err != nil {
+		t.Fatal(err)
+	}
+	var full EvalScratch
+	probe := assign.Clone()
+	probeAll := func(step string, i int) {
+		t.Helper()
+		from := assign[i]
+		for to := Unassigned; to < numExt; to++ {
+			if to != Unassigned && n.WiFiRates[i][to] <= 0 {
+				continue
+			}
+			sc := d.ProbeMoveScore(i, from, to)
+			agg, own := d.ProbeMoveUser(i, from, to)
+			copy(probe, assign)
+			probe[i] = to
+			res, err := EvaluateWith(&full, n, probe, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if agg != res.Aggregate || own != res.PerUser[i] || sc != res.Score() {
+				t.Fatalf("%s: probe (%d: %d→%d) = (%v, %v, %v), full (%v, %v, %v)",
+					step, i, from, to, agg, own, sc, res.Aggregate, res.PerUser[i], res.Score())
+			}
+		}
+	}
+	commit := func(v, to int) {
+		d.Commit(v, assign[v], to)
+		assign[v] = to
+	}
+	for s := 0; s < steps; s++ {
+		i := rng.Intn(numUsers)
+		probeAll("before", i)
+		// Commit another member of i's cell somewhere else, so the cell
+		// i's memo describes has changed underneath it.
+		if f := assign[i]; f != Unassigned {
+			for _, v := range rng.Perm(numUsers) {
+				if v == i || assign[v] != f {
+					continue
+				}
+				to := Unassigned
+				for _, j := range rng.Perm(numExt) {
+					if j != f && n.WiFiRates[v][j] > 0 {
+						to = j
+						break
+					}
+				}
+				commit(v, to)
+				break
+			}
+		}
+		probeAll("after", i)
+		// A random move keeps the cells churning.
+		v := rng.Intn(numUsers)
+		to := rng.Intn(numExt)
+		if n.WiFiRates[v][to] <= 0 {
+			to = Unassigned
+		}
+		commit(v, to)
+	}
+
+	for j := range d.members {
+		m, inv := d.members[j], d.inv[j]
+		if len(inv) != len(m) {
+			t.Fatalf("cell %d: %d members, %d cached inverse rates", j, len(m), len(inv))
+		}
+		for k, u := range m {
+			if k > 0 && m[k-1] >= u {
+				t.Fatalf("cell %d: members %v not ascending", j, m)
+			}
+			if inv[k] != 1/n.WiFiRates[u][j] {
+				t.Fatalf("cell %d member %d: cached %v != 1/r %v", j, u, inv[k], 1/n.WiFiRates[u][j])
+			}
+			if assign[u] != j {
+				t.Fatalf("cell %d lists user %d, assigned to %d", j, u, assign[u])
+			}
+		}
+	}
+}
