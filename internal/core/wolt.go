@@ -118,14 +118,15 @@ type Result struct {
 }
 
 // Scratch holds reusable buffers for repeated WOLT solves: the Phase I
-// utility matrix and the Hungarian solver's workspace. The zero value is
-// ready to use; buffers grow to the largest network seen and are
-// retained. A Scratch is not safe for concurrent use; give each worker
-// goroutine its own.
+// utility matrix, the Hungarian solver's workspace and the Phase II
+// projected-gradient workspace. The zero value is ready to use; buffers
+// grow to the largest network seen and are retained. A Scratch is not
+// safe for concurrent use; give each worker goroutine its own.
 type Scratch struct {
 	util    [][]float64
 	utilBuf []float64
 	hung    hungarian.Workspace
+	nlp     nlp.Workspace
 	// delta backs AssignIncrementalWith's candidate-move probes; it is
 	// re-attached per call and its buffers persist across calls.
 	delta model.DeltaEval
@@ -197,7 +198,7 @@ func Assign(n *model.Network, opts Options) (*Result, error) {
 }
 
 // AssignWith is Assign with an optional caller-provided Scratch, reusing
-// the Phase I utility matrix and the Hungarian workspace across calls.
+// the Phase I utility matrix and both phases' workspaces across calls.
 // The returned Result is always caller-owned; only the intermediate
 // solver state lives in the scratch. A nil scratch behaves exactly like
 // Assign.
@@ -286,7 +287,7 @@ func AssignWith(s *Scratch, n *model.Network, opts Options) (*Result, error) {
 	case Phase2ProjectedGradient:
 		nlpOpts := opts.NLP
 		nlpOpts.Utility = utility
-		sol, err = nlp.SolveProjectedGradient(problem, nlpOpts)
+		sol, err = nlp.SolveProjectedGradientWith(&s.nlp, problem, nlpOpts)
 	case Phase2Coordinate:
 		// AlphaFairCell of the zero utility is SumThroughput itself, so
 		// the default path is exactly the old SolveCoordinate.

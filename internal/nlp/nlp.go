@@ -18,6 +18,17 @@
 //
 // Both return complete assignments; tests assert they agree on optima.
 //
+// # Cost
+//
+// A solve touches only what its result depends on: every per-user loop
+// (gradient, candidate build, cell loads, polish moves) walks the user's
+// reachable extenders, precomputed once per solve together with the
+// inverse rates 1/r_ij, and the simplex projection short-cuts the common
+// case where one coordinate dominates (see projectOnSupport). A
+// Workspace carries every buffer across solves, so a warm solve
+// allocates only the Solution it returns. None of this changes a bit of
+// any result: TestPhase2Golden pins the output on a seeded corpus.
+//
 // # Intra-solve parallelism
 //
 // Options.Workers fans the per-user work of one solve out over
@@ -50,7 +61,10 @@ type Problem struct {
 	Fixed model.Assignment
 }
 
-func (p Problem) validate() (numExt int, free []int, err error) {
+// validate checks p and returns its extender count and its free users,
+// listed in buf's storage.
+func (p Problem) validate(buf []int) (numExt int, free []int, err error) {
+	free = buf[:0]
 	if len(p.Rates) == 0 {
 		return 0, nil, fmt.Errorf("nlp: no users")
 	}
@@ -152,12 +166,124 @@ type Solution struct {
 // deterministic schedule); it only bounds task granularity.
 const rowChunk = 64
 
-// forRows runs fn over [0, n) split into rowChunk-sized ranges on the
-// given number of workers. fn must only write state owned by its range.
-func forRows(n, workers int, fn func(lo, hi int)) {
+// Workspace holds the Phase II solvers' state — iterates, gradient,
+// cell loads, inverse rates, supports and polish buffers — so repeated
+// solves reuse one set of allocations. The zero value is ready to use;
+// buffers grow to the largest instance seen and are retained. A
+// Workspace is not safe for concurrent use; give each worker goroutine
+// its own.
+type Workspace struct {
+	free []int
+	// rates[k] is free user k's rate row and invR[k][j] = 1/rates[k][j]
+	// for every j: scorers read the quotient instead of dividing, so
+	// they see the same bits. Off-support entries (±Inf or negative)
+	// are read only where a scorer would divide by that same rate.
+	// supports[k] lists user k's reachable extenders in ascending
+	// order: every per-user loop walks it instead of the full row.
+	rates    [][]float64
+	invR     [][]float64
+	invRb    []float64
+	supports [][]int
+	supBuf   []int
+	// fixedN/fixedS are the Phase I users' per-extender loads, the
+	// starting point of every load computation.
+	fixedN, fixedS []float64
+	term           cellTerm
+
+	// Projected-gradient state. cellsN/cellsS hold the loads of the
+	// most recent cells call; invS2 the per-extender 1/S_j² of the
+	// current iterate and gN/gS the α-fair partials ∂f/∂N_j and ∂f/∂S_j,
+	// both hoisted out of the gradient's row loop. alpha is the
+	// (surrogate) fairness exponent; alpha == 0 selects the
+	// multiply-only sum-throughput gradient. step is the line search's
+	// current step, read by candRows.
+	x, cand, grad  [][]float64
+	xb, cb, gb     []float64
+	cellsN, cellsS []float64
+	invS2, gN, gS  []float64
+	proj           []projScratch
+	alpha          float64
+	step           float64
+
+	// Polish state: per-extender loads and cached cell terms, the
+	// extender of each free user, and the coordinate start's assignment.
+	n, s, contrib []float64
+	ext           []int
+	alt           model.Assignment
+}
+
+// grow returns buf resized to n elements, reallocating only when its
+// capacity is too small. Retained contents are not cleared.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// rowsOver shapes buf (at least rows*cols long) into a rows×cols matrix,
+// reusing the row headers.
+func rowsOver(m [][]float64, buf []float64, rows, cols int) [][]float64 {
+	m = grow(m, rows)
+	for i := range m {
+		m[i] = buf[i*cols : (i+1)*cols]
+	}
+	return m
+}
+
+// attach validates p and sizes the state both solvers share: the free
+// users, their rate rows, inverse rates and supports, the Phase I loads
+// and the polish buffers.
+func (w *Workspace) attach(p Problem, term cellTerm) (numExt int, err error) {
+	numExt, free, err := p.validate(w.free)
+	if err != nil {
+		return 0, err
+	}
+	w.free = free
+	w.term = term
+	f := len(free)
+	w.rates = grow(w.rates, f)
+	w.invRb = grow(w.invRb, f*numExt)
+	w.invR = rowsOver(w.invR, w.invRb, f, numExt)
+	reachable := 0
+	for k, i := range free {
+		row, inv := p.Rates[i], w.invR[k]
+		w.rates[k] = row
+		for j, r := range row {
+			inv[j] = 1 / r
+			if r > 0 {
+				reachable++
+			}
+		}
+	}
+	w.supports = grow(w.supports, f)
+	w.supBuf = grow(w.supBuf, reachable)[:0]
+	for k, row := range w.rates {
+		lo := len(w.supBuf)
+		for j, r := range row {
+			if r > 0 {
+				w.supBuf = append(w.supBuf, j)
+			}
+		}
+		w.supports[k] = w.supBuf[lo:len(w.supBuf):len(w.supBuf)]
+	}
+	w.fixedN, w.fixedS = grow(w.fixedN, numExt), grow(w.fixedS, numExt)
+	loadInto(w.fixedN, w.fixedS, p, p.Fixed)
+	w.n, w.s = grow(w.n, numExt), grow(w.s, numExt)
+	w.contrib = grow(w.contrib, numExt)
+	w.ext = grow(w.ext, f)
+	return numExt, nil
+}
+
+// forRows runs fn over the free-user rows [0, len(free)) split into
+// rowChunk-sized ranges on the given number of workers. fn must only
+// write state owned by its range. fn is a method expression, so the
+// sequential path allocates nothing.
+func (w *Workspace) forRows(workers int, fn func(w *Workspace, lo, hi int)) {
+	n := len(w.free)
 	chunks := (n + rowChunk - 1) / rowChunk
 	if chunks <= 1 || workers <= 1 {
-		fn(0, n)
+		fn(w, 0, n)
 		return
 	}
 	_ = parallel.ForEach(context.Background(), chunks, workers, func(c int) error {
@@ -166,124 +292,119 @@ func forRows(n, workers int, fn func(lo, hi int)) {
 		if hi > n {
 			hi = n
 		}
-		fn(lo, hi)
+		fn(w, lo, hi)
 		return nil
 	})
 }
 
-// pgState holds the projected-gradient solver's reusable buffers so the
-// per-iteration loop allocates nothing.
-type pgState struct {
-	x, cand, grad  [][]float64
-	xb, cb, gb     []float64
-	cellsN, cellsS []float64
-	fixedN, fixedS []float64
-	proj           []projScratch
-	// invR[k][j] is 1/Rates[free[k]][j] (0 when unreachable) and invS2
-	// the per-extender 1/S_j² of the current iterate: the gradient's
-	// inner loop runs on multiplications instead of two divisions per
-	// matrix element.
-	invR  [][]float64
-	invRb []float64
-	invS2 []float64
-	// supports[k] lists free user k's reachable extenders (ascending),
-	// computed once so the per-projection support scan disappears from
-	// the line-search hot loop.
-	supports [][]int
-	supBuf   []int
-	// alpha is the (surrogate) fairness exponent and obj the matching
-	// cell objective; alpha == 0 keeps the original multiply-only
-	// sum-throughput gradient verbatim. gN/gS hold the per-extender
-	// partials ∂f/∂N_j and ∂f/∂S_j of the α-fair objective, hoisted out
-	// of the row loop exactly like invS2 is for sum-throughput.
-	alpha  float64
-	obj    CellObjective
-	gN, gS []float64
-}
-
-func matrixOver(buf []float64, rows, cols int) [][]float64 {
-	m := make([][]float64, rows)
-	for i := range m {
-		m[i] = buf[i*cols : (i+1)*cols]
-	}
-	return m
-}
-
-func newPGState(p Problem, free []int, numExt int, u model.Utility) *pgState {
-	f := len(free)
-	st := &pgState{
-		xb:     make([]float64, f*numExt),
-		cb:     make([]float64, f*numExt),
-		gb:     make([]float64, f*numExt),
-		cellsN: make([]float64, numExt),
-		cellsS: make([]float64, numExt),
-		proj:   make([]projScratch, (f+rowChunk-1)/rowChunk),
-		invRb:  make([]float64, f*numExt),
-		invS2:  make([]float64, numExt),
-		alpha:  surrogateAlpha(u),
-		obj:    AlphaFairCell(u),
-		gN:     make([]float64, numExt),
-		gS:     make([]float64, numExt),
-	}
-	st.x = matrixOver(st.xb, f, numExt)
-	st.cand = matrixOver(st.cb, f, numExt)
-	st.grad = matrixOver(st.gb, f, numExt)
-	st.invR = matrixOver(st.invRb, f, numExt)
-	reachable := 0
-	for k, i := range free {
-		for j, r := range p.Rates[i] {
-			if r > 0 {
-				st.invR[k][j] = 1 / r
-				reachable++
-			}
-		}
-	}
-	st.supports = make([][]int, f)
-	st.supBuf = make([]int, 0, reachable)
-	for k, i := range free {
-		lo := len(st.supBuf)
-		for j, r := range p.Rates[i] {
-			if r > 0 {
-				st.supBuf = append(st.supBuf, j)
-			}
-		}
-		st.supports[k] = st.supBuf[lo:len(st.supBuf):len(st.supBuf)]
-	}
-	st.fixedN, st.fixedS = fixedLoad(p, numExt)
-	return st
-}
-
 // cells recomputes the fractional per-extender loads of iterate x into
-// the state's cell buffers and returns the relaxation objective. The
-// accumulation order (fixed load first, then free rows in ascending k)
-// is fixed, so the result is bit-identical however the caller
-// parallelizes the rest of the iteration.
-func (st *pgState) cells(p Problem, free []int, x [][]float64) float64 {
-	copy(st.cellsN, st.fixedN)
-	copy(st.cellsS, st.fixedS)
-	for k := range free {
-		row := x[k]
-		invR := st.invR[k]
-		// Unreachable coordinates hold mass 0, and adding 0.0 to a
-		// non-negative accumulator is exact — so the loop runs
-		// branch-free on the precomputed inverse rates.
-		for j, mass := range row {
-			st.cellsN[j] += mass
-			st.cellsS[j] += mass * invR[j]
+// cellsN/cellsS and returns the relaxation objective. The accumulation
+// order (fixed load first, then free rows in ascending k) is fixed, so
+// the result is bit-identical however the caller parallelizes the rest
+// of the iteration. Off-support coordinates hold mass 0, and adding 0
+// to a non-negative load is exact, so skipping them changes no bit.
+func (w *Workspace) cells(x [][]float64) float64 {
+	copy(w.cellsN, w.fixedN)
+	copy(w.cellsS, w.fixedS)
+	for k, sup := range w.supports {
+		row, invR := x[k], w.invR[k]
+		for _, j := range sup {
+			mass := row[j]
+			w.cellsN[j] += mass
+			w.cellsS[j] += mass * invR[j]
 		}
 	}
-	return Total(st.obj, st.cellsN, st.cellsS)
+	return w.total(w.cellsN, w.cellsS)
+}
+
+// total is Total under the workspace's cell term.
+func (w *Workspace) total(n, s []float64) float64 {
+	var total float64
+	for j := range n {
+		total += w.term.at(n[j], s[j])
+	}
+	return total
+}
+
+// gradSumRows writes rows [lo, hi) of the sum-throughput gradient
+// ∂(Σ N_j/S_j)/∂x_kj = (S_j − N_j/r_kj)/S_j² on each row's support.
+func (w *Workspace) gradSumRows(lo, hi int) {
+	for k := lo; k < hi; k++ {
+		row, invR, rates := w.grad[k], w.invR[k], w.rates[k]
+		for _, j := range w.supports[k] {
+			if invR[j] == 0 {
+				// r = +Inf: no finite inverse rate, no gradient.
+				row[j] = 0
+				continue
+			}
+			s := w.cellsS[j]
+			if s <= 0 {
+				// Empty cell: joining it alone yields throughput r.
+				row[j] = rates[j]
+				continue
+			}
+			row[j] = (s - w.cellsN[j]*invR[j]) * w.invS2[j]
+		}
+	}
+}
+
+// gradAlphaRows writes rows [lo, hi) of the α-fair gradient
+// ∂f/∂x_kj = ∂f/∂N_j + ∂f/∂S_j·(1/r_kj) on each row's support.
+func (w *Workspace) gradAlphaRows(lo, hi int) {
+	for k := lo; k < hi; k++ {
+		row, invR, rates := w.grad[k], w.invR[k], w.rates[k]
+		for _, j := range w.supports[k] {
+			if invR[j] == 0 {
+				row[j] = 0
+				continue
+			}
+			if w.cellsS[j] <= 0 {
+				// Empty cell: joining it alone yields u_α(r).
+				row[j] = perUserUtil(w.alpha, rates[j])
+				continue
+			}
+			row[j] = w.gN[j] + w.gS[j]*invR[j]
+		}
+	}
+}
+
+// candRows builds rows [lo, hi) of the line-search candidate x + step·grad
+// and projects each onto its simplex. Off-support coordinates of cand
+// stay at the 0 they were cleared to.
+func (w *Workspace) candRows(lo, hi int) {
+	ps := &w.proj[lo/rowChunk]
+	step := w.step
+	for k := lo; k < hi; k++ {
+		row, x, grad, sup := w.cand[k], w.x[k], w.grad[k], w.supports[k]
+		for _, j := range sup {
+			row[j] = x[j] + step*grad[j]
+		}
+		projectOnSupport(ps, row, sup)
+	}
 }
 
 // SolveProjectedGradient solves the Phase II relaxation by projected
 // gradient ascent over the free users' assignment simplices and extracts
-// an integral solution.
+// an integral solution. It is SolveProjectedGradientWith on a throwaway
+// Workspace.
 func SolveProjectedGradient(p Problem, opts Options) (*Solution, error) {
-	numExt, free, err := p.validate()
+	return SolveProjectedGradientWith(nil, p, opts)
+}
+
+// SolveProjectedGradientWith is SolveProjectedGradient reusing w's
+// buffers (nil means a fresh Workspace). Only the returned Solution and
+// its assignment are allocated once w has grown to the instance size;
+// the result is bit-identical to a fresh solve.
+func SolveProjectedGradientWith(w *Workspace, p Problem, opts Options) (*Solution, error) {
+	if w == nil {
+		w = &Workspace{}
+	}
+	opts = opts.withDefaults()
+	numExt, err := w.attach(p, termFor(opts.Utility))
 	if err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	free := w.free
 
 	if len(free) == 0 {
 		assign := p.Fixed.Clone()
@@ -291,96 +412,56 @@ func SolveProjectedGradient(p Problem, opts Options) (*Solution, error) {
 		return &Solution{Assign: assign, Objective: obj, IntegralAtConvergence: true}, nil
 	}
 
-	st := newPGState(p, free, numExt, opts.Utility)
+	f := len(free)
+	w.alpha = surrogateAlpha(opts.Utility)
+	w.xb, w.cb, w.gb = grow(w.xb, f*numExt), grow(w.cb, f*numExt), grow(w.gb, f*numExt)
+	clear(w.xb)
+	clear(w.cb)
+	w.x = rowsOver(w.x, w.xb, f, numExt)
+	w.cand = rowsOver(w.cand, w.cb, f, numExt)
+	w.grad = rowsOver(w.grad, w.gb, f, numExt)
+	w.cellsN, w.cellsS = grow(w.cellsN, numExt), grow(w.cellsS, numExt)
+	w.invS2, w.gN, w.gS = grow(w.invS2, numExt), grow(w.gN, numExt), grow(w.gS, numExt)
+	w.proj = grow(w.proj, (f+rowChunk-1)/rowChunk)
 
 	// x[k][j]: fractional assignment of free user k to extender j,
 	// initialized uniformly over reachable extenders.
-	for k, i := range free {
-		reachable := 0
-		for _, r := range p.Rates[i] {
-			if r > 0 {
-				reachable++
-			}
-		}
-		for j, r := range p.Rates[i] {
-			if r > 0 {
-				st.x[k][j] = 1 / float64(reachable)
-			}
+	for k, sup := range w.supports {
+		for _, j := range sup {
+			w.x[k][j] = 1 / float64(len(sup))
 		}
 	}
 
-	prev := st.cells(p, free, st.x)
+	prev := w.cells(w.x)
 	step := opts.Step
 	iters := 0
 	for ; iters < opts.MaxIter; iters++ {
-		// Per-extender loads of the current iterate, then the gradient of
-		// Σ N_j/S_j wrt x_kj: (S_j - N_j/r_ij) / S_j². Rows are
-		// independent given the loads, so they fan out. The per-extender
-		// 1/S_j² factor is hoisted out of the row loop and the rate
-		// divisions were precomputed at attach, so the inner loop is
-		// multiply-only.
-		st.cells(p, free, st.x)
-		if st.alpha == 0 {
+		// cellsN/cellsS hold the loads of the current iterate: either the
+		// initial cells call or the accepted candidate's. Rows of the
+		// gradient are independent given the loads, so they fan out. The
+		// per-extender factors are hoisted out of the row loop and the
+		// rate divisions were precomputed at attach, so the inner loops
+		// are multiply-only.
+		if w.alpha == 0 {
 			for j := 0; j < numExt; j++ {
-				if s := st.cellsS[j]; s > 0 {
-					st.invS2[j] = 1 / (s * s)
+				if s := w.cellsS[j]; s > 0 {
+					w.invS2[j] = 1 / (s * s)
 				} else {
-					st.invS2[j] = 0
+					w.invS2[j] = 0
 				}
 			}
-			forRows(len(free), opts.Workers, func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					i := free[k]
-					row := st.grad[k]
-					invR := st.invR[k]
-					for j := 0; j < numExt; j++ {
-						if invR[j] == 0 {
-							row[j] = 0
-							continue
-						}
-						s := st.cellsS[j]
-						if s <= 0 {
-							// Empty cell: joining it alone yields throughput r.
-							row[j] = p.Rates[i][j]
-							continue
-						}
-						row[j] = (s - st.cellsN[j]*invR[j]) * st.invS2[j]
-					}
-				}
-			})
+			w.forRows(opts.Workers, (*Workspace).gradSumRows)
 		} else {
-			// α-fair gradient of f = Σ_j N_j·u_α(1/S_j): the chain rule
-			// gives ∂f/∂x_kj = ∂f/∂N_j + ∂f/∂S_j·(1/r_ij) with
-			// ∂f/∂N_j = u_α(1/S_j) and ∂f/∂S_j = −N_j·S_j^(α−2), both
-			// per-extender quantities hoisted out of the row loop so the
-			// inner loop stays one multiply-add per matrix element.
+			// ∂f/∂N_j = u_α(1/S_j) and ∂f/∂S_j = −N_j·S_j^(α−2).
 			for j := 0; j < numExt; j++ {
-				if s := st.cellsS[j]; s > 0 {
-					st.gN[j] = perUserUtil(st.alpha, 1/s)
-					st.gS[j] = -st.cellsN[j] * math.Pow(s, st.alpha-2)
+				if s := w.cellsS[j]; s > 0 {
+					w.gN[j] = perUserUtil(w.alpha, 1/s)
+					w.gS[j] = -w.cellsN[j] * math.Pow(s, w.alpha-2)
 				} else {
-					st.gN[j], st.gS[j] = 0, 0
+					w.gN[j], w.gS[j] = 0, 0
 				}
 			}
-			forRows(len(free), opts.Workers, func(lo, hi int) {
-				for k := lo; k < hi; k++ {
-					i := free[k]
-					row := st.grad[k]
-					invR := st.invR[k]
-					for j := 0; j < numExt; j++ {
-						if invR[j] == 0 {
-							row[j] = 0
-							continue
-						}
-						if st.cellsS[j] <= 0 {
-							// Empty cell: joining it alone yields u_α(r).
-							row[j] = perUserUtil(st.alpha, p.Rates[i][j])
-							continue
-						}
-						row[j] = st.gN[j] + st.gS[j]*invR[j]
-					}
-				}
-			})
+			w.forRows(opts.Workers, (*Workspace).gradAlphaRows)
 		}
 
 		// Backtracking line search on the projected step. The candidate
@@ -388,31 +469,15 @@ func SolveProjectedGradient(p Problem, opts Options) (*Solution, error) {
 		// out; the accept/backtrack decision is sequential.
 		improved := false
 		for attempt := 0; attempt < 20; attempt++ {
-			stepNow := step
-			forRows(len(free), opts.Workers, func(lo, hi int) {
-				ps := &st.proj[lo/rowChunk]
-				for k := lo; k < hi; k++ {
-					row := st.cand[k]
-					x, grad := st.x[k], st.grad[k]
-					// Unreachable coordinates hold x = 0 and grad = 0,
-					// so the unconditional (vectorizable) build writes 0
-					// there and the on-support projection leaves them be.
-					for j := range row {
-						row[j] = x[j] + stepNow*grad[j]
-					}
-					projectOnSupport(ps, row, st.supports[k])
-				}
-			})
-			obj := st.cells(p, free, st.cand)
+			w.step = step
+			w.forRows(opts.Workers, (*Workspace).candRows)
+			obj := w.cells(w.cand)
 			if obj > prev {
-				st.x, st.cand = st.cand, st.x
-				if obj-prev < opts.Tol {
-					prev = obj
-					improved = false // converged per the paper's criterion
-				} else {
-					prev = obj
-					improved = true
-				}
+				w.x, w.cand = w.cand, w.x
+				// converged per the paper's criterion unless the gain
+				// clears the tolerance
+				improved = obj-prev >= opts.Tol
+				prev = obj
 				break
 			}
 			step /= 2
@@ -426,8 +491,8 @@ func SolveProjectedGradient(p Problem, opts Options) (*Solution, error) {
 	}
 
 	integral := true
-	for k := range st.x {
-		for _, mass := range st.x[k] {
+	for k := range w.x {
+		for _, mass := range w.x[k] {
 			if mass > 1e-6 && mass < 1-1e-6 {
 				integral = false
 			}
@@ -440,24 +505,24 @@ func SolveProjectedGradient(p Problem, opts Options) (*Solution, error) {
 	assign := p.Fixed.Clone()
 	for k, i := range free {
 		best, bestMass := -1, -1.0
-		for j, mass := range st.x[k] {
+		for j, mass := range w.x[k] {
 			if mass > bestMass {
 				best, bestMass = j, mass
 			}
 		}
 		assign[i] = best
 	}
-	obj, sweeps := polish(p, assign, free, numExt, st.obj)
+	obj, sweeps := w.polish(p, assign)
 
 	// The relaxation is non-convex, so the gradient iterate can land in a
 	// poorer basin than a greedy discrete start. Keep the better of the
 	// two (multi-start local search).
-	if alt, err := solveCoordinate(p, st.obj); err == nil {
-		sweeps += alt.PolishSweeps
-		if alt.Objective > obj+1e-12 {
-			assign = alt.Assign
-			obj = alt.Objective
-		}
+	w.alt = append(w.alt[:0], p.Fixed...)
+	altObj, altSweeps := w.coordinate(p, w.alt)
+	sweeps += altSweeps
+	if altObj > obj+1e-12 {
+		copy(assign, w.alt)
+		obj = altObj
 	}
 
 	return &Solution{
@@ -571,48 +636,74 @@ func Total(objective CellObjective, n, s []float64) float64 {
 // that most increases Σ T_WiFi given current loads) and then runs
 // best-response sweeps until no single-user move improves the objective.
 func SolveCoordinate(p Problem) (*Solution, error) {
-	return SolveCoordinateWith(p, SumThroughput)
+	return solveCoordinate(p, cellTerm{})
 }
 
 // SolveCoordinateWith is SolveCoordinate under an arbitrary cell
 // objective. The returned Solution's Objective is the given objective's
 // value (not Σ T_WiFi) unless the objectives coincide.
 func SolveCoordinateWith(p Problem, objective CellObjective) (*Solution, error) {
-	return solveCoordinate(p, objective)
-}
-
-func solveCoordinate(p Problem, objective CellObjective) (*Solution, error) {
 	if objective == nil {
 		return nil, fmt.Errorf("nlp: nil objective")
 	}
-	numExt, free, err := p.validate()
-	if err != nil {
+	return solveCoordinate(p, cellTerm{obj: objective})
+}
+
+func solveCoordinate(p Problem, term cellTerm) (*Solution, error) {
+	var w Workspace
+	if _, err := w.attach(p, term); err != nil {
 		return nil, err
 	}
 	assign := p.Fixed.Clone()
+	obj, sweeps := w.coordinate(p, assign)
+	return &Solution{Assign: assign, Objective: obj, PolishSweeps: sweeps, IntegralAtConvergence: true}, nil
+}
 
-	// Greedy seeding in user order, by marginal objective gain. The
-	// objective is separable per cell, so joining extender j changes
-	// only j's term — the gain is one term delta, O(1) per candidate.
-	n, s := loadOf(p, assign, numExt)
-	for _, i := range free {
+// cellTerm is the cell objective the discrete phases and cells score
+// with: obj, or Problem 2's sum-throughput term inlined when obj is nil
+// (the same bits SumThroughput computes, without the indirect call).
+type cellTerm struct{ obj CellObjective }
+
+func (c cellTerm) at(n, s float64) float64 {
+	if c.obj != nil {
+		return c.obj(n, s)
+	}
+	if s > 0 {
+		return n / s
+	}
+	return 0
+}
+
+// termFor is the cell term of utility u (see AlphaFairCell).
+func termFor(u model.Utility) cellTerm {
+	if surrogateAlpha(u) == 0 {
+		return cellTerm{}
+	}
+	return cellTerm{obj: AlphaFairCell(u)}
+}
+
+// coordinate places the free users of assign (which holds p.Fixed)
+// greedily in user order, each by marginal objective gain, and polishes
+// the result. The objective is separable per cell, so joining extender
+// j changes only j's term — the gain is one term delta, O(1) per
+// candidate.
+func (w *Workspace) coordinate(p Problem, assign model.Assignment) (float64, int) {
+	n, s := w.n, w.s
+	copy(n, w.fixedN)
+	copy(s, w.fixedS)
+	for k, i := range w.free {
+		invR := w.invR[k]
 		bestJ, bestGain := -1, math.Inf(-1)
-		for j := 0; j < numExt; j++ {
-			r := p.Rates[i][j]
-			if r <= 0 {
-				continue
-			}
-			gain := objective(n[j]+1, s[j]+1/r) - objective(n[j], s[j])
+		for _, j := range w.supports[k] {
+			gain := w.term.at(n[j]+1, s[j]+invR[j]) - w.term.at(n[j], s[j])
 			if gain > bestGain {
 				bestJ, bestGain = j, gain
 			}
 		}
 		assign[i] = bestJ
-		n[bestJ], s[bestJ] = n[bestJ]+1, s[bestJ]+1/p.Rates[i][bestJ]
+		n[bestJ], s[bestJ] = n[bestJ]+1, s[bestJ]+invR[bestJ]
 	}
-
-	obj, sweeps := polish(p, assign, free, numExt, objective)
-	return &Solution{Assign: assign, Objective: obj, PolishSweeps: sweeps, IntegralAtConvergence: true}, nil
+	return w.polish(p, assign)
 }
 
 // polish runs discrete best-response sweeps over the free users (single
@@ -628,83 +719,84 @@ func solveCoordinate(p Problem, objective CellObjective) (*Solution, error) {
 // the two dirty contribs are refreshed and the objective re-summed over
 // all cells in ascending order (O(numExt), exact with respect to the
 // cached terms — no drift accumulates across moves).
-func polish(p Problem, assign model.Assignment, free []int, numExt int, objective CellObjective) (float64, int) {
+func (w *Workspace) polish(p Problem, assign model.Assignment) (float64, int) {
 	const maxSweeps = 100
-	n, s := loadOf(p, assign, numExt)
-	contrib := make([]float64, numExt)
-	for j := 0; j < numExt; j++ {
-		contrib[j] = objective(n[j], s[j])
+	n, s, contrib, ext := w.n, w.s, w.contrib, w.ext
+	loadInto(n, s, p, assign)
+	for j := range contrib {
+		contrib[j] = w.term.at(n[j], s[j])
 	}
 	resum := func() float64 {
 		var total float64
-		for j := 0; j < numExt; j++ {
-			total += contrib[j]
+		for _, c := range contrib {
+			total += c
 		}
 		return total
 	}
 	obj := resum()
+	for k, i := range w.free {
+		ext[k] = assign[i]
+	}
 
 	sweeps := 0
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		sweeps++
 		changed := false
 
-		// Single-user moves: per user, score every candidate extender
+		// Single-user moves: per user, score every reachable extender
 		// against the current loads and take the best (lowest index wins
 		// ties through the strict epsilon comparison). Leaving the
 		// current cell contributes the same delta to every candidate, so
 		// it is computed once per user.
-		for _, i := range free {
-			current := assign[i]
-			invCur := 1 / p.Rates[i][current]
-			fromDelta := objective(n[current]-1, s[current]-invCur) - contrib[current]
+		for k, current := range ext {
+			invR := w.invR[k]
+			invCur := invR[current]
+			fromDelta := w.term.at(n[current]-1, s[current]-invCur) - contrib[current]
 			bestJ, bestObj := current, obj
-			for j := 0; j < numExt; j++ {
-				if j == current || p.Rates[i][j] <= 0 {
+			for _, j := range w.supports[k] {
+				if j == current {
 					continue
 				}
-				cand := obj + fromDelta + objective(n[j]+1, s[j]+1/p.Rates[i][j]) - contrib[j]
+				cand := obj + fromDelta + w.term.at(n[j]+1, s[j]+invR[j]) - contrib[j]
 				if cand > bestObj+1e-12 {
 					bestJ, bestObj = j, cand
 				}
 			}
 			if bestJ != current {
 				n[current], s[current] = n[current]-1, s[current]-invCur
-				n[bestJ], s[bestJ] = n[bestJ]+1, s[bestJ]+1/p.Rates[i][bestJ]
-				contrib[current] = objective(n[current], s[current])
-				contrib[bestJ] = objective(n[bestJ], s[bestJ])
+				n[bestJ], s[bestJ] = n[bestJ]+1, s[bestJ]+invR[bestJ]
+				contrib[current] = w.term.at(n[current], s[current])
+				contrib[bestJ] = w.term.at(n[bestJ], s[bestJ])
 				obj = resum()
-				assign[i] = bestJ
+				ext[k] = bestJ
 				changed = true
 			}
 		}
 
 		// Pairwise swaps between free users on different extenders,
-		// first-improvement in fixed pair order: an improving swap is
-		// applied immediately and the scan resumes at the next pair.
+		// first-improvement in row-major a < b order: an improving swap
+		// is applied immediately and the scan resumes at the next pair.
 		// Counts are unchanged by a swap; only the two cells' inverse-
 		// rate sums move.
-		cursor := pairCursor{a: 0, b: 1}
-		for {
-			a, b, ok := cursor.next(len(free))
-			if !ok {
-				break
-			}
-			ia, ib := free[a], free[b]
-			ja, jb := assign[ia], assign[ib]
-			if ja == jb || p.Rates[ia][jb] <= 0 || p.Rates[ib][ja] <= 0 {
-				continue
-			}
-			sa := s[ja] - 1/p.Rates[ia][ja] + 1/p.Rates[ib][ja]
-			sb := s[jb] - 1/p.Rates[ib][jb] + 1/p.Rates[ia][jb]
-			cand := obj - contrib[ja] - contrib[jb] + objective(n[ja], sa) + objective(n[jb], sb)
-			if cand > obj+1e-12 {
-				s[ja], s[jb] = sa, sb
-				assign[ia], assign[ib] = jb, ja
-				contrib[ja] = objective(n[ja], s[ja])
-				contrib[jb] = objective(n[jb], s[jb])
-				obj = resum()
-				changed = true
+		for a := range ext {
+			ratesA, invA := w.rates[a], w.invR[a]
+			for b := a + 1; b < len(ext); b++ {
+				ja, jb := ext[a], ext[b]
+				if ja == jb || ratesA[jb] <= 0 || w.rates[b][ja] <= 0 {
+					continue
+				}
+				invB := w.invR[b]
+				sa := s[ja] - invA[ja] + invB[ja]
+				sb := s[jb] - invB[jb] + invA[jb]
+				cand := obj - contrib[ja] - contrib[jb] + w.term.at(n[ja], sa) + w.term.at(n[jb], sb)
+				if cand > obj+1e-12 {
+					s[ja], s[jb] = sa, sb
+					ext[a], ext[b] = jb, ja
+					contrib[ja] = w.term.at(n[ja], s[ja])
+					contrib[jb] = w.term.at(n[jb], s[jb])
+					obj = resum()
+					changed = true
+				}
 			}
 		}
 
@@ -712,53 +804,24 @@ func polish(p Problem, assign model.Assignment, free []int, numExt int, objectiv
 			break
 		}
 	}
+	for k, i := range w.free {
+		assign[i] = ext[k]
+	}
 	return obj, sweeps
-}
-
-// pairCursor walks the strict upper triangle (a < b) of the free-user
-// pair space in fixed row-major order.
-type pairCursor struct{ a, b int }
-
-// next returns the cursor's pair and advances it; ok is false when the
-// triangle is exhausted.
-func (c *pairCursor) next(nFree int) (a, b int, ok bool) {
-	for c.a < nFree-1 {
-		if c.b >= nFree {
-			c.a++
-			c.b = c.a + 1
-			continue
-		}
-		a, b = c.a, c.b
-		c.b++
-		return a, b, true
-	}
-	return 0, 0, false
-}
-
-// joinGain is the change in Σ T_WiFi when a user of rate r joins a cell
-// with count n and inverse-rate sum s.
-func joinGain(n, s, r float64) float64 {
-	before := 0.0
-	if s > 0 {
-		before = n / s
-	}
-	return (n+1)/(s+1/r) - before
 }
 
 // discreteObjective computes Σ_j T_WiFi_j for an integral assignment.
 func discreteObjective(p Problem, assign model.Assignment, numExt int) float64 {
-	return objectiveWith(p, assign, numExt, SumThroughput)
+	n, s := make([]float64, numExt), make([]float64, numExt)
+	loadInto(n, s, p, assign)
+	return Total(SumThroughput, n, s)
 }
 
-// objectiveWith evaluates a cell objective on an integral assignment.
-func objectiveWith(p Problem, assign model.Assignment, numExt int, objective CellObjective) float64 {
-	n, s := loadOf(p, assign, numExt)
-	return Total(objective, n, s)
-}
-
-func loadOf(p Problem, assign model.Assignment, numExt int) (n, s []float64) {
-	n = make([]float64, numExt)
-	s = make([]float64, numExt)
+// loadInto writes the per-extender user counts and inverse-rate sums of
+// assign into n and s, accumulating in ascending user order.
+func loadInto(n, s []float64, p Problem, assign model.Assignment) {
+	clear(n)
+	clear(s)
 	for i, j := range assign {
 		if j == model.Unassigned {
 			continue
@@ -766,11 +829,6 @@ func loadOf(p Problem, assign model.Assignment, numExt int) (n, s []float64) {
 		n[j]++
 		s[j] += 1 / p.Rates[i][j]
 	}
-	return n, s
-}
-
-func fixedLoad(p Problem, numExt int) (n, s []float64) {
-	return loadOf(p, p.Fixed, numExt)
 }
 
 // projScratch holds the reusable buffers of projectSimplexWith.
@@ -790,15 +848,6 @@ func projectSimplex(row, rates []float64) {
 
 // projectSimplexWith is projectSimplex with caller-owned scratch buffers,
 // for hot loops that project many rows.
-//
-// Michelot's algorithm: starting from the full support, repeatedly set
-// θ = (Σ active − 1)/|active| and drop the values ≤ θ; at the fixed point
-// θ is exactly the sort-based Duchi et al. threshold, found in O(n) per
-// pass (typically 2–4 passes) with no sort. The maximum always survives
-// a pass — θ = (Σ−1)/m ≤ max − 1/m < max — so the active set never
-// empties and shrinks strictly until the fixed point. Values are scanned
-// in ascending-coordinate order every pass, so θ's arithmetic is a fixed
-// function of the input (bit-deterministic across runs and workers).
 func projectSimplexWith(ps *projScratch, row, rates []float64) {
 	support := ps.support[:0]
 	for j, r := range rates {
@@ -816,6 +865,34 @@ func projectSimplexWith(ps *projScratch, row, rates []float64) {
 // the (precomputed) support list and guarantees every non-support
 // coordinate of row is already 0, so only the support coordinates are
 // read or written.
+//
+// Michelot's algorithm: starting from the full support, repeatedly set
+// θ = (Σ active − 1)/|active| and drop the values ≤ θ; at the fixed point
+// θ is exactly the sort-based Duchi et al. threshold, found in O(n) per
+// pass with no sort. The maximum always survives a pass — θ = (Σ−1)/m ≤
+// max − 1/m < max — so the active set never empties and shrinks strictly
+// until the fixed point. Values are scanned in ascending-coordinate order
+// every pass, so θ's arithmetic is a fixed function of the input
+// (bit-deterministic across runs and workers).
+//
+// Vertex fast path. Most rows of a converging iterate project onto a
+// vertex: one value, top, beats every other by more than 1, and
+// Michelot spends several passes dropping the others before it ends on
+// {top} with θ = (0+top−1)/1 = fl(top−1). The fast path sets that θ
+// directly when margin = (m+2)²(M+1)·2⁻⁵⁰ < 1 and top − second > 1 +
+// margin in floating point, where m = |support|, M = max|v| and second
+// is the runner-up. Proof that Michelot ends there, with u = 2⁻⁵³ and
+// δ = top−1−second (exact): the test implies δ > margin − 6u ≥
+// margin/4 ≥ m·E, where E = (m+2)(M+1)·2u bounds how far a pass's
+// computed θ̂ strays from its exact θ (summation error γ_{k−1}·kM over
+// k ≤ m active values, plus one rounding each for −1 and /k). Exactly,
+// θ ≤ top−1−(k−1)δ/k, so top survives every pass (θ̂ ≤ top−1+E < top);
+// and since the active values' excess over θ sums to 1, some other
+// active value lies at least δ/k > E below θ, hence below θ̂, and is
+// dropped. Passes thus shed the others until only top is left, and the
+// last computes θ̂ = fl(top−1), which is below top since M < 2⁴⁷. A
+// NaN or ±Inf makes the sum non-finite; they, ties and huge values fail
+// the test and run Michelot.
 func projectOnSupport(ps *projScratch, row []float64, support []int) {
 	if len(support) == 0 {
 		return
@@ -825,31 +902,47 @@ func projectOnSupport(ps *projScratch, row []float64, support []int) {
 		ps.work = make([]float64, len(support))
 	}
 	vals := ps.vals[:len(support)]
-	act := ps.work[:len(support)]
 	sum := 0.0
+	top, second, low := math.Inf(-1), math.Inf(-1), math.Inf(1)
 	for k, j := range support {
 		v := row[j]
 		vals[k] = v
-		act[k] = v
 		sum += v
+		if v > top {
+			top, second = v, top
+		} else if v > second {
+			second = v
+		}
+		if v < low {
+			low = v
+		}
 	}
+	m := float64(len(support))
+	margin := (m + 2) * (m + 2) * (max(math.Abs(top), math.Abs(low)) + 1) * 0x1p-50
 	var theta float64
-	for {
-		theta = (sum - 1) / float64(len(act))
-		kept := 0
-		newSum := 0.0
-		for _, v := range act {
-			if v > theta {
-				act[kept] = v
-				kept++
-				newSum += v
+	// sum-sum == 0 holds only for a finite sum, i.e. finite values.
+	if sum-sum == 0 && margin < 1 && top-second > 1+margin {
+		theta = top - 1
+	} else {
+		act := ps.work[:len(support)]
+		copy(act, vals)
+		for {
+			theta = (sum - 1) / float64(len(act))
+			kept := 0
+			newSum := 0.0
+			for _, v := range act {
+				if v > theta {
+					act[kept] = v
+					kept++
+					newSum += v
+				}
 			}
+			if kept == len(act) {
+				break
+			}
+			act = act[:kept]
+			sum = newSum
 		}
-		if kept == len(act) {
-			break
-		}
-		act = act[:kept]
-		sum = newSum
 	}
 	for k, j := range support {
 		v := vals[k] - theta

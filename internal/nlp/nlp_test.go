@@ -23,7 +23,7 @@ func TestValidate(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, _, err := tt.p.validate(); err == nil {
+			if _, _, err := tt.p.validate(nil); err == nil {
 				t.Error("want error, got nil")
 			}
 		})
@@ -252,22 +252,6 @@ func TestProjectSimplexSumsToOne(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("mass sums to %v", sum)
 		}
-	}
-}
-
-func TestJoinGain(t *testing.T) {
-	// Joining an empty cell yields the user's full rate.
-	if got := joinGain(0, 0, 54); math.Abs(got-54) > 1e-12 {
-		t.Errorf("joinGain empty = %v, want 54", got)
-	}
-	// A slow user joining a fast cell reduces the aggregate (anomaly):
-	// gain is negative.
-	if got := joinGain(1, 1.0/54, 1); got >= 0 {
-		t.Errorf("slow joiner gain = %v, want negative", got)
-	}
-	// An equal-rate user joining leaves the aggregate unchanged.
-	if got := joinGain(1, 1.0/10, 10); math.Abs(got) > 1e-12 {
-		t.Errorf("equal joiner gain = %v, want 0", got)
 	}
 }
 
