@@ -505,7 +505,7 @@ func BenchmarkFairnessVariant(b *testing.B) {
 	variants := map[string]func() (*core.Result, error){
 		"throughput": func() (*core.Result, error) { return core.Assign(n, core.Options{}) },
 		"proportional-fair": func() (*core.Result, error) {
-			return core.AssignProportionalFair(n, core.Options{})
+			return core.Assign(n, core.Options{Utility: model.ProportionalFairness(), Solver: core.Phase2Coordinate})
 		},
 	}
 	for name, assign := range variants {

@@ -10,9 +10,8 @@
 // pings, so a quiet agent is never dropped by the controller's read
 // deadline.
 //
-// The agent speaks the length-prefixed binary wire protocol by default;
-// -codec json selects the legacy newline-delimited JSON framing (the
-// controller auto-detects either per connection).
+// The agent speaks the length-prefixed binary wire protocol
+// (internal/wire), opening each connection with the version hello.
 //
 // Example:
 //
@@ -48,7 +47,6 @@ func run(args []string) error {
 		rssiFlag  = fs.String("rssi", "", "comma-separated RSSI in dBm, one per extender (optional)")
 		timeout   = fs.Duration("timeout", 10*time.Second, "association wait timeout")
 		once      = fs.Bool("once", false, "exit after the first directive instead of staying associated")
-		codec     = fs.String("codec", "binary", "wire codec: binary (default) or json (legacy newline-delimited framing)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -64,7 +62,7 @@ func run(args []string) error {
 		}
 	}
 
-	agent, err := control.DialCodec(*addr, *userID, control.Codec(*codec))
+	agent, err := control.Dial(*addr, *userID)
 	if err != nil {
 		return err
 	}

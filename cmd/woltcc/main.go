@@ -1,11 +1,9 @@
 // Command woltcc runs the WOLT Central Controller: it listens for user
 // agents (see cmd/woltagent), collects their scan reports, computes
-// associations under the configured policy and pushes directives. Each
-// connection's codec is negotiated from its first byte: new agents
-// speak the length-prefixed binary framing (internal/wire), legacy
-// agents' newline-delimited JSON keeps working unchanged. Upgrade
-// controllers before agents — an old controller cannot read the binary
-// hello.
+// associations under the configured policy and pushes directives.
+// Agents speak the length-prefixed binary framing (internal/wire); a
+// connection that does not open with the wire hello, or offers an
+// unknown version, is closed.
 //
 // With -shards N the controller runs as a sharded control plane: a
 // deterministic consistent-hash ring partitions the extenders across N

@@ -55,7 +55,7 @@ func run(args []string) error {
 		emuDur    = fs.Duration("emu-duration", 0, "wall-clock window per emulated flow (0 = 1s)")
 		workers   = fs.Int("workers", 0, "worker goroutines for trial fan-out (0 = all cores); results are identical for any value")
 		lanes     = fs.Int("concurrency", 0, "city experiment: add a concurrent-dispatch row per shard count with this many worker lanes (<=1 = sequential only)")
-		plane     = fs.String("plane", "", "city experiment: control plane to drive — coordinator (default, in-process), tcp (real sockets, binary codec) or tcp-json (sockets, legacy JSON codec)")
+		plane     = fs.String("plane", "", "city experiment: control plane to drive — coordinator (default, in-process) or tcp (real sockets, binary wire codec)")
 		strat     = fs.String("strategy", "", "restrict strategy-iterating experiments to one registry strategy ("+strings.Join(strategy.Names(), " ")+")")
 		csvDir    = fs.String("csv", "", "also write each table as CSV into this directory")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")

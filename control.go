@@ -9,7 +9,7 @@ import (
 )
 
 // Control-plane types (the distributed WOLT system: a central controller
-// and per-user agents speaking JSON over TCP).
+// and per-user agents speaking the binary wire protocol over TCP).
 type (
 	// Controller is the WOLT Central Controller.
 	Controller = control.Server
@@ -19,11 +19,10 @@ type (
 	Agent = control.Agent
 	// ControllerStats is a controller snapshot.
 	ControllerStats = control.Stats
-	// ControllerPolicy selects the controller's association policy.
-	ControllerPolicy = control.PolicyKind
 )
 
-// Controller policies.
+// Controller policies (ControllerConfig.Policy; any strategy-registry
+// name is accepted).
 const (
 	// ControllerWOLT runs the two-phase algorithm and re-associates
 	// existing users when beneficial.

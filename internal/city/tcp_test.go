@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"github.com/plcwifi/wolt/internal/control"
 )
 
 // tcpDiffConfig is the shared instance for the TCP differential tests:
@@ -26,11 +24,10 @@ func tcpDiffConfig() Config {
 }
 
 // TestCityTCPDifferentialVsCoordinator replays one event stream against
-// the in-process coordinator and against the TCP plane under BOTH
-// codecs: identical event counters, identical final association. This
-// is the end-to-end proof that the wire protocol (dial, handshake,
-// frame codec, directive push) is a faithful transport around the same
-// engines — and that the negotiated JSON fallback still is too.
+// the in-process coordinator and against the TCP plane: identical event
+// counters, identical final association. This is the end-to-end proof
+// that the wire protocol (dial, handshake, frame codec, directive push)
+// is a faithful transport around the same engines.
 func TestCityTCPDifferentialVsCoordinator(t *testing.T) {
 	c, err := New(tcpDiffConfig())
 	if err != nil {
@@ -48,45 +45,43 @@ func TestCityTCPDifferentialVsCoordinator(t *testing.T) {
 		t.Fatalf("peak population %d; stream too small to mean anything", want.PeakUsers)
 	}
 
-	for _, codec := range []control.Codec{control.CodecBinary, control.CodecJSON} {
-		t.Run(string(codec), func(t *testing.T) {
-			plane, err := c.NewTCPPlane(TCPConfig{Codec: codec})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("binary", func(t *testing.T) {
+		plane, err := c.NewTCPPlane(TCPConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plane.Close()
+		got, err := c.Run(plane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2]int{
+			{got.Joins, want.Joins},
+			{got.Leaves, want.Leaves},
+			{got.Events, want.Events},
+			{got.FinalUsers, want.FinalUsers},
+		} {
+			if pair[0] != pair[1] {
+				t.Fatalf("tcp/coordinator event streams diverged:\n tcp   %+v\n coord %+v", got, want)
 			}
-			defer plane.Close()
-			got, err := c.Run(plane)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, pair := range [][2]int{
-				{got.Joins, want.Joins},
-				{got.Leaves, want.Leaves},
-				{got.Events, want.Events},
-				{got.FinalUsers, want.FinalUsers},
-			} {
-				if pair[0] != pair[1] {
-					t.Fatalf("tcp/coordinator event streams diverged:\n tcp   %+v\n coord %+v", got, want)
+		}
+		if !reflect.DeepEqual(got.FinalAssignment, want.FinalAssignment) {
+			diff := 0
+			for id, ext := range want.FinalAssignment {
+				if got.FinalAssignment[id] != ext {
+					diff++
 				}
 			}
-			if !reflect.DeepEqual(got.FinalAssignment, want.FinalAssignment) {
-				diff := 0
-				for id, ext := range want.FinalAssignment {
-					if got.FinalAssignment[id] != ext {
-						diff++
-					}
-				}
-				t.Errorf("final associations differ for %d/%d users", diff, len(want.FinalAssignment))
-			}
-			if got.Redirects != 0 {
-				t.Errorf("client-side owner routing still followed %d redirects", got.Redirects)
-			}
-			// Every join's reply directive must have been delivered.
-			if got.Directives < got.Joins {
-				t.Errorf("agents saw %d directives for %d joins", got.Directives, got.Joins)
-			}
-		})
-	}
+			t.Errorf("final associations differ for %d/%d users", diff, len(want.FinalAssignment))
+		}
+		if got.Redirects != 0 {
+			t.Errorf("client-side owner routing still followed %d redirects", got.Redirects)
+		}
+		// Every join's reply directive must have been delivered.
+		if got.Directives < got.Joins {
+			t.Errorf("agents saw %d directives for %d joins", got.Directives, got.Joins)
+		}
+	})
 }
 
 // TestCityTCPConcurrentWithMobility drives the TCP plane with worker

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/plcwifi/wolt/internal/control"
 	"github.com/plcwifi/wolt/internal/shard"
 	"github.com/plcwifi/wolt/internal/strategy"
 )
@@ -231,11 +230,9 @@ func BenchmarkCityTCPSmoke(b *testing.B) {
 	}
 }
 
-// benchTCP10K drives the 10^4-user city against out-of-process members
-// with the given codec — the acceptance row: the binary codec must beat
-// the JSON fallback on joins/sec and p99 directive latency
-// (scripts/bench-wire.sh asserts it).
-func benchTCP10K(b *testing.B, codec control.Codec) {
+// BenchmarkCityTCP10K drives the 10^4-user city against out-of-process
+// members — the acceptance row scripts/bench-wire.sh records.
+func BenchmarkCityTCP10K(b *testing.B) {
 	if os.Getenv("WOLT_CITY_TCP") == "" {
 		b.Skip("set WOLT_CITY_TCP=1 to run the multi-process 10^4-user TCP benchmark")
 	}
@@ -253,10 +250,7 @@ func benchTCP10K(b *testing.B, codec control.Codec) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		plane, err := c.NewTCPPlane(TCPConfig{
-			Codec: codec,
-			Peers: tcpPeerAddrs(cfg.Shards),
-		})
+		plane, err := c.NewTCPPlane(TCPConfig{Peers: tcpPeerAddrs(cfg.Shards)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -277,6 +271,3 @@ func benchTCP10K(b *testing.B, codec control.Codec) {
 		b.StartTimer()
 	}
 }
-
-func BenchmarkCityTCP10K(b *testing.B)     { benchTCP10K(b, control.CodecBinary) }
-func BenchmarkCityTCP10KJSON(b *testing.B) { benchTCP10K(b, control.CodecJSON) }

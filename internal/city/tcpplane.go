@@ -16,9 +16,6 @@ const tcpJoinTimeout = 10 * time.Second
 
 // TCPConfig parameterizes a TCP-backed city plane.
 type TCPConfig struct {
-	// Codec is the agents' wire encoding (default control.CodecBinary;
-	// control.CodecJSON prices the legacy framing for comparison).
-	Codec control.Codec
 	// Peers, when non-empty, attaches to an already-running shard plane:
 	// one advertised address per member ID (shard members hosted in
 	// other processes — how the 10^4-user benchmark stays inside one
@@ -47,7 +44,6 @@ type TCPConfig struct {
 // directly; the server-side redirect path stays as the safety net and
 // is exercised by tests that dial the wrong member on purpose.
 type TCPPlane struct {
-	codec       control.Codec
 	joinTimeout time.Duration
 	ownerOf     []int
 	addrs       []string
@@ -66,14 +62,10 @@ type TCPPlane struct {
 // attaching to members running elsewhere.
 func (c *City) NewTCPPlane(tcfg TCPConfig) (*TCPPlane, error) {
 	cfg := c.cfg
-	if tcfg.Codec == "" {
-		tcfg.Codec = control.CodecBinary
-	}
 	if tcfg.JoinTimeout <= 0 {
 		tcfg.JoinTimeout = tcpJoinTimeout
 	}
 	p := &TCPPlane{
-		codec:       tcfg.Codec,
 		joinTimeout: tcfg.JoinTimeout,
 		ownerOf:     shard.OwnerMapFor(cfg.Seed, cfg.Shards, 0, len(c.caps)),
 		agents:      make(map[int]*control.Agent),
@@ -130,7 +122,7 @@ func (p *TCPPlane) Join(userID int, rates, rssi []float64) ([]control.Directive,
 	if err != nil {
 		return nil, err
 	}
-	a, err := control.DialCodec(addr, userID, p.codec)
+	a, err := control.Dial(addr, userID)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +212,7 @@ func (p *TCPPlane) Stats() (shard.Stats, error) {
 			continue
 		}
 		seen[addr] = true
-		a, err := control.DialCodec(addr, -(m + 1), p.codec)
+		a, err := control.Dial(addr, -(m + 1))
 		if err != nil {
 			return st, fmt.Errorf("city: stats probe to member %d: %w", m, err)
 		}

@@ -27,10 +27,9 @@ const maxRedirectHops = 8
 // re-associations).
 type Agent struct {
 	userID int
-	codec  Codec
 
 	mu       sync.Mutex
-	lk       link
+	wc       *wireConn
 	extender int
 	moves    int // directives that changed an existing association
 	lastErr  error
@@ -54,63 +53,42 @@ type Agent struct {
 	readerWG sync.WaitGroup
 }
 
-// Dial connects an agent to the controller at addr with the default
-// binary codec.
+// Dial connects an agent to the controller at addr.
 func Dial(addr string, userID int) (*Agent, error) {
-	return DialCodec(addr, userID, CodecBinary)
-}
-
-// DialCodec connects an agent with an explicit codec: CodecBinary (the
-// default framing) or CodecJSON (the legacy fallback — what a
-// not-yet-upgraded agent speaks). The server auto-detects either.
-func DialCodec(addr string, userID int, codec Codec) (*Agent, error) {
-	if codec == "" {
-		codec = CodecBinary
-	}
-	lk, err := dialLink(addr, codec)
+	wc, err := dialAddr(addr)
 	if err != nil {
 		return nil, err
 	}
 	a := &Agent{
 		userID:       userID,
-		codec:        codec,
-		lk:           lk,
+		wc:           wc,
 		extender:     model.Unassigned,
 		directives:   make(chan Message, 16),
 		statsReplies: make(chan Message, 16),
 		done:         make(chan struct{}),
 	}
 	a.readerWG.Add(1)
-	go a.readLoop(lk, a.directives, a.statsReplies)
+	go a.readLoop(wc, a.directives, a.statsReplies)
 	go a.keepaliveLoop()
 	return a, nil
 }
 
-// dialLink opens a TCP connection to addr speaking the given codec
-// (binary links announce themselves with the two-byte hello).
-func dialLink(addr string, codec Codec) (link, error) {
+// dialAddr opens a TCP connection to addr and sends the wire hello.
+func dialAddr(addr string) (*wireConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("control: dial %s: %w", addr, err)
 	}
-	switch codec {
-	case CodecBinary:
-		return dialWireConn(conn)
-	case CodecJSON:
-		return newJSONConn(conn), nil
-	default:
-		_ = conn.Close()
-		return nil, fmt.Errorf("control: unknown codec %q", codec)
-	}
+	return dialWireConn(conn)
 }
 
-// send writes a message on the agent's current connection. Both conn
-// types serialize concurrent writers (keepalive vs Join/UpdateScan).
+// send writes a message on the agent's current connection; wireConn
+// serializes concurrent writers (keepalive vs Join/UpdateScan).
 func (a *Agent) send(m Message) error {
 	a.mu.Lock()
-	lk := a.lk
+	wc := a.wc
 	a.mu.Unlock()
-	return lk.send(m)
+	return wc.send(m)
 }
 
 func (a *Agent) dirCh() chan Message {
@@ -127,19 +105,19 @@ func (a *Agent) statsCh() chan Message {
 
 // readLoop drains one connection; it exits (closing that connection's
 // channels) when the connection dies or is replaced by a redirect.
-func (a *Agent) readLoop(lk link, directives, statsReplies chan Message) {
+func (a *Agent) readLoop(wc *wireConn, directives, statsReplies chan Message) {
 	defer a.readerWG.Done()
 	defer close(directives)
 	defer close(statsReplies)
 	for {
-		msg, err := lk.recv()
+		msg, err := wc.recv()
 		if err != nil {
 			return
 		}
-		// The binary codec's recv reuses its decode scratch, so slice
-		// fields are only valid until the next recv. No server→agent
-		// message carries meaningful vectors; drop them before the
-		// message outlives this iteration via a channel.
+		// wireConn.recv reuses its decode scratch, so slice fields are
+		// only valid until the next recv. No server→agent message
+		// carries meaningful vectors; drop them before the message
+		// outlives this iteration via a channel.
 		msg.Rates, msg.RSSI = nil, nil
 		switch msg.Type {
 		case MsgAssociate:
@@ -188,30 +166,29 @@ func (a *Agent) keepaliveLoop() {
 }
 
 // redial replaces the agent's connection with one to addr (following a
-// cross-shard MsgRedirect), keeping the codec it dialed with. Only Join
-// triggers redials, before the agent is associated; concurrent
-// WaitForMove/Stats calls started before the redial observe a
-// closed-connection error.
+// cross-shard MsgRedirect). Only Join triggers redials, before the
+// agent is associated; concurrent WaitForMove/Stats calls started
+// before the redial observe a closed-connection error.
 func (a *Agent) redial(addr string) error {
 	a.mu.Lock()
-	old := a.lk
+	old := a.wc
 	a.mu.Unlock()
 	_ = old.close()
 	a.readerWG.Wait()
 
-	lk, err := dialLink(addr, a.codec)
+	wc, err := dialAddr(addr)
 	if err != nil {
 		return fmt.Errorf("control: redirect to %s: %w", addr, err)
 	}
 	directives := make(chan Message, 16)
 	statsReplies := make(chan Message, 16)
 	a.mu.Lock()
-	a.lk = lk
+	a.wc = wc
 	a.directives = directives
 	a.statsReplies = statsReplies
 	a.mu.Unlock()
 	a.readerWG.Add(1)
-	go a.readLoop(lk, directives, statsReplies)
+	go a.readLoop(wc, directives, statsReplies)
 	return nil
 }
 
@@ -381,9 +358,9 @@ func (a *Agent) Close() error {
 		close(a.done)
 	}
 	a.mu.Lock()
-	lk := a.lk
+	wc := a.wc
 	a.mu.Unlock()
-	err := lk.close()
+	err := wc.close()
 	a.readerWG.Wait()
 	return err
 }

@@ -7,18 +7,11 @@ import (
 	"time"
 )
 
-// runTranscript drives one fixed agent session — join, scan update, a
-// topology-forced move, a stats query, leave — against a fresh server,
-// and returns the observable outcome. The codec under test is the only
-// variable; TestCodecDifferential asserts the outcome is identical.
-type transcriptResult struct {
-	joinExt  int
-	movedExt int
-	stats    Stats
-}
-
-func runTranscript(t *testing.T, codec Codec) transcriptResult {
-	t.Helper()
+// TestCodecDifferential drives one fixed agent session — join, scan
+// update, a topology-forced move, a stats query, leave — over the wire
+// codec and checks every observable: join placement, re-association
+// target and the stats snapshot's counters.
+func TestCodecDifferential(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
 		PLCCaps: []float64{100, 100, 100},
 		Policy:  PolicyWOLT,
@@ -31,7 +24,7 @@ func runTranscript(t *testing.T, codec Codec) transcriptResult {
 
 	// A bystander pinned to extender 2 so the mover's directives have an
 	// audience beyond itself.
-	other, err := DialCodec(srv.Addr(), 2, codec)
+	other, err := Dial(srv.Addr(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +33,7 @@ func runTranscript(t *testing.T, codec Codec) transcriptResult {
 		t.Fatal(err)
 	}
 
-	a, err := DialCodec(srv.Addr(), 1, codec)
+	a, err := Dial(srv.Addr(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +41,9 @@ func runTranscript(t *testing.T, codec Codec) transcriptResult {
 	ext, err := a.Join([]float64{120, 30, 0}, []float64{-50, -70, -90}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ext != 0 {
+		t.Errorf("join placed user 1 on extender %d, want 0", ext)
 	}
 
 	// Mobility: the user walks away from its extender toward another;
@@ -59,83 +55,31 @@ func runTranscript(t *testing.T, codec Codec) transcriptResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if moved != 1 {
+		t.Errorf("update moved user 1 to extender %d, want 1", moved)
+	}
 
 	stats, err := a.Stats(2 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := Stats{
+		Policy:         PolicyWOLT,
+		Users:          2,
+		Joins:          2,
+		Reassociations: 1,
+		Assignment:     map[int]int{1: 1, 2: 2},
+	}
+	if !reflect.DeepEqual(stats, want) {
+		t.Errorf("stats over the wire = %+v, want %+v", stats, want)
+	}
 	if err := a.Leave(); err != nil {
 		t.Fatal(err)
-	}
-	return transcriptResult{joinExt: ext, movedExt: moved, stats: stats}
-}
-
-// TestCodecDifferential replays the same session transcript under the
-// binary codec and the legacy JSON codec against identically-seeded
-// servers: every observable — join placement, re-association target,
-// stats snapshot — must match. This is the compatibility proof for the
-// negotiated fallback: an old JSON agent sees exactly what a new binary
-// agent sees.
-func TestCodecDifferential(t *testing.T) {
-	bin := runTranscript(t, CodecBinary)
-	js := runTranscript(t, CodecJSON)
-	if !reflect.DeepEqual(bin, js) {
-		t.Errorf("codecs diverged:\n binary %+v\n json   %+v", bin, js)
-	}
-	if bin.joinExt != 0 {
-		t.Errorf("join placed user 1 on extender %d, want 0", bin.joinExt)
-	}
-	if bin.movedExt != 1 {
-		t.Errorf("update moved user 1 to extender %d, want 1", bin.movedExt)
-	}
-}
-
-// TestMixedCodecsOneServer joins a binary agent and a JSON agent to the
-// SAME server: per-connection negotiation must keep both working side
-// by side (the rollout reality — upgraded and legacy agents coexist).
-func TestMixedCodecsOneServer(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", ServerConfig{
-		PLCCaps: []float64{100, 100},
-		Policy:  PolicyRSSI,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	bin, err := DialCodec(srv.Addr(), 10, CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bin.Close()
-	js, err := DialCodec(srv.Addr(), 11, CodecJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer js.Close()
-
-	extB, err := bin.Join([]float64{80, 20}, []float64{-50, -70}, 2*time.Second)
-	if err != nil {
-		t.Fatalf("binary join: %v", err)
-	}
-	extJ, err := js.Join([]float64{20, 80}, []float64{-70, -50}, 2*time.Second)
-	if err != nil {
-		t.Fatalf("json join: %v", err)
-	}
-	if extB != 0 || extJ != 1 {
-		t.Errorf("mixed-codec joins landed on (%d,%d), want (0,1)", extB, extJ)
-	}
-	st, err := js.Stats(2 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Users != 2 {
-		t.Errorf("server sees %d users, want 2", st.Users)
 	}
 }
 
 // TestWireSendBatchCoalesces asserts a wireConn burst reaches the kernel
-// as ONE write, mirroring the JSON coalescing test (same countingConn).
+// as ONE write, and every frame survives intact and in order.
 func TestWireSendBatchCoalesces(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()

@@ -12,7 +12,7 @@ import (
 const testTimeout = 5 * time.Second
 
 // fig3Server starts a controller managing the paper's Fig 3 network.
-func fig3Server(t *testing.T, policy PolicyKind) *Server {
+func fig3Server(t *testing.T, policy string) *Server {
 	t.Helper()
 	s, err := NewServer("127.0.0.1:0", ServerConfig{
 		PLCCaps:   []float64{60, 20},
@@ -340,11 +340,14 @@ func TestUpdateBeforeJoinRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	jc := newJSONConn(conn)
-	if err := jc.send(Message{Type: MsgUpdate, UserID: 5, Rates: []float64{15, 10}}); err != nil {
+	wc, err := dialWireConn(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := jc.recv()
+	if err := wc.send(Message{Type: MsgUpdate, UserID: 5, Rates: []float64{15, 10}}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := wc.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +417,7 @@ func TestWaitForMoveTimeout(t *testing.T) {
 // the exhaustive "optimal" strategy must fail with the typed sentinel's
 // message rather than hand the user an arbitrary extender.
 func TestOfflineOnlyPolicySurfacesTypedError(t *testing.T) {
-	s := fig3Server(t, PolicyKind("optimal"))
+	s := fig3Server(t, "optimal")
 	a := dial(t, s, 1)
 	_, err := a.Join([]float64{15, 10}, nil, testTimeout)
 	if err == nil {

@@ -56,12 +56,15 @@ func TestSlowClientAfterJoinTreatedAsDeparted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	jc := newJSONConn(conn)
-	if err := jc.send(Message{Type: MsgJoin, UserID: 1, Rates: []float64{15, 10}}); err != nil {
+	wc, err := dialWireConn(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.send(Message{Type: MsgJoin, UserID: 1, Rates: []float64{15, 10}}); err != nil {
 		t.Fatal(err)
 	}
 	// First reply is our own associate directive.
-	msg, err := jc.recv()
+	msg, err := wc.recv()
 	if err != nil || msg.Type != MsgAssociate {
 		t.Fatalf("got (%+v, %v), want an associate directive", msg, err)
 	}
@@ -83,21 +86,24 @@ func TestKeepaliveMessageAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	jc := newJSONConn(conn)
-	if err := jc.send(Message{Type: MsgJoin, UserID: 1, Rates: []float64{15, 10}}); err != nil {
+	wc, err := dialWireConn(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if msg, err := jc.recv(); err != nil || msg.Type != MsgAssociate {
+	if err := wc.send(Message{Type: MsgJoin, UserID: 1, Rates: []float64{15, 10}}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := wc.recv(); err != nil || msg.Type != MsgAssociate {
 		t.Fatalf("got (%+v, %v), want an associate directive", msg, err)
 	}
-	if err := jc.send(Message{Type: MsgPing}); err != nil {
+	if err := wc.send(Message{Type: MsgPing}); err != nil {
 		t.Fatal(err)
 	}
 	// The session is still live: a stats request round-trips.
-	if err := jc.send(Message{Type: MsgStats}); err != nil {
+	if err := wc.send(Message{Type: MsgStats}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := jc.recv()
+	msg, err := wc.recv()
 	if err != nil || msg.Type != MsgStatsReply || msg.Stats == nil || msg.Stats.Users != 1 {
 		t.Fatalf("got (%+v, %v), want a stats reply with 1 user", msg, err)
 	}

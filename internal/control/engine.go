@@ -10,21 +10,14 @@ import (
 	"github.com/plcwifi/wolt/internal/strategy"
 )
 
-// PolicyKind names the controller's association policy. Any name from the
-// internal/strategy registry is accepted; PolicyRSSI additionally uses
-// the agents' reported RSSI values (the registry's rates-based "rssi"
-// strategy never sees them).
-//
-// Deprecated: PolicyKind is a plain string alias kept for source
-// compatibility. Policies are strategy-registry names, validated against
-// the registry at NewEngine/NewServer time; use string directly.
-type PolicyKind = string
-
-// Common controller policies (any strategy registry name works).
+// Common controller policies. Policies are strategy-registry names,
+// validated at NewEngine/NewServer time, so any registry name works;
+// PolicyRSSI additionally uses the agents' reported RSSI values (the
+// registry's rates-based "rssi" strategy never sees them).
 const (
-	PolicyWOLT   PolicyKind = "wolt"
-	PolicyGreedy PolicyKind = "greedy"
-	PolicyRSSI   PolicyKind = "rssi"
+	PolicyWOLT   = "wolt"
+	PolicyGreedy = "greedy"
+	PolicyRSSI   = "rssi"
 )
 
 // EngineConfig configures a policy engine.

@@ -4,22 +4,45 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"github.com/plcwifi/wolt/internal/wire"
 )
 
 // Failure-injection tests: the controller must survive malformed input,
 // half-open connections and shutdown races without leaking users or
 // goroutines.
 
-func TestServerSurvivesGarbageBytes(t *testing.T) {
-	s := fig3Server(t, PolicyWOLT)
+// assertRefused checks that the server closes conn promptly after the
+// client sent opening: the client's Read must fail within testTimeout
+// instead of waiting out the server's read deadline.
+func assertRefused(t *testing.T, s *Server, opening []byte) {
+	t.Helper()
 	conn, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte("this is not json\n{\"also\": bad\n")); err != nil {
+	defer func() { _ = conn.Close() }()
+	if _, err := conn.Write(opening); err != nil {
 		t.Fatal(err)
 	}
-	_ = conn.Close()
+	_ = conn.SetReadDeadline(time.Now().Add(testTimeout))
+	start := time.Now()
+	var buf [1]byte
+	if _, err := conn.Read(buf[:]); err == nil {
+		t.Fatalf("server answered opening %q instead of closing the connection", opening)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("server kept the connection opened with %q alive for %v", opening, time.Since(start))
+	}
+}
+
+func TestServerSurvivesGarbageBytes(t *testing.T) {
+	s := fig3Server(t, PolicyWOLT)
+	// Text, a wrong first byte before a valid version, and a hello
+	// offering a version the server does not speak: each is refused
+	// with a close.
+	assertRefused(t, s, []byte("this is not a hello\n{\"also\": bad\n"))
+	assertRefused(t, s, []byte{wire.Hello + 1, wire.Version1})
+	assertRefused(t, s, []byte{wire.Hello, wire.Version1 + 1})
 
 	// The controller must still serve well-formed agents.
 	a := dial(t, s, 1)
@@ -34,8 +57,13 @@ func TestServerSurvivesPartialMessageThenDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A JSON prefix with no terminating newline, then a hard close.
-	if _, err := conn.Write([]byte(`{"type":"join","userId":9`)); err != nil {
+	// The hello plus a join frame cut off mid-payload, then a hard close.
+	frame, err := wire.AppendFrame(nil, &Message{Type: MsgJoin, UserID: 9, Rates: []float64{15, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opening := append([]byte{wire.Hello, wire.Version1}, frame[:len(frame)-5]...)
+	if _, err := conn.Write(opening); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.Close()
@@ -49,6 +77,9 @@ func TestServerSurvivesPartialMessageThenDisconnect(t *testing.T) {
 	}
 }
 
+// TestServerSurvivesUnknownMessageType sends a well-formed message of a
+// type only the controller may send: the server answers with an error
+// and keeps the session.
 func TestServerSurvivesUnknownMessageType(t *testing.T) {
 	s := fig3Server(t, PolicyWOLT)
 	conn, err := net.Dial("tcp", s.Addr())
@@ -56,11 +87,14 @@ func TestServerSurvivesUnknownMessageType(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	jc := newJSONConn(conn)
-	if err := jc.send(Message{Type: "frobnicate"}); err != nil {
+	wc, err := dialWireConn(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := jc.recv()
+	if err := wc.send(Message{Type: MsgAssociate, UserID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := wc.recv()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 // Package control implements WOLT's control plane (§V-A of the paper): a
 // Central Controller (CC) process and per-user agents that talk a
-// length-prefixed binary protocol over TCP (newline-delimited JSON
-// remains as a negotiated fallback for old agents). An agent scans the
+// length-prefixed binary protocol over TCP. An agent scans the
 // reachable extenders, estimates its WiFi rate to each (from the NIC's
 // modulation and coding feedback — here, the radio model), and reports
 // the estimates to the CC; the CC runs the configured association
@@ -17,14 +16,12 @@
 // bounces an agent to the shard that owns its best-rate extender.
 //
 // The message types and the binary frame codec live in internal/wire
-// (DESIGN.md §15) and are aliased here; this file owns the two conn
-// implementations (wireConn, jsonConn) and the per-connection codec
-// negotiation both ends perform.
+// (DESIGN.md §15) and are aliased here; this file owns the framed
+// connection (wireConn) and the version handshake both ends perform.
 package control
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -51,92 +48,50 @@ const (
 )
 
 // Message is the single wire format; fields are used according to Type
-// (defined in internal/wire, which also owns both encodings).
+// (defined in internal/wire, which also owns the frame codec).
 type Message = wire.Message
 
 // Stats is a controller snapshot (defined in internal/wire so stats
-// replies can cross the wire in either codec).
+// replies can cross the wire).
 type Stats = wire.Stats
 
-// Codec selects a connection's message encoding. Servers never need
-// one — they negotiate per connection from the client's first byte.
-type Codec string
-
-const (
-	// CodecBinary is the length-prefixed binary framing (internal/wire),
-	// the default: 0 allocs/op at steady state and an order of magnitude
-	// cheaper than JSON per message.
-	CodecBinary Codec = "binary"
-	// CodecJSON is the legacy newline-delimited JSON framing, kept as a
-	// negotiated fallback so old agents still connect (and as the
-	// differential baseline the codec tests compare against).
-	CodecJSON Codec = "json"
-)
-
-// link is the framed-connection surface both codecs implement: one
-// message out (send), a burst coalesced into one write (sendBatch), one
-// message in (recv), plus deadline plumbing. Server and Agent speak
-// only to this interface; which codec backs it is decided per
-// connection at handshake time.
-type link interface {
-	send(m Message) error
-	sendBatch(msgs []Message) error
-	recv() (Message, error)
-	close() error
-	setTimeouts(read, write time.Duration)
-}
-
-// negotiate inspects a just-accepted connection's first byte and builds
-// the matching link (server side). Binary clients open with
-// wire.Hello+version; anything else — in practice '{' — is a legacy
-// JSON agent. The peek honors readTimeout so a connect-and-say-nothing
-// client cannot pin the handler goroutine.
-func negotiate(c net.Conn, readTimeout, writeTimeout time.Duration) (link, error) {
-	br := bufio.NewReaderSize(c, connReadBuf)
+// handshake reads a just-accepted connection's two-byte hello
+// [wire.Hello, wire.Version1] and wraps the connection (server side).
+// A connection whose first byte is not the hello, or whose version this
+// server does not speak, is refused and the caller closes it. The read
+// honors readTimeout so a connect-and-say-nothing client cannot pin the
+// handler goroutine.
+func handshake(c net.Conn, readTimeout, writeTimeout time.Duration) (*wireConn, error) {
 	if readTimeout > 0 {
 		if err := c.SetReadDeadline(time.Now().Add(readTimeout)); err != nil {
 			return nil, err
 		}
 	}
-	first, err := br.Peek(1)
+	br := bufio.NewReaderSize(c, connReadBuf)
+	first, err := br.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("control: handshake read: %w", err)
 	}
-	var lk link
-	if first[0] == wire.Hello {
-		version, err := handshakeVersion(br)
-		if err != nil {
-			return nil, err
-		}
-		if version != wire.Version1 {
-			return nil, fmt.Errorf("control: unsupported wire version %d", version)
-		}
-		lk = newWireConn(c, br)
-	} else {
-		lk = newJSONConnReader(c, br)
-	}
-	lk.setTimeouts(readTimeout, writeTimeout)
-	return lk, nil
-}
-
-// handshakeVersion consumes the two-byte binary hello and returns the
-// offered version.
-func handshakeVersion(br *bufio.Reader) (byte, error) {
-	if _, err := br.Discard(1); err != nil {
-		return 0, err
+	if first != wire.Hello {
+		return nil, fmt.Errorf("control: handshake: first byte %#x is not the wire hello", first)
 	}
 	version, err := br.ReadByte()
 	if err != nil {
-		return 0, fmt.Errorf("control: handshake read: %w", err)
+		return nil, fmt.Errorf("control: handshake read: %w", err)
 	}
-	return version, nil
+	if version != wire.Version1 {
+		return nil, fmt.Errorf("control: unsupported wire version %d", version)
+	}
+	wc := newWireConn(c, br)
+	wc.readTimeout, wc.writeTimeout = readTimeout, writeTimeout
+	return wc, nil
 }
 
 // connReadBuf sizes each connection's buffered reader. Steady-state
 // frames are a few hundred bytes (a scan report is 8 bytes per
 // extender); at city scale (10^4+ concurrent connections in one
 // process) the default 4 KiB bufio buffers are the dominant per-user
-// memory cost, so both codecs share this smaller size.
+// memory cost, so every connection uses this smaller size.
 const connReadBuf = 1024
 
 // wireConn wraps a TCP connection with the internal/wire binary
@@ -169,8 +124,8 @@ func newWireConn(c net.Conn, r *bufio.Reader) *wireConn {
 	return &wireConn{c: c, r: r}
 }
 
-// dialWireConn builds the client side of a binary connection: the
-// two-byte hello is written eagerly so the server can negotiate before
+// dialWireConn builds the client side of a connection: the two-byte
+// hello is written eagerly so the server's handshake completes before
 // the first frame arrives.
 func dialWireConn(c net.Conn) (*wireConn, error) {
 	if _, err := c.Write([]byte{wire.Hello, wire.Version1}); err != nil {
@@ -178,10 +133,6 @@ func dialWireConn(c net.Conn) (*wireConn, error) {
 		return nil, fmt.Errorf("control: wire handshake: %w", err)
 	}
 	return newWireConn(c, nil), nil
-}
-
-func (wc *wireConn) setTimeouts(read, write time.Duration) {
-	wc.readTimeout, wc.writeTimeout = read, write
 }
 
 func (wc *wireConn) send(m Message) error {
@@ -248,89 +199,4 @@ func armWrite(c net.Conn, timeout time.Duration) error {
 		return c.SetWriteDeadline(time.Now().Add(timeout))
 	}
 	return nil
-}
-
-// jsonConn wraps a TCP connection with newline-delimited JSON framing —
-// the legacy codec, negotiated per connection for old agents. sendMu
-// serializes writers exactly like wireConn's.
-type jsonConn struct {
-	c      net.Conn
-	r      *bufio.Reader
-	sendMu sync.Mutex
-	w      *bufio.Writer
-	enc    *json.Encoder
-	// readTimeout/writeTimeout bound a single recv/send; zero disables
-	// the deadline. The server arms these from ServerConfig so a stalled
-	// agent cannot pin a handler goroutine forever.
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-}
-
-func newJSONConn(c net.Conn) *jsonConn {
-	return newJSONConnReader(c, bufio.NewReaderSize(c, connReadBuf))
-}
-
-// newJSONConnReader builds a jsonConn over an existing buffered reader
-// (the negotiation path has already peeked into it).
-func newJSONConnReader(c net.Conn, r *bufio.Reader) *jsonConn {
-	w := bufio.NewWriter(c)
-	return &jsonConn{c: c, r: r, w: w, enc: json.NewEncoder(w)}
-}
-
-func (jc *jsonConn) setTimeouts(read, write time.Duration) {
-	jc.readTimeout, jc.writeTimeout = read, write
-}
-
-func (jc *jsonConn) send(m Message) error {
-	jc.sendMu.Lock()
-	defer jc.sendMu.Unlock()
-	if err := armWrite(jc.c, jc.writeTimeout); err != nil {
-		return err
-	}
-	if err := jc.enc.Encode(m); err != nil {
-		return err
-	}
-	return jc.w.Flush()
-}
-
-// sendBatch writes a burst of messages under ONE lock acquisition, one
-// write deadline and one flush — the coalescing contract the churn-burst
-// push path relies on (a recompute that moves k users costs one syscall
-// per connection, not k lock/flush round-trips).
-func (jc *jsonConn) sendBatch(msgs []Message) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	jc.sendMu.Lock()
-	defer jc.sendMu.Unlock()
-	if err := armWrite(jc.c, jc.writeTimeout); err != nil {
-		return err
-	}
-	for i := range msgs {
-		if err := jc.enc.Encode(msgs[i]); err != nil {
-			return err
-		}
-	}
-	return jc.w.Flush()
-}
-
-func (jc *jsonConn) recv() (Message, error) {
-	if jc.readTimeout > 0 {
-		if err := jc.c.SetReadDeadline(time.Now().Add(jc.readTimeout)); err != nil {
-			return Message{}, err
-		}
-	}
-	line, err := jc.r.ReadBytes('\n')
-	if err != nil {
-		return Message{}, err
-	}
-	var m Message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return Message{}, fmt.Errorf("control: bad message %q: %w", line, err)
-	}
-	return m, nil
-}
-
-func (jc *jsonConn) close() error {
-	return jc.c.Close()
 }

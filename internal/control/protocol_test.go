@@ -1,34 +1,36 @@
 package control
 
 import (
-	"bufio"
-	"encoding/json"
 	"net"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
 
-// TestAssociateExtenderZeroRoundTrip pins the wire contract for
-// extender 0: the first extender is a perfectly ordinary directive
-// target, so "extender":0 and "reassociation":false must be serialized
-// explicitly — an omitempty here would make the directive
-// indistinguishable from a malformed message on the wire.
-func TestAssociateExtenderZeroRoundTrip(t *testing.T) {
-	in := Message{Type: MsgAssociate, UserID: 3, Extender: 0, Reassociation: false}
-	raw, err := json.Marshal(in)
+// pipeRoundTrip sends in through one wireConn and receives it on
+// another across an in-memory pipe.
+func pipeRoundTrip(t *testing.T, in Message) Message {
+	t.Helper()
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	done := make(chan error, 1)
+	go func() { done <- newWireConn(client, nil).send(in) }()
+	out, err := newWireConn(server, nil).recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"extender":0`, `"reassociation":false`} {
-		if !strings.Contains(string(raw), want) {
-			t.Errorf("encoded directive %s missing %s", raw, want)
-		}
-	}
-	var out Message
-	if err := json.Unmarshal(raw, &out); err != nil {
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	return out
+}
+
+// TestAssociateExtenderZeroRoundTrip pins the wire contract for
+// extender 0: the first extender is a perfectly ordinary directive
+// target, and a first association (Reassociation false) is a statement,
+// not an absence — both must survive the trip.
+func TestAssociateExtenderZeroRoundTrip(t *testing.T) {
+	out := pipeRoundTrip(t, Message{Type: MsgAssociate, UserID: 3, Extender: 0, Reassociation: false})
 	if out.Type != MsgAssociate || out.UserID != 3 || out.Extender != 0 || out.Reassociation {
 		t.Errorf("round trip mangled the message: %+v", out)
 	}
@@ -36,23 +38,14 @@ func TestAssociateExtenderZeroRoundTrip(t *testing.T) {
 
 // TestRedirectRoundTrip covers the shard handoff message.
 func TestRedirectRoundTrip(t *testing.T) {
-	in := Message{Type: MsgRedirect, UserID: 9, Addr: "127.0.0.1:4242"}
-	raw, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out Message
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
+	out := pipeRoundTrip(t, Message{Type: MsgRedirect, UserID: 9, Addr: "127.0.0.1:4242"})
 	if out.Type != MsgRedirect || out.UserID != 9 || out.Addr != "127.0.0.1:4242" {
 		t.Errorf("round trip mangled the message: %+v", out)
 	}
 }
 
-// countingConn wraps a net.Conn and counts Write calls — each Write from
-// the buffered jsonConn corresponds to one flush (one syscall on a real
-// socket).
+// countingConn wraps a net.Conn and counts Write calls (one syscall
+// each on a real socket).
 type countingConn struct {
 	net.Conn
 	writes atomic.Int64
@@ -61,52 +54,4 @@ type countingConn struct {
 func (c *countingConn) Write(p []byte) (int, error) {
 	c.writes.Add(1)
 	return c.Conn.Write(p)
-}
-
-// TestSendBatchCoalesces pins the batching contract behind
-// Server.pushDirectives: a burst of k messages reaches the wire as ONE
-// buffered write (one flush), not k, and every message survives intact
-// and in order.
-func TestSendBatchCoalesces(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-
-	cc := &countingConn{Conn: client}
-	jc := newJSONConn(cc)
-
-	const k = 25
-	msgs := make([]Message, k)
-	for i := range msgs {
-		msgs[i] = Message{Type: MsgAssociate, UserID: i, Extender: i % 4}
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- jc.sendBatch(msgs) }()
-
-	r := bufio.NewReader(server)
-	for i := 0; i < k; i++ {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		var m Message
-		if err := json.Unmarshal(line, &m); err != nil {
-			t.Fatal(err)
-		}
-		if m.UserID != i || m.Extender != i%4 {
-			t.Fatalf("message %d out of order or mangled: %+v", i, m)
-		}
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	// net.Pipe has no kernel buffer, so a single bufio flush of 25 small
-	// messages is exactly one Write; per-message sends would be 25.
-	if n := cc.writes.Load(); n != 1 {
-		t.Errorf("batch of %d messages took %d writes, want 1 coalesced flush", k, n)
-	}
-	if err := jc.sendBatch(nil); err != nil {
-		t.Errorf("empty batch: %v", err)
-	}
 }

@@ -31,7 +31,7 @@ type ServerConfig struct {
 	Owned []int
 	// Policy is the association policy: a strategy-registry name
 	// (default PolicyWOLT), validated at NewServer time.
-	Policy PolicyKind
+	Policy string
 	// ModelOpts selects the evaluation model used by evaluation-driven
 	// policies.
 	ModelOpts model.Options
@@ -74,8 +74,7 @@ type ServerConfig struct {
 }
 
 // Server is the WOLT Central Controller's TCP transport: it accepts
-// agent connections, negotiates a codec per connection (binary framing
-// for new agents, newline JSON for old ones), decodes protocol
+// agent connections, checks each one's wire hello, decodes protocol
 // messages, and forwards them to a policy Engine. All association
 // policy and user state live in the Engine; the Server only moves
 // messages.
@@ -103,15 +102,15 @@ type Server struct {
 }
 
 // serverConn is one accepted connection: the raw conn (registered
-// before codec negotiation so Close can unblock the handshake read),
-// the negotiated link, and a bounded outbound queue drained by a
+// before the handshake so Close can unblock the handshake read), the
+// framed wireConn, and a bounded outbound queue drained by a
 // dedicated writer goroutine. The queue decouples the engine's
 // lock-ordered push path from each socket's drain rate: a stalled
 // reader fills its own queue and starts shedding directives instead of
 // blocking pushes to everyone else behind its write deadline.
 type serverConn struct {
 	c  net.Conn
-	lk link // set by handle after negotiation, before the writer starts
+	wc *wireConn // set by handle after the handshake, before the writer starts
 
 	outMu     sync.Mutex
 	out       chan []Message
@@ -150,8 +149,7 @@ func (sc *serverConn) closeOutbox() {
 }
 
 // close tears down the transport. The raw conn is closed directly (not
-// through lk, which may not exist yet mid-handshake); both codecs close
-// the same underlying socket.
+// through wc, which may not exist yet mid-handshake).
 func (sc *serverConn) close() error {
 	return sc.c.Close()
 }
@@ -262,7 +260,7 @@ func (s *Server) connWriter(sc *serverConn) {
 		if sc.dead.Load() {
 			continue
 		}
-		if err := sc.lk.sendBatch(msgs); err != nil {
+		if err := sc.wc.sendBatch(msgs); err != nil {
 			sc.dead.Store(true)
 			s.logf("push %d directives: %v", len(msgs), err)
 		}
@@ -275,7 +273,7 @@ func (s *Server) handle(sc *serverConn) {
 	// re-check the shutdown flag: a connection accepted concurrently
 	// with Close could otherwise register after the sweep and leave this
 	// goroutine blocked in the handshake read forever. Registration
-	// happens BEFORE negotiation for the same reason.
+	// happens BEFORE the handshake for the same reason.
 	s.mu.Lock()
 	s.conns[sc] = struct{}{}
 	var shuttingDown bool
@@ -295,17 +293,17 @@ func (s *Server) handle(sc *serverConn) {
 	if shuttingDown {
 		return
 	}
-	lk, err := negotiate(sc.c, s.cfg.ReadTimeout, s.cfg.WriteTimeout)
+	wc, err := handshake(sc.c, s.cfg.ReadTimeout, s.cfg.WriteTimeout)
 	if err != nil {
 		s.logf("handshake: %v", err)
 		return
 	}
-	sc.lk = lk
+	sc.wc = wc
 	s.wg.Add(1)
 	go s.connWriter(sc)
 	var joinedUser = -1
 	for {
-		msg, err := lk.recv()
+		msg, err := wc.recv()
 		if err != nil {
 			// Connection gone (or its read deadline expired): treat as
 			// an implicit leave.
@@ -318,22 +316,22 @@ func (s *Server) handle(sc *serverConn) {
 		case MsgJoin:
 			if s.cfg.Redirect != nil {
 				if addr, ok := s.cfg.Redirect(msg.UserID, msg.Rates); ok {
-					_ = lk.send(Message{Type: MsgRedirect, UserID: msg.UserID, Addr: addr})
+					_ = wc.send(Message{Type: MsgRedirect, UserID: msg.UserID, Addr: addr})
 					continue
 				}
 			}
 			if err := s.join(sc, msg); err != nil {
-				_ = lk.send(Message{Type: MsgError, Error: err.Error()})
+				_ = wc.send(Message{Type: MsgError, Error: err.Error()})
 				continue
 			}
 			joinedUser = msg.UserID
 		case MsgUpdate:
 			if joinedUser < 0 || msg.UserID != joinedUser {
-				_ = lk.send(Message{Type: MsgError, Error: "update before join"})
+				_ = wc.send(Message{Type: MsgError, Error: "update before join"})
 				continue
 			}
 			if err := s.update(msg); err != nil {
-				_ = lk.send(Message{Type: MsgError, Error: err.Error()})
+				_ = wc.send(Message{Type: MsgError, Error: err.Error()})
 			}
 		case MsgLeave:
 			if joinedUser >= 0 {
@@ -345,11 +343,11 @@ func (s *Server) handle(sc *serverConn) {
 			// Keepalive: the read itself refreshed the deadline.
 		case MsgStats:
 			stats := s.StatsSnapshot()
-			if err := lk.send(Message{Type: MsgStatsReply, Stats: &stats}); err != nil {
+			if err := wc.send(Message{Type: MsgStatsReply, Stats: &stats}); err != nil {
 				return
 			}
 		default:
-			_ = lk.send(Message{Type: MsgError, Error: fmt.Sprintf("unexpected message %q", msg.Type)})
+			_ = wc.send(Message{Type: MsgError, Error: fmt.Sprintf("unexpected message %q", msg.Type)})
 		}
 	}
 }

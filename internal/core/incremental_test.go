@@ -133,6 +133,11 @@ func TestIncrementalEveryMoveHelps(t *testing.T) {
 	}
 }
 
+// proportionalFairOptions selects the proportional-fairness Phase II
+// (the α=1 utility over the coordinate solver), as
+// wolt.AssignProportionalFair does.
+var proportionalFairOptions = Options{Utility: model.ProportionalFairness(), Solver: Phase2Coordinate}
+
 func TestProportionalFairTradeoff(t *testing.T) {
 	// The fair variant should give up little aggregate throughput and
 	// not be less fair (Jain) than plain WOLT on random instances,
@@ -146,7 +151,7 @@ func TestProportionalFairTradeoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fair, err := AssignProportionalFair(n, Options{})
+		fair, err := Assign(n, proportionalFairOptions)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +181,7 @@ func TestProportionalFairTradeoff(t *testing.T) {
 func TestProportionalFairCompleteAssignment(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := randomNetwork(rng, 3, 9)
-	res, err := AssignProportionalFair(n, Options{})
+	res, err := Assign(n, proportionalFairOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +202,7 @@ func TestProportionalFairFewUsers(t *testing.T) {
 	// |U| <= |A|: the fair variant degenerates to plain Phase I.
 	rng := rand.New(rand.NewSource(3))
 	n := randomNetwork(rng, 5, 3)
-	res, err := AssignProportionalFair(n, Options{})
+	res, err := Assign(n, proportionalFairOptions)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"github.com/plcwifi/wolt/internal/city"
-	"github.com/plcwifi/wolt/internal/control"
 	"github.com/plcwifi/wolt/internal/parallel"
 	"github.com/plcwifi/wolt/internal/seed"
 	"github.com/plcwifi/wolt/internal/strategy"
@@ -20,8 +19,8 @@ var cityShardCounts = []int{2, 4}
 // wall-clock measurements of this host and excluded from the determinism
 // contract.
 type CityRun struct {
-	// Plane names the control plane driven: "coordinator" (in-process),
-	// "tcp" (sockets, binary codec) or "tcp-json" (sockets, legacy JSON).
+	// Plane names the control plane driven: "coordinator" (in-process)
+	// or "tcp" (real sockets).
 	Plane       string
 	Shards      int
 	TargetUsers int
@@ -71,7 +70,7 @@ func City(opts Options) (*CityResult, error) {
 		planeName = "coordinator"
 	}
 	switch planeName {
-	case "coordinator", "tcp", "tcp-json":
+	case "coordinator", "tcp":
 	default:
 		return nil, fmt.Errorf("experiments: unknown city plane %q", planeName)
 	}
@@ -161,7 +160,7 @@ func City(opts Options) (*CityResult, error) {
 
 // runCityPlane prepares a city and replays it against the selected
 // plane kind: the in-process coordinator, or a TCP plane hosting its
-// shard members in-process on ephemeral ports (binary or JSON codec).
+// shard members in-process on ephemeral ports.
 func runCityPlane(cfg city.Config, planeName string) (city.Result, error) {
 	c, err := city.New(cfg)
 	if err != nil {
@@ -174,11 +173,7 @@ func runCityPlane(cfg city.Config, planeName string) (city.Result, error) {
 		}
 		return c.Run(coord)
 	}
-	codec := control.CodecBinary
-	if planeName == "tcp-json" {
-		codec = control.CodecJSON
-	}
-	plane, err := c.NewTCPPlane(city.TCPConfig{Codec: codec})
+	plane, err := c.NewTCPPlane(city.TCPConfig{})
 	if err != nil {
 		return city.Result{}, err
 	}

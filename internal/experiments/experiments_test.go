@@ -454,3 +454,15 @@ func TestAnytimeCurve(t *testing.T) {
 	}
 	assertRenders(t, res)
 }
+
+// TestCityRejectsUnknownPlane pins the city experiment's plane set:
+// "coordinator" and "tcp" only; anything else — including the retired
+// JSON plane — is refused before any work starts.
+func TestCityRejectsUnknownPlane(t *testing.T) {
+	for _, plane := range []string{"tcp-json", "frobnicate"} {
+		_, err := City(Options{Plane: plane})
+		if err == nil || !strings.Contains(err.Error(), "unknown city plane") {
+			t.Errorf("City(Plane: %q) error = %v, want unknown city plane", plane, err)
+		}
+	}
+}

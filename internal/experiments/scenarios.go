@@ -136,8 +136,7 @@ type Options struct {
 	Concurrency int
 	// Plane selects the city experiment's control plane: "" or
 	// "coordinator" for the in-process sharded coordinator, "tcp" for
-	// real sockets with the binary wire codec, "tcp-json" for sockets
-	// with the legacy JSON framing (the codec-comparison row).
+	// real sockets with the binary wire codec.
 	Plane string
 	// Ctx cancels a running experiment between units of work; nil means
 	// context.Background(). On cancellation the driver returns promptly

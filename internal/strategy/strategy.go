@@ -144,8 +144,8 @@ type Config struct {
 	// utility strategies: wolt-alpha solves under model.AlphaFair(Alpha)
 	// (0 = sum-rate, 1 = proportional fair, math.Inf(1) = max-min), and
 	// the local-search family adopts it as ModelOpts.Utility when
-	// non-zero. Fixed-utility strategies (wolt, wolt-pf, wolt-fair)
-	// ignore it.
+	// non-zero. Fixed-utility strategies (wolt, wolt-pf) ignore
+	// it.
 	Alpha float64
 	// Seed derives the instance's private rng when Rng is nil.
 	Seed int64

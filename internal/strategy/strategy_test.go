@@ -42,7 +42,7 @@ func testNetwork(t *testing.T, users, extenders int) *model.Network {
 func TestRegistryCoversAllStrategies(t *testing.T) {
 	want := []string{
 		"greedy", "optimal", "random", "rssi", "selfish",
-		"wolt", "wolt-alpha", "wolt-anneal", "wolt-coordinate", "wolt-fair",
+		"wolt", "wolt-alpha", "wolt-anneal", "wolt-coordinate",
 		"wolt-hillclimb", "wolt-incremental", "wolt-kopt", "wolt-pf",
 	}
 	if got := Names(); !reflect.DeepEqual(got, want) {
@@ -244,7 +244,7 @@ func TestOnlineAndReassignerForms(t *testing.T) {
 		"wolt-hillclimb": true, "wolt-kopt": true, "wolt-anneal": true,
 	}
 	reassigner := map[string]bool{
-		"wolt": true, "wolt-coordinate": true, "wolt-fair": true,
+		"wolt": true, "wolt-coordinate": true,
 		"wolt-pf": true, "wolt-alpha": true,
 		"wolt-incremental": true, "rssi": true,
 		"wolt-hillclimb": true, "wolt-kopt": true, "wolt-anneal": true,

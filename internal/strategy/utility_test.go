@@ -42,65 +42,42 @@ func TestWoltAlphaZeroMatchesWolt(t *testing.T) {
 	}
 }
 
-// TestFairnessVariantsEmitFullStats: the fairness members go through
-// the common two-phase machinery, so — unlike the pre-utility wolt-fair
-// shim — they report phase timings, augmentations, and the priced
-// utility like every other variant.
+// TestFairnessVariantsEmitFullStats: the proportional-fair member goes
+// through the common two-phase machinery, so it reports phase timings,
+// augmentations, and the priced utility like every other variant.
 func TestFairnessVariantsEmitFullStats(t *testing.T) {
 	n := testNetwork(t, 24, 4)
-	for _, name := range []string{"wolt-pf", "wolt-fair"} {
-		var got []Stats
-		st, err := New(name, Config{
-			ModelOpts: model.Options{Redistribute: true},
-			Observer:  func(s Stats) { got = append(got, s) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Solve(n); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != 1 {
-			t.Fatalf("%s: observer saw %d records, want 1", name, len(got))
-		}
-		s := got[0]
-		if s.Phase1 <= 0 || s.Phase2 <= 0 {
-			t.Errorf("%s: phase timings = %v, %v; want both > 0", name, s.Phase1, s.Phase2)
-		}
-		if s.HungarianAugmentations < n.NumExtenders() {
-			t.Errorf("%s: HungarianAugmentations = %d, want >= %d",
-				name, s.HungarianAugmentations, n.NumExtenders())
-		}
-		if s.Phase2Iterations <= 0 {
-			t.Errorf("%s: Phase2Iterations = %d, want > 0", name, s.Phase2Iterations)
-		}
-		if s.Aggregate <= 0 {
-			t.Errorf("%s: Aggregate = %v, want > 0", name, s.Aggregate)
-		}
-		if s.Utility == 0 || s.Utility == s.Aggregate {
-			t.Errorf("%s: Utility = %v (Aggregate %v), want a distinct PF value",
-				name, s.Utility, s.Aggregate)
-		}
-	}
-
-	// The two names are the same α=1 member: identical assignments.
-	pf, err := New("wolt-pf", Config{ModelOpts: model.Options{Redistribute: true}})
+	const name = "wolt-pf"
+	var got []Stats
+	st, err := New(name, Config{
+		ModelOpts: model.Options{Redistribute: true},
+		Observer:  func(s Stats) { got = append(got, s) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fair, err := New("wolt-fair", Config{ModelOpts: model.Options{Redistribute: true}})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := st.Solve(n); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	a, err := pf.Solve(n)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != 1 {
+		t.Fatalf("%s: observer saw %d records, want 1", name, len(got))
 	}
-	b, err := fair.Solve(n)
-	if err != nil {
-		t.Fatal(err)
+	s := got[0]
+	if s.Phase1 <= 0 || s.Phase2 <= 0 {
+		t.Errorf("%s: phase timings = %v, %v; want both > 0", name, s.Phase1, s.Phase2)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("wolt-fair (deprecated alias) diverged from wolt-pf")
+	if s.HungarianAugmentations < n.NumExtenders() {
+		t.Errorf("%s: HungarianAugmentations = %d, want >= %d",
+			name, s.HungarianAugmentations, n.NumExtenders())
+	}
+	if s.Phase2Iterations <= 0 {
+		t.Errorf("%s: Phase2Iterations = %d, want > 0", name, s.Phase2Iterations)
+	}
+	if s.Aggregate <= 0 {
+		t.Errorf("%s: Aggregate = %v, want > 0", name, s.Aggregate)
+	}
+	if s.Utility == 0 || s.Utility == s.Aggregate {
+		t.Errorf("%s: Utility = %v (Aggregate %v), want a distinct PF value",
+			name, s.Utility, s.Aggregate)
 	}
 }

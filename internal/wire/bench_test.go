@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
@@ -44,35 +43,6 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := ReadFrame(rd, &m, &scratch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkJSONEncodeDecode is the same exchange through the legacy
-// newline-delimited JSON codec — the baseline the binary codec replaces
-// (BENCH_wire.json records both).
-func BenchmarkJSONEncodeDecode(b *testing.B) {
-	join := benchScan()
-	dir := Message{Type: MsgAssociate, UserID: 123456, Extender: 17, Reassociation: true}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := enc.Encode(join); err != nil {
-			b.Fatal(err)
-		}
-		if err := enc.Encode(dir); err != nil {
-			b.Fatal(err)
-		}
-		dec := json.NewDecoder(&buf)
-		var m Message
-		if err := dec.Decode(&m); err != nil {
-			b.Fatal(err)
-		}
-		if err := dec.Decode(&m); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // no fuzz input can produce a frame where extender 0 is conflated with
 // "no extender". Float vectors are reconstructed bit-exactly (NaN
 // payloads included); comparisons normalize only the nil-vs-empty
-// distinction the codec deliberately collapses (like JSON omitempty).
+// distinction the codec deliberately collapses.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(byte(1), int64(0), int64(0), false, "", "", []byte{}, []byte{}, false, "", int64(0), int64(0))
 	f.Add(byte(4), int64(3), int64(0), false, "", "", []byte{}, []byte{}, false, "", int64(0), int64(0))

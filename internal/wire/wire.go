@@ -17,12 +17,10 @@
 // Message, which is how the conn layer reaches 0 allocs/op at steady
 // state (pinned by TestWireSteadyStateAllocs).
 //
-// A connection opens with the two-byte hello [Hello, Version1]. Hello
-// (0xA7) can never begin a newline-delimited JSON message, so a server
-// peeking one byte at accept time distinguishes a binary-codec peer from
-// a legacy JSON agent and falls back per connection — old agents keep
-// working against new controllers (internal/control negotiates; this
-// package only defines the bytes).
+// A connection opens with the two-byte hello [Hello, Version1]; a
+// server closes a connection that opens with anything else
+// (internal/control performs the handshake; this package only defines
+// the bytes).
 //
 // The package is a stdlib-only leaf importable solely from
 // internal/control and internal/shard (scripts/lint-imports.sh): every
@@ -37,12 +35,11 @@ import (
 	"math"
 )
 
-// Handshake bytes. A binary-codec client writes [Hello, Version1]
-// before its first frame; servers peek the first byte to negotiate.
+// Handshake bytes. A client writes [Hello, Version1] before its first
+// frame; servers refuse connections that open with anything else.
 const (
-	// Hello is the binary-codec magic byte. 0xA7 is outside ASCII and
-	// can never start a JSON message ('{' = 0x7B), so the negotiation
-	// needs exactly one peeked byte.
+	// Hello is the protocol's magic byte. 0xA7 is outside ASCII, so a
+	// stray text client fails the handshake on its first byte.
 	Hello byte = 0xA7
 	// Version1 is the only frame-layout version; a server closes
 	// connections offering a version it does not speak.
@@ -88,52 +85,48 @@ const (
 )
 
 // Message is the single wire format; fields are used according to Type.
-// The JSON tags define the legacy newline-delimited JSON encoding the
-// binary codec replaced (still spoken to old agents after negotiation).
 type Message struct {
-	Type MsgType `json:"type"`
+	Type MsgType
 	// UserID identifies the agent (join, leave, associate).
-	UserID int `json:"userId,omitempty"`
+	UserID int
 	// Rates is the scan report: estimated WiFi PHY rate in Mbps to each
 	// extender, indexed by extender ID (join).
-	Rates []float64 `json:"ratesMbps,omitempty"`
+	Rates []float64
 	// RSSI is the scan report's signal strengths in dBm (join).
-	RSSI []float64 `json:"rssiDbm,omitempty"`
-	// Extender is the association directive target (associate). It is
-	// deliberately NOT omitempty: extender 0 is a valid directive target
-	// and must appear explicitly on the wire rather than lean on Go's
-	// zero-value decoding. (The binary codec has no optional fields at
-	// all — every field is always encoded, so extender 0 cannot be
-	// conflated with an absent one there either.)
-	Extender int `json:"extender"`
+	RSSI []float64
+	// Extender is the association directive target (associate).
+	// Extender 0 is a valid target; the codec has no optional fields —
+	// every field is always encoded — so it cannot be conflated with an
+	// absent one.
+	Extender int
 	// Reassociation marks a directive that moves an already-associated
-	// user (associate). Like Extender it is always serialized: "false"
-	// is a statement (first association), not an absence.
-	Reassociation bool `json:"reassociation"`
+	// user (associate); false is a statement (first association), not an
+	// absence.
+	Reassociation bool
 	// Addr is the address of the shard member the agent should re-join
 	// (redirect).
-	Addr string `json:"addr,omitempty"`
+	Addr string
 	// Stats is the controller snapshot (stats_reply).
-	Stats *Stats `json:"stats,omitempty"`
+	Stats *Stats
 	// Error carries a human-readable failure description (error).
-	Error string `json:"error,omitempty"`
+	Error string
 }
 
 // Stats is a controller snapshot.
 type Stats struct {
-	Policy         string `json:"policy"`
-	Users          int    `json:"users"`
-	Joins          int    `json:"joins"`
-	Leaves         int    `json:"leaves"`
-	Reassociations int    `json:"reassociations"`
+	Policy         string
+	Users          int
+	Joins          int
+	Leaves         int
+	Reassociations int
 	// DroppedReassigns counts departures under ReassignOnLeave whose
 	// re-solve failed: the leave stood, the rebalance was dropped.
-	DroppedReassigns int `json:"droppedReassigns"`
+	DroppedReassigns int
 	// DroppedPushes counts directives the server discarded because the
 	// target connection's bounded outbound queue was full (a stalled
 	// agent; see control.ServerConfig.PushQueueDepth).
-	DroppedPushes int         `json:"droppedPushes"`
-	Assignment    map[int]int `json:"assignment"`
+	DroppedPushes int
+	Assignment    map[int]int
 }
 
 // typeCode maps a MsgType to its one-byte wire code. Code 0 is reserved
@@ -313,8 +306,8 @@ func (r *frameReader) bool(what string) bool {
 
 // floats decodes a length-prefixed float64 vector into dst's capacity,
 // allocating only on growth. A zero-length vector yields dst[:0] —
-// which is nil when dst started nil, matching the JSON codec's
-// omitempty round-trip (nil in, nil out on a fresh Message).
+// which is nil when dst started nil (nil in, nil out on a fresh
+// Message).
 func (r *frameReader) floats(dst []float64, what string) []float64 {
 	n := r.uvarint(what)
 	if r.err != nil {

@@ -12,7 +12,7 @@ import (
 // normalize maps the encodings the binary codec deliberately collapses
 // onto one representative: zero-length slices decode as their input
 // scratch (nil on a fresh Message) and an empty assignment map decodes
-// as nil — the same absences the JSON codec's omitempty produces.
+// as nil.
 func normalize(m Message) Message {
 	if len(m.Rates) == 0 {
 		m.Rates = nil

@@ -21,11 +21,12 @@ set -eu
 cd "$(dirname "$0")/.."
 count="${1:-3}"
 out="BENCH_anytime.json"
-cores="$(go env GONUMCPU 2>/dev/null || true)"
-[ -n "$cores" ] || cores="$(getconf _NPROCESSORS_ONLN)"
+cores="$(getconf _NPROCESSORS_ONLN)"
+raw="$(mktemp)"
+trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' -bench 'WarmResolve' -benchmem -count "$count" \
-	./internal/localsearch | tee /tmp/bench_anytime.txt
+	./internal/localsearch | tee "$raw"
 
 awk -v cores="$cores" '
 BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
@@ -44,6 +45,6 @@ BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
 		name, iters, ns, gap, startgap, probes, bpo, apo
 }
 END { print "\n  ]\n}" }
-' /tmp/bench_anytime.txt > "$out"
+' "$raw" > "$out"
 
 echo "wrote $out"

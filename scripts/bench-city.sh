@@ -27,17 +27,18 @@ set -eu
 cd "$(dirname "$0")/.."
 count="${1:-3}"
 out="BENCH_city.json"
-cores="$(go env GONUMCPU 2>/dev/null || true)"
-[ -n "$cores" ] || cores="$(getconf _NPROCESSORS_ONLN)"
+cores="$(getconf _NPROCESSORS_ONLN)"
+raw="$(mktemp)"
+trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' -bench 'CitySmoke' -count "$count" \
-	./internal/city | tee /tmp/bench_city.txt
+	./internal/city | tee "$raw"
 go test -run '^$' -bench 'CitySustained$' -benchtime 1x -count 1 \
-	./internal/city | tee -a /tmp/bench_city.txt
+	./internal/city | tee -a "$raw"
 WOLT_CITY_1M=1 go test -run '^$' -bench 'CitySustained1M' -benchtime 1x -count 1 \
-	-timeout 2h ./internal/city | tee -a /tmp/bench_city.txt
+	-timeout 2h ./internal/city | tee -a "$raw"
 go test -run '^$' -bench 'EngineChurnEvent' -benchmem -count "$count" \
-	./internal/control | tee -a /tmp/bench_city.txt
+	./internal/control | tee -a "$raw"
 
 awk -v cores="$cores" '
 BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
@@ -60,6 +61,6 @@ BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
 		name, iters, ns, jps, p50, p99, hr, peak, ev, bpo, apo
 }
 END { print "\n  ]\n}" }
-' /tmp/bench_city.txt > "$out"
+' "$raw" > "$out"
 
 echo "wrote $out"

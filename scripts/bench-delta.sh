@@ -19,13 +19,14 @@ set -eu
 cd "$(dirname "$0")/.."
 count="${1:-3}"
 out="BENCH_delta.json"
-cores="$(go env GONUMCPU 2>/dev/null || true)"
-[ -n "$cores" ] || cores="$(getconf _NPROCESSORS_ONLN)"
+cores="$(getconf _NPROCESSORS_ONLN)"
+raw="$(mktemp)"
+trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' -bench 'Delta(Probe|FullProbe|Commit)$' -benchmem -count "$count" \
-	./internal/model | tee /tmp/bench_delta.txt
+	./internal/model | tee "$raw"
 go test -run '^$' -bench 'LargeSolve' -benchmem -benchtime=1x -count "$count" \
-	./internal/core | tee -a /tmp/bench_delta.txt
+	./internal/core | tee -a "$raw"
 
 awk -v cores="$cores" '
 BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
@@ -40,6 +41,6 @@ BEGIN { printf "{\n  \"cores\": %s,\n  \"runs\": [\n", cores }
 		name, iters, ns, bpo, apo
 }
 END { print "\n  ]\n}" }
-' /tmp/bench_delta.txt > "$out"
+' "$raw" > "$out"
 
 echo "wrote $out"

@@ -7,9 +7,11 @@ set -eu
 cd "$(dirname "$0")/.."
 count="${1:-3}"
 out="BENCH_sweep.json"
+raw="$(mktemp)"
+trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' -bench 'Sweep|Static' -benchmem -count "$count" \
-	./internal/sweep ./internal/netsim | tee /tmp/bench_sweep.txt
+	./internal/sweep ./internal/netsim | tee "$raw"
 
 awk '
 BEGIN { print "[" }
@@ -24,6 +26,6 @@ BEGIN { print "[" }
 		name, iters, ns, bpo, apo
 }
 END { print "\n]" }
-' /tmp/bench_sweep.txt > "$out"
+' "$raw" > "$out"
 
 echo "wrote $out"

@@ -1,6 +1,7 @@
 #!/bin/sh
 # lint-imports.sh — keep internal/baseline an implementation detail of
-# the strategy layer.
+# the strategy layer, hold the other package-layer rules below, and
+# keep deleted identifiers from coming back.
 #
 # Every consumer (simulator, experiments, control plane, CLI, facade)
 # must go through internal/strategy: one registry, one instrumentation
@@ -114,8 +115,8 @@ if [ -n "$bad" ]; then
 	echo "the wire codec defines the protocol; planes adapt to it, not vice versa" >&2
 	exit 1
 fi
-# Conversely, only the transport layers — internal/control (links,
-# codec negotiation) and internal/shard (redirect framing) — may import
+# Conversely, only the transport layers — internal/control (framed
+# connections, the hello handshake) and internal/shard (redirect framing) — may import
 # internal/wire directly. Everyone above them uses the control-package
 # aliases (control.Message, control.Stats), so the codec can evolve
 # behind one seam. Test files inside those two packages are covered by
@@ -140,6 +141,21 @@ if [ -n "$bad" ]; then
 	echo "import lint: internal/stats must stay a stdlib-only leaf package:" >&2
 	echo "$bad" >&2
 	echo "move anything needing plane or algorithm types out of internal/stats" >&2
+	exit 1
+fi
+# Removed names stay removed. The binary wire codec is the only agent↔CC
+# encoding (the JSON fallback, its codec knobs and the tcp-json city
+# plane are gone), policies are plain strategy-registry strings, and the
+# proportional-fair variant is core.Assign with model.ProportionalFairness.
+# Test files are covered too; the one exemption is the experiments test
+# that pins the refusal of the retired "tcp-json" plane name.
+bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair' \
+	--include='*.go' . \
+	| grep -v '^\./internal/experiments/experiments_test\.go:.*"tcp-json"' || true)
+if [ -n "$bad" ]; then
+	echo "import lint: removed identifier reintroduced:" >&2
+	echo "$bad" >&2
+	echo "the wire codec is binary-only, policies are registry strings, and wolt-pf/model.ProportionalFairness replace the fair aliases" >&2
 	exit 1
 fi
 echo "import lint: clean"

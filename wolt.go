@@ -111,10 +111,13 @@ func AssignIncremental(n *Network, prev Assignment, budget int, opts Options, ev
 }
 
 // AssignProportionalFair runs WOLT with a proportional-fairness Phase II:
-// remaining users are placed to maximize Σ log(throughput) instead of
-// total WiFi throughput.
+// Phase I is unchanged, and the remaining users are placed by the
+// coordinate solver to maximize Σ log(throughput) instead of total WiFi
+// throughput (the α=1 member of Options.Utility).
 func AssignProportionalFair(n *Network, opts Options) (*Result, error) {
-	return core.AssignProportionalFair(n, opts)
+	opts.Utility = model.ProportionalFairness()
+	opts.Solver = core.Phase2Coordinate
+	return core.Assign(n, opts)
 }
 
 // Evaluate computes per-user, per-extender and aggregate end-to-end
