@@ -66,100 +66,86 @@ func run(args []string) error {
 	}
 
 	logger := log.New(os.Stderr, "woltcc: ", log.LstdFlags)
-	if *shards > 1 || *member >= 0 {
-		return runSharded(logger, *addr, caps, *policy, *shards, *member, *peers, *seedFlag, *statsSec)
-	}
-
-	server, err := control.NewServer(*addr, control.ServerConfig{
+	engine := control.EngineConfig{
 		PLCCaps:   caps,
 		Policy:    *policy,
 		ModelOpts: model.Options{Redistribute: true},
 		Seed:      *seedFlag,
-		Logger:    logger,
-	})
+	}
+	if *shards > 1 || *member >= 0 {
+		var peerList []string
+		if *peers != "" {
+			for _, p := range strings.Split(*peers, ",") {
+				peerList = append(peerList, strings.TrimSpace(p))
+			}
+		}
+		return runSharded(shard.PlaneConfig{
+			Config: shard.Config{Shards: *shards, EngineConfig: engine},
+			Addr:   *addr,
+			Member: *member,
+			Peers:  peerList,
+			Logger: logger,
+		}, *statsSec)
+	}
+
+	server, err := control.NewServer(*addr, control.ServerConfig{EngineConfig: engine, Logger: logger})
 	if err != nil {
 		return err
 	}
 	logger.Printf("central controller listening on %s (policy=%s, %d extenders)",
 		server.Addr(), *policy, len(caps))
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
-	if *statsSec > 0 {
-		ticker := time.NewTicker(*statsSec)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				st := server.StatsSnapshot()
-				logger.Printf("users=%d joins=%d leaves=%d reassociations=%d",
-					st.Users, st.Joins, st.Leaves, st.Reassociations)
-			case <-stop:
-				logger.Print("shutting down")
-				return server.Close()
-			}
-		}
-	}
-	<-stop
-	logger.Print("shutting down")
-	return server.Close()
+	return serve(logger, *statsSec, func() {
+		st := server.StatsSnapshot()
+		logger.Printf("users=%d joins=%d leaves=%d reassociations=%d",
+			st.Users, st.Joins, st.Leaves, st.Reassociations)
+	}, server.Close)
 }
 
 // runSharded boots the consistent-hash shard plane and logs merged
 // stats until interrupted.
-func runSharded(logger *log.Logger, addr string, caps []float64, policy string,
-	shards, member int, peers string, seedBase int64, statsSec time.Duration) error {
-	var peerList []string
-	if peers != "" {
-		for _, p := range strings.Split(peers, ",") {
-			peerList = append(peerList, strings.TrimSpace(p))
-		}
-	}
-	plane, err := shard.Listen(shard.PlaneConfig{
-		Addr:      addr,
-		Member:    member,
-		Peers:     peerList,
-		Shards:    shards,
-		PLCCaps:   caps,
-		Policy:    policy,
-		ModelOpts: model.Options{Redistribute: true},
-		Seed:      seedBase,
-		Logger:    logger,
-	})
+func runSharded(cfg shard.PlaneConfig, statsSec time.Duration) error {
+	logger := cfg.Logger
+	plane, err := shard.Listen(cfg)
 	if err != nil {
 		return err
 	}
 	for _, m := range plane.Members() {
 		if a := plane.Addrs()[m]; a != "" {
 			logger.Printf("shard member %d/%d listening on %s (policy=%s, %d extenders total)",
-				m, shards, a, policy, len(caps))
+				m, cfg.Shards, a, cfg.Policy, len(cfg.PLCCaps))
 		} else {
-			logger.Printf("shard member %d/%d owns no extenders; no listener", m, shards)
+			logger.Printf("shard member %d/%d owns no extenders; no listener", m, cfg.Shards)
 		}
 	}
 
+	return serve(logger, statsSec, func() {
+		st := plane.Stats()
+		logger.Printf("shards=%d users=%d joins=%d leaves=%d reassociations=%d redirects=%d",
+			st.Shards, st.Users, st.Joins, st.Leaves, st.Reassociations, st.Redirects)
+	}, plane.Close)
+}
+
+// serve runs logStats every interval (0 disables it) until SIGINT or
+// SIGTERM, then shuts the controller down with closeFn.
+func serve(logger *log.Logger, interval time.Duration, logStats func(), closeFn func() error) error {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-
-	if statsSec > 0 {
-		ticker := time.NewTicker(statsSec)
+	var tick <-chan time.Time
+	if interval > 0 {
+		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				st := plane.Stats()
-				logger.Printf("shards=%d users=%d joins=%d leaves=%d reassociations=%d redirects=%d",
-					st.Shards, st.Users, st.Joins, st.Leaves, st.Reassociations, st.Redirects)
-			case <-stop:
-				logger.Print("shutting down")
-				return plane.Close()
-			}
+		tick = ticker.C
+	}
+	for {
+		select {
+		case <-tick:
+			logStats()
+		case <-stop:
+			logger.Print("shutting down")
+			return closeFn()
 		}
 	}
-	<-stop
-	logger.Print("shutting down")
-	return plane.Close()
 }
 
 func parseCaps(s string) ([]float64, error) {

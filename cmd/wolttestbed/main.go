@@ -99,9 +99,11 @@ func run(args []string) error {
 // total number of re-associations the controller issued.
 func associateViaControlPlane(inst *netsim.Instance, policy string, timeout time.Duration) (model.Assignment, int, error) {
 	server, err := control.NewServer("127.0.0.1:0", control.ServerConfig{
-		PLCCaps:   inst.Net.PLCCaps,
-		Policy:    policy,
-		ModelOpts: model.Options{Redistribute: true},
+		EngineConfig: control.EngineConfig{
+			PLCCaps:   inst.Net.PLCCaps,
+			Policy:    policy,
+			ModelOpts: model.Options{Redistribute: true},
+		},
 	})
 	if err != nil {
 		return nil, 0, err

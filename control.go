@@ -13,8 +13,12 @@ import (
 type (
 	// Controller is the WOLT Central Controller.
 	Controller = control.Server
-	// ControllerConfig configures a controller.
+	// ControllerConfig configures a controller: an embedded EngineConfig
+	// plus the transport knobs (timeouts, push queue depth, logger).
 	ControllerConfig = control.ServerConfig
+	// EngineConfig is the policy half of ControllerConfig: capacities,
+	// policy, evaluation model, seed and the warm-path knobs.
+	EngineConfig = control.EngineConfig
 	// Agent is a user-side client of the controller.
 	Agent = control.Agent
 	// ControllerStats is a controller snapshot.

@@ -29,8 +29,10 @@ func main() {
 
 	// Start the central controller (in production: cmd/woltcc).
 	controller, err := wolt.NewController("127.0.0.1:0", wolt.ControllerConfig{
-		PLCCaps: network.PLCCaps,
-		Policy:  wolt.ControllerWOLT,
+		EngineConfig: wolt.EngineConfig{
+			PLCCaps: network.PLCCaps,
+			Policy:  wolt.ControllerWOLT,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -26,8 +26,10 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 1. Control plane: controller + one agent per user over loopback.
 	server, err := wolt.NewController("127.0.0.1:0", wolt.ControllerConfig{
-		PLCCaps: inst.Net.PLCCaps,
-		Policy:  wolt.ControllerWOLT,
+		EngineConfig: wolt.EngineConfig{
+			PLCCaps: inst.Net.PLCCaps,
+			Policy:  wolt.ControllerWOLT,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

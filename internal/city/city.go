@@ -330,10 +330,10 @@ func (c *City) InitialUsers() int {
 // TraceLen returns the churn trace's event count.
 func (c *City) TraceLen() int { return len(c.trace) }
 
-// NewCoordinator builds the sharded plane this city was sized for.
-func (c *City) NewCoordinator() (*shard.Coordinator, error) {
-	return shard.NewCoordinator(shard.Config{
-		Shards:             c.cfg.Shards,
+// engineConfig is the engine every plane of this city runs: the single
+// CC of NewEngine, and the member template of the sharded planes.
+func (c *City) engineConfig() control.EngineConfig {
+	return control.EngineConfig{
 		PLCCaps:            c.caps,
 		Policy:             c.cfg.Policy,
 		Workers:            c.cfg.Workers,
@@ -342,22 +342,18 @@ func (c *City) NewCoordinator() (*shard.Coordinator, error) {
 		ReassignOnLeave:    c.cfg.ReassignOnLeave,
 		PlacementOnlyJoins: c.cfg.PlacementOnlyJoins,
 		FullResolveEvery:   c.cfg.FullResolveEvery,
-	})
+	}
+}
+
+// NewCoordinator builds the sharded plane this city was sized for.
+func (c *City) NewCoordinator() (*shard.Coordinator, error) {
+	return shard.NewCoordinator(shard.Config{Shards: c.cfg.Shards, EngineConfig: c.engineConfig()})
 }
 
 // NewEngine builds an unsharded single-CC plane over the same deployment
 // and policy — the differential-test reference.
 func (c *City) NewEngine() (*control.Engine, error) {
-	return control.NewEngine(control.EngineConfig{
-		PLCCaps:            c.caps,
-		Policy:             c.cfg.Policy,
-		Workers:            c.cfg.Workers,
-		Seed:               c.cfg.Seed,
-		Budget:             c.cfg.Budget,
-		ReassignOnLeave:    c.cfg.ReassignOnLeave,
-		PlacementOnlyJoins: c.cfg.PlacementOnlyJoins,
-		FullResolveEvery:   c.cfg.FullResolveEvery,
-	})
+	return control.NewEngine(c.engineConfig())
 }
 
 // u01 maps a derived seed to a uniform float64 in [0,1) (the standard

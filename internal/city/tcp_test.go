@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/plcwifi/wolt/internal/shard"
 )
 
 // tcpDiffConfig is the shared instance for the TCP differential tests:
@@ -136,5 +138,72 @@ func TestCityTCPConcurrentWithMobility(t *testing.T) {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCityTCPAttachedStats attaches a TCPPlane to members started with
+// shard.Listen in this process — the Peers mode the multi-process
+// benchmark uses — and requires its wire-probed Stats (one MsgStats
+// reply per member, folded by shard.MergeStats) to match the hosting
+// plane's own Stats.
+func TestCityTCPAttachedStats(t *testing.T) {
+	c, err := New(tcpDiffConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := shard.Listen(shard.PlaneConfig{
+		Config: shard.Config{Shards: c.cfg.Shards, EngineConfig: c.engineConfig()},
+		Addr:   "127.0.0.1:0",
+		Member: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer host.Close()
+	plane, err := c.NewTCPPlane(TCPConfig{Peers: host.Addrs()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plane.Close()
+	res, err := c.Run(plane)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Joins == 0 || res.Leaves == 0 {
+		t.Fatalf("degenerate stream: %+v", res)
+	}
+
+	// Departures are fire-and-forget on the wire: wait for the members
+	// to drain the last MsgLeave frames before comparing snapshots.
+	want := host.Stats()
+	for deadline := time.Now().Add(2 * time.Second); want.Leaves < res.Leaves && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		want = host.Stats()
+	}
+	got, err := plane.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want int
+	}{
+		{"Users", got.Users, want.Users},
+		{"Joins", got.Joins, want.Joins},
+		{"Leaves", got.Leaves, want.Leaves},
+		{"Reassociations", got.Reassociations, want.Reassociations},
+		{"len(PerShard)", len(got.PerShard), len(want.PerShard)},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s: wire-probed %d, hosted %d", f.name, f.got, f.want)
+		}
+	}
+	if want.Joins != res.Joins || want.Users != res.FinalUsers {
+		t.Errorf("hosted plane counts %d joins / %d users, harness %d / %d",
+			want.Joins, want.Users, res.Joins, res.FinalUsers)
+	}
+	if !reflect.DeepEqual(got.Assignment, want.Assignment) {
+		t.Errorf("wire-probed assignment (%d users) differs from hosted (%d users)",
+			len(got.Assignment), len(want.Assignment))
 	}
 }

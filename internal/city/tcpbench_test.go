@@ -92,18 +92,10 @@ func runTCPMember(memberStr string) {
 	}
 	peers := tcpPeerAddrs(cfg.Shards)
 	plane, err := shard.Listen(shard.PlaneConfig{
-		Addr:               peers[member],
-		Member:             member,
-		Peers:              peers,
-		Shards:             cfg.Shards,
-		PLCCaps:            c.PLCCaps(),
-		Policy:             cfg.Policy,
-		Workers:            cfg.Workers,
-		Seed:               cfg.Seed,
-		Budget:             cfg.Budget,
-		ReassignOnLeave:    cfg.ReassignOnLeave,
-		PlacementOnlyJoins: cfg.PlacementOnlyJoins,
-		FullResolveEvery:   cfg.FullResolveEvery,
+		Config: shard.Config{Shards: cfg.Shards, EngineConfig: c.engineConfig()},
+		Addr:   peers[member],
+		Member: member,
+		Peers:  peers,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "member %d: %v\n", member, err)

@@ -79,19 +79,11 @@ func (c *City) NewTCPPlane(tcfg TCPConfig) (*TCPPlane, error) {
 		return p, nil
 	}
 	plane, err := shard.Listen(shard.PlaneConfig{
-		Addr:               "127.0.0.1:0",
-		Member:             -1,
-		Shards:             cfg.Shards,
-		PLCCaps:            c.caps,
-		Policy:             cfg.Policy,
-		Workers:            cfg.Workers,
-		Seed:               cfg.Seed,
-		Budget:             cfg.Budget,
-		ReassignOnLeave:    cfg.ReassignOnLeave,
-		PlacementOnlyJoins: cfg.PlacementOnlyJoins,
-		FullResolveEvery:   cfg.FullResolveEvery,
-		PushQueueDepth:     tcfg.PushQueueDepth,
-		Logger:             tcfg.Logger,
+		Config:         shard.Config{Shards: cfg.Shards, EngineConfig: c.engineConfig()},
+		Addr:           "127.0.0.1:0",
+		Member:         -1,
+		PushQueueDepth: tcfg.PushQueueDepth,
+		Logger:         tcfg.Logger,
 	})
 	if err != nil {
 		return nil, err
@@ -104,15 +96,14 @@ func (c *City) NewTCPPlane(tcfg TCPConfig) (*TCPPlane, error) {
 // memberFor routes a scan report to the member owning its best-rate
 // extender.
 func (p *TCPPlane) memberFor(rates []float64) (string, error) {
-	best := shard.BestExtender(rates)
-	if best < 0 || best >= len(p.ownerOf) {
+	owner := shard.OwnerForRates(p.ownerOf, rates)
+	if owner < 0 {
 		return "", fmt.Errorf("city: user reaches no extender")
 	}
-	addr := p.addrs[p.ownerOf[best]]
-	if addr == "" {
-		return "", fmt.Errorf("city: no member address for extender %d's owner", best)
+	if p.addrs[owner] == "" {
+		return "", fmt.Errorf("city: member %d has no address", owner)
 	}
-	return addr, nil
+	return p.addrs[owner], nil
 }
 
 // Join dials the owning member, joins, and waits for the association
@@ -205,7 +196,7 @@ func (p *TCPPlane) Stats() (shard.Stats, error) {
 	if p.plane != nil {
 		return p.plane.Stats(), nil
 	}
-	st := shard.Stats{Shards: len(p.addrs), Assignment: make(map[int]int)}
+	var snaps []control.Stats
 	seen := make(map[string]bool, len(p.addrs))
 	for m, addr := range p.addrs {
 		if addr == "" || seen[addr] {
@@ -214,25 +205,16 @@ func (p *TCPPlane) Stats() (shard.Stats, error) {
 		seen[addr] = true
 		a, err := control.Dial(addr, -(m + 1))
 		if err != nil {
-			return st, fmt.Errorf("city: stats probe to member %d: %w", m, err)
+			return shard.Stats{}, fmt.Errorf("city: stats probe to member %d: %w", m, err)
 		}
 		es, err := a.Stats(p.joinTimeout)
 		_ = a.Close()
 		if err != nil {
-			return st, fmt.Errorf("city: stats probe to member %d: %w", m, err)
+			return shard.Stats{}, fmt.Errorf("city: stats probe to member %d: %w", m, err)
 		}
-		st.Users += es.Users
-		st.Joins += es.Joins
-		st.Leaves += es.Leaves
-		st.Reassociations += es.Reassociations
-		st.DroppedReassigns += es.DroppedReassigns
-		st.DroppedPushes += es.DroppedPushes
-		for id, ext := range es.Assignment {
-			st.Assignment[id] = ext
-		}
-		st.PerShard = append(st.PerShard, es)
+		snaps = append(snaps, es)
 	}
-	return st, nil
+	return shard.MergeStats(len(p.addrs), snaps), nil
 }
 
 // Close tears down every live agent and, in hosted mode, the member

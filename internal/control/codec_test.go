@@ -13,9 +13,11 @@ import (
 // target and the stats snapshot's counters.
 func TestCodecDifferential(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
-		PLCCaps: []float64{100, 100, 100},
-		Policy:  PolicyWOLT,
-		Seed:    42,
+		EngineConfig: EngineConfig{
+			PLCCaps: []float64{100, 100, 100},
+			Policy:  PolicyWOLT,
+			Seed:    42,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

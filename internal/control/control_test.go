@@ -15,9 +15,11 @@ const testTimeout = 5 * time.Second
 func fig3Server(t *testing.T, policy string) *Server {
 	t.Helper()
 	s, err := NewServer("127.0.0.1:0", ServerConfig{
-		PLCCaps:   []float64{60, 20},
-		Policy:    policy,
-		ModelOpts: model.Options{Redistribute: true},
+		EngineConfig: EngineConfig{
+			PLCCaps:   []float64{60, 20},
+			Policy:    policy,
+			ModelOpts: model.Options{Redistribute: true},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,10 +42,10 @@ func TestServerValidation(t *testing.T) {
 	if _, err := NewServer("127.0.0.1:0", ServerConfig{}); err == nil {
 		t.Error("no capacities: want error")
 	}
-	if _, err := NewServer("127.0.0.1:0", ServerConfig{PLCCaps: []float64{0}}); err == nil {
+	if _, err := NewServer("127.0.0.1:0", ServerConfig{EngineConfig: EngineConfig{PLCCaps: []float64{0}}}); err == nil {
 		t.Error("zero capacity: want error")
 	}
-	if _, err := NewServer("127.0.0.1:0", ServerConfig{PLCCaps: []float64{10}, Policy: "bogus"}); err == nil {
+	if _, err := NewServer("127.0.0.1:0", ServerConfig{EngineConfig: EngineConfig{PLCCaps: []float64{10}, Policy: "bogus"}}); err == nil {
 		t.Error("unknown policy: want error")
 	}
 }
@@ -219,8 +221,10 @@ func TestAbruptDisconnectCountsAsLeave(t *testing.T) {
 
 func TestManyAgents(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0", ServerConfig{
-		PLCCaps: []float64{100, 80, 60},
-		Policy:  PolicyWOLT,
+		EngineConfig: EngineConfig{
+			PLCCaps: []float64{100, 80, 60},
+			Policy:  PolicyWOLT,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,9 +13,11 @@ import (
 func deadlineServer(t *testing.T, readTimeout time.Duration) *Server {
 	t.Helper()
 	s, err := NewServer("127.0.0.1:0", ServerConfig{
-		PLCCaps:     []float64{60, 20},
-		Policy:      PolicyWOLT,
-		ModelOpts:   model.Options{Redistribute: true},
+		EngineConfig: EngineConfig{
+			PLCCaps:   []float64{60, 20},
+			Policy:    PolicyWOLT,
+			ModelOpts: model.Options{Redistribute: true},
+		},
 		ReadTimeout: readTimeout,
 	})
 	if err != nil {
@@ -114,9 +116,11 @@ func TestKeepaliveMessageAccepted(t *testing.T) {
 // the agent transparently follows MsgRedirect to the owning server.
 func TestServerRedirectHook(t *testing.T) {
 	owner, err := NewServer("127.0.0.1:0", ServerConfig{
-		PLCCaps:   []float64{60, 20},
-		Policy:    PolicyWOLT,
-		ModelOpts: model.Options{Redistribute: true},
+		EngineConfig: EngineConfig{
+			PLCCaps:   []float64{60, 20},
+			Policy:    PolicyWOLT,
+			ModelOpts: model.Options{Redistribute: true},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +128,11 @@ func TestServerRedirectHook(t *testing.T) {
 	t.Cleanup(func() { _ = owner.Close() })
 
 	front, err := NewServer("127.0.0.1:0", ServerConfig{
-		PLCCaps:   []float64{60, 20},
-		Policy:    PolicyWOLT,
-		ModelOpts: model.Options{Redistribute: true},
+		EngineConfig: EngineConfig{
+			PLCCaps:   []float64{60, 20},
+			Policy:    PolicyWOLT,
+			ModelOpts: model.Options{Redistribute: true},
+		},
 		Redirect: func(userID int, rates []float64) (string, bool) {
 			return owner.Addr(), true
 		},

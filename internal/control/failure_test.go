@@ -124,8 +124,10 @@ func TestAgentDisconnectDuringRecompute(t *testing.T) {
 
 func TestServerCloseWithLiveAgents(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0", ServerConfig{
-		PLCCaps: []float64{60, 20},
-		Policy:  PolicyWOLT,
+		EngineConfig: EngineConfig{
+			PLCCaps: []float64{60, 20},
+			Policy:  PolicyWOLT,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +158,9 @@ func TestServerCloseWithLiveAgents(t *testing.T) {
 
 func TestAgentJoinAfterServerGone(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0", ServerConfig{
-		PLCCaps: []float64{60, 20},
+		EngineConfig: EngineConfig{
+			PLCCaps: []float64{60, 20},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

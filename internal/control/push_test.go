@@ -15,8 +15,10 @@ import (
 // socket must not stall the push path for everyone else.
 func TestSlowReaderShedsPushes(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", ServerConfig{
-		PLCCaps:        []float64{100, 100},
-		Policy:         PolicyRSSI,
+		EngineConfig: EngineConfig{
+			PLCCaps: []float64{100, 100},
+			Policy:  PolicyRSSI,
+		},
 		PushQueueDepth: 2,
 		WriteTimeout:   200 * time.Millisecond,
 	})

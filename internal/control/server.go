@@ -7,9 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/plcwifi/wolt/internal/model"
-	"github.com/plcwifi/wolt/internal/strategy"
 )
 
 // DefaultIOTimeout bounds a single read or write on a server-side
@@ -21,36 +18,12 @@ const DefaultIOTimeout = 30 * time.Second
 // queue (in batches) when ServerConfig leaves PushQueueDepth zero.
 const DefaultPushQueueDepth = 256
 
-// ServerConfig configures a central controller.
+// ServerConfig configures a central controller: the engine it serves
+// plus the transport knobs around it.
 type ServerConfig struct {
-	// PLCCaps are the offline-estimated PLC isolation capacities c_j,
-	// indexed by global extender ID (§V-A).
-	PLCCaps []float64
-	// Owned restricts this server's engine to a subset of global
-	// extender IDs (shard-member mode); empty owns all of them.
-	Owned []int
-	// Policy is the association policy: a strategy-registry name
-	// (default PolicyWOLT), validated at NewServer time.
-	Policy string
-	// ModelOpts selects the evaluation model used by evaluation-driven
-	// policies.
-	ModelOpts model.Options
-	// Workers bounds WOLT's intra-solve Phase II parallelism.
-	Workers int
-	// Seed derives the policy instance's private randomness.
-	Seed int64
-	// Budget bounds budget-aware policies per operation (see
-	// EngineConfig.Budget).
-	Budget strategy.Budget
-	// ReassignOnLeave lets reassigning policies re-solve on departures
-	// (see EngineConfig.ReassignOnLeave).
-	ReassignOnLeave bool
-	// PlacementOnlyJoins routes joins through the policy's online
-	// placement form (see EngineConfig.PlacementOnlyJoins).
-	PlacementOnlyJoins bool
-	// FullResolveEvery, under PlacementOnlyJoins, forces a full re-solve
-	// on every Nth join (see EngineConfig.FullResolveEvery).
-	FullResolveEvery int
+	// EngineConfig configures the policy engine behind the socket
+	// (capacities, owned extenders, policy, seed and warm-path knobs).
+	EngineConfig
 	// ReadTimeout bounds one message read per connection: a stalled
 	// agent is disconnected (and treated as departed if it had joined)
 	// instead of pinning a server goroutine forever. Zero selects
@@ -156,18 +129,7 @@ func (sc *serverConn) close() error {
 
 // NewServer starts a controller listening on addr (e.g. "127.0.0.1:0").
 func NewServer(addr string, cfg ServerConfig) (*Server, error) {
-	engine, err := NewEngine(EngineConfig{
-		PLCCaps:            cfg.PLCCaps,
-		Owned:              cfg.Owned,
-		Policy:             cfg.Policy,
-		ModelOpts:          cfg.ModelOpts,
-		Workers:            cfg.Workers,
-		Seed:               cfg.Seed,
-		Budget:             cfg.Budget,
-		ReassignOnLeave:    cfg.ReassignOnLeave,
-		PlacementOnlyJoins: cfg.PlacementOnlyJoins,
-		FullResolveEvery:   cfg.FullResolveEvery,
-	})
+	engine, err := NewEngine(cfg.EngineConfig)
 	if err != nil {
 		return nil, err
 	}

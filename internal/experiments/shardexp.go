@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/plcwifi/wolt/internal/control"
 	"github.com/plcwifi/wolt/internal/model"
 	"github.com/plcwifi/wolt/internal/netsim"
 	"github.com/plcwifi/wolt/internal/parallel"
@@ -132,12 +133,14 @@ func Shard(opts Options) (*ShardResult, error) {
 // assignments is a valid global association.
 func runShardPlane(inst *netsim.Instance, shards int, seedT int64, workers int) (shardOutcome, error) {
 	coord, err := shard.NewCoordinator(shard.Config{
-		Shards:    shards,
-		PLCCaps:   inst.Net.PLCCaps,
-		Policy:    "wolt",
-		ModelOpts: Redistribute,
-		Workers:   workers,
-		Seed:      seedT,
+		Shards: shards,
+		EngineConfig: control.EngineConfig{
+			PLCCaps:   inst.Net.PLCCaps,
+			Policy:    "wolt",
+			ModelOpts: Redistribute,
+			Workers:   workers,
+			Seed:      seedT,
+		},
 	})
 	if err != nil {
 		return shardOutcome{}, err

@@ -33,11 +33,13 @@ func BenchmarkCoordinatorJoin(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				b.StopTimer()
 				coord, err := NewCoordinator(Config{
-					Shards:    shards,
-					PLCCaps:   testCaps(numExt),
-					Policy:    control.PolicyWOLT,
-					ModelOpts: model.Options{Redistribute: true},
-					Seed:      sd,
+					Shards: shards,
+					EngineConfig: control.EngineConfig{
+						PLCCaps:   testCaps(numExt),
+						Policy:    control.PolicyWOLT,
+						ModelOpts: model.Options{Redistribute: true},
+						Seed:      sd,
+					},
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/plcwifi/wolt/internal/control"
 	"github.com/plcwifi/wolt/internal/model"
 	"github.com/plcwifi/wolt/internal/strategy"
 )
@@ -25,14 +26,16 @@ func TestCoordinatorConcurrentStress(t *testing.T) {
 		updates   = 2
 	)
 	coord, err := NewCoordinator(Config{
-		Shards:             4,
-		PLCCaps:            testCaps(numExt),
-		Policy:             "wolt-hillclimb",
-		ModelOpts:          model.Options{Redistribute: true},
-		Seed:               404,
-		Budget:             strategy.Budget{Probes: 50},
-		ReassignOnLeave:    true,
-		PlacementOnlyJoins: true,
+		Shards: 4,
+		EngineConfig: control.EngineConfig{
+			PLCCaps:            testCaps(numExt),
+			Policy:             "wolt-hillclimb",
+			ModelOpts:          model.Options{Redistribute: true},
+			Seed:               404,
+			Budget:             strategy.Budget{Probes: 50},
+			ReassignOnLeave:    true,
+			PlacementOnlyJoins: true,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +176,12 @@ func TestCoordinatorScanPoolBounded(t *testing.T) {
 	// rssi: the test is about pool bookkeeping, not solver behavior, and
 	// rssi joins are O(extenders) instead of a full re-solve.
 	coord, err := NewCoordinator(Config{
-		Shards:  1,
-		PLCCaps: testCaps(numExt),
-		Policy:  "rssi",
-		Seed:    7,
+		Shards: 1,
+		EngineConfig: control.EngineConfig{
+			PLCCaps: testCaps(numExt),
+			Policy:  "rssi",
+			Seed:    7,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,46 +11,49 @@ import (
 	"github.com/plcwifi/wolt/internal/control"
 	"github.com/plcwifi/wolt/internal/model"
 	"github.com/plcwifi/wolt/internal/seed"
-	"github.com/plcwifi/wolt/internal/strategy"
 )
 
-// Config parameterizes a sharded control plane.
+// Config parameterizes a sharded control plane, in process
+// (NewCoordinator) or over TCP (PlaneConfig).
 type Config struct {
 	// Shards is the initial shard-member count (>= 1).
 	Shards int
-	// PLCCaps are the global PLC isolation capacities, indexed by
-	// extender ID; the ring partitions these extenders across members.
-	PLCCaps []float64
-	// Policy is the per-member association policy (a strategy-registry
-	// name; default wolt).
-	Policy string
-	// ModelOpts selects the evaluation model of evaluation-driven
-	// policies.
-	ModelOpts model.Options
-	// Workers bounds each member's intra-solve parallelism (bit-identical
-	// results for any value).
-	Workers int
-	// Seed roots the ring's virtual-node positions, the extender keys
-	// and the member engines' policy randomness.
-	Seed int64
 	// VirtualNodes is the per-member virtual node count on the ring
 	// (<= 0 selects DefaultVirtualNodes).
 	VirtualNodes int
-	// Budget bounds budget-aware member policies per operation (see
-	// control.EngineConfig.Budget); at city scale it is what turns each
-	// event into an O(budget) warm repair.
-	Budget strategy.Budget
-	// ReassignOnLeave lets reassigning member policies re-solve when a
-	// user departs (see control.EngineConfig.ReassignOnLeave).
-	ReassignOnLeave bool
-	// PlacementOnlyJoins routes member-engine joins through the policy's
-	// online placement form instead of a full re-solve (see
-	// control.EngineConfig.PlacementOnlyJoins).
-	PlacementOnlyJoins bool
-	// FullResolveEvery, under PlacementOnlyJoins, forces a full re-solve
-	// on every Nth join per member engine (see
-	// control.EngineConfig.FullResolveEvery).
-	FullResolveEvery int
+	// EngineConfig is the member template. Every member engine runs it
+	// restricted to the extenders the ring assigns that member, so its
+	// Owned must stay empty. Seed roots the ring's virtual-node
+	// positions and extender keys; member m's engine gets the derived
+	// seed.Derive(Seed, seed.ShardEngine, m).
+	control.EngineConfig
+}
+
+// validate checks the member template and fills its defaults; both
+// transports call it before deriving any member.
+func (cfg *Config) validate() error {
+	if cfg.Shards < 1 {
+		return fmt.Errorf("shard: need at least 1 shard, got %d", cfg.Shards)
+	}
+	if len(cfg.PLCCaps) == 0 {
+		return errors.New("shard: no PLC capacities configured")
+	}
+	if len(cfg.Owned) > 0 {
+		return errors.New("shard: the member template must leave Owned empty; the ring assigns each member's extenders")
+	}
+	if cfg.Policy == "" {
+		cfg.Policy = control.PolicyWOLT
+	}
+	return nil
+}
+
+// member derives member m's engine config from the template: restricted
+// to the extenders it owns, with its own policy seed.
+func (cfg Config) member(m int, owned []int) control.EngineConfig {
+	ec := cfg.EngineConfig
+	ec.Owned = owned
+	ec.Seed = seed.Derive(cfg.Seed, seed.ShardEngine, int64(m))
+	return ec
 }
 
 // Stats is the coordinator's merged snapshot: the global view a single
@@ -89,6 +93,27 @@ type Stats struct {
 	// order. Under Stats the per-shard Assignment maps are nil too
 	// (control.Engine.StatsLite); StatsWithAssignment fills them.
 	PerShard []control.Stats
+}
+
+// MergeStats folds member engine snapshots, in member-ID order, into
+// the plane-wide view of a deployment with the given member count:
+// summed counters, the merged assignment, and the snapshots themselves
+// as PerShard. The TCP plane reports this way, whether the snapshots
+// come from hosted servers or from MsgStats replies over the wire.
+func MergeStats(shards int, members []control.Stats) Stats {
+	st := Stats{Shards: shards, Assignment: make(map[int]int), PerShard: members}
+	for _, es := range members {
+		st.Users += es.Users
+		st.Joins += es.Joins
+		st.Leaves += es.Leaves
+		st.Reassociations += es.Reassociations
+		st.DroppedReassigns += es.DroppedReassigns
+		st.DroppedPushes += es.DroppedPushes
+		for id, ext := range es.Assignment {
+			st.Assignment[id] = ext
+		}
+	}
+	return st
 }
 
 // scan is a user's last reported radio scan, kept so rebalancing can
@@ -221,18 +246,12 @@ type Coordinator struct {
 // NewCoordinator builds a sharded control plane with cfg.Shards members
 // (IDs 0..Shards-1) and partitions the extenders across them.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", cfg.Shards)
-	}
-	if len(cfg.PLCCaps) == 0 {
-		return nil, errors.New("shard: no PLC capacities configured")
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = control.PolicyWOLT
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	c := &Coordinator{
 		cfg:    cfg,
-		ring:   NewRing(cfg.Seed, cfg.VirtualNodes),
+		ring:   newRing(cfg.Seed, cfg.Shards, cfg.VirtualNodes),
 		nextID: cfg.Shards,
 	}
 	for i := range c.stripes {
@@ -240,11 +259,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	members := make(map[int]*member, cfg.Shards)
 	for m := 0; m < cfg.Shards; m++ {
-		c.ring.Add(m)
 		members[m] = &member{id: m, users: make(map[int]userRec)}
 	}
+	ids := sortedMemberIDs(members)
 	ownerOf := c.ring.OwnerMap(len(cfg.PLCCaps))
-	for m, owned := range ownedSets(members, ownerOf) {
+	for m, owned := range ownedSets(ids, ownerOf) {
 		eng, err := c.buildEngine(m, owned)
 		if err != nil {
 			return nil, err
@@ -255,16 +274,16 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		epoch:   1,
 		ownerOf: ownerOf,
 		members: members,
-		ids:     sortedMemberIDs(members),
+		ids:     ids,
 	})
 	return c, nil
 }
 
-// ownedSets groups extenders by owning member; every current member gets
+// ownedSets groups extenders by owning member; every listed member gets
 // an entry (possibly empty).
-func ownedSets(members map[int]*member, ownerOf []int) map[int][]int {
-	sets := make(map[int][]int, len(members))
-	for m := range members {
+func ownedSets(ids, ownerOf []int) map[int][]int {
+	sets := make(map[int][]int, len(ids))
+	for _, m := range ids {
 		sets[m] = nil
 	}
 	for j, m := range ownerOf {
@@ -289,28 +308,12 @@ func (c *Coordinator) buildEngine(m int, owned []int) (*control.Engine, error) {
 	if len(owned) == 0 {
 		return nil, nil
 	}
-	return control.NewEngine(control.EngineConfig{
-		PLCCaps:            c.cfg.PLCCaps,
-		Owned:              owned,
-		Policy:             c.cfg.Policy,
-		ModelOpts:          c.cfg.ModelOpts,
-		Workers:            c.cfg.Workers,
-		Seed:               seed.Derive(c.cfg.Seed, seed.ShardEngine, int64(m)),
-		Budget:             c.cfg.Budget,
-		ReassignOnLeave:    c.cfg.ReassignOnLeave,
-		PlacementOnlyJoins: c.cfg.PlacementOnlyJoins,
-		FullResolveEvery:   c.cfg.FullResolveEvery,
-	})
+	return control.NewEngine(c.cfg.member(m, owned))
 }
 
 // stripeFor returns the stripe guarding the user's home entry.
 func (c *Coordinator) stripeFor(userID int) *stripe {
 	return &c.stripes[uint(userID)&(numStripes-1)]
-}
-
-// NumShards returns the current member count.
-func (c *Coordinator) NumShards() int {
-	return len(c.routing.Load().members)
 }
 
 // Epoch returns the routing snapshot's version; it bumps once per
@@ -326,16 +329,6 @@ func (c *Coordinator) Owner(extender int) int {
 		return -1
 	}
 	return rt.ownerOf[extender]
-}
-
-// ownerForRates routes a scan report: the member owning the user's
-// best-rate extender, or -1 when the user reaches nothing.
-func ownerForRates(ownerOf []int, rates []float64) int {
-	best := bestExtender(rates)
-	if best < 0 || best >= len(ownerOf) {
-		return -1
-	}
-	return ownerOf[best]
 }
 
 // applyLocked folds engine directives into the member's merged per-user
@@ -370,7 +363,7 @@ func (c *Coordinator) Join(userID int, rates, rssi []float64) ([]control.Directi
 		return nil, fmt.Errorf("shard: user %d already joined", userID)
 	}
 	rt := c.routing.Load()
-	owner := ownerForRates(rt.ownerOf, rates)
+	owner := OwnerForRates(rt.ownerOf, rates)
 	if owner < 0 {
 		return nil, fmt.Errorf("shard: user %d reaches no extender", userID)
 	}
@@ -404,7 +397,7 @@ func (c *Coordinator) Update(userID int, rates, rssi []float64) ([]control.Direc
 		return nil, fmt.Errorf("shard: user %d not joined", userID)
 	}
 	rt := c.routing.Load()
-	owner := ownerForRates(rt.ownerOf, rates)
+	owner := OwnerForRates(rt.ownerOf, rates)
 	if owner < 0 {
 		return nil, fmt.Errorf("shard: user %d reaches no extender", userID)
 	}
@@ -577,13 +570,14 @@ func (c *Coordinator) rebalance(added, removed int) (int, error) {
 		delete(members, removed)
 	}
 
+	memberIDs := sortedMemberIDs(members)
 	newOwnerOf := c.ring.OwnerMap(len(c.cfg.PLCCaps))
-	newSets := ownedSets(members, newOwnerOf)
-	oldSets := ownedSets(members, rt.ownerOf)
+	newSets := ownedSets(memberIDs, newOwnerOf)
+	oldSets := ownedSets(memberIDs, rt.ownerOf)
 
 	changed := make(map[int]bool, len(members))
-	for m := range members {
-		if !equalInts(oldSets[m], newSets[m]) {
+	for _, m := range memberIDs {
+		if !slices.Equal(oldSets[m], newSets[m]) {
 			changed[m] = true
 		}
 	}
@@ -612,7 +606,7 @@ func (c *Coordinator) rebalance(added, removed int) (int, error) {
 		oldHome := st.home[id]
 		oldMember := rt.members[oldHome]
 		rec := oldMember.users[id]
-		newHome := ownerForRates(newOwnerOf, rec.sc.rates)
+		newHome := OwnerForRates(newOwnerOf, rec.sc.rates)
 		oldAlive := oldHome != removed
 		oldRebuilt := changed[oldHome]
 		if newHome == oldHome && oldAlive && !oldRebuilt {
@@ -668,7 +662,7 @@ func (c *Coordinator) rebalance(added, removed int) (int, error) {
 		epoch:   rt.epoch + 1,
 		ownerOf: newOwnerOf,
 		members: members,
-		ids:     sortedMemberIDs(members),
+		ids:     memberIDs,
 	})
 	if added >= 0 {
 		members[added].mu.Unlock()
@@ -741,16 +735,4 @@ func (c *Coordinator) stats(withAssignment bool) Stats {
 	st.Handoffs = total.handoffs
 	st.Redirects = total.redirects
 	return st
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -5,19 +5,19 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"github.com/plcwifi/wolt/internal/control"
-	"github.com/plcwifi/wolt/internal/model"
-	"github.com/plcwifi/wolt/internal/seed"
-	"github.com/plcwifi/wolt/internal/strategy"
 )
 
-// PlaneConfig configures a sharded TCP control plane.
+// PlaneConfig configures a sharded TCP control plane: the same ring and
+// member template as the in-process Coordinator (Config), plus where
+// the members listen and the per-server transport knobs. Every process
+// sharing Config.Seed computes the same extender→shard map.
 type PlaneConfig struct {
+	Config
 	// Addr is the base listen address. With Member < 0 every member
 	// listens in this process: member k takes port+k when the port is
 	// non-zero, or an ephemeral port otherwise. With Member >= 0 the one
@@ -31,37 +31,12 @@ type PlaneConfig struct {
 	// ID), required in single-member mode so redirects can point across
 	// processes.
 	Peers []string
-	// Shards is the member count on the ring.
-	Shards int
-	// PLCCaps, Policy, ModelOpts, Workers and Seed configure the member
-	// engines exactly like Config does for the in-process coordinator.
-	// Seed also roots the ring, so every process sharing a seed computes
-	// the same extender→shard map.
-	PLCCaps   []float64
-	Policy    string
-	ModelOpts model.Options
-	Workers   int
-	Seed      int64
-	// VirtualNodes is the per-member virtual node count (<= 0 selects
-	// DefaultVirtualNodes).
-	VirtualNodes int
-	// Budget, ReassignOnLeave, PlacementOnlyJoins and FullResolveEvery
-	// configure the member engines' warm-path behavior exactly like
-	// Config does for the in-process coordinator (see
-	// control.ServerConfig).
-	Budget             strategy.Budget
-	ReassignOnLeave    bool
-	PlacementOnlyJoins bool
-	FullResolveEvery   int
-	// PushQueueDepth bounds each member connection's outbound directive
-	// queue (see control.ServerConfig.PushQueueDepth).
+	// PushQueueDepth, ReadTimeout, WriteTimeout and Logger are passed to
+	// every member server (see control.ServerConfig).
 	PushQueueDepth int
-	// ReadTimeout/WriteTimeout are passed to every member server (see
-	// control.ServerConfig).
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	// Logger receives connection-level errors; nil discards them.
-	Logger *log.Logger
+	ReadTimeout    time.Duration
+	WriteTimeout   time.Duration
+	Logger         *log.Logger
 }
 
 // Plane is a sharded TCP control plane: one control.Server per hosted
@@ -81,14 +56,8 @@ type Plane struct {
 
 // Listen starts the hosted members' servers.
 func Listen(cfg PlaneConfig) (*Plane, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", cfg.Shards)
-	}
-	if len(cfg.PLCCaps) == 0 {
-		return nil, errors.New("shard: no PLC capacities configured")
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = control.PolicyWOLT
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Member >= cfg.Shards {
 		return nil, fmt.Errorf("shard: member %d out of range [0,%d)", cfg.Member, cfg.Shards)
@@ -98,21 +67,12 @@ func Listen(cfg PlaneConfig) (*Plane, error) {
 			cfg.Shards, len(cfg.Peers))
 	}
 
-	ring := NewRing(cfg.Seed, cfg.VirtualNodes)
-	for m := 0; m < cfg.Shards; m++ {
-		ring.Add(m)
-	}
 	p := &Plane{
 		cfg:     cfg,
-		ownerOf: ring.OwnerMap(len(cfg.PLCCaps)),
+		ownerOf: newRing(cfg.Seed, cfg.Shards, cfg.VirtualNodes).OwnerMap(len(cfg.PLCCaps)),
 		addrs:   make([]string, cfg.Shards),
 		servers: make(map[int]*control.Server, cfg.Shards),
 	}
-	owned := make(map[int][]int, cfg.Shards)
-	for j, m := range p.ownerOf {
-		owned[m] = append(owned[m], j)
-	}
-
 	if cfg.Member >= 0 {
 		copy(p.addrs, cfg.Peers)
 		p.members = []int{cfg.Member}
@@ -121,6 +81,7 @@ func Listen(cfg PlaneConfig) (*Plane, error) {
 			p.members = append(p.members, m)
 		}
 	}
+	owned := ownedSets(p.members, p.ownerOf)
 
 	host, basePort, err := splitHostPort(cfg.Addr)
 	if err != nil {
@@ -139,21 +100,12 @@ func Listen(cfg PlaneConfig) (*Plane, error) {
 			listenAddr = net.JoinHostPort(host, "0")
 		}
 		srv, err := control.NewServer(listenAddr, control.ServerConfig{
-			PLCCaps:            cfg.PLCCaps,
-			Owned:              owned[m],
-			Policy:             cfg.Policy,
-			ModelOpts:          cfg.ModelOpts,
-			Workers:            cfg.Workers,
-			Seed:               seed.Derive(cfg.Seed, seed.ShardEngine, int64(m)),
-			Budget:             cfg.Budget,
-			ReassignOnLeave:    cfg.ReassignOnLeave,
-			PlacementOnlyJoins: cfg.PlacementOnlyJoins,
-			FullResolveEvery:   cfg.FullResolveEvery,
-			PushQueueDepth:     cfg.PushQueueDepth,
-			ReadTimeout:        cfg.ReadTimeout,
-			WriteTimeout:       cfg.WriteTimeout,
-			Redirect:           p.redirectFor(m),
-			Logger:             cfg.Logger,
+			EngineConfig:   cfg.member(m, owned[m]),
+			PushQueueDepth: cfg.PushQueueDepth,
+			ReadTimeout:    cfg.ReadTimeout,
+			WriteTimeout:   cfg.WriteTimeout,
+			Redirect:       p.redirectFor(m),
+			Logger:         cfg.Logger,
 		})
 		if err != nil {
 			_ = p.Close()
@@ -177,13 +129,9 @@ func Listen(cfg PlaneConfig) (*Plane, error) {
 // address.
 func (p *Plane) redirectFor(m int) func(userID int, rates []float64) (string, bool) {
 	return func(userID int, rates []float64) (string, bool) {
-		best := bestExtender(rates)
-		if best < 0 || best >= len(p.ownerOf) {
-			return "", false // let the engine produce the rejection
-		}
-		owner := p.ownerOf[best]
-		if owner == m {
-			return "", false
+		owner := OwnerForRates(p.ownerOf, rates)
+		if owner < 0 || owner == m {
+			return "", false // unreachable users get the engine's rejection
 		}
 		p.mu.Lock()
 		addr := p.addrs[owner]
@@ -224,36 +172,21 @@ func (p *Plane) Owner(extender int) int {
 // each process's snapshot.
 func (p *Plane) Stats() Stats {
 	p.mu.Lock()
-	servers := make(map[int]*control.Server, len(p.servers))
-	for m, s := range p.servers {
-		servers[m] = s
+	var servers []*control.Server
+	for _, m := range p.members {
+		if srv := p.servers[m]; srv != nil {
+			servers = append(servers, srv)
+		}
 	}
 	redirects := p.redirects
 	p.mu.Unlock()
 
-	st := Stats{
-		Shards:     p.cfg.Shards,
-		Redirects:  redirects,
-		Assignment: make(map[int]int),
+	var snaps []control.Stats
+	for _, srv := range servers {
+		snaps = append(snaps, srv.StatsSnapshot())
 	}
-	members := make([]int, 0, len(servers))
-	for m := range servers {
-		members = append(members, m)
-	}
-	sort.Ints(members)
-	for _, m := range members {
-		es := servers[m].StatsSnapshot()
-		st.Users += es.Users
-		st.Joins += es.Joins
-		st.Leaves += es.Leaves
-		st.Reassociations += es.Reassociations
-		st.DroppedReassigns += es.DroppedReassigns
-		st.DroppedPushes += es.DroppedPushes
-		for id, ext := range es.Assignment {
-			st.Assignment[id] = ext
-		}
-		st.PerShard = append(st.PerShard, es)
-	}
+	st := MergeStats(p.cfg.Shards, snaps)
+	st.Redirects = redirects
 	return st
 }
 

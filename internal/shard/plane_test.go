@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,13 +15,17 @@ import (
 func TestPlaneRedirect(t *testing.T) {
 	const numExt = 16
 	p, err := Listen(PlaneConfig{
-		Addr:      "127.0.0.1:0",
-		Member:    -1,
-		Shards:    2,
-		PLCCaps:   testCaps(numExt),
-		Policy:    control.PolicyWOLT,
-		ModelOpts: model.Options{Redistribute: true},
-		Seed:      77,
+		Addr:   "127.0.0.1:0",
+		Member: -1,
+		Config: Config{
+			Shards: 2,
+			EngineConfig: control.EngineConfig{
+				PLCCaps:   testCaps(numExt),
+				Policy:    control.PolicyWOLT,
+				ModelOpts: model.Options{Redistribute: true},
+				Seed:      77,
+			},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,20 +92,78 @@ func TestPlaneRedirect(t *testing.T) {
 
 // TestPlaneValidation covers the config error paths.
 func TestPlaneValidation(t *testing.T) {
-	if _, err := Listen(PlaneConfig{Addr: "127.0.0.1:0", Shards: 0, PLCCaps: testCaps(4), Member: -1}); err == nil {
-		t.Error("zero shards: want error")
+	template := func(shards int, caps []float64, owned ...int) Config {
+		return Config{Shards: shards, EngineConfig: control.EngineConfig{PLCCaps: caps, Owned: owned}}
 	}
-	if _, err := Listen(PlaneConfig{Addr: "127.0.0.1:0", Shards: 2, Member: -1}); err == nil {
-		t.Error("no capacities: want error")
+	for name, cfg := range map[string]PlaneConfig{
+		"zero shards":               {Config: template(0, testCaps(4)), Addr: "127.0.0.1:0", Member: -1},
+		"no capacities":             {Config: template(2, nil), Addr: "127.0.0.1:0", Member: -1},
+		"member out of range":       {Config: template(2, testCaps(4)), Addr: "127.0.0.1:0", Member: 5},
+		"member mode without peers": {Config: template(2, testCaps(4)), Addr: "127.0.0.1:0", Member: 0},
+		"unparseable address":       {Config: template(1, testCaps(4)), Addr: "nonsense", Member: -1},
+		"template sets Owned":       {Config: template(2, testCaps(4), 0), Addr: "127.0.0.1:0", Member: -1},
+	} {
+		if _, err := Listen(cfg); err == nil {
+			t.Errorf("%s: want error", name)
+		}
 	}
-	if _, err := Listen(PlaneConfig{Addr: "127.0.0.1:0", Shards: 2, Member: 5, PLCCaps: testCaps(4)}); err == nil {
-		t.Error("member out of range: want error")
-	}
-	if _, err := Listen(PlaneConfig{Addr: "127.0.0.1:0", Shards: 2, Member: 0, PLCCaps: testCaps(4)}); err == nil {
-		t.Error("member mode without peers: want error")
-	}
-	if _, err := Listen(PlaneConfig{Addr: "nonsense", Shards: 1, Member: -1, PLCCaps: testCaps(4)}); err == nil {
-		t.Error("unparseable address: want error")
+}
+
+// TestTransportsDeriveSameMembers pins that both transports build their
+// members from one Config the same way. Ownership: the coordinator, the
+// TCP plane and a client's OwnerMapFor agree on every extender. Member
+// engines: under the seed-sensitive random policy, the same joins in the
+// same order end in the same assignment in process and over TCP, which
+// holds only if both derive each member's seed identically.
+func TestTransportsDeriveSameMembers(t *testing.T) {
+	const (
+		numExt = 12
+		users  = 24
+	)
+	for _, tc := range []struct {
+		seed   int64
+		shards int
+	}{{77, 2}, {5, 3}, {1234, 4}} {
+		cfg := Config{Shards: tc.shards, EngineConfig: control.EngineConfig{
+			PLCCaps: testCaps(numExt),
+			Policy:  "random",
+			Seed:    tc.seed,
+		}}
+		coord, err := NewCoordinator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Listen(PlaneConfig{Config: cfg, Addr: "127.0.0.1:0", Member: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = p.Close() })
+		owners := OwnerMapFor(tc.seed, tc.shards, 0, numExt)
+		for j := 0; j < numExt; j++ {
+			if c, l := coord.Owner(j), p.Owner(j); c != owners[j] || l != owners[j] {
+				t.Errorf("seed %d, %d shards: extender %d owned by member %d (coordinator), %d (plane), %d (OwnerMapFor)",
+					tc.seed, tc.shards, j, c, l, owners[j])
+			}
+		}
+
+		for i := 0; i < users; i++ {
+			rates := testRates(tc.seed, i, numExt)
+			if _, err := coord.Join(i, rates, nil); err != nil {
+				t.Fatal(err)
+			}
+			a, err := control.Dial(p.Addrs()[OwnerForRates(owners, rates)], i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = a.Close() })
+			if _, err := a.Join(rates, nil, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := p.Stats().Assignment, coord.StatsWithAssignment().Assignment
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("seed %d, %d shards: plane assignment %v, coordinator %v", tc.seed, tc.shards, got, want)
+		}
 	}
 }
 
@@ -108,12 +171,16 @@ func TestPlaneValidation(t *testing.T) {
 // member owns everything and no join is ever redirected.
 func TestPlaneSingleShardIsGlobal(t *testing.T) {
 	p, err := Listen(PlaneConfig{
-		Addr:      "127.0.0.1:0",
-		Member:    -1,
-		Shards:    1,
-		PLCCaps:   testCaps(4),
-		ModelOpts: model.Options{Redistribute: true},
-		Seed:      3,
+		Addr:   "127.0.0.1:0",
+		Member: -1,
+		Config: Config{
+			Shards: 1,
+			EngineConfig: control.EngineConfig{
+				PLCCaps:   testCaps(4),
+				ModelOpts: model.Options{Redistribute: true},
+				Seed:      3,
+			},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,21 +5,27 @@
 // A deterministic consistent-hash ring (seeded via internal/seed, with
 // virtual nodes) assigns every extender to exactly one shard member.
 // Each member runs a transport-free control.Engine restricted to its
-// owned extenders; a user is routed to the member owning its best-rate
-// extender. Two composition layers are provided:
+// owned extenders. Both compositions below are configured by one Config
+// whose embedded control.EngineConfig is the member template (member m
+// runs it over its owned extenders with seed.Derive(Seed, ShardEngine,
+// m)), and both route by one rule, OwnerForRates: a user belongs to the
+// member owning its best-rate extender.
 //
 //   - Coordinator: N in-process engines behind one API, with cross-shard
 //     handoffs on scan updates and rebalancing when a shard joins or
 //     leaves. Used by the "shard" experiment and the integration tests.
 //   - Plane: N TCP control.Servers (one process or one member per
-//     process) that bounce mis-routed joins to the owning member with
-//     typed MsgRedirect messages, which control.Agent follows.
+//     process; PlaneConfig adds the listen addresses and socket knobs)
+//     that bounce mis-routed joins to the owning member with typed
+//     MsgRedirect messages, which control.Agent follows. MergeStats
+//     folds the members' snapshots into one view, for the Plane and for
+//     clients probing members over the wire.
 //
 // Determinism: ring positions and extender keys are pure functions of
 // (seed, member, vnode) and (seed, extender) through internal/seed, so
 // every process that shares a seed computes the identical extender→shard
-// map — the property that lets shard members route without talking to
-// each other.
+// map (OwnerMapFor) — the property that lets shard members and clients
+// route without talking to each other.
 package shard
 
 import (
@@ -128,30 +134,38 @@ func (r *Ring) OwnerMap(numExtenders int) []int {
 	return owners
 }
 
-// OwnerMapFor recomputes the deterministic extender→member map Listen
-// derives from (seed, shards, virtualNodes): any process sharing those
-// three values routes identically without asking the plane. Clients use
-// it to dial the owning member directly and skip the redirect hop.
-func OwnerMapFor(seed int64, shards, virtualNodes, numExtenders int) []int {
-	ring := NewRing(seed, virtualNodes)
+// newRing builds the ring holding members 0..shards-1: the one
+// construction NewCoordinator, Listen and OwnerMapFor share.
+func newRing(base int64, shards, virtualNodes int) *Ring {
+	r := NewRing(base, virtualNodes)
 	for m := 0; m < shards; m++ {
-		ring.Add(m)
+		r.Add(m)
 	}
-	return ring.OwnerMap(numExtenders)
+	return r
 }
 
-// BestExtender returns the index of the highest positive rate (ties go
-// to the lowest extender ID), or -1 when the user reaches nothing. This
-// is the plane's routing key: a user belongs to the shard owning its
-// best-rate extender.
-func BestExtender(rates []float64) int {
-	return bestExtender(rates)
+// OwnerMapFor recomputes the deterministic extender→member map both
+// transports derive from (seed, shards, virtualNodes): any process
+// sharing those three values routes identically without asking the
+// plane. Clients use it with OwnerForRates to dial the owning member
+// directly and skip the redirect hop.
+func OwnerMapFor(seed int64, shards, virtualNodes, numExtenders int) []int {
+	return newRing(seed, shards, virtualNodes).OwnerMap(numExtenders)
+}
+
+// OwnerForRates is the routing rule: a scan report belongs to the
+// member owning the user's best-rate extender. It returns -1 when the
+// user reaches nothing (or its best extender is outside ownerOf).
+func OwnerForRates(ownerOf []int, rates []float64) int {
+	best := bestExtender(rates)
+	if best < 0 || best >= len(ownerOf) {
+		return -1
+	}
+	return ownerOf[best]
 }
 
 // bestExtender returns the index of the highest positive rate (ties go
-// to the lowest extender ID), or -1 when the user reaches nothing. This
-// is the routing key: a user belongs to the shard owning its best-rate
-// extender.
+// to the lowest extender ID), or -1 when the user reaches nothing.
 func bestExtender(rates []float64) int {
 	best, bestRate := -1, 0.0
 	for j, r := range rates {

@@ -97,7 +97,10 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 }
 
+// TestBestExtender pins the routing key through the routing rule: over
+// an identity owner map, OwnerForRates names the best-rate extender.
 func TestBestExtender(t *testing.T) {
+	identity := []int{0, 1, 2}
 	cases := []struct {
 		rates []float64
 		want  int
@@ -108,8 +111,24 @@ func TestBestExtender(t *testing.T) {
 		{nil, -1},
 	}
 	for _, c := range cases {
-		if got := bestExtender(c.rates); got != c.want {
-			t.Errorf("bestExtender(%v) = %d, want %d", c.rates, got, c.want)
+		if got := OwnerForRates(identity, c.rates); got != c.want {
+			t.Errorf("OwnerForRates(identity, %v) = %d, want %d", c.rates, got, c.want)
+		}
+	}
+}
+
+// TestCoordinatorValidation covers the config error paths NewCoordinator
+// shares with Listen.
+func TestCoordinatorValidation(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"zero shards":   {Shards: 0, EngineConfig: control.EngineConfig{PLCCaps: testCaps(4)}},
+		"no capacities": {Shards: 2},
+		"template sets Owned": {Shards: 2, EngineConfig: control.EngineConfig{
+			PLCCaps: testCaps(4), Owned: []int{0, 1},
+		}},
+	} {
+		if _, err := NewCoordinator(cfg); err == nil {
+			t.Errorf("%s: want error", name)
 		}
 	}
 }
@@ -119,11 +138,13 @@ func TestBestExtender(t *testing.T) {
 func newTestCoordinator(t *testing.T, shards, numExt int, sd int64) *Coordinator {
 	t.Helper()
 	c, err := NewCoordinator(Config{
-		Shards:    shards,
-		PLCCaps:   testCaps(numExt),
-		Policy:    control.PolicyWOLT,
-		ModelOpts: model.Options{Redistribute: true},
-		Seed:      sd,
+		Shards: shards,
+		EngineConfig: control.EngineConfig{
+			PLCCaps:   testCaps(numExt),
+			Policy:    control.PolicyWOLT,
+			ModelOpts: model.Options{Redistribute: true},
+			Seed:      sd,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -324,12 +345,14 @@ func TestCoordinatorDeterministicAcrossWorkers(t *testing.T) {
 	)
 	run := func(workers int) map[int]int {
 		c, err := NewCoordinator(Config{
-			Shards:    4,
-			PLCCaps:   testCaps(numExt),
-			Policy:    control.PolicyWOLT,
-			ModelOpts: model.Options{Redistribute: true},
-			Workers:   workers,
-			Seed:      sd,
+			Shards: 4,
+			EngineConfig: control.EngineConfig{
+				PLCCaps:   testCaps(numExt),
+				Policy:    control.PolicyWOLT,
+				ModelOpts: model.Options{Redistribute: true},
+				Workers:   workers,
+				Seed:      sd,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -353,13 +376,15 @@ func TestCoordinatorDeterministicAcrossWorkers(t *testing.T) {
 // members' DroppedReassigns.
 func TestCoordinatorReassignOnLeave(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Shards:          2,
-		PLCCaps:         testCaps(8),
-		Policy:          "wolt-hillclimb",
-		ModelOpts:       model.Options{Redistribute: true},
-		Seed:            11,
-		Budget:          strategy.Budget{Probes: 500},
-		ReassignOnLeave: true,
+		Shards: 2,
+		EngineConfig: control.EngineConfig{
+			PLCCaps:         testCaps(8),
+			Policy:          "wolt-hillclimb",
+			ModelOpts:       model.Options{Redistribute: true},
+			Seed:            11,
+			Budget:          strategy.Budget{Probes: 500},
+			ReassignOnLeave: true,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

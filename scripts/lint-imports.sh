@@ -145,17 +145,19 @@ if [ -n "$bad" ]; then
 fi
 # Removed names stay removed. The binary wire codec is the only agent↔CC
 # encoding (the JSON fallback, its codec knobs and the tcp-json city
-# plane are gone), policies are plain strategy-registry strings, and the
-# proportional-fair variant is core.Assign with model.ProportionalFairness.
+# plane are gone), policies are plain strategy-registry strings, the
+# proportional-fair variant is core.Assign with model.ProportionalFairness,
+# and shard routing has one exported rule (shard.OwnerForRates; the
+# BestExtender duplicate and the unused Coordinator.NumShards are gone).
 # Test files are covered too; the one exemption is the experiments test
 # that pins the refusal of the retired "tcp-json" plane name.
-bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair' \
+bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(' \
 	--include='*.go' . \
 	| grep -v '^\./internal/experiments/experiments_test\.go:.*"tcp-json"' || true)
 if [ -n "$bad" ]; then
 	echo "import lint: removed identifier reintroduced:" >&2
 	echo "$bad" >&2
-	echo "the wire codec is binary-only, policies are registry strings, and wolt-pf/model.ProportionalFairness replace the fair aliases" >&2
+	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule" >&2
 	exit 1
 fi
 echo "import lint: clean"

@@ -98,8 +98,10 @@ func TestFacadeTopologyAndInstance(t *testing.T) {
 
 func TestFacadeControlPlane(t *testing.T) {
 	cc, err := wolt.NewController("127.0.0.1:0", wolt.ControllerConfig{
-		PLCCaps: []float64{60, 20},
-		Policy:  wolt.ControllerWOLT,
+		EngineConfig: wolt.EngineConfig{
+			PLCCaps: []float64{60, 20},
+			Policy:  wolt.ControllerWOLT,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
