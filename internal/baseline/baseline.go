@@ -123,14 +123,12 @@ func (ad *Adder) ResetStats() { ad.delta.Evals, ad.delta.Probes = 0, 0 }
 // single-move probes performed since the last ResetStats.
 func (ad *Adder) Stats() (evals, probes int) { return ad.delta.Evals, ad.delta.Probes }
 
-// ensure attaches the delta evaluator to (n, assign, opts), skipping the
-// rebuild when the committed state already matches — bit-identical
-// either way, by the DeltaEval contract.
+// ensure syncs the delta evaluator to (n, assign, opts), skipping the
+// rebuild when the committed state already matches or can replay the
+// network's row edits — bit-identical either way, by the DeltaEval
+// contract.
 func (ad *Adder) ensure(n *model.Network, assign model.Assignment, opts model.Options) error {
-	if ad.delta.Matches(n, assign, opts) {
-		return nil
-	}
-	return ad.delta.Attach(n, assign, opts)
+	return ad.delta.Sync(n, assign, opts)
 }
 
 // GreedyAdd places a single user into an existing partial assignment on

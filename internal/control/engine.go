@@ -3,6 +3,7 @@ package control
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -86,12 +87,18 @@ type EngineConfig struct {
 //
 // The user table is a flat, ID-sorted row slice with pooled per-row
 // buffers rather than a map of heap nodes: a departed user's rate
-// vectors park at the slice tail and the next arrival reuses them, and
-// the recompute path replays the table into a persistent model.Network
-// scratch instead of rebuilding slices. The steady-state per-event path
-// (join, update, leave under an anytime policy) performs O(1)
-// allocations regardless of table size — the discipline the million-user
-// city harness depends on (DESIGN.md §12).
+// vectors park at the slice tail and the next arrival reuses them. The
+// model.Network the strategy sees and the working assignment are kept
+// in lockstep with the table: a join, leave or update is one logged row
+// edit (Network.InsertRow, RemoveRow, SetRow) plus the matching edit of
+// the assignment, and a failed operation makes the inverse edit. The
+// strategy's evaluator and candidate cache replay those edits instead
+// of rebuilding, so a placement-only join costs its placement, and only
+// a Reassign, which may move anyone, pays a scan of the table to emit
+// its directives. The steady-state per-event path (join, update, leave
+// under an anytime policy) performs O(1) allocations regardless of
+// table size — the discipline the million-user city harness depends on
+// (DESIGN.md §12).
 //
 // All methods are safe for concurrent use; each operation runs under the
 // engine's lock (strategy instances are not safe for concurrent solves).
@@ -99,14 +106,12 @@ type Engine struct {
 	cfg    EngineConfig
 	policy string
 	// owned lists the global extender IDs this engine may assign, in
-	// increasing order; localOf inverts it. identity is true when the
-	// engine owns every extender in order (the common single-CC case),
-	// which lets recompute point the network rows at per-user rate
+	// increasing order: local extender l is global owned[l]. identity is
+	// true when the engine owns every extender in order (the common
+	// single-CC case), which lets the network rows alias per-user rate
 	// slices without projection.
-	owned     []int
-	localOf   map[int]int
-	ownedCaps []float64
-	identity  bool
+	owned    []int
+	identity bool
 	// strategy is the policy instance (nil for PolicyRSSI, which places
 	// users by their reported signal instead). Only used under mu.
 	strategy strategy.Strategy
@@ -127,9 +132,11 @@ type Engine struct {
 	// a misconfigured policy cannot hide behind successful leaves.
 	droppedReassigns int
 
-	// recompute scratch, reused across operations: the network the
-	// strategy sees (rows aliased, generation bumped per recompute) and
-	// the working assignment in local extender indices.
+	// net and assign are the member's view the strategy works on, row
+	// for row in lockstep with rows: net's rows alias the table's rate
+	// buffers (owned-width projections for shard members) and assign
+	// holds each row's local extender index. Every table edit is the
+	// matching logged row edit of net.
 	net    model.Network
 	assign model.Assignment
 	// prevRates/prevRSSI snapshot a row's report across Update so a
@@ -201,11 +208,15 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if err := e.resolveOwned(cfg.Owned); err != nil {
 		return nil, err
 	}
+	e.net.PLCCaps = make([]float64, len(e.owned))
+	for l, g := range e.owned {
+		e.net.PLCCaps[l] = cfg.PLCCaps[g]
+	}
 	return e, nil
 }
 
 // resolveOwned normalizes the owned-extender subset (sorted, unique,
-// in range) and precomputes the local projection tables.
+// in range).
 func (e *Engine) resolveOwned(owned []int) error {
 	numExt := len(e.cfg.PLCCaps)
 	if len(owned) == 0 {
@@ -217,17 +228,13 @@ func (e *Engine) resolveOwned(owned []int) error {
 		e.owned = append([]int(nil), owned...)
 		sort.Ints(e.owned)
 	}
-	e.localOf = make(map[int]int, len(e.owned))
-	e.ownedCaps = make([]float64, len(e.owned))
 	for l, g := range e.owned {
 		if g < 0 || g >= numExt {
 			return fmt.Errorf("control: owned extender %d out of range [0,%d)", g, numExt)
 		}
-		if _, dup := e.localOf[g]; dup {
+		if l > 0 && e.owned[l-1] == g {
 			return fmt.Errorf("control: extender %d owned twice", g)
 		}
-		e.localOf[g] = l
-		e.ownedCaps[l] = e.cfg.PLCCaps[g]
 	}
 	e.identity = len(e.owned) == numExt
 	return nil
@@ -279,6 +286,16 @@ func (e *Engine) setReport(r *userRow, rates, rssi []float64) {
 	e.project(r)
 }
 
+// netRow is the rate vector the network row of r aliases: the global
+// vector itself for identity engines, the owned-width projection
+// otherwise.
+func (e *Engine) netRow(r *userRow) []float64 {
+	if e.identity {
+		return r.rates
+	}
+	return r.local
+}
+
 // project refreshes a row's owned-width rate projection (no-op for
 // identity engines, whose network rows alias the global vector).
 func (e *Engine) project(r *userRow) {
@@ -295,8 +312,10 @@ func (e *Engine) project(r *userRow) {
 }
 
 // insertRow opens the sorted slot pos for a new user, reusing the pooled
-// buffers parked at the slice tail by earlier departures.
-func (e *Engine) insertRow(pos, userID int) *userRow {
+// buffers parked at the slice tail by earlier departures, and stores its
+// scan report. The network and the assignment gain the matching row,
+// unassigned.
+func (e *Engine) insertRow(pos, userID int, rates, rssi []float64) {
 	n := len(e.rows)
 	if cap(e.rows) > n {
 		e.rows = e.rows[:n+1]
@@ -308,17 +327,31 @@ func (e *Engine) insertRow(pos, userID int) *userRow {
 	spare.id = userID
 	spare.extender = model.Unassigned
 	e.rows[pos] = spare
-	return &e.rows[pos]
+	r := &e.rows[pos]
+	e.setReport(r, rates, rssi)
+	e.net.InsertRow(pos, e.netRow(r))
+	e.assign = slices.Insert(e.assign, pos, model.Unassigned)
 }
 
 // removeRow closes the slot pos, parking its buffers at the tail for the
-// next arrival to reuse.
+// next arrival to reuse, and drops the matching network and assignment
+// row.
 func (e *Engine) removeRow(pos int) {
 	n := len(e.rows)
 	spare := e.rows[pos]
 	copy(e.rows[pos:n-1], e.rows[pos+1:n])
 	e.rows[n-1] = spare
 	e.rows = e.rows[:n-1]
+	e.net.RemoveRow(pos)
+	e.assign = slices.Delete(e.assign, pos, pos+1)
+}
+
+// setRow stores a fresh scan report in row pos and logs it as the
+// network's row edit.
+func (e *Engine) setRow(pos int, rates, rssi []float64) {
+	r := &e.rows[pos]
+	e.setReport(r, rates, rssi)
+	e.net.SetRow(pos, e.netRow(r))
 }
 
 // Join admits a user with its scan report, runs the policy and returns
@@ -334,14 +367,13 @@ func (e *Engine) Join(userID int, rates, rssi []float64) ([]Directive, error) {
 	if present {
 		return nil, fmt.Errorf("user %d already joined", userID)
 	}
-	r := e.insertRow(pos, userID)
-	e.setReport(r, rates, rssi)
+	e.insertRow(pos, userID, rates, rssi)
 	e.joins++
 	// Placement-only joins skip the full re-solve unless this is a
 	// scheduled periodic repair (FullResolveEvery counts joins from 1).
 	placementOnly := e.placementJoins &&
 		!(e.cfg.FullResolveEvery > 0 && e.joins%e.cfg.FullResolveEvery == 0)
-	dirs, err := e.recomputeLocked(pos, placementOnly)
+	dirs, err := e.solveLocked(pos, placementOnly)
 	if err != nil {
 		e.removeRow(pos)
 		e.joins--
@@ -356,9 +388,17 @@ func (e *Engine) Join(userID int, rates, rssi []float64) ([]Directive, error) {
 // strategies (greedy, selfish, random) never reassign — the refreshed
 // report only affects placements of future arrivals.
 //
+// A report that no longer reaches the user's current extender (the user
+// roamed out of its cell) unassigns the user before the policy runs: a
+// reassigning policy's free placement pass re-places it, and an
+// arrival-only policy places just that user through its online form.
+// Either way the user gets a reassociation directive to an extender its
+// new scan reaches.
+//
 // Update is atomic: when the policy's re-solve fails, the prior scan
-// report is restored, so the engine never holds fresh rates with a stale
-// assignment (the failure mode Join already rolled back cleanly).
+// report and assignment are restored, so the engine never holds fresh
+// rates with a stale assignment (the failure mode Join already rolled
+// back cleanly).
 func (e *Engine) Update(userID int, rates, rssi []float64) ([]Directive, error) {
 	if err := e.validateScan(userID, rates, rssi); err != nil {
 		return nil, err
@@ -369,8 +409,12 @@ func (e *Engine) Update(userID int, rates, rssi []float64) ([]Directive, error) 
 	if !present {
 		return nil, fmt.Errorf("user %d not joined", userID)
 	}
-	r := &e.rows[pos]
-	recompute := false
+	prev := e.assign[pos]
+	// The roaming check reads the report before any policy edit: a
+	// user on an extender the new scan does not reach must be re-placed
+	// whatever the policy.
+	roamed := prev != model.Unassigned && rates[e.owned[prev]] <= 0
+	recompute := roamed
 	if e.policy == PolicyRSSI {
 		// Client roaming: re-place just the reporting user.
 		recompute = true
@@ -379,15 +423,20 @@ func (e *Engine) Update(userID int, rates, rssi []float64) ([]Directive, error) 
 		recompute = true
 	}
 	if !recompute {
-		e.setReport(r, rates, rssi)
+		e.setRow(pos, rates, rssi)
 		return nil, nil
 	}
+	r := &e.rows[pos]
 	e.prevRates = append(e.prevRates[:0], r.rates...)
 	e.prevRSSI = append(e.prevRSSI[:0], r.rssi...)
-	e.setReport(r, rates, rssi)
-	dirs, err := e.recomputeLocked(pos, false)
+	e.setRow(pos, rates, rssi)
+	if roamed {
+		e.assign[pos] = model.Unassigned
+	}
+	dirs, err := e.solveLocked(pos, false)
 	if err != nil {
-		e.setReport(r, e.prevRates, e.prevRSSI)
+		e.setRow(pos, e.prevRates, e.prevRSSI)
+		e.assign[pos] = prev
 		return nil, err
 	}
 	return dirs, nil
@@ -413,10 +462,9 @@ func (e *Engine) Leave(userID int) ([]Directive, bool) {
 	e.leaves++
 	if e.cfg.ReassignOnLeave && len(e.rows) > 0 {
 		if _, ok := e.strategy.(strategy.Reassigner); ok {
-			// recomputeLocked tolerates the no-new-user form (-1) only
-			// on the Reassigner path, which never dereferences the new
-			// row.
-			dirs, err := e.recomputeLocked(-1, false)
+			// solveLocked tolerates the no-new-user form (-1) only on
+			// the Reassigner path, which never dereferences the row.
+			dirs, err := e.solveLocked(-1, false)
 			if err == nil {
 				return dirs, true
 			}
@@ -475,75 +523,73 @@ func (e *Engine) StatsLite() Stats {
 	}
 }
 
-// recomputeLocked runs the policy after the user at row newRow joined or
+// solveLocked runs the policy after the user at row row joined or
 // reported fresh rates, updates the user table and returns the resulting
-// directives. newRow may be -1 (a departure under ReassignOnLeave) only
-// when the policy is a Reassigner, which never dereferences the new row.
+// directives. row may be -1 (a departure under ReassignOnLeave) only
+// when the policy is a Reassigner, which never dereferences the row.
 // placementOnly asks applyStrategy for the online placement form instead
 // of the full re-solve when the policy has one (join path under
-// PlacementOnlyJoins). Callers hold e.mu.
+// PlacementOnlyJoins). Callers hold e.mu and have already made the
+// operation's row edit, so net and assign are current.
 //
-// The network the strategy sees is persistent scratch: its rows alias
-// the user table's pooled rate vectors and its generation is bumped per
-// recompute, so delta evaluators and candidate caches re-attach instead
-// of trusting stale state (DESIGN.md §10). Steady state this path
-// allocates only the returned directive slice.
-func (e *Engine) recomputeLocked(newRow int, placementOnly bool) ([]Directive, error) {
-	n := len(e.rows)
-	e.assign = growAssign(e.assign, n)
-
+// A placement changes only row row, so it emits at most that row's
+// directive; only a Reassign, which may move anyone, scans the table.
+// Steady state this path allocates only the returned directive slice.
+func (e *Engine) solveLocked(row int, placementOnly bool) ([]Directive, error) {
 	if e.policy == PolicyRSSI {
 		// Signal-strength placement touches only the reporting user; no
-		// network build, no strategy call.
-		for i := range e.rows {
-			e.assign[i] = e.localIndex(e.rows[i].extender)
-		}
-		u := &e.rows[newRow]
-		best, bestSig := model.Unassigned, -1e18
-		for l, g := range e.owned {
-			r := u.rates[g]
-			if r <= 0 {
-				continue
-			}
-			sig := r
-			if len(u.rssi) == len(u.rates) {
-				sig = u.rssi[g]
-			}
-			if sig > bestSig {
-				best, bestSig = l, sig
-			}
-		}
-		e.assign[newRow] = best
-		return e.emitLocked(e.assign), nil
+		// strategy call.
+		e.assign[row] = e.strongest(&e.rows[row])
+		return e.emitRow(row), nil
 	}
-
-	if cap(e.net.WiFiRates) < n {
-		e.net.WiFiRates = make([][]float64, n, 2*n)
-	}
-	e.net.WiFiRates = e.net.WiFiRates[:n]
-	e.net.PLCCaps = e.ownedCaps
-	for i := range e.rows {
-		r := &e.rows[i]
-		if e.identity {
-			e.net.WiFiRates[i] = r.rates
-		} else {
-			e.net.WiFiRates[i] = r.local
-		}
-		e.assign[i] = e.localIndex(r.extender)
-	}
-	e.net.Invalidate()
-
-	assign, err := e.applyStrategy(&e.net, e.assign, newRow, placementOnly)
+	assign, err := e.applyStrategy(row, placementOnly)
 	if err != nil {
 		return nil, err
 	}
-	return e.emitLocked(assign), nil
+	if assign == nil {
+		return e.emitRow(row), nil
+	}
+	return e.emitAll(assign), nil
 }
 
-// emitLocked folds a solved assignment (local extender indices, row
-// order) back into the user table and returns the changed users'
-// directives — exactly one allocation, sized to the change set.
-func (e *Engine) emitLocked(assign model.Assignment) []Directive {
+// strongest returns the local index of the owned extender with the
+// strongest reported signal (the rate when no RSSI was reported) that
+// the user reaches.
+func (e *Engine) strongest(u *userRow) int {
+	best, bestSig := model.Unassigned, -1e18
+	for l, g := range e.owned {
+		r := u.rates[g]
+		if r <= 0 {
+			continue
+		}
+		sig := r
+		if len(u.rssi) == len(u.rates) {
+			sig = u.rssi[g]
+		}
+		if sig > bestSig {
+			best, bestSig = l, sig
+		}
+	}
+	return best
+}
+
+// emitRow folds row i of the working assignment into the user table
+// and returns its directive, if the row changed.
+func (e *Engine) emitRow(i int) []Directive {
+	r := &e.rows[i]
+	globalExt := e.globalOf(e.assign[i])
+	if globalExt == r.extender {
+		return nil
+	}
+	return []Directive{e.direct(r, globalExt)}
+}
+
+// emitAll adopts a solved assignment (local extender indices, row
+// order) as the working one, folds it into the user table and returns
+// the changed users' directives — exactly one allocation, sized to the
+// change set.
+func (e *Engine) emitAll(assign model.Assignment) []Directive {
+	copy(e.assign, assign)
 	changed := 0
 	for i := range e.rows {
 		if e.globalOf(assign[i]) != e.rows[i].extender {
@@ -556,18 +602,21 @@ func (e *Engine) emitLocked(assign model.Assignment) []Directive {
 	dirs := make([]Directive, 0, changed)
 	for i := range e.rows {
 		r := &e.rows[i]
-		globalExt := e.globalOf(assign[i])
-		if globalExt == r.extender {
-			continue
+		if globalExt := e.globalOf(assign[i]); globalExt != r.extender {
+			dirs = append(dirs, e.direct(r, globalExt))
 		}
-		reassoc := r.extender != model.Unassigned
-		r.extender = globalExt
-		if reassoc {
-			e.reassociations++
-		}
-		dirs = append(dirs, Directive{UserID: r.id, Extender: globalExt, Reassociation: reassoc})
 	}
 	return dirs
+}
+
+// direct records row r's move to globalExt and returns its directive.
+func (e *Engine) direct(r *userRow, globalExt int) Directive {
+	reassoc := r.extender != model.Unassigned
+	r.extender = globalExt
+	if reassoc {
+		e.reassociations++
+	}
+	return Directive{UserID: r.id, Extender: globalExt, Reassociation: reassoc}
 }
 
 // globalOf maps a local extender index to its global ID
@@ -579,28 +628,7 @@ func (e *Engine) globalOf(local int) int {
 	return e.owned[local]
 }
 
-// localIndex maps a global extender ID to this engine's local index
-// (model.Unassigned passes through).
-func (e *Engine) localIndex(globalExt int) int {
-	if globalExt == model.Unassigned {
-		return model.Unassigned
-	}
-	l, ok := e.localOf[globalExt]
-	if !ok {
-		return model.Unassigned
-	}
-	return l
-}
-
-// growAssign resizes an assignment scratch slice, preserving capacity.
-func growAssign(a model.Assignment, n int) model.Assignment {
-	if cap(a) < n {
-		return make(model.Assignment, n, 2*n)
-	}
-	return a[:n]
-}
-
-// applyStrategy runs the configured strategy after newRow joined (or
+// applyStrategy runs the configured strategy after row joined (or
 // reported fresh rates): recomputing strategies may move anyone, online
 // strategies place just the new user, and offline-only strategies (the
 // exhaustive "optimal") are rejected with a typed error wrapping
@@ -613,23 +641,20 @@ func growAssign(a model.Assignment, n int) model.Assignment {
 // placement repair honours the §11 anytime contract — it is exactly what
 // Budget.Moves < 0 buys on the solver side, surfaced here as the join
 // fast path.
-func (e *Engine) applyStrategy(n *model.Network, assign model.Assignment, newRow int, placementOnly bool) (model.Assignment, error) {
-	if placementOnly && newRow >= 0 {
-		if on, ok := e.strategy.(strategy.Online); ok {
-			if _, err := on.Add(n, assign, newRow); err != nil {
-				return nil, err
-			}
-			return assign, nil
-		}
-	}
-	if re, ok := e.strategy.(strategy.Reassigner); ok {
-		return re.Reassign(n, assign)
-	}
-	if on, ok := e.strategy.(strategy.Online); ok {
-		if _, err := on.Add(n, assign, newRow); err != nil {
+//
+// A placement edits e.assign in place and returns nil; a re-solve
+// returns the new assignment, leaving e.assign untouched.
+func (e *Engine) applyStrategy(row int, placementOnly bool) (model.Assignment, error) {
+	on, online := e.strategy.(strategy.Online)
+	re, reassigner := e.strategy.(strategy.Reassigner)
+	if online && row >= 0 && (placementOnly || !reassigner) {
+		if _, err := on.Add(&e.net, e.assign, row); err != nil {
 			return nil, err
 		}
-		return assign, nil
+		return nil, nil
+	}
+	if reassigner {
+		return re.Reassign(&e.net, e.assign)
 	}
 	return nil, fmt.Errorf("control: policy %q cannot place an arriving user: %w",
 		e.policy, strategy.ErrNoOnlineForm)

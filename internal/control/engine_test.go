@@ -2,6 +2,7 @@ package control
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -513,5 +514,49 @@ func BenchmarkEngineChurnEvent(b *testing.B) {
 		if _, err := e.Update(victim, rates[victim], nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEngineJoinLeaveScaling prices one leave + rejoin pair on a
+// shard-member engine (wolt-hillclimb, 4 of 8 extenders owned,
+// placement-only joins) at three table sizes. A join that costs its
+// placement stays near-flat across sizes; one that rebuilds the
+// member's view grows with the table.
+func BenchmarkEngineJoinLeaveScaling(b *testing.B) {
+	for _, n := range []int{250, 1000, 4000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			e, err := NewEngine(EngineConfig{
+				PLCCaps:            []float64{60, 20, 40, 30, 50, 25, 45, 35},
+				Owned:              []int{1, 3, 4, 6},
+				Policy:             "wolt-hillclimb",
+				ModelOpts:          model.Options{Redistribute: true},
+				PlacementOnlyJoins: true,
+				Seed:               7,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rates := make([][]float64, n)
+			for u := range rates {
+				rates[u] = make([]float64, 8)
+				for g := range rates[u] {
+					rates[u][g] = 5 + float64((u*7+g*13)%41)
+				}
+				if _, err := e.Join(u, rates[u], nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			victim := n / 2
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := e.Leave(victim); !ok {
+					b.Fatal("leave failed")
+				}
+				if _, err := e.Join(victim, rates[victim], nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

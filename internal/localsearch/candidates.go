@@ -17,14 +17,15 @@ import (
 // far below its best link drags the whole cell's harmonic mean down).
 //
 // The cache is keyed on the network's identity and mutation counter
-// (Network.Generation), and filled lazily: Ensure only sizes the
-// buffers and starts a new epoch when either (or M) changed, and For
-// fills a user's fixed-stride slot the first time it is asked for in
-// that epoch. A warm repair that visits a few dozen users therefore
-// pays for a few dozen rows, not for every user the network holds, and
-// a topology edit followed by Invalidate still refreshes every
-// neighborhood on its next use, mirroring the re-attach discipline of
-// model.DeltaEval.
+// (Network.Generation), and filled lazily: For fills a user's
+// fixed-stride slot the first time it is asked for in the current
+// epoch. Ensure catches up with logged row edits the way
+// model.DeltaEval.Sync does — slots shift on insert and remove, and an
+// inserted or set row's slot goes stale — and starts a new epoch, which
+// marks every slot stale, only for a wholesale change: another network
+// or M, an Invalidate, or a gap longer than the edit log. A warm repair
+// that visits a few dozen users therefore pays for a few dozen rows,
+// not for every user the network holds.
 type Candidates struct {
 	net *model.Network
 	gen uint64
@@ -48,14 +49,16 @@ type Candidates struct {
 
 // Ensure makes the cache current for network n with neighborhoods of
 // size m (m <= 0 or m >= NumExtenders means "all reachable extenders",
-// still rate-ordered). It is O(1) apart from growing buffers: when the
-// network identity, its generation, or m changed since the last call
-// it starts a new epoch, which marks every user's slot stale.
+// still rate-ordered). Logged row edits since the last call are
+// replayed slot by slot; any other change of the network identity, its
+// generation, or m starts a new epoch, which marks every user's slot
+// stale in O(1) apart from growing buffers.
 func (c *Candidates) Ensure(n *model.Network, m int) {
 	if m <= 0 || m > n.NumExtenders() {
 		m = n.NumExtenders()
 	}
-	if c.net == n && c.gen == n.Generation() && c.m == m {
+	if c.net == n && c.m == m && n.Replayable(c.gen) {
+		c.replay()
 		return
 	}
 	// Grown with append's headroom, so a population that gains one user
@@ -68,6 +71,31 @@ func (c *Candidates) Ensure(n *model.Network, m int) {
 	c.selRate = slices.Grow(c.selRate[:0], m)
 	c.epoch++
 	c.net, c.gen, c.m = n, n.Generation(), m
+}
+
+// replay applies the network's row edits since c.gen. A stamp of 0
+// predates every epoch, so it marks a slot stale.
+func (c *Candidates) replay() {
+	n, m := c.net, c.m
+	for g := c.gen + 1; g <= n.Generation(); g++ {
+		e := n.Edit(g)
+		switch e.Kind {
+		case model.EditInsert:
+			c.stamp = slices.Insert(c.stamp, e.Row, 0)
+			c.cnt = slices.Insert(c.cnt, e.Row, 0)
+			at := e.Row * m
+			c.flat = slices.Grow(c.flat, m)[:len(c.flat)+m]
+			copy(c.flat[at+m:], c.flat[at:])
+		case model.EditRemove:
+			c.stamp = slices.Delete(c.stamp, e.Row, e.Row+1)
+			c.cnt = slices.Delete(c.cnt, e.Row, e.Row+1)
+			at := e.Row * m
+			c.flat = slices.Delete(c.flat, at, at+m)
+		case model.EditSet:
+			c.stamp[e.Row] = 0
+		}
+	}
+	c.gen = n.Generation()
 }
 
 // For returns user i's candidate extenders, best rate first, filling

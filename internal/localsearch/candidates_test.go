@@ -115,6 +115,53 @@ func TestCandidatesLazyMatchesEager(t *testing.T) {
 	}
 }
 
+// TestCandidatesReplayMatchesFresh: after a batch of logged row edits
+// (inserts, removes and sets, some batches longer than the edit log,
+// some ending in Invalidate), the replayed cache answers For(i) exactly
+// as a fresh cache over the same network does, for every row, whether
+// or not the row's slot was filled before the edits.
+func TestCandidatesReplayMatchesFresh(t *testing.T) {
+	rng := seed.Rand(8, seed.LocalSearchFuzz, 0)
+	numExt := 6
+	n := tieNetwork(rng, numExt, 20)
+	row := func() []float64 { return tieNetwork(rng, numExt, 1).WiFiRates[0] }
+	var c Candidates
+	for step := 0; step < 200; step++ {
+		m := []int{0, 2, 3}[step/70]
+		c.Ensure(n, m)
+		// Fill a random subset, so edits land on filled and stale slots.
+		for q := 0; q < n.NumUsers()/2; q++ {
+			c.For(rng.Intn(n.NumUsers()))
+		}
+		batch := 1 + rng.Intn(5)
+		if rng.Intn(15) == 0 {
+			batch = 80
+		}
+		for b := 0; b < batch; b++ {
+			switch k := rng.Intn(3); {
+			case k == 0 || n.NumUsers() < 2:
+				n.InsertRow(rng.Intn(n.NumUsers()+1), row())
+			case k == 1:
+				n.RemoveRow(rng.Intn(n.NumUsers()))
+			default:
+				n.SetRow(rng.Intn(n.NumUsers()), row())
+			}
+		}
+		if rng.Intn(20) == 0 {
+			n.Invalidate()
+		}
+		c.Ensure(n, m)
+		var fresh Candidates
+		fresh.Ensure(n, m)
+		for i := 0; i < n.NumUsers(); i++ {
+			if got, want := c.For(i), fresh.For(i); !slices.Equal(got, want) {
+				t.Fatalf("step %d (m=%d): replayed For(%d) = %v, fresh %v (row %v)",
+					step, m, i, got, want, n.WiFiRates[i])
+			}
+		}
+	}
+}
+
 // TestSweepHeapMatchesSort: popping the sweep heap visits users in
 // exactly the order sort.Sort gives deficitOrder, for deficits full of
 // exact ties, +Inf (unassigned under α-fair) and −Inf (no candidate)

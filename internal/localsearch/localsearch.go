@@ -241,8 +241,8 @@ type Result struct {
 	// seeding pass and tentative k-opt chains.
 	Probes int
 	// Attaches counts full evaluator rebuilds: 1 when the search had to
-	// attach to (network, start), 0 when the Matches fast path reused
-	// the committed state of the previous search.
+	// attach to (network, start), 0 when Sync reused (or replayed row
+	// edits into) the committed state of the previous search.
 	Attaches int
 	// Commits counts Commit operations applied, including k-opt
 	// rollbacks (it measures evaluator work, not net moves).
@@ -474,13 +474,13 @@ func (s *Searcher) Search(ctx context.Context, n *model.Network, start model.Ass
 // searcher's evaluator — the online-arrival form behind the strategy
 // layer's Add. It returns the chosen extender, or model.Unassigned
 // when the user has no reachable candidate. Repeated Places against
-// the same evolving assignment hit the Matches fast path, so a stream
-// of arrivals costs O(M) probes each, not O(users) rebuilds.
+// the same evolving network and assignment catch the evaluator up with
+// model.DeltaEval.Sync (the arrival's row insert is one O(cell)
+// replay), so a stream of arrivals costs O(M) probes each, not
+// O(users) rebuilds.
 func (s *Searcher) Place(n *model.Network, assign model.Assignment, user int, opts Options) (int, error) {
-	if !s.delta.Matches(n, assign, opts.Model) {
-		if err := s.delta.Attach(n, assign, opts.Model); err != nil {
-			return model.Unassigned, err
-		}
+	if err := s.delta.Sync(n, assign, opts.Model); err != nil {
+		return model.Unassigned, err
 	}
 	s.cands.Ensure(n, opts.neighborhood())
 	if got := s.delta.Assigned(user); got != model.Unassigned {
@@ -515,14 +515,12 @@ func (s *Searcher) Anneal(ctx context.Context, n *model.Network, start model.Ass
 	return s.Search(ctx, n, start, Annealing, opts)
 }
 
-// begin attaches the evaluator to (n, start), refreshes the candidate
+// begin syncs the evaluator to (n, start), refreshes the candidate
 // cache, places unassigned users, and snapshots the post-placement
 // state as the initial best.
 func (s *Searcher) begin(n *model.Network, start model.Assignment, opts Options, r *run) error {
-	if !s.delta.Matches(n, start, opts.Model) {
-		if err := s.delta.Attach(n, start, opts.Model); err != nil {
-			return err
-		}
+	if err := s.delta.Sync(n, start, opts.Model); err != nil {
+		return err
 	}
 	s.cands.Ensure(n, opts.neighborhood())
 	s.util = opts.Model.Utility

@@ -32,11 +32,11 @@ import (
 // identical decisions, keeping the §7 determinism contracts intact.
 //
 // Validation happens once, at Attach. The network's generation counter
-// is recorded there; a network mutated in place afterwards (which must
-// call Network.Invalidate) makes every subsequent probe panic instead of
-// answering from stale accumulators. A DeltaEval is not safe for
-// concurrent use; give each worker goroutine its own, exactly like
-// EvalScratch.
+// is recorded there; any later mutation of the network (a row edit or
+// an Invalidate) makes every subsequent probe panic instead of
+// answering from stale accumulators, until Sync catches the evaluator
+// up. A DeltaEval is not safe for concurrent use; give each worker
+// goroutine its own, exactly like EvalScratch.
 type DeltaEval struct {
 	// Evals counts Attach rebuilds and Probes counts ProbeMove /
 	// ProbeMoveUser calls since the caller last reset them — the work
@@ -76,9 +76,9 @@ type DeltaEval struct {
 }
 
 // Attach validates the (network, assignment) pair once, copies the
-// assignment, and (re)builds every accumulator. It must be called before
-// probing and again after the network reports Invalidate or the caller's
-// assignment diverges from the committed one.
+// assignment, and (re)builds every accumulator. Callers that keep an
+// evaluator across calls use Sync, which attaches only when it cannot
+// catch up more cheaply.
 func (d *DeltaEval) Attach(n *Network, a Assignment, opts Options) error {
 	if err := validateAssignment(n, a); err != nil {
 		return err
@@ -128,20 +128,101 @@ func (d *DeltaEval) Attach(n *Network, a Assignment, opts Options) error {
 	return nil
 }
 
-// Matches reports whether the evaluator's committed state is exactly the
-// given (network, assignment, options) triple, so a caller that may have
-// been handed a different assignment between calls can skip a full
-// re-Attach when nothing changed.
-func (d *DeltaEval) Matches(n *Network, a Assignment, opts Options) bool {
-	if d.net != n || d.gen != n.gen || d.opts != opts || len(d.assign) != len(a) {
-		return false
-	}
-	for i, j := range a {
-		if d.assign[i] != j {
-			return false
+// Sync makes the evaluator's committed state exactly the given
+// (network, assignment, options) triple, as cheaply as it can. When the
+// evaluator trails n only by logged row edits (Network.Replayable) it
+// replays them in order, each an O(cell) edit of the accumulators that
+// keeps member order and therefore every cell sum's float sequence:
+//
+//   - insert: member indices at or above the row shift up and the new
+//     user enters unassigned;
+//   - remove: the user leaves its cell exactly as Commit(i, from,
+//     Unassigned) would take it out, then the indices above it shift
+//     down;
+//   - set: the user's cached 1/r is recomputed from the new row and its
+//     cell re-summed and re-shared.
+//
+// A row of the wrong width, or a set that leaves the user's committed
+// cell unreachable, stops the replay; the evaluator then falls back to
+// Attach, which reports the error exactly as it would have without the
+// replay. Anything else — another network or options, an Invalidate, a
+// gap longer than the log — is an Attach too, as is a replayed state
+// whose assignment differs from a. After an error the evaluator is
+// detached, so neither a half-finished replay nor a rejected pair can
+// be probed. The result is bit-identical to a fresh Attach either way
+// (DESIGN.md §10).
+func (d *DeltaEval) Sync(n *Network, a Assignment, opts Options) error {
+	if d.net == n && d.opts == opts && d.gen != n.gen && n.Replayable(d.gen) {
+		if !d.replay() {
+			d.net = nil
 		}
 	}
+	if d.matches(n, a, opts) {
+		return nil
+	}
+	if err := d.Attach(n, a, opts); err != nil {
+		d.net = nil
+		return err
+	}
+	return nil
+}
+
+// matches reports whether the evaluator's committed state is exactly
+// the given (network, assignment, options) triple.
+func (d *DeltaEval) matches(n *Network, a Assignment, opts Options) bool {
+	return d.net == n && d.gen == n.gen && d.opts == opts && slices.Equal(d.assign, a)
+}
+
+// replay applies the network's logged row edits since the evaluator's
+// generation (see Sync). It reports false, with the state half-edited,
+// when an edit must be refused.
+func (d *DeltaEval) replay() bool {
+	n := d.net
+	d.memoUser = -1
+	for g := d.gen + 1; g <= n.gen; g++ {
+		e := n.Edit(g)
+		switch e.Kind {
+		case EditInsert:
+			if len(e.Rates) != n.NumExtenders() {
+				return false
+			}
+			d.shiftMembers(e.Row, 1)
+			d.assign = slices.Insert(d.assign, e.Row, Unassigned)
+		case EditRemove:
+			if from := d.assign[e.Row]; from != Unassigned {
+				d.move(e.Row, from, Unassigned)
+			}
+			d.assign = slices.Delete(d.assign, e.Row, e.Row+1)
+			d.shiftMembers(e.Row+1, -1)
+		case EditSet:
+			if len(e.Rates) != n.NumExtenders() {
+				return false
+			}
+			if j := d.assign[e.Row]; j != Unassigned {
+				r := e.Rates[j]
+				if r <= 0 {
+					return false
+				}
+				k, _ := slices.BinarySearch(d.members[j], e.Row)
+				d.inv[j][k] = 1 / r
+				d.recomputeCell(j)
+				d.recommit()
+			}
+		}
+		d.gen = g
+	}
 	return true
+}
+
+// shiftMembers adds delta to every member index at or above row. Each
+// member list stays ascending, so no cell's summation order changes.
+func (d *DeltaEval) shiftMembers(row, delta int) {
+	for _, m := range d.members {
+		k, _ := slices.BinarySearch(m, row)
+		for ; k < len(m); k++ {
+			m[k] += delta
+		}
+	}
 }
 
 // Aggregate returns the committed assignment's total end-to-end
@@ -237,6 +318,12 @@ func (d *DeltaEval) Commit(i, from, to int) {
 	if from == to {
 		return
 	}
+	d.move(i, from, to)
+}
+
+// move is Commit without the checks: from != to, i sits on from, and
+// to is Unassigned or reachable.
+func (d *DeltaEval) move(i, from, to int) {
 	d.memoUser = -1
 	if from != Unassigned {
 		k, _ := slices.BinarySearch(d.members[from], i)
@@ -498,7 +585,7 @@ func (d *DeltaEval) check() {
 		panic("model: DeltaEval used before Attach")
 	}
 	if d.gen != d.net.gen {
-		panic("model: network mutated since Attach; re-Attach the DeltaEval")
+		panic("model: network mutated since Attach; Sync the DeltaEval")
 	}
 }
 

@@ -91,7 +91,7 @@ func checkDeltaAgainstFull(t *testing.T, base int64, numExt, numUsers, numMoves 
 		}
 	}
 	compare("attach")
-	if !d.Matches(n, assign, opts) {
+	if !d.matches(n, assign, opts) {
 		t.Fatal("Matches = false for committed state")
 	}
 
@@ -237,10 +237,10 @@ func TestDeltaMatchesDetectsDrift(t *testing.T) {
 	if err := d.Attach(n, assign, opts); err != nil {
 		t.Fatal(err)
 	}
-	if !d.Matches(n, assign, opts) {
+	if !d.matches(n, assign, opts) {
 		t.Error("Matches = false right after Attach")
 	}
-	if d.Matches(n, assign, Options{}) {
+	if d.matches(n, assign, Options{}) {
 		t.Error("Matches = true under different options")
 	}
 	ext := assign.Clone()
@@ -252,11 +252,11 @@ func TestDeltaMatchesDetectsDrift(t *testing.T) {
 			break
 		}
 	}
-	if d.Matches(n, ext, opts) {
+	if d.matches(n, ext, opts) {
 		t.Errorf("Matches = true after external move of user %d", moved)
 	}
 	n.Invalidate()
-	if d.Matches(n, assign, opts) {
+	if d.matches(n, assign, opts) {
 		t.Error("Matches = true after Invalidate")
 	}
 }

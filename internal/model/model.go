@@ -21,13 +21,18 @@ package model
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Unassigned marks a user that is not associated with any extender.
 const Unassigned = -1
 
-// Network is the static input of the association problem: the WiFi PHY
-// rate matrix r_ij and the PLC isolation capacities c_j.
+// Network is the input of the association problem: the WiFi PHY rate
+// matrix r_ij and the PLC isolation capacities c_j. A long-lived
+// network (a controller's user table) changes one row at a time through
+// InsertRow, RemoveRow and SetRow, which state built on it replays
+// instead of rebuilding; such a network must not be copied, since the
+// copy would share its edit log.
 type Network struct {
 	// WiFiRates[i][j] is the WiFi PHY rate (Mbps) of user i when
 	// connected to extender j. A non-positive entry means user i cannot
@@ -36,25 +41,103 @@ type Network struct {
 	// PLCCaps[j] is the PLC isolation capacity c_j (Mbps) of extender j.
 	PLCCaps []float64
 
-	// gen counts in-place mutations of the rate/capacity data. Code that
-	// rewrites WiFiRates or PLCCaps of a live network must call
-	// Invalidate so attached DeltaEval instances detect the change and
-	// refuse to keep probing stale state. Freshly built networks start at
-	// generation 0, which is always consistent with a fresh Attach.
+	// gen counts mutations of the rate/capacity data: row edits
+	// (InsertRow, RemoveRow, SetRow) and wholesale changes (Invalidate).
+	// Freshly built networks start at generation 0, which is always
+	// consistent with a fresh Attach.
 	gen uint64
+	// floor is the generation of the last Invalidate: edits at or below
+	// it cannot be replayed, so state built before it must be rebuilt.
+	floor uint64
+	// edits is the row-edit log, edits[g%editLogSize] being the edit
+	// that produced generation g. Allocated on the first row edit.
+	edits *[editLogSize]RowEdit
 }
 
-// Invalidate records an in-place mutation of the network's rates or
-// capacities. Every DeltaEval attached before the call will panic on its
-// next probe instead of silently answering from stale accumulators; the
-// owner must Attach again.
-func (n *Network) Invalidate() { n.gen++ }
+// editLogSize bounds how many row edits a stateful evaluator or cache
+// may trail the network by and still catch up by replaying them; a
+// longer gap is a full rebuild.
+const editLogSize = 64
+
+// EditKind names the three row edits a Network records.
+type EditKind uint8
+
+const (
+	// EditInsert opened a new row (a new user, unassigned) at Row.
+	EditInsert EditKind = iota + 1
+	// EditRemove deleted row Row; later rows shifted down by one.
+	EditRemove
+	// EditSet replaced row Row's rates in place.
+	EditSet
+)
+
+// RowEdit is one logged row edit. Rates is the row slice the edit
+// installed (nil for EditRemove); the network keeps referencing it, so
+// its contents are the row's current rates until the next edit of that
+// row.
+type RowEdit struct {
+	Kind  EditKind
+	Row   int
+	Rates []float64
+}
+
+// InsertRow inserts rates as row i (a new user), shifting rows i and
+// above up by one, and logs the edit. The network keeps rates, not a
+// copy; a caller that rewrites it later must call SetRow again.
+func (n *Network) InsertRow(i int, rates []float64) {
+	n.WiFiRates = slices.Insert(n.WiFiRates, i, rates)
+	n.record(RowEdit{Kind: EditInsert, Row: i, Rates: rates})
+}
+
+// RemoveRow deletes row i (a departed user), shifting rows above it
+// down by one, and logs the edit.
+func (n *Network) RemoveRow(i int) {
+	n.WiFiRates = slices.Delete(n.WiFiRates, i, i+1)
+	n.record(RowEdit{Kind: EditRemove, Row: i})
+}
+
+// SetRow installs rates as row i (fresh scan of an existing user) and
+// logs the edit. As with InsertRow, the network keeps rates itself.
+func (n *Network) SetRow(i int, rates []float64) {
+	n.WiFiRates[i] = rates
+	n.record(RowEdit{Kind: EditSet, Row: i, Rates: rates})
+}
+
+func (n *Network) record(e RowEdit) {
+	if n.edits == nil {
+		n.edits = new([editLogSize]RowEdit)
+	}
+	n.gen++
+	n.edits[n.gen%editLogSize] = e
+}
+
+// Invalidate records a wholesale mutation of the network's rates or
+// capacities (anything but InsertRow/RemoveRow/SetRow). Every DeltaEval
+// attached before the call will panic on its next probe instead of
+// silently answering from stale accumulators, and no earlier row edit
+// can be replayed; the owner must Attach (or Sync) again.
+func (n *Network) Invalidate() {
+	n.gen++
+	n.floor = n.gen
+}
 
 // Generation returns the network's mutation counter: the value recorded
 // by stateful evaluators (DeltaEval) and derived caches (the local-search
 // neighborhood cache) at build time, compared on every use so state built
-// against an older network revision is rebuilt instead of trusted.
+// against an older network revision is caught up or rebuilt instead of
+// trusted.
 func (n *Network) Generation() uint64 { return n.gen }
+
+// Replayable reports whether state built at generation since can catch
+// up with the network by replaying Edit(since+1) … Edit(Generation()):
+// no Invalidate happened after since and every edit is still logged.
+func (n *Network) Replayable(since uint64) bool {
+	return since >= n.floor && n.gen-since <= editLogSize
+}
+
+// Edit returns the row edit that produced generation g. It is defined
+// only for generations a Replayable check has vouched for.
+func (n *Network) Edit(g uint64) RowEdit { return n.edits[g%editLogSize] }
 
 // NumUsers returns |U|.
 func (n *Network) NumUsers() int { return len(n.WiFiRates) }

@@ -23,7 +23,7 @@ import (
 //
 // The zero value is sum-rate, so every existing call site keeps today's
 // behavior bit-for-bit. Utility is a comparable value type on purpose:
-// model.Options is compared with == (DeltaEval.Matches), so the family
+// model.Options is compared with == (DeltaEval.Sync), so the family
 // is parameterized by data, never by function values.
 type Utility struct {
 	// Alpha is the fairness exponent of the finite-α family; 0 is

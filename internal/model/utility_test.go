@@ -19,7 +19,7 @@ func TestUtilityConstructors(t *testing.T) {
 		t.Error("IsSumRate misclassifies the named members")
 	}
 	// Comparable value semantics: equal parameters compare equal, so
-	// DeltaEval.Matches' opts != opts check keys on the family.
+	// DeltaEval.Sync's opts != opts check keys on the family.
 	if AlphaFair(1) != ProportionalFairness() || MaxMinFairness() != AlphaFair(math.Inf(1)) {
 		t.Error("equal utility members must compare ==")
 	}

@@ -17,7 +17,7 @@ func init() {
 // Solve searches from an empty association (placement seeds it),
 // Reassign searches from the previous one — the warm path that makes
 // per-epoch re-solves sub-millisecond — and Add places one arrival
-// through the evaluator's Matches fast path. All three forms honor
+// through the evaluator's Sync fast path. All three forms honor
 // Config.Budget and Config.Ctx under the anytime contract (DESIGN.md
 // §11): they always return the best-so-far valid association.
 type lsStrategy struct {
