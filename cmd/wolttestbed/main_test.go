@@ -50,7 +50,7 @@ func TestAssociateMatchesDirectWOLTQuality(t *testing.T) {
 	}
 	opts := model.Options{Redistribute: true}
 	viaControl := model.Aggregate(inst.Net, assign, opts)
-	direct, err := netsim.WOLTPolicy{}.OnEpoch(inst, nil)
+	direct, err := netsim.WOLTPolicy().Assign(inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,11 +53,11 @@ func main() {
 		ModelOpts: evalOpts,
 	}
 
-	woltEpochs, err := wolt.RunDynamic(cfg, wolt.WOLTPolicy{})
+	woltEpochs, err := wolt.RunDynamic(cfg, wolt.WOLTPolicy())
 	if err != nil {
 		log.Fatal(err)
 	}
-	greedyEpochs, err := wolt.RunDynamic(cfg, wolt.GreedyPolicy{ModelOpts: evalOpts})
+	greedyEpochs, err := wolt.RunDynamic(cfg, wolt.GreedyPolicy(evalOpts))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -49,10 +49,10 @@ func main() {
 		ModelOpts: evalOpts,
 	}
 	policies := []wolt.Policy{
-		wolt.WOLTPolicy{},
-		wolt.GreedyPolicy{ModelOpts: evalOpts},
-		wolt.SelfishPolicy{ModelOpts: evalOpts},
-		wolt.RSSIPolicy{},
+		wolt.WOLTPolicy(),
+		wolt.GreedyPolicy(evalOpts),
+		wolt.SelfishPolicy(evalOpts),
+		wolt.RSSIPolicy(),
 	}
 
 	results, err := wolt.RunStatic(cfg, policies)

@@ -42,21 +42,30 @@ func RSSI(n *model.Network, signal [][]float64) (model.Assignment, error) {
 			return nil, fmt.Errorf("baseline: signal row %d has %d entries, want %d",
 				i, len(row), n.NumExtenders())
 		}
-		best, bestSig := model.Unassigned, math.Inf(-1)
-		for j, sig := range row {
-			if n.WiFiRates[i][j] <= 0 {
-				continue
-			}
-			if sig > bestSig {
-				best, bestSig = j, sig
-			}
-		}
-		if best == model.Unassigned {
+		assign[i] = Strongest(n.WiFiRates[i], row)
+		if assign[i] == model.Unassigned {
 			return nil, fmt.Errorf("baseline: user %d reaches no extender", i)
 		}
-		assign[i] = best
 	}
 	return assign, nil
+}
+
+// Strongest is the one strongest-signal rule: it returns the extender
+// with the highest signal among those the user reaches (rates[j] > 0),
+// ties going to the lowest index, or model.Unassigned when none is
+// reachable. A nil signal means the rates themselves; otherwise signal
+// has one entry per rate.
+func Strongest(rates, signal []float64) int {
+	if signal == nil {
+		signal = rates
+	}
+	best := model.Unassigned
+	for j, r := range rates {
+		if r > 0 && (best == model.Unassigned || signal[j] > signal[best]) {
+			best = j
+		}
+	}
+	return best
 }
 
 // RSSIByRate uses the WiFi PHY rate itself as the signal metric: with a

@@ -366,3 +366,23 @@ func TestOptimalLimitGuards(t *testing.T) {
 		t.Errorf("state-budget error = %v, want a brute-force-budget failure", err)
 	}
 }
+
+func TestStrongest(t *testing.T) {
+	rates := []float64{0, 20, 40, 40}
+	for _, tc := range []struct {
+		name   string
+		signal []float64
+		want   int
+	}{
+		{"nil signal ranks by rate, tie to lowest index", nil, 2},
+		{"explicit signal", []float64{-30, -40, -60, -50}, 1},
+		{"unreachable skipped despite strongest signal", []float64{-10, -60, -50, -50}, 2},
+	} {
+		if got := Strongest(rates, tc.signal); got != tc.want {
+			t.Errorf("%s: Strongest = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+	if got := Strongest([]float64{0, 0}, nil); got != model.Unassigned {
+		t.Errorf("no reachable extender: Strongest = %d, want Unassigned", got)
+	}
+}

@@ -246,8 +246,8 @@ func fig5ModelDeltas(opts Options) (worstDelta, bestDelta float64, err error) {
 		}
 		inst := netsim.Build(topo, scen.Radio)
 		perUser := make(map[string][]float64)
-		for _, policy := range []netsim.Policy{netsim.WOLTPolicy{}, netsim.GreedyPolicy{ModelOpts: Redistribute}} {
-			assign, err := assignStatic(inst, policy)
+		for _, policy := range []netsim.Policy{netsim.WOLTPolicy(), netsim.GreedyPolicy(Redistribute)} {
+			assign, err := policy.Assign(inst)
 			if err != nil {
 				return [2]float64{}, err
 			}
@@ -255,7 +255,7 @@ func fig5ModelDeltas(opts Options) (worstDelta, bestDelta float64, err error) {
 			if err != nil {
 				return [2]float64{}, err
 			}
-			perUser[policy.Name()] = eval.PerUser
+			perUser[policy.Name] = eval.PerUser
 		}
 		order := make([]int, len(inst.UserIDs))
 		for i := range order {

@@ -14,10 +14,10 @@ import (
 // maximizes its own throughput) — see DESIGN.md on the ambiguity.
 func simulationPolicies() []netsim.Policy {
 	return []netsim.Policy{
-		netsim.WOLTPolicy{},
-		netsim.GreedyPolicy{ModelOpts: Redistribute},
-		netsim.SelfishPolicy{ModelOpts: Redistribute},
-		netsim.RSSIPolicy{},
+		netsim.WOLTPolicy(),
+		netsim.GreedyPolicy(Redistribute),
+		netsim.SelfishPolicy(Redistribute),
+		netsim.RSSIPolicy(),
 	}
 }
 
@@ -137,17 +137,17 @@ func Fig6bc(opts Options) (*Fig6bcResult, error) {
 		EpochLen:  scen.EpochLen,
 		ModelOpts: Redistribute,
 	}
-	wolt, err := netsim.RunDynamic(cfg, netsim.WOLTPolicy{})
+	wolt, err := netsim.RunDynamic(cfg, netsim.WOLTPolicy())
 	if err != nil {
 		return nil, err
 	}
-	greedy, err := netsim.RunDynamic(cfg, netsim.GreedyPolicy{ModelOpts: Redistribute})
+	greedy, err := netsim.RunDynamic(cfg, netsim.GreedyPolicy(Redistribute))
 	if err != nil {
 		return nil, err
 	}
-	anytime, err := netsim.RunDynamic(cfg, netsim.StrategyPolicy{
+	anytime, err := netsim.RunDynamic(cfg, netsim.Policy{
+		Name:     "Anytime",
 		Strategy: "wolt-hillclimb",
-		Display:  "Anytime",
 		Config: strategy.Config{
 			ModelOpts: Redistribute,
 			Seed:      opts.Seed,

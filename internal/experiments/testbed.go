@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
 	"github.com/plcwifi/wolt/internal/emu"
-	"github.com/plcwifi/wolt/internal/model"
 	"github.com/plcwifi/wolt/internal/netsim"
 	"github.com/plcwifi/wolt/internal/parallel"
 	"github.com/plcwifi/wolt/internal/seed"
@@ -17,26 +15,10 @@ import (
 // testbedPolicies are the three systems compared on the paper's testbed.
 func testbedPolicies() []netsim.Policy {
 	return []netsim.Policy{
-		netsim.WOLTPolicy{},
-		netsim.GreedyPolicy{ModelOpts: Redistribute},
-		netsim.RSSIPolicy{},
+		netsim.WOLTPolicy(),
+		netsim.GreedyPolicy(Redistribute),
+		netsim.RSSIPolicy(),
 	}
-}
-
-// assignStatic runs one policy over a static instance using the testbed
-// procedure: users join one at a time (online rule), then the controller
-// recomputes once.
-func assignStatic(inst *netsim.Instance, policy netsim.Policy) (model.Assignment, error) {
-	assign := make(model.Assignment, len(inst.UserIDs))
-	for i := range assign {
-		assign[i] = model.Unassigned
-	}
-	for i := range inst.UserIDs {
-		if err := policy.OnArrival(inst, assign, i); err != nil {
-			return nil, fmt.Errorf("%s arrival: %w", policy.Name(), err)
-		}
-	}
-	return policy.OnEpoch(inst, assign)
 }
 
 // Fig4PolicyResult is one policy's outcome over all testbed topologies.
@@ -88,7 +70,7 @@ func Fig4(opts Options) (*Fig4Result, error) {
 	policies := testbedPolicies()
 	res := &Fig4Result{Policies: make([]Fig4PolicyResult, len(policies))}
 	for p, policy := range policies {
-		res.Policies[p].Name = policy.Name()
+		res.Policies[p].Name = policy.Name
 	}
 
 	trials, err := parallel.Map(opts.context(), opts.Trials, opts.Workers, func(trial int) (fig4Trial, error) {
@@ -105,7 +87,7 @@ func Fig4(opts Options) (*Fig4Result, error) {
 			perUser:  make([][]float64, len(policies)),
 		}
 		for p, policy := range policies {
-			assign, err := assignStatic(inst, policy)
+			assign, err := policy.Assign(inst)
 			if err != nil {
 				return fig4Trial{}, err
 			}
@@ -237,8 +219,8 @@ func Fig5(opts Options) (*Fig5Result, error) {
 	inst := netsim.Build(topo, scen.Radio)
 
 	perUser := make(map[string][]float64)
-	for _, policy := range []netsim.Policy{netsim.WOLTPolicy{}, netsim.GreedyPolicy{ModelOpts: Redistribute}} {
-		assign, err := assignStatic(inst, policy)
+	for _, policy := range []netsim.Policy{netsim.WOLTPolicy(), netsim.GreedyPolicy(Redistribute)} {
+		assign, err := policy.Assign(inst)
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +237,7 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		for _, f := range run.Flows {
 			users[f.User] = f.MeasuredMbps
 		}
-		perUser[policy.Name()] = users
+		perUser[policy.Name] = users
 	}
 
 	users := make([]Fig5User, len(inst.UserIDs))

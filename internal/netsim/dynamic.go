@@ -54,6 +54,7 @@ type EpochResult struct {
 // placed by the policy's online rule the moment they appear, departures
 // free their extender, and at every epoch boundary the policy may
 // recompute the full association (WOLT does; the baselines do not).
+// The trace builds one strategy instance from the policy's Config.
 func RunDynamic(cfg DynamicConfig, policy Policy) ([]EpochResult, error) {
 	if cfg.EpochLen <= 0 {
 		return nil, fmt.Errorf("netsim: non-positive epoch length %v", cfg.EpochLen)
@@ -79,17 +80,20 @@ func RunDynamic(cfg DynamicConfig, policy Policy) ([]EpochResult, error) {
 	// Current association, keyed by topology user ID.
 	current := make(map[int]int, len(topo.Users))
 
-	// One workspace serves the whole trace: the cached strategy instance
-	// (and its delta evaluator / solver scratches) persists across
-	// arrivals and epochs instead of being rebuilt per event, and full
-	// evaluations share one scratch.
-	ws := &trialWorkspace{}
+	// One strategy instance serves the whole trace: its delta evaluator
+	// and solver scratches persist across arrivals and epochs instead of
+	// being rebuilt per event, and full evaluations share one scratch.
+	st, err := policy.newStrategy()
+	if err != nil {
+		return nil, err
+	}
+	var eval model.EvalScratch
 
 	rm := cfg.radioModel()
 	inst := Build(topo, rm)
 	assign := newUnassigned(len(topo.Users))
 	for i := range topo.Users {
-		if err := policyArrival(policy, inst, assign, i, ws, 0); err != nil {
+		if err := arrive(st, inst, assign, i); err != nil {
 			return nil, err
 		}
 		current[inst.UserIDs[i]] = assign[i]
@@ -115,7 +119,7 @@ func RunDynamic(cfg DynamicConfig, policy Policy) ([]EpochResult, error) {
 				if row < 0 {
 					return nil, fmt.Errorf("netsim: arrived user %d missing from topology", ev.UserID)
 				}
-				if err := policyArrival(policy, inst, assign, row, ws, 0); err != nil {
+				if err := arrive(st, inst, assign, row); err != nil {
 					return nil, err
 				}
 				current[ev.UserID] = assign[row]
@@ -129,7 +133,7 @@ func RunDynamic(cfg DynamicConfig, policy Policy) ([]EpochResult, error) {
 
 		inst = Build(topo, rm)
 		assign = assignFromMap(inst, current)
-		newAssign, err := policyEpoch(policy, inst, assign, ws, 0)
+		newAssign, err := reassign(st, inst, assign)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +142,7 @@ func RunDynamic(cfg DynamicConfig, policy Policy) ([]EpochResult, error) {
 			current[inst.UserIDs[i]] = j
 		}
 
-		res, err := model.EvaluateWith(&ws.eval, inst.Net, newAssign, cfg.ModelOpts)
+		res, err := model.EvaluateWith(&eval, inst.Net, newAssign, cfg.ModelOpts)
 		if err != nil {
 			return nil, err
 		}

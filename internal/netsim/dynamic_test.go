@@ -34,18 +34,18 @@ func dynCfg(seed int64) DynamicConfig {
 func TestRunDynamicValidation(t *testing.T) {
 	cfg := dynCfg(1)
 	cfg.EpochLen = 0
-	if _, err := RunDynamic(cfg, WOLTPolicy{}); err == nil {
+	if _, err := RunDynamic(cfg, WOLTPolicy()); err == nil {
 		t.Error("zero epoch length: want error")
 	}
 	cfg = dynCfg(1)
 	cfg.Churn.Horizon = 0
-	if _, err := RunDynamic(cfg, WOLTPolicy{}); err == nil {
+	if _, err := RunDynamic(cfg, WOLTPolicy()); err == nil {
 		t.Error("zero horizon: want error")
 	}
 }
 
 func TestRunDynamicWOLT(t *testing.T) {
-	results, err := RunDynamic(dynCfg(11), WOLTPolicy{})
+	results, err := RunDynamic(dynCfg(11), WOLTPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,15 +74,15 @@ func TestRunDynamicWOLT(t *testing.T) {
 }
 
 func TestGreedyAndRSSINeverReassign(t *testing.T) {
-	for _, policy := range []Policy{GreedyPolicy{ModelOpts: redistribute}, RSSIPolicy{}} {
+	for _, policy := range []Policy{GreedyPolicy(redistribute), RSSIPolicy()} {
 		results, err := RunDynamic(dynCfg(13), policy)
 		if err != nil {
-			t.Fatalf("%s: %v", policy.Name(), err)
+			t.Fatalf("%s: %v", policy.Name, err)
 		}
 		for _, er := range results {
 			if er.Reassignments != 0 {
 				t.Errorf("%s epoch %d: %d reassignments, want 0",
-					policy.Name(), er.Epoch, er.Reassignments)
+					policy.Name, er.Epoch, er.Reassignments)
 			}
 		}
 	}
@@ -92,7 +92,7 @@ func TestWOLTReassignmentsBounded(t *testing.T) {
 	// Fig 6c claim: WOLT re-assigns a modest number of users — on the
 	// order of (and bounded by a small multiple of) the epoch's arrivals
 	// plus the initial population for the first epoch.
-	results, err := RunDynamic(dynCfg(17), WOLTPolicy{})
+	results, err := RunDynamic(dynCfg(17), WOLTPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestWOLTReassignmentsBounded(t *testing.T) {
 }
 
 func TestWOLTBeatsGreedyOverEpochs(t *testing.T) {
-	wolt, err := RunDynamic(dynCfg(19), WOLTPolicy{})
+	wolt, err := RunDynamic(dynCfg(19), WOLTPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := RunDynamic(dynCfg(19), GreedyPolicy{ModelOpts: redistribute})
+	greedy, err := RunDynamic(dynCfg(19), GreedyPolicy(redistribute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestWOLTBeatsGreedyOverEpochs(t *testing.T) {
 }
 
 func TestRunDynamicDeterministic(t *testing.T) {
-	a, err := RunDynamic(dynCfg(23), WOLTPolicy{})
+	a, err := RunDynamic(dynCfg(23), WOLTPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDynamic(dynCfg(23), WOLTPolicy{})
+	b, err := RunDynamic(dynCfg(23), WOLTPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestDepartureOfHighestIDThenArrival(t *testing.T) {
 	cfg.Churn.DepartureRate = 2
 	cfg.Churn.Horizon = 40
 	cfg.EpochLen = 5
-	if _, err := RunDynamic(cfg, RSSIPolicy{}); err != nil {
+	if _, err := RunDynamic(cfg, RSSIPolicy()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,14 @@
 // Package netsim is the flow-level network simulator used for the paper's
 // large-scale evaluation (§V-E): it combines a physical topology, the
 // WiFi radio model and the PLC capacity model into a model.Network,
-// applies an association policy (WOLT or a baseline), and evaluates
-// end-to-end throughputs under the PLC+WiFi sharing model.
+// applies an association policy, and evaluates end-to-end throughputs
+// under the PLC+WiFi sharing model.
+//
+// A Policy is a value, not a type: a strategy-registry name and its
+// strategy.Config under a display name. The paper's four policies are
+// WOLTPolicy, GreedyPolicy, SelfishPolicy and RSSIPolicy; any other
+// registry strategy (the anytime local-search family, random) is priced
+// by naming it.
 //
 // Two experiment drivers are provided: RunStatic (independent trials with
 // a fixed user population — Fig 6a and the fairness table) and RunDynamic
@@ -13,10 +19,8 @@ package netsim
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 
-	"github.com/plcwifi/wolt/internal/core"
 	"github.com/plcwifi/wolt/internal/model"
 	"github.com/plcwifi/wolt/internal/parallel"
 	"github.com/plcwifi/wolt/internal/radio"
@@ -69,231 +73,102 @@ func Build(topo *topology.Topology, rm radio.Model) *Instance {
 	return inst
 }
 
-// Policy is an association policy driven by the simulator. OnArrival
-// handles a single user joining (online step); OnEpoch runs at epoch
-// boundaries and may recompute the complete association.
-type Policy interface {
-	Name() string
-	// OnArrival associates the newly arrived user (a row index into
-	// inst.Net), mutating assign in place.
-	OnArrival(inst *Instance, assign model.Assignment, user int) error
-	// OnEpoch optionally recomputes the full association and returns it;
-	// policies that never reassign return assign unchanged.
-	OnEpoch(inst *Instance, assign model.Assignment) (model.Assignment, error)
+// Policy is an association policy driven by the simulator: a strategy
+// from the internal/strategy registry under a display name.
+//   - An arrival goes through the strategy's Online.Add when it has that
+//     form. Otherwise the user joins the strongest-RSSI extender.
+//   - At an epoch boundary the strategy's Reassign runs when it has that
+//     form. Otherwise the association stays as it is.
+//   - An empty Strategy means no controller: the paper's RSSI baseline.
+//
+// Every trial, and every RunDynamic trace, builds its own strategy
+// instance from Config. A randomized strategy's draws thus depend only on
+// Config.Seed and the trial; leave Config.Rng nil for parallel runs.
+type Policy struct {
+	// Name labels the policy's result rows.
+	Name string
+	// Strategy is the registry name (strategy.Names()); empty means
+	// strongest-signal association with no controller.
+	Strategy string
+	// Config parameterizes the strategy instance; Config.Budget is how
+	// the anytime family gets its per-epoch probe budget here.
+	Config strategy.Config
 }
 
-// WOLTPolicy implements the paper's system: arrivals connect to the
-// strongest-RSSI extender to reach the central controller, and the
-// controller recomputes the full two-phase assignment at epoch ends.
-type WOLTPolicy struct {
-	Options core.Options
-}
-
-// Name implements Policy.
-func (WOLTPolicy) Name() string { return "WOLT" }
-
-// newStrategy implements strategyBacked: the epoch recomputation is the
-// "wolt" registry strategy (arrivals stay signal-based — the strategy
-// layer sees rates, not RSSI).
-func (p WOLTPolicy) newStrategy() (strategy.Strategy, error) {
-	return strategy.New("wolt", strategy.Config{Core: p.Options})
-}
-
-// OnArrival implements Policy: initial contact via strongest RSSI.
-func (WOLTPolicy) OnArrival(inst *Instance, assign model.Assignment, user int) error {
-	return assignBestRSSI(inst, assign, user)
-}
-
-// OnEpoch implements Policy: full two-phase recomputation.
-func (p WOLTPolicy) OnEpoch(inst *Instance, assign model.Assignment) (model.Assignment, error) {
-	st, err := p.newStrategy()
-	if err != nil {
-		return nil, err
-	}
-	return strategyEpoch(st, inst, assign)
-}
+// WOLTPolicy is the paper's system: arrivals connect to the
+// strongest-RSSI extender to reach the central controller, which
+// recomputes the full two-phase assignment at epoch ends.
+func WOLTPolicy() Policy { return Policy{Name: "WOLT", Strategy: "wolt"} }
 
 // GreedyPolicy is the paper's online baseline: each arrival picks the
 // extender maximizing the aggregate throughput; nobody ever moves.
-type GreedyPolicy struct {
-	ModelOpts model.Options
-}
-
-// Name implements Policy.
-func (GreedyPolicy) Name() string { return "Greedy" }
-
-// newStrategy implements strategyBacked.
-func (p GreedyPolicy) newStrategy() (strategy.Strategy, error) {
-	return strategy.New("greedy", strategy.Config{ModelOpts: p.ModelOpts})
-}
-
-// OnArrival implements Policy.
-func (p GreedyPolicy) OnArrival(inst *Instance, assign model.Assignment, user int) error {
-	st, err := p.newStrategy()
-	if err != nil {
-		return err
-	}
-	return strategyArrival(st, inst, assign, user)
-}
-
-// OnEpoch implements Policy: greedy never reassigns.
-func (GreedyPolicy) OnEpoch(_ *Instance, assign model.Assignment) (model.Assignment, error) {
-	return assign, nil
+func GreedyPolicy(opts model.Options) Policy {
+	return Policy{Name: "Greedy", Strategy: "greedy", Config: strategy.Config{ModelOpts: opts}}
 }
 
 // SelfishPolicy is the online greedy of the paper's §III-B case study:
 // each arriving user picks the extender maximizing its own end-to-end
 // throughput; nobody ever moves.
-type SelfishPolicy struct {
-	ModelOpts model.Options
-}
-
-// Name implements Policy.
-func (SelfishPolicy) Name() string { return "Selfish" }
-
-// newStrategy implements strategyBacked.
-func (p SelfishPolicy) newStrategy() (strategy.Strategy, error) {
-	return strategy.New("selfish", strategy.Config{ModelOpts: p.ModelOpts})
-}
-
-// OnArrival implements Policy.
-func (p SelfishPolicy) OnArrival(inst *Instance, assign model.Assignment, user int) error {
-	st, err := p.newStrategy()
-	if err != nil {
-		return err
-	}
-	return strategyArrival(st, inst, assign, user)
-}
-
-// OnEpoch implements Policy: selfish users never move.
-func (SelfishPolicy) OnEpoch(_ *Instance, assign model.Assignment) (model.Assignment, error) {
-	return assign, nil
+func SelfishPolicy(opts model.Options) Policy {
+	return Policy{Name: "Selfish", Strategy: "selfish", Config: strategy.Config{ModelOpts: opts}}
 }
 
 // RSSIPolicy is the commodity default: strongest signal wins, forever.
-type RSSIPolicy struct{}
+func RSSIPolicy() Policy { return Policy{Name: "RSSI"} }
 
-// Name implements Policy.
-func (RSSIPolicy) Name() string { return "RSSI" }
-
-// OnArrival implements Policy.
-func (RSSIPolicy) OnArrival(inst *Instance, assign model.Assignment, user int) error {
-	return assignBestRSSI(inst, assign, user)
-}
-
-// OnEpoch implements Policy: RSSI never reassigns.
-func (RSSIPolicy) OnEpoch(_ *Instance, assign model.Assignment) (model.Assignment, error) {
-	return assign, nil
-}
-
-// RandomPolicy associates arrivals uniformly at random; a sanity floor.
-type RandomPolicy struct {
-	Rng *rand.Rand
-}
-
-// Name implements Policy.
-func (RandomPolicy) Name() string { return "Random" }
-
-// newStrategy implements strategyBacked. Every instance shares the
-// policy's rng, which is why the policy is sequentialOnly.
-func (p RandomPolicy) newStrategy() (strategy.Strategy, error) {
-	return strategy.New("random", strategy.Config{Rng: p.Rng})
-}
-
-// OnArrival implements Policy.
-func (p RandomPolicy) OnArrival(inst *Instance, assign model.Assignment, user int) error {
-	st, err := p.newStrategy()
-	if err != nil {
-		return err
-	}
-	return strategyArrival(st, inst, assign, user)
-}
-
-// OnEpoch implements Policy.
-func (RandomPolicy) OnEpoch(_ *Instance, assign model.Assignment) (model.Assignment, error) {
-	return assign, nil
-}
-
-// sequentialOnly marks RandomPolicy as unsafe for parallel trials: its
-// shared *rand.Rand would race across workers and its draw order would
-// depend on scheduling, so RunStatic drops to a single worker when the
-// policy set includes it.
-func (RandomPolicy) sequentialOnly() {}
-
-// StrategyPolicy adapts any strategy-registry name to the simulator —
-// the generic bridge that lets new strategies (notably the anytime
-// local-search family) be priced against the built-in policies in the
-// dynamic and mobility harnesses without a bespoke Policy type each.
-// Epoch boundaries go through the strategy's Reassigner form when it
-// has one (warm for the anytime family: the previous association seeds
-// the search); arrivals go through Online.Add when available and fall
-// back to strongest-RSSI initial contact otherwise.
-type StrategyPolicy struct {
-	// Strategy is the registry name (strategy.Names()).
-	Strategy string
-	// Config parameterizes the instance; Config.Budget is how the
-	// anytime family gets its per-epoch probe budget here.
-	Config strategy.Config
-	// Display overrides Name() in result rows; empty means Strategy.
-	Display string
-}
-
-// Name implements Policy.
-func (p StrategyPolicy) Name() string {
-	if p.Display != "" {
-		return p.Display
-	}
-	return p.Strategy
-}
-
-// newStrategy implements strategyBacked, so trial workspaces cache one
-// instance per trial and its scratch warms across epochs.
-func (p StrategyPolicy) newStrategy() (strategy.Strategy, error) {
-	return strategy.New(p.Strategy, p.Config)
-}
-
-// OnArrival implements Policy: Online.Add when the strategy has the
-// form, strongest-RSSI contact otherwise. (The workspace path in
-// policyArrival routes Online strategies through the cached instance;
-// this method is the uncached fallback.)
-func (p StrategyPolicy) OnArrival(inst *Instance, assign model.Assignment, user int) error {
-	st, err := p.newStrategy()
-	if err != nil {
-		return err
-	}
-	if _, ok := st.(strategy.Online); ok {
-		return strategyArrival(st, inst, assign, user)
-	}
-	return assignBestRSSI(inst, assign, user)
-}
-
-// OnEpoch implements Policy.
-func (p StrategyPolicy) OnEpoch(inst *Instance, assign model.Assignment) (model.Assignment, error) {
+// Assign runs the policy over a static instance with the testbed
+// procedure: users arrive in index order, then one epoch boundary lets
+// the controller issue its directives.
+func (p Policy) Assign(inst *Instance) (model.Assignment, error) {
 	st, err := p.newStrategy()
 	if err != nil {
 		return nil, err
 	}
-	return strategyEpoch(st, inst, assign)
+	assign := newUnassigned(len(inst.UserIDs))
+	for i := range assign {
+		if err := arrive(st, inst, assign, i); err != nil {
+			return nil, fmt.Errorf("netsim: %s arrival: %w", p.Name, err)
+		}
+	}
+	assign, err = reassign(st, inst, assign)
+	if err != nil {
+		return nil, fmt.Errorf("netsim: %s epoch: %w", p.Name, err)
+	}
+	return assign, nil
 }
 
-func assignBestRSSI(inst *Instance, assign model.Assignment, user int) error {
+// newStrategy builds the policy's strategy instance; nil for the
+// controller-less RSSI baseline.
+func (p Policy) newStrategy() (strategy.Strategy, error) {
+	if p.Strategy == "" {
+		return nil, nil
+	}
+	return strategy.New(p.Strategy, p.Config)
+}
+
+// arrive places one arriving user (a row index into inst.Net).
+func arrive(st strategy.Strategy, inst *Instance, assign model.Assignment, user int) error {
+	if on, ok := st.(strategy.Online); ok {
+		_, err := on.Add(inst.Net, assign, user)
+		return err
+	}
 	if user < 0 || user >= len(inst.RSSI) {
 		return fmt.Errorf("netsim: user %d out of range", user)
 	}
-	best, bestSig := model.Unassigned, -1e18
-	for j, sig := range inst.RSSI[user] {
-		if inst.Net.WiFiRates[user][j] <= 0 {
-			continue
-		}
-		if sig > bestSig {
-			best, bestSig = j, sig
-		}
-	}
-	if best == model.Unassigned {
+	assign[user] = strategy.Strongest(inst.Net.WiFiRates[user], inst.RSSI[user])
+	if assign[user] == model.Unassigned {
 		return fmt.Errorf("netsim: user %d reaches no extender", user)
 	}
-	assign[user] = best
 	return nil
+}
+
+// reassign runs an epoch boundary: the strategy's Reassign when it has one,
+// otherwise the association is left unchanged.
+func reassign(st strategy.Strategy, inst *Instance, assign model.Assignment) (model.Assignment, error) {
+	if re, ok := st.(strategy.Reassigner); ok {
+		return re.Reassign(inst.Net, assign)
+	}
+	return assign, nil
 }
 
 // StaticConfig parameterizes independent-trial experiments.
@@ -376,17 +251,16 @@ func (r StaticResult) MeanSaturation() float64 {
 }
 
 // RunStatic evaluates each policy on the same sequence of random
-// topologies. All users are present from the start; they "arrive" in
-// index order for the online policies, then each policy's OnEpoch runs
-// once (this mirrors the paper's testbed procedure, where users join and
-// the controller then issues its directives).
+// topologies. All users are present from the start; each policy assigns
+// them with Policy.Assign (arrivals in index order, then one epoch —
+// the paper's testbed procedure, where users join and the controller
+// then issues its directives).
 //
 // Trials are independent and run on cfg.Workers goroutines; the result
 // is bit-identical for every worker count because trial t's topology
 // seed is seed.Derive(Topology.Seed, seed.NetsimTrial, t) regardless of
-// which worker runs it, and its outcome always lands at Trials[t].
-// Policy sets containing a policy with shared mutable state
-// (RandomPolicy) are forced onto one worker.
+// which worker runs it, every trial builds its own strategy instances,
+// and its outcome always lands at Trials[t].
 func RunStatic(cfg StaticConfig, policies []Policy) ([]StaticResult, error) {
 	if cfg.Trials <= 0 {
 		return nil, fmt.Errorf("netsim: non-positive trial count %d", cfg.Trials)
@@ -401,22 +275,14 @@ func RunStatic(cfg StaticConfig, policies []Policy) ([]StaticResult, error) {
 	rm := cfg.radioModel()
 	results := make([]StaticResult, len(policies))
 	for p, policy := range policies {
-		results[p] = StaticResult{Policy: policy.Name(), Trials: make([]TrialResult, cfg.Trials)}
+		results[p] = StaticResult{Policy: policy.Name, Trials: make([]TrialResult, cfg.Trials)}
 	}
-	workers := parallel.Workers(cfg.Workers)
-	if forcesSequential(policies) {
-		workers = 1
-	}
-	// The pool is per-run: workspaces cache strategy instances keyed by
-	// this run's policy indices, so they must not leak into a later run
-	// with a different policy slice.
-	wsPool := sync.Pool{New: func() any { return new(trialWorkspace) }}
-	err := parallel.ForEach(ctx, cfg.Trials, workers, func(trial int) error {
+	err := parallel.ForEach(ctx, cfg.Trials, parallel.Workers(cfg.Workers), func(trial int) error {
 		topoCfg := cfg.Topology
 		topoCfg.Seed = seed.Derive(cfg.Topology.Seed, seed.NetsimTrial, int64(trial))
-		ws := wsPool.Get().(*trialWorkspace)
-		defer wsPool.Put(ws)
-		trs, err := runTrial(topoCfg, rm, policies, cfg.ModelOpts, ws)
+		eval := evalPool.Get().(*model.EvalScratch)
+		defer evalPool.Put(eval)
+		trs, err := runTrial(topoCfg, rm, policies, cfg.ModelOpts, eval)
 		if err != nil {
 			return err
 		}
@@ -432,42 +298,18 @@ func RunStatic(cfg StaticConfig, policies []Policy) ([]StaticResult, error) {
 }
 
 // RunTrial generates the topology for topoCfg and runs every policy on
-// it (arrivals in user index order, then one OnEpoch), returning one
-// TrialResult per policy. It is the unit of work RunStatic and the
-// sweep engine fan out over.
+// it with Policy.Assign, returning one TrialResult per policy. It is
+// the unit of work RunStatic and the sweep engine fan out over.
 func RunTrial(topoCfg topology.Config, rm radio.Model, policies []Policy, opts model.Options) ([]TrialResult, error) {
-	return runTrial(topoCfg, rm, policies, opts, &trialWorkspace{})
+	return runTrial(topoCfg, rm, policies, opts, &model.EvalScratch{})
 }
 
-// trialWorkspace bundles the per-worker state a trial reuses across its
-// policies: the evaluation scratch and one strategy instance per
-// strategy-backed policy (keyed by the policy's index in the run's
-// policy slice). Strategy instances carry their own solver scratches;
-// scratch contents never influence results (only capacity is retained
-// between uses), so pooled reuse across goroutines preserves
-// determinism.
-type trialWorkspace struct {
-	eval   model.EvalScratch
-	strats []strategy.Strategy
-}
+// evalPool lends trials the evaluation scratch. Scratch contents never
+// influence results (only capacity is retained between uses), so pooled
+// reuse across goroutines preserves determinism.
+var evalPool = sync.Pool{New: func() any { return new(model.EvalScratch) }}
 
-// strategyFor returns the workspace's cached strategy instance for the
-// policy at index idx, creating it on first use.
-func (ws *trialWorkspace) strategyFor(idx int, sb strategyBacked) (strategy.Strategy, error) {
-	for len(ws.strats) <= idx {
-		ws.strats = append(ws.strats, nil)
-	}
-	if ws.strats[idx] == nil {
-		st, err := sb.newStrategy()
-		if err != nil {
-			return nil, err
-		}
-		ws.strats[idx] = st
-	}
-	return ws.strats[idx], nil
-}
-
-func runTrial(topoCfg topology.Config, rm radio.Model, policies []Policy, opts model.Options, ws *trialWorkspace) ([]TrialResult, error) {
+func runTrial(topoCfg topology.Config, rm radio.Model, policies []Policy, opts model.Options, eval *model.EvalScratch) ([]TrialResult, error) {
 	topo, err := topology.Generate(topoCfg)
 	if err != nil {
 		return nil, err
@@ -475,19 +317,13 @@ func runTrial(topoCfg topology.Config, rm radio.Model, policies []Policy, opts m
 	inst := Build(topo, rm)
 	out := make([]TrialResult, len(policies))
 	for p, policy := range policies {
-		assign := newUnassigned(len(topo.Users))
-		for i := range topo.Users {
-			if err := policyArrival(policy, inst, assign, i, ws, p); err != nil {
-				return nil, fmt.Errorf("netsim: %s arrival: %w", policy.Name(), err)
-			}
-		}
-		assign, err := policyEpoch(policy, inst, assign, ws, p)
+		assign, err := policy.Assign(inst)
 		if err != nil {
-			return nil, fmt.Errorf("netsim: %s epoch: %w", policy.Name(), err)
+			return nil, err
 		}
-		res, err := model.EvaluateWith(&ws.eval, inst.Net, assign, opts)
+		res, err := model.EvaluateWith(eval, inst.Net, assign, opts)
 		if err != nil {
-			return nil, fmt.Errorf("netsim: %s evaluate: %w", policy.Name(), err)
+			return nil, fmt.Errorf("netsim: %s evaluate: %w", policy.Name, err)
 		}
 		out[p] = TrialResult{
 			Aggregate: res.Aggregate,
@@ -519,75 +355,6 @@ func saturationFraction(res *model.Result) float64 {
 		return 0
 	}
 	return float64(saturated) / float64(active)
-}
-
-// strategyBacked marks the built-in policies whose behaviour is
-// delegated to a named strategy from the internal/strategy registry.
-// The simulator caches one instance per worker workspace, so repeated
-// trials reuse the strategy's scratch buffers instead of allocating.
-// External Policy implementations fall back to the plain interface.
-type strategyBacked interface {
-	newStrategy() (strategy.Strategy, error)
-}
-
-// strategyArrival routes an arrival through the strategy's online form;
-// strategies without one (e.g. WOLT, whose initial contact is handled
-// by the policy's own RSSI rule) fall back to the caller.
-func strategyArrival(st strategy.Strategy, inst *Instance, assign model.Assignment, user int) error {
-	on, ok := st.(strategy.Online)
-	if !ok {
-		return fmt.Errorf("netsim: strategy %q has no online arrival form: %w",
-			st.Name(), strategy.ErrNoOnlineForm)
-	}
-	_, err := on.Add(inst.Net, assign, user)
-	return err
-}
-
-// strategyEpoch routes an epoch boundary through the strategy's
-// reassignment form; strategies that never reassign leave the
-// association unchanged.
-func strategyEpoch(st strategy.Strategy, inst *Instance, assign model.Assignment) (model.Assignment, error) {
-	if re, ok := st.(strategy.Reassigner); ok {
-		return re.Reassign(inst.Net, assign)
-	}
-	return assign, nil
-}
-
-// sequentialPolicy marks policies that must not run trials concurrently
-// (shared mutable state, e.g. RandomPolicy's Rng).
-type sequentialPolicy interface{ sequentialOnly() }
-
-func forcesSequential(policies []Policy) bool {
-	for _, p := range policies {
-		if _, ok := p.(sequentialPolicy); ok {
-			return true
-		}
-	}
-	return false
-}
-
-func policyArrival(p Policy, inst *Instance, assign model.Assignment, user int, ws *trialWorkspace, idx int) error {
-	if sb, ok := p.(strategyBacked); ok {
-		st, err := ws.strategyFor(idx, sb)
-		if err != nil {
-			return err
-		}
-		if _, online := st.(strategy.Online); online {
-			return strategyArrival(st, inst, assign, user)
-		}
-	}
-	return p.OnArrival(inst, assign, user)
-}
-
-func policyEpoch(p Policy, inst *Instance, assign model.Assignment, ws *trialWorkspace, idx int) (model.Assignment, error) {
-	if sb, ok := p.(strategyBacked); ok {
-		st, err := ws.strategyFor(idx, sb)
-		if err != nil {
-			return nil, err
-		}
-		return strategyEpoch(st, inst, assign)
-	}
-	return p.OnEpoch(inst, assign)
 }
 
 func newUnassigned(n int) model.Assignment {

@@ -2,11 +2,11 @@ package netsim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"github.com/plcwifi/wolt/internal/model"
 	"github.com/plcwifi/wolt/internal/radio"
+	"github.com/plcwifi/wolt/internal/strategy"
 	"github.com/plcwifi/wolt/internal/topology"
 )
 
@@ -14,6 +14,20 @@ var redistribute = model.Options{Redistribute: true}
 
 func smallTopoCfg(seed int64) topology.Config {
 	return topology.Config{NumExtenders: 4, NumUsers: 12, Seed: seed}
+}
+
+// randomPolicy is the uniform-random sanity floor, seeded.
+func randomPolicy(s int64) Policy {
+	return Policy{Name: "Random", Strategy: "random", Config: strategy.Config{Seed: s}}
+}
+
+func newStrategy(t *testing.T, p Policy) strategy.Strategy {
+	t.Helper()
+	st, err := p.newStrategy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestBuildShapes(t *testing.T) {
@@ -74,7 +88,7 @@ func TestRSSIAndRateOrderingAgree(t *testing.T) {
 }
 
 func TestRunStaticValidation(t *testing.T) {
-	if _, err := RunStatic(StaticConfig{Trials: 0}, []Policy{RSSIPolicy{}}); err == nil {
+	if _, err := RunStatic(StaticConfig{Trials: 0}, []Policy{RSSIPolicy()}); err == nil {
 		t.Error("zero trials: want error")
 	}
 	if _, err := RunStatic(StaticConfig{Topology: smallTopoCfg(1), Trials: 1}, nil); err == nil {
@@ -89,11 +103,11 @@ func TestRunStaticAllPolicies(t *testing.T) {
 		ModelOpts: redistribute,
 	}
 	policies := []Policy{
-		WOLTPolicy{},
-		GreedyPolicy{ModelOpts: redistribute},
-		SelfishPolicy{ModelOpts: redistribute},
-		RSSIPolicy{},
-		RandomPolicy{Rng: rand.New(rand.NewSource(1))},
+		WOLTPolicy(),
+		GreedyPolicy(redistribute),
+		SelfishPolicy(redistribute),
+		RSSIPolicy(),
+		randomPolicy(1),
 	}
 	results, err := RunStatic(cfg, policies)
 	if err != nil {
@@ -140,10 +154,10 @@ func TestWOLTBeatsBaselinesAtScale(t *testing.T) {
 		ModelOpts: redistribute,
 	}
 	results, err := RunStatic(cfg, []Policy{
-		WOLTPolicy{},
-		GreedyPolicy{ModelOpts: redistribute},
-		SelfishPolicy{ModelOpts: redistribute},
-		RSSIPolicy{},
+		WOLTPolicy(),
+		GreedyPolicy(redistribute),
+		SelfishPolicy(redistribute),
+		RSSIPolicy(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,11 +172,11 @@ func TestWOLTBeatsBaselinesAtScale(t *testing.T) {
 
 func TestStaticDeterministic(t *testing.T) {
 	cfg := StaticConfig{Topology: smallTopoCfg(42), Trials: 3, ModelOpts: redistribute}
-	a, err := RunStatic(cfg, []Policy{WOLTPolicy{}})
+	a, err := RunStatic(cfg, []Policy{WOLTPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunStatic(cfg, []Policy{WOLTPolicy{}})
+	b, err := RunStatic(cfg, []Policy{WOLTPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,25 +194,26 @@ func TestOnArrivalErrors(t *testing.T) {
 	}
 	inst := Build(topo, radio.DefaultModel())
 	assign := newUnassigned(len(topo.Users))
-	if err := (WOLTPolicy{}).OnArrival(inst, assign, 99); err == nil {
+	// WOLT has no online form: arrivals take the strongest-RSSI rule.
+	st := newStrategy(t, WOLTPolicy())
+	if err := arrive(st, inst, assign, 99); err == nil {
 		t.Error("out-of-range user: want error")
 	}
-	if err := (WOLTPolicy{}).OnArrival(inst, assign, -1); err == nil {
+	if err := arrive(st, inst, assign, -1); err == nil {
 		t.Error("negative user: want error")
 	}
 }
 
 func TestPolicyNames(t *testing.T) {
 	names := map[string]Policy{
-		"WOLT":    WOLTPolicy{},
-		"Greedy":  GreedyPolicy{},
-		"Selfish": SelfishPolicy{},
-		"RSSI":    RSSIPolicy{},
-		"Random":  RandomPolicy{},
+		"WOLT":    WOLTPolicy(),
+		"Greedy":  GreedyPolicy(model.Options{}),
+		"Selfish": SelfishPolicy(model.Options{}),
+		"RSSI":    RSSIPolicy(),
 	}
 	for want, p := range names {
-		if p.Name() != want {
-			t.Errorf("policy name = %q, want %q", p.Name(), want)
+		if p.Name != want {
+			t.Errorf("policy name = %q, want %q", p.Name, want)
 		}
 	}
 }
@@ -211,22 +226,22 @@ func TestBaselineOnEpochIsIdentity(t *testing.T) {
 	inst := Build(topo, radio.DefaultModel())
 	assign := newUnassigned(len(topo.Users))
 	for i := range topo.Users {
-		if err := (RSSIPolicy{}).OnArrival(inst, assign, i); err != nil {
+		if err := arrive(nil, inst, assign, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, p := range []Policy{
-		GreedyPolicy{ModelOpts: redistribute},
-		SelfishPolicy{ModelOpts: redistribute},
-		RSSIPolicy{},
-		RandomPolicy{Rng: rand.New(rand.NewSource(1))},
+		GreedyPolicy(redistribute),
+		SelfishPolicy(redistribute),
+		RSSIPolicy(),
+		randomPolicy(1),
 	} {
-		out, err := p.OnEpoch(inst, assign)
+		out, err := reassign(newStrategy(t, p), inst, assign)
 		if err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+			t.Fatalf("%s: %v", p.Name, err)
 		}
 		if out.Diff(assign) != 0 {
-			t.Errorf("%s OnEpoch changed the assignment", p.Name())
+			t.Errorf("%s epoch changed the assignment", p.Name)
 		}
 	}
 }
@@ -238,8 +253,9 @@ func TestSelfishPolicyOnArrival(t *testing.T) {
 	}
 	inst := Build(topo, radio.DefaultModel())
 	assign := newUnassigned(len(topo.Users))
+	st := newStrategy(t, SelfishPolicy(redistribute))
 	for i := range topo.Users {
-		if err := (SelfishPolicy{ModelOpts: redistribute}).OnArrival(inst, assign, i); err != nil {
+		if err := arrive(st, inst, assign, i); err != nil {
 			t.Fatal(err)
 		}
 		if assign[i] == model.Unassigned {

@@ -1,11 +1,9 @@
 package netsim
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
-	"github.com/plcwifi/wolt/internal/core"
 	"github.com/plcwifi/wolt/internal/radio"
 	"github.com/plcwifi/wolt/internal/seed"
 	"github.com/plcwifi/wolt/internal/topology"
@@ -13,10 +11,10 @@ import (
 
 func staticPolicies() []Policy {
 	return []Policy{
-		WOLTPolicy{},
-		GreedyPolicy{ModelOpts: redistribute},
-		SelfishPolicy{ModelOpts: redistribute},
-		RSSIPolicy{},
+		WOLTPolicy(),
+		GreedyPolicy(redistribute),
+		SelfishPolicy(redistribute),
+		RSSIPolicy(),
 	}
 }
 
@@ -47,30 +45,44 @@ func TestRunStaticDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunStaticRandomForcedSequential: a policy set containing
-// RandomPolicy (shared *rand.Rand) must produce the sequential result
-// even when many workers are requested.
-func TestRunStaticRandomForcedSequential(t *testing.T) {
-	run := func(workers int) []StaticResult {
-		t.Helper()
-		cfg := StaticConfig{
-			Topology:  smallTopoCfg(5),
-			Trials:    6,
-			ModelOpts: redistribute,
-			Workers:   workers,
-		}
-		policies := []Policy{
-			RandomPolicy{Rng: rand.New(rand.NewSource(9))},
-			RSSIPolicy{},
-		}
-		res, err := RunStatic(cfg, policies)
+// TestRunStaticRandomDeterministicAcrossWorkers: a randomized strategy
+// builds its instance inside each trial, so its draws depend only on its
+// Config and the trial. Every worker count, and RunTrial row by row,
+// must agree.
+func TestRunStaticRandomDeterministicAcrossWorkers(t *testing.T) {
+	policies := []Policy{randomPolicy(3), RSSIPolicy()}
+	cfg := StaticConfig{
+		Topology:  topology.Config{NumExtenders: 5, NumUsers: 20, Seed: 41},
+		Trials:    24,
+		ModelOpts: redistribute,
+		Workers:   1,
+	}
+	want, err := RunStatic(cfg, policies)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, 8, 0} {
+		cfg.Workers = workers
+		got, err := RunStatic(cfg, policies)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Workers:%d result differs from Workers:1", workers)
+		}
 	}
-	if !reflect.DeepEqual(run(8), run(1)) {
-		t.Fatal("RandomPolicy run not forced sequential")
+	for trial := 0; trial < cfg.Trials; trial++ {
+		tc := cfg.Topology
+		tc.Seed = seed.Derive(tc.Seed, seed.NetsimTrial, int64(trial))
+		trs, err := RunTrial(tc, radio.DefaultModel(), policies, redistribute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range trs {
+			if !reflect.DeepEqual(trs[p], want[p].Trials[trial]) {
+				t.Fatalf("trial %d policy %s: RunTrial differs from RunStatic", trial, want[p].Policy)
+			}
+		}
 	}
 }
 
@@ -110,7 +122,7 @@ func TestRunStaticSaturationFractionBounds(t *testing.T) {
 		Trials:    5,
 		ModelOpts: redistribute,
 	}
-	results, err := RunStatic(cfg, []Policy{WOLTPolicy{}})
+	results, err := RunStatic(cfg, []Policy{WOLTPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +143,9 @@ func BenchmarkStatic(b *testing.B) {
 		ModelOpts: redistribute,
 	}
 	policies := []Policy{
-		WOLTPolicy{Options: core.Options{}},
-		GreedyPolicy{ModelOpts: redistribute},
-		RSSIPolicy{},
+		WOLTPolicy(),
+		GreedyPolicy(redistribute),
+		RSSIPolicy(),
 	}
 	for _, bc := range []struct {
 		name    string

@@ -58,12 +58,7 @@ func (r *rssiStrategy) Add(n *model.Network, assign model.Assignment, user int) 
 	if user < 0 || user >= n.NumUsers() {
 		return 0, fmt.Errorf("strategy: user %d out of range", user)
 	}
-	best, bestRate := model.Unassigned, 0.0
-	for j, rate := range n.WiFiRates[user] {
-		if rate > bestRate {
-			best, bestRate = j, rate
-		}
-	}
+	best := baseline.Strongest(n.WiFiRates[user], nil)
 	if best == model.Unassigned {
 		return 0, fmt.Errorf("strategy: user %d reaches no extender", user)
 	}
@@ -191,6 +186,13 @@ func (r *randomStrategy) Add(n *model.Network, assign model.Assignment, user int
 // (signal[i][j] is any monotone metric, dBm RSSI in the experiments).
 func RSSI(n *model.Network, signal [][]float64) (model.Assignment, error) {
 	return baseline.RSSI(n, signal)
+}
+
+// Strongest returns the reachable extender (rate > 0) with the highest
+// signal, ties to the lowest index; a nil signal means the rates. It
+// returns model.Unassigned when the user reaches no extender.
+func Strongest(rates, signal []float64) int {
+	return baseline.Strongest(rates, signal)
 }
 
 // Greedy replays the aggregate-throughput-greedy arrival sequence

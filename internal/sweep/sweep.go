@@ -100,10 +100,10 @@ func Run(cfg Config) ([]Result, error) {
 	rm := cfg.radioModel()
 	// The policy values are stateless and shared by all workers.
 	policies := []netsim.Policy{
-		netsim.WOLTPolicy{},
-		netsim.GreedyPolicy{ModelOpts: cfg.ModelOpts},
-		netsim.SelfishPolicy{ModelOpts: cfg.ModelOpts},
-		netsim.RSSIPolicy{},
+		netsim.WOLTPolicy(),
+		netsim.GreedyPolicy(cfg.ModelOpts),
+		netsim.SelfishPolicy(cfg.ModelOpts),
+		netsim.RSSIPolicy(),
 	}
 
 	ctx := cfg.Ctx

@@ -39,8 +39,8 @@ fi
 # layers' probe loops. Its re-attach discipline (generation counter,
 # Matches) is easy to hold inside a solver and easy to violate from ad
 # hoc call sites, so only the algorithm packages — internal/baseline,
-# internal/core, internal/localsearch, internal/nlp, internal/netsim —
-# may construct one (internal/model owns it). Everyone else consumes
+# internal/core, internal/localsearch, internal/nlp — may construct one
+# (internal/model owns it). Everyone else consumes
 # delta-evaluated results through the strategy registry's
 # instrumentation. Test files are exempt.
 bad=$(grep -rn 'model\.DeltaEval' --include='*.go' . \
@@ -49,12 +49,11 @@ bad=$(grep -rn 'model\.DeltaEval' --include='*.go' . \
 	| grep -v '^\./internal/core/' \
 	| grep -v '^\./internal/localsearch/' \
 	| grep -v '^\./internal/nlp/' \
-	| grep -v '^\./internal/netsim/' \
 	| grep -v '_test\.go:' || true)
 if [ -n "$bad" ]; then
 	echo "import lint: model.DeltaEval constructed outside the algorithm layers:" >&2
 	echo "$bad" >&2
-	echo "only internal/{baseline,core,localsearch,nlp,netsim} may hold a delta evaluator; use the strategy registry" >&2
+	echo "only internal/{baseline,core,localsearch,nlp} may hold a delta evaluator; use the strategy registry" >&2
 	exit 1
 fi
 
@@ -147,17 +146,21 @@ fi
 # encoding (the JSON fallback, its codec knobs and the tcp-json city
 # plane are gone), policies are plain strategy-registry strings, the
 # proportional-fair variant is core.Assign with model.ProportionalFairness,
-# and shard routing has one exported rule (shard.OwnerForRates; the
-# BestExtender duplicate and the unused Coordinator.NumShards are gone).
+# shard routing has one exported rule (shard.OwnerForRates; the
+# BestExtender duplicate and the unused Coordinator.NumShards are gone),
+# and netsim policies are netsim.Policy values over the strategy
+# registry (the per-policy types, their caching dispatch and sequential
+# escape hatch, the duplicate strongest-signal rule and the experiments'
+# copy of Policy.Assign are gone; baseline.Strongest is the one rule).
 # Test files are covered too; the one exemption is the experiments test
 # that pins the refusal of the retired "tcp-json" plane name.
-bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(' \
+bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic' \
 	--include='*.go' . \
 	| grep -v '^\./internal/experiments/experiments_test\.go:.*"tcp-json"' || true)
 if [ -n "$bad" ]; then
 	echo "import lint: removed identifier reintroduced:" >&2
 	echo "$bad" >&2
-	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule" >&2
+	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values" >&2
 	exit 1
 fi
 echo "import lint: clean"

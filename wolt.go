@@ -190,7 +190,9 @@ type (
 	RadioModel = radio.Model
 	// Instance is a topology with derived rate/RSSI matrices.
 	Instance = netsim.Instance
-	// Policy is an association policy driven by the simulator.
+	// Policy is an association policy driven by the simulator: a
+	// strategy-registry name and its StrategyConfig under a display
+	// name (an empty strategy is the controller-less RSSI baseline).
 	Policy = netsim.Policy
 	// StaticConfig parameterizes independent-trial simulations.
 	StaticConfig = netsim.StaticConfig
@@ -202,18 +204,20 @@ type (
 	EpochResult = netsim.EpochResult
 	// ChurnConfig drives Poisson arrival/departure traces.
 	ChurnConfig = workload.Config
-
-	// WOLTPolicy recomputes the full association at epoch boundaries.
-	WOLTPolicy = netsim.WOLTPolicy
-	// GreedyPolicy assigns each arrival to maximize aggregate throughput.
-	GreedyPolicy = netsim.GreedyPolicy
-	// SelfishPolicy assigns each arrival to maximize its own throughput.
-	SelfishPolicy = netsim.SelfishPolicy
-	// RSSIPolicy assigns each arrival by strongest signal.
-	RSSIPolicy = netsim.RSSIPolicy
-	// RandomPolicy assigns each arrival uniformly at random.
-	RandomPolicy = netsim.RandomPolicy
 )
+
+// WOLTPolicy recomputes the full association at epoch boundaries;
+// arrivals join the strongest-signal extender until then.
+func WOLTPolicy() Policy { return netsim.WOLTPolicy() }
+
+// GreedyPolicy assigns each arrival to maximize aggregate throughput.
+func GreedyPolicy(opts EvalOptions) Policy { return netsim.GreedyPolicy(opts) }
+
+// SelfishPolicy assigns each arrival to maximize its own throughput.
+func SelfishPolicy(opts EvalOptions) Policy { return netsim.SelfishPolicy(opts) }
+
+// RSSIPolicy assigns each arrival by strongest signal.
+func RSSIPolicy() Policy { return netsim.RSSIPolicy() }
 
 // Mobility types (random-waypoint user motion).
 type (

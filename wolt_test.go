@@ -76,7 +76,7 @@ func TestFacadeSimulation(t *testing.T) {
 		Trials:   2,
 	}
 	cfg.ModelOpts = redistribute
-	results, err := wolt.RunStatic(cfg, []wolt.Policy{wolt.WOLTPolicy{}, wolt.RSSIPolicy{}})
+	results, err := wolt.RunStatic(cfg, []wolt.Policy{wolt.WOLTPolicy(), wolt.RSSIPolicy()})
 	if err != nil {
 		t.Fatal(err)
 	}
