@@ -154,3 +154,69 @@ func BenchmarkWarmResolveKOpt(b *testing.B) {
 func BenchmarkWarmResolveAnneal(b *testing.B) {
 	benchWarmResolve(b, localsearch.Annealing, 2000)
 }
+
+// BenchmarkWarmRepair prices the steady warm path the control plane
+// runs per event: one logged rate update (Network.SetRow) followed by a
+// 200-probe hill-climb repair on the same, reused Searcher, so every
+// call catches up by replaying one row edit rather than re-attaching.
+// The state starts at a hill-climb local optimum. Across the user
+// counts, ns/op should grow only with the probed cells, not with the
+// number of users.
+func BenchmarkWarmRepair(b *testing.B) {
+	for _, users := range []int{250, 1000, 4000} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
+			n := warmBenchNetwork(users, 4)
+			opts := localsearch.Options{
+				Model:  model.Options{Redistribute: true},
+				Budget: localsearch.Budget{Probes: 200},
+			}
+			ctx := context.Background()
+			start := make(model.Assignment, users)
+			for i := range start {
+				start[i] = model.Unassigned
+			}
+			var s localsearch.Searcher
+			res, err := s.Search(ctx, n, start, localsearch.HillClimbing, localsearch.Options{Model: opts.Model})
+			if err != nil {
+				b.Fatal(err)
+			}
+			assign := res.Assign
+			// spare[i] is a row buffer the network no longer references:
+			// each update fills it and swaps it with user i's installed row.
+			spare := make([][]float64, users)
+			for i := range spare {
+				spare[i] = make([]float64, n.NumExtenders())
+			}
+			steps := []float64{6, 9, 12, 18, 24, 36, 48, 54}
+			rng := seed.Rand(2020, seed.AnytimeBench, 1)
+			probes := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				i := rng.Intn(users)
+				row := spare[i]
+				for j := range row {
+					row[j] = 0
+					if rng.Intn(2) == 0 {
+						row[j] = steps[rng.Intn(len(steps))]
+					}
+				}
+				if j := assign[i]; j != model.Unassigned && row[j] <= 0 {
+					row[j] = steps[rng.Intn(len(steps))]
+				}
+				spare[i] = n.WiFiRates[i]
+				n.SetRow(i, row)
+				res, err := s.Search(ctx, n, assign, localsearch.HillClimbing, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Attaches != 0 {
+					b.Fatalf("update %d re-attached", k)
+				}
+				assign = res.Assign
+				probes += res.Probes
+			}
+			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+		})
+	}
+}

@@ -1,10 +1,8 @@
 package localsearch
 
 import (
-	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"github.com/plcwifi/wolt/internal/model"
@@ -157,105 +155,6 @@ func TestCandidatesReplayMatchesFresh(t *testing.T) {
 			if got, want := c.For(i), fresh.For(i); !slices.Equal(got, want) {
 				t.Fatalf("step %d (m=%d): replayed For(%d) = %v, fresh %v (row %v)",
 					step, m, i, got, want, n.WiFiRates[i])
-			}
-		}
-	}
-}
-
-// TestSweepHeapMatchesSort: popping the sweep heap visits users in
-// exactly the order sort.Sort gives deficitOrder, for deficits full of
-// exact ties, +Inf (unassigned under α-fair) and −Inf (no candidate)
-// under the sum-rate, α=2 and max-min utilities; and the row max-scan
-// behind each deficit equals the rate of the user's first candidate.
-func TestSweepHeapMatchesSort(t *testing.T) {
-	utils := []model.Utility{{}, model.AlphaFair(2), model.MaxMinFairness()}
-	var posInf, negInf, ties int
-	for base := int64(0); base < 12; base++ {
-		rng := seed.Rand(base, seed.LocalSearchFuzz, 1)
-		n := tieNetwork(rng, 1+rng.Intn(6), 1+rng.Intn(60))
-		a := make(model.Assignment, n.NumUsers())
-		for i, row := range n.WiFiRates {
-			a[i] = model.Unassigned
-			if rng.Intn(4) != 0 {
-				for _, j := range rng.Perm(len(row)) {
-					if row[j] > 0 {
-						a[i] = j
-						break
-					}
-				}
-			}
-		}
-		for _, u := range utils {
-			var s Searcher
-			opts := Options{Model: model.Options{Redistribute: true, Utility: u}, Neighborhood: 1 + rng.Intn(4)}
-			if err := s.delta.Attach(n, a, opts.Model); err != nil {
-				t.Fatal(err)
-			}
-			s.cands.Ensure(n, opts.neighborhood())
-			s.util = u
-			s.best = a.Clone()
-			s.sweepOrder()
-
-			ref := deficitOrder{
-				order:   make([]int, n.NumUsers()),
-				deficit: slices.Clone(s.sweep.deficit),
-			}
-			for i := range ref.order {
-				ref.order[i] = i
-			}
-			sort.Sort(&ref)
-			for k, i := range ref.order {
-				switch dv := ref.deficit[i]; {
-				case math.IsInf(dv, 1):
-					posInf++
-				case math.IsInf(dv, -1):
-					negInf++
-				case k > 0 && dv == ref.deficit[ref.order[k-1]]:
-					ties++
-				}
-			}
-			var got []int
-			for s.sweep.Len() > 0 {
-				got = append(got, s.sweep.pop())
-			}
-			if !slices.Equal(got, ref.order) {
-				t.Fatalf("base %d utility %+v: heap order %v != sort order %v (deficits %v)",
-					base, u, got, ref.order, ref.deficit)
-			}
-
-			for i, row := range n.WiFiRates {
-				want := 0.0
-				if cand := s.cands.For(i); len(cand) > 0 {
-					want = row[cand[0]]
-				}
-				if got := bestRate(row); got != want {
-					t.Fatalf("user %d: max-scan %v != For(i)[0] rate %v", i, got, want)
-				}
-			}
-		}
-	}
-
-	if posInf == 0 || negInf == 0 || ties == 0 {
-		t.Fatalf("instances lack coverage: %d +Inf, %d -Inf, %d finite ties", posInf, negInf, ties)
-	}
-
-	// Synthetic deficits drawn from a tiny value set with both infinities.
-	rng := seed.Rand(99, seed.LocalSearchFuzz, 2)
-	vals := []float64{math.Inf(-1), -1, 0, 0, 2.5, 2.5, math.Inf(1)}
-	for trial := 0; trial < 200; trial++ {
-		users := rng.Intn(50)
-		var d, ref deficitOrder
-		for i := 0; i < users; i++ {
-			d.order = append(d.order, i)
-			d.deficit = append(d.deficit, vals[rng.Intn(len(vals))])
-		}
-		ref.order = slices.Clone(d.order)
-		ref.deficit = d.deficit
-		sort.Sort(&ref)
-		d.heapify()
-		for k := 0; d.Len() > 0; k++ {
-			if got := d.pop(); got != ref.order[k] {
-				t.Fatalf("trial %d: pop %d = %d, sort order %v", trial, k, got, ref.order)
 			}
 		}
 	}

@@ -353,7 +353,8 @@ func (r *run) haltWith(reason StopReason) {
 }
 
 // Searcher owns the reusable state of the family: the delta evaluator,
-// the neighborhood cache, and the best-so-far buffers. Like
+// the neighborhood cache, the hill climb's visit order, and the
+// best-so-far buffers. Like
 // core.Scratch, a Searcher is not safe for concurrent use but amortizes
 // every allocation across repeated searches — the warm re-solve loop
 // runs allocation-free after the first call on a given network size.
@@ -361,9 +362,11 @@ type Searcher struct {
 	delta model.DeltaEval
 	cands Candidates
 
+	// best is the annealer's best-so-far assignment; the other methods
+	// end on their best state, so finish reads the evaluator instead.
 	best      model.Assignment
 	bestScore model.Score
-	util      model.Utility
+	annealing bool
 	traj      []float64
 
 	placed, commits, improving int
@@ -380,62 +383,8 @@ type Searcher struct {
 	// random draw can never spin on an unreachable user.
 	movable []int
 
-	// hill-climb scratch: the deficit-ordered sweep heap.
-	sweep deficitOrder
-}
-
-// deficitOrder orders users by descending rate deficit, ties by
-// ascending index: a strict total order, so the sweep is deterministic
-// and popping the heap yields exactly the sorted order. It lives in the
-// Searcher, so repeated passes stay allocation-free.
-type deficitOrder struct {
-	order   []int // binary heap under Less: order[0] is visited next
-	deficit []float64
-}
-
-func (d *deficitOrder) Len() int { return len(d.order) }
-func (d *deficitOrder) Less(a, b int) bool {
-	ia, ib := d.order[a], d.order[b]
-	if d.deficit[ia] != d.deficit[ib] {
-		return d.deficit[ia] > d.deficit[ib]
-	}
-	return ia < ib
-}
-func (d *deficitOrder) Swap(a, b int) { d.order[a], d.order[b] = d.order[b], d.order[a] }
-
-// heapify arranges order into a heap in O(n).
-func (d *deficitOrder) heapify() {
-	for k := len(d.order)/2 - 1; k >= 0; k-- {
-		d.down(k)
-	}
-}
-
-// pop removes and returns the user that sorts first, in O(log n).
-func (d *deficitOrder) pop() int {
-	last := len(d.order) - 1
-	d.Swap(0, last)
-	top := d.order[last]
-	d.order = d.order[:last]
-	d.down(0)
-	return top
-}
-
-func (d *deficitOrder) down(k int) {
-	n := len(d.order)
-	for {
-		c := 2*k + 1
-		if c >= n {
-			return
-		}
-		if r := c + 1; r < n && d.Less(r, c) {
-			c = r
-		}
-		if !d.Less(c, k) {
-			return
-		}
-		d.Swap(k, c)
-		k = c
-	}
+	// hill-climb visit order, kept across searches (rank.go).
+	rank deficitRank
 }
 
 // Search runs one method of the family from the start assignment and
@@ -447,7 +396,7 @@ func (d *deficitOrder) down(k int) {
 func (s *Searcher) Search(ctx context.Context, n *model.Network, start model.Assignment, method Method, opts Options) (*Result, error) {
 	r := newRun(ctx, opts.Budget)
 	probesBefore, evalsBefore := s.delta.Probes, s.delta.Evals
-	if err := s.begin(n, start, opts, r); err != nil {
+	if err := s.begin(n, start, method, opts, r); err != nil {
 		return nil, err
 	}
 	if !r.halted {
@@ -497,6 +446,7 @@ func (s *Searcher) Place(n *model.Network, assign model.Assignment, user int, op
 		return model.Unassigned, nil
 	}
 	s.delta.Commit(user, model.Unassigned, bestTo)
+	s.rank.touchAt(n, user)
 	return bestTo, nil
 }
 
@@ -515,19 +465,23 @@ func (s *Searcher) Anneal(ctx context.Context, n *model.Network, start model.Ass
 	return s.Search(ctx, n, start, Annealing, opts)
 }
 
-// begin syncs the evaluator to (n, start), refreshes the candidate
-// cache, places unassigned users, and snapshots the post-placement
-// state as the initial best.
-func (s *Searcher) begin(n *model.Network, start model.Assignment, opts Options, r *run) error {
+// begin syncs the evaluator and the visit order to (n, start),
+// refreshes the candidate cache, places unassigned users, and records
+// the post-placement state as the initial best (copying it only for
+// Annealing, the one method that can walk away from its best).
+func (s *Searcher) begin(n *model.Network, start model.Assignment, method Method, opts Options, r *run) error {
 	if err := s.delta.Sync(n, start, opts.Model); err != nil {
 		return err
 	}
+	s.rank.sync(n, opts.Model.Utility, s.delta.Evals)
 	s.cands.Ensure(n, opts.neighborhood())
-	s.util = opts.Model.Utility
 	s.placed, s.commits, s.improving = 0, 0, 0
 	s.place(n, r)
 	s.bestScore = s.delta.Score()
-	s.best = s.delta.AppendAssignment(s.best)
+	s.annealing = method == Annealing
+	if s.annealing {
+		s.best = s.delta.AppendAssignment(s.best)
+	}
 	s.traj = append(s.traj[:0], s.bestScore.Primary)
 	return nil
 }
@@ -537,12 +491,19 @@ func (s *Searcher) begin(n *model.Network, start model.Assignment, opts Options,
 // same arrivals-are-free rule as core.AssignIncrementalWith, so the
 // move budget is untouched. Probes still count (they are real work),
 // and an exhausted budget leaves the remaining users unassigned, which
-// is still a valid state.
+// is still a valid state. The cells' member counts say how many users
+// are unassigned, so the scan stops after the last of them — a warm
+// repair with no arrivals scans nothing.
 func (s *Searcher) place(n *model.Network, r *run) {
-	for i := 0; i < n.NumUsers(); i++ {
+	free := n.NumUsers()
+	for j := 0; j < n.NumExtenders(); j++ {
+		free -= len(s.delta.Members(j))
+	}
+	for i := 0; free > 0; i++ {
 		if s.delta.Assigned(i) != model.Unassigned {
 			continue
 		}
+		free--
 		bestTo := -1
 		bestSc := model.Score{Primary: math.Inf(-1), Tie: math.Inf(-1)}
 		for _, to := range s.cands.For(i) {
@@ -554,8 +515,7 @@ func (s *Searcher) place(n *model.Network, r *run) {
 			}
 		}
 		if bestTo >= 0 {
-			s.delta.Commit(i, model.Unassigned, bestTo)
-			s.commits++
+			s.commit(i, model.Unassigned, bestTo)
 			s.placed++
 		}
 		if r.halted {
@@ -564,23 +524,49 @@ func (s *Searcher) place(n *model.Network, r *run) {
 	}
 }
 
-// noteBest snapshots the committed state as the new best.
+// commit applies the move (i: from → to) to the evaluator and marks
+// i's place in the visit order out of date.
+func (s *Searcher) commit(i, from, to int) {
+	s.delta.Commit(i, from, to)
+	s.rank.touch(i)
+	s.commits++
+}
+
+// noteBest records the committed state as the new best. Only the
+// annealer copies the assignment: hill climbing and k-opt return on
+// their best state, so finish snapshots it once.
 func (s *Searcher) noteBest() {
 	s.bestScore = s.delta.Score()
-	s.best = s.delta.AppendAssignment(s.best)
+	if s.annealing {
+		s.best = s.delta.AppendAssignment(s.best)
+	}
 	s.traj = append(s.traj, s.bestScore.Primary)
 	s.improving++
 }
 
 // hillClimb runs deficit-ordered greedy sweeps: each pass visits users
 // in descending rate deficit (the user's best candidate rate minus its
-// current rate — plain arithmetic, no probes), popped one at a time
-// from a heap, and commits each user's best improving move the moment
-// it is found. The ordering is what makes warm re-solves
-// sub-millisecond: users parked far below their best link — churned
-// arrivals, roamed users — are examined within the first few hundred
-// probes, so a tight budget repairs the damage long before a full pass
-// would finish. The local-optimum certificate is unchanged: only a complete pass that
+// current rate, in the utility's units — plain arithmetic, no probes)
+// and commits each user's best improving move the moment it is found.
+// The ordering is what makes warm re-solves sub-millisecond: users
+// parked far below their best link — churned arrivals, roamed users —
+// are examined within the first few hundred probes, so a tight budget
+// repairs the damage long before a full pass would finish.
+//
+// The order is the Searcher's persistent deficitRank, not rebuilt per
+// pass: begin replays the network's row edits into it, every commit
+// (Place's included) marks the moved user dirty, and each pass starts
+// by flushing the dirty users — O(edits + dirty·log users) per call
+// instead of a heap over every user, with a wholesale change (another
+// network or utility, a gap longer than the edit log, an evaluator
+// re-Attach) falling back to one heapify, no dearer than a per-pass
+// heap. A user's deficit depends only on its own row and extender, and
+// the flush runs only at pass start, so each pass walks exactly the
+// order a fresh sort of the committed state at pass start would give:
+// visit order, probes, commits and trajectory are those of a per-pass
+// sort.
+//
+// The local-optimum certificate is unchanged: only a complete pass that
 // commits nothing (and therefore probed every candidate of every user)
 // ends the climb. Each commit strictly increases the aggregate by more
 // than improveEps, so the loop terminates; the visit order is a pure
@@ -588,10 +574,13 @@ func (s *Searcher) noteBest() {
 // and a larger probe budget only ever extends a smaller one's.
 func (s *Searcher) hillClimb(r *run) {
 	for {
-		s.sweepOrder()
+		s.rank.flush(&s.delta)
 		committed := false
-		for s.sweep.Len() > 0 {
-			i := s.sweep.pop()
+		for p := 0; ; p++ {
+			i := s.rank.at(p)
+			if i < 0 {
+				break
+			}
 			from := s.delta.Assigned(i)
 			if from == model.Unassigned {
 				continue // unplaced only when placement ran out of budget
@@ -609,8 +598,7 @@ func (s *Searcher) hillClimb(r *run) {
 				}
 			}
 			if bestTo >= 0 && r.takeMove() {
-				s.delta.Commit(i, from, bestTo)
-				s.commits++
+				s.commit(i, from, bestTo)
 				s.noteBest()
 				committed = true
 			}
@@ -624,54 +612,6 @@ func (s *Searcher) hillClimb(r *run) {
 	}
 }
 
-// sweepOrder rebuilds the pass heap: every user, keyed by descending
-// rate deficit in the utility's own units (model.Utility.Deficit of the
-// best reachable rate vs the current rate — plain arithmetic, no
-// probes). The zero sum-rate utility keeps today's raw rate difference
-// bit-for-bit; fairness-hungry members send users at or near zero
-// throughput to the front. Unassigned users keep their full best rate
-// as the deficit (+∞ under finite α > 0), so any user the placement
-// pass could not afford sorts first; users with no reachable extender
-// sort last (−∞). The best reachable rate is a max-scan of the rate
-// row, equal to the rate of Candidates.For(i)[0] by construction, so
-// ordering fills no neighbourhood; the heap is built in O(users) and a
-// budgeted pass pops, and fills, only the users it visits.
-func (s *Searcher) sweepOrder() {
-	users := len(s.best)
-	if cap(s.sweep.order) < users {
-		s.sweep.order = make([]int, users)
-		s.sweep.deficit = make([]float64, users)
-	}
-	s.sweep.order = s.sweep.order[:users]
-	s.sweep.deficit = s.sweep.deficit[:users]
-	for i := 0; i < users; i++ {
-		s.sweep.order[i] = i
-		best := bestRate(s.cands.net.WiFiRates[i])
-		if best <= 0 {
-			s.sweep.deficit[i] = math.Inf(-1)
-			continue
-		}
-		cur := 0.0
-		if from := s.delta.Assigned(i); from != model.Unassigned {
-			cur = s.cands.net.WiFiRates[i][from]
-		}
-		s.sweep.deficit[i] = s.util.Deficit(best, cur)
-	}
-	s.sweep.heapify()
-}
-
-// bestRate returns the row's largest positive rate, or 0 when no
-// extender is reachable.
-func bestRate(row []float64) float64 {
-	best := 0.0
-	for _, r := range row {
-		if r > best {
-			best = r
-		}
-	}
-	return best
-}
-
 // kopt escapes single-move local optima with eject/reinsert chains:
 // climb to an optimum, then from each seed user build a chain of up to
 // depth moves — move the user to its best candidate even if that
@@ -683,17 +623,22 @@ func bestRate(row []float64) float64 {
 // improves, the climb restarts, Lin-Kernighan style.
 func (s *Searcher) kopt(n *model.Network, opts Options, r *run) {
 	depth := opts.depth()
-	if cap(s.moved) < len(s.best) {
-		s.moved = make([]bool, len(s.best))
+	users := n.NumUsers()
+	if cap(s.moved) < users {
+		s.moved = make([]bool, users)
 	}
-	s.moved = s.moved[:len(s.best)]
+	// A previous search may have left marks for users of a larger
+	// network: start every k-opt from a clean slate.
+	s.moved = s.moved[:users]
+	clear(s.moved)
+	s.movedList = s.movedList[:0]
 	for {
 		s.hillClimb(r)
 		if r.halted {
 			return
 		}
 		improved := false
-		for u := 0; u < len(s.best); u++ {
+		for u := 0; u < users; u++ {
 			if s.tryChain(n, u, depth, r) {
 				improved = true
 			}
@@ -745,8 +690,7 @@ func (s *Searcher) tryChain(n *model.Network, u0 int, depth int, r *run) bool {
 		if bestTo < 0 {
 			break
 		}
-		s.delta.Commit(u, from, bestTo)
-		s.commits++
+		s.commit(u, from, bestTo)
 		s.chainUser = append(s.chainUser, u)
 		s.chainFrom = append(s.chainFrom, from)
 		s.chainTo = append(s.chainTo, bestTo)
@@ -784,8 +728,7 @@ func (s *Searcher) tryChain(n *model.Network, u0 int, depth int, r *run) bool {
 		bestChainSc = s.bestScore // prefix score unknown; recheck below
 	}
 	for k := len(s.chainUser) - 1; k >= bestDepth; k-- {
-		s.delta.Commit(s.chainUser[k], s.chainTo[k], s.chainFrom[k])
-		s.commits++
+		s.commit(s.chainUser[k], s.chainTo[k], s.chainFrom[k])
 	}
 	if bestDepth == 0 {
 		return false
@@ -799,8 +742,7 @@ func (s *Searcher) tryChain(n *model.Network, u0 int, depth int, r *run) bool {
 	}
 	// Truncation left a non-improving prefix: unwind it too.
 	for k := bestDepth - 1; k >= 0; k-- {
-		s.delta.Commit(s.chainUser[k], s.chainTo[k], s.chainFrom[k])
-		s.commits++
+		s.commit(s.chainUser[k], s.chainTo[k], s.chainFrom[k])
 	}
 	return false
 }
@@ -811,7 +753,7 @@ func (s *Searcher) tryChain(n *model.Network, u0 int, depth int, r *run) bool {
 // tracked separately, so a wandering walk still returns its peak.
 func (s *Searcher) anneal(n *model.Network, opts Options, r *run) {
 	s.movable = s.movable[:0]
-	for i := 0; i < len(s.best); i++ {
+	for i := 0; i < n.NumUsers(); i++ {
 		if s.delta.Assigned(i) != model.Unassigned && len(s.cands.For(i)) > 0 {
 			s.movable = append(s.movable, i)
 		}
@@ -871,8 +813,7 @@ func (s *Searcher) anneal(n *model.Network, opts Options, r *run) {
 				if !r.takeMove() {
 					return
 				}
-				s.delta.Commit(i, from, to)
-				s.commits++
+				s.commit(i, from, to)
 				curScore = s.delta.Score()
 				if curScore.BetterEps(s.bestScore, improveEps) {
 					s.noteBest()
@@ -884,10 +825,18 @@ func (s *Searcher) anneal(n *model.Network, opts Options, r *run) {
 }
 
 // finish assembles the caller-owned Result from the search state. The
-// Start entry is trajectory[0] (the post-placement baseline).
+// Start entry is trajectory[0] (the post-placement baseline). Every
+// method but Annealing ends on its best state, so Assign is one copy of
+// the evaluator's committed assignment.
 func (s *Searcher) finish(r *run) *Result {
+	var assign model.Assignment
+	if s.annealing {
+		assign = append(assign, s.best...)
+	} else {
+		assign = s.delta.AppendAssignment(nil)
+	}
 	res := &Result{
-		Assign:     append(model.Assignment(nil), s.best...),
+		Assign:     assign,
 		Aggregate:  s.bestScore.Tie,
 		Utility:    s.bestScore.Primary,
 		Placed:     s.placed,

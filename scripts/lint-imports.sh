@@ -151,16 +151,18 @@ fi
 # and netsim policies are netsim.Policy values over the strategy
 # registry (the per-policy types, their caching dispatch and sequential
 # escape hatch, the duplicate strongest-signal rule and the experiments'
-# copy of Policy.Assign are gone; baseline.Strongest is the one rule).
+# copy of Policy.Assign are gone; baseline.Strongest is the one rule),
+# and the hill climb visits users through localsearch's persistent
+# deficitRank (the per-pass heap and the function that filled it are gone).
 # Test files are covered too; the one exemption is the experiments test
 # that pins the refusal of the retired "tcp-json" plane name.
-bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic' \
+bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic|deficitOrder|sweepOrder' \
 	--include='*.go' . \
 	| grep -v '^\./internal/experiments/experiments_test\.go:.*"tcp-json"' || true)
 if [ -n "$bad" ]; then
 	echo "import lint: removed identifier reintroduced:" >&2
 	echo "$bad" >&2
-	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values" >&2
+	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values, and the hill climb's visit order is the persistent localsearch.deficitRank" >&2
 	exit 1
 fi
 echo "import lint: clean"
