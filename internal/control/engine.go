@@ -63,9 +63,10 @@ type EngineConfig struct {
 	// engine-level encoding of the §11 anytime contract's
 	// Budget.Moves < 0 ("arrivals are free, re-associations forbidden").
 	// Setting Budget.Moves < 0 directly implies it. At city scale this
-	// turns each join from a budgeted hill-climb (which still pays a
-	// deficit-ordered sweep over the whole user table) into an O(M)
-	// candidate probe, and emits exactly one directive per join.
+	// turns each join from a budgeted hill-climb repair (its whole probe
+	// budget, plus a compare, a copy and a directive scan of the
+	// member's assignment) into an O(M) candidate probe, and emits
+	// exactly one directive per join.
 	// Updates and leave-time repairs still use the configured budget's
 	// full re-solve path. Policies without an online form fall back to
 	// their re-solve form unchanged.

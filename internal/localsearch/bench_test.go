@@ -161,62 +161,82 @@ func BenchmarkWarmResolveAnneal(b *testing.B) {
 // call catches up by replaying one row edit rather than re-attaching.
 // The state starts at a hill-climb local optimum. Across the user
 // counts, ns/op should grow only with the probed cells, not with the
-// number of users.
+// number of users. Two models: "redistribute" (PLC leftover
+// redistribution), where every probe is exact, and "city", the
+// city harness's sum-rate model without redistribution, where probes
+// that cannot win are rejected from a bound (bounded/op).
 func BenchmarkWarmRepair(b *testing.B) {
-	for _, users := range []int{250, 1000, 4000} {
-		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
-			n := warmBenchNetwork(users, 4)
-			opts := localsearch.Options{
-				Model:  model.Options{Redistribute: true},
-				Budget: localsearch.Budget{Probes: 200},
-			}
-			ctx := context.Background()
-			start := make(model.Assignment, users)
-			for i := range start {
-				start[i] = model.Unassigned
-			}
-			var s localsearch.Searcher
-			res, err := s.Search(ctx, n, start, localsearch.HillClimbing, localsearch.Options{Model: opts.Model})
-			if err != nil {
-				b.Fatal(err)
-			}
-			assign := res.Assign
-			// spare[i] is a row buffer the network no longer references:
-			// each update fills it and swaps it with user i's installed row.
-			spare := make([][]float64, users)
-			for i := range spare {
-				spare[i] = make([]float64, n.NumExtenders())
-			}
-			steps := []float64{6, 9, 12, 18, 24, 36, 48, 54}
-			rng := seed.Rand(2020, seed.AnytimeBench, 1)
-			probes := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for k := 0; k < b.N; k++ {
-				i := rng.Intn(users)
-				row := spare[i]
-				for j := range row {
-					row[j] = 0
-					if rng.Intn(2) == 0 {
-						row[j] = steps[rng.Intn(len(steps))]
-					}
-				}
-				if j := assign[i]; j != model.Unassigned && row[j] <= 0 {
-					row[j] = steps[rng.Intn(len(steps))]
-				}
-				spare[i] = n.WiFiRates[i]
-				n.SetRow(i, row)
-				res, err := s.Search(ctx, n, assign, localsearch.HillClimbing, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Attaches != 0 {
-					b.Fatalf("update %d re-attached", k)
-				}
-				assign = res.Assign
-				probes += res.Probes
-			}
-			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
-		})
+	models := []struct {
+		name string
+		opts model.Options
+	}{
+		{"redistribute", model.Options{Redistribute: true}},
+		{"city", model.Options{}},
 	}
+	for _, m := range models {
+		for _, users := range []int{250, 1000, 4000} {
+			b.Run(fmt.Sprintf("%s/users=%d", m.name, users), func(b *testing.B) {
+				benchWarmRepair(b, m.opts, users)
+			})
+		}
+	}
+}
+
+// benchWarmRepair is one BenchmarkWarmRepair case: users users on
+// the 4-extender warm instance, evaluated under mopts.
+func benchWarmRepair(b *testing.B, mopts model.Options, users int) {
+	n := warmBenchNetwork(users, 4)
+	opts := localsearch.Options{
+		Model:  mopts,
+		Budget: localsearch.Budget{Probes: 200},
+	}
+	ctx := context.Background()
+	start := make(model.Assignment, users)
+	for i := range start {
+		start[i] = model.Unassigned
+	}
+	var s localsearch.Searcher
+	res, err := s.Search(ctx, n, start, localsearch.HillClimbing, localsearch.Options{Model: opts.Model})
+	if err != nil {
+		b.Fatal(err)
+	}
+	assign := res.Assign
+	// spare[i] is a row buffer the network no longer references:
+	// each update fills it and swaps it with user i's installed row.
+	spare := make([][]float64, users)
+	for i := range spare {
+		spare[i] = make([]float64, n.NumExtenders())
+	}
+	steps := []float64{6, 9, 12, 18, 24, 36, 48, 54}
+	rng := seed.Rand(2020, seed.AnytimeBench, 1)
+	probes, bounded := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		i := rng.Intn(users)
+		row := spare[i]
+		for j := range row {
+			row[j] = 0
+			if rng.Intn(2) == 0 {
+				row[j] = steps[rng.Intn(len(steps))]
+			}
+		}
+		if j := assign[i]; j != model.Unassigned && row[j] <= 0 {
+			row[j] = steps[rng.Intn(len(steps))]
+		}
+		spare[i] = n.WiFiRates[i]
+		n.SetRow(i, row)
+		res, err := s.Search(ctx, n, assign, localsearch.HillClimbing, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Attaches != 0 {
+			b.Fatalf("update %d re-attached", k)
+		}
+		assign = res.Assign
+		probes += res.Probes
+		bounded += res.Bounded
+	}
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+	b.ReportMetric(float64(bounded)/float64(b.N), "bounded/op")
 }

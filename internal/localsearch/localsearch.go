@@ -240,6 +240,10 @@ type Result struct {
 	// Probes counts delta probes actually evaluated, including the
 	// seeding pass and tentative k-opt chains.
 	Probes int
+	// Bounded counts the probes among them that the evaluator's upper
+	// bound rejected without an exact re-sum
+	// (model.DeltaEval.ProbeMoveBeats).
+	Bounded int
 	// Attaches counts full evaluator rebuilds: 1 when the search had to
 	// attach to (network, start), 0 when Sync reused (or replayed row
 	// edits into) the committed state of the previous search.
@@ -395,7 +399,7 @@ type Searcher struct {
 // normal returns per the anytime contract.
 func (s *Searcher) Search(ctx context.Context, n *model.Network, start model.Assignment, method Method, opts Options) (*Result, error) {
 	r := newRun(ctx, opts.Budget)
-	probesBefore, evalsBefore := s.delta.Probes, s.delta.Evals
+	probesBefore, boundedBefore, evalsBefore := s.delta.Probes, s.delta.Bounded, s.delta.Evals
 	if err := s.begin(n, start, method, opts, r); err != nil {
 		return nil, err
 	}
@@ -414,6 +418,7 @@ func (s *Searcher) Search(ctx context.Context, n *model.Network, start model.Ass
 	}
 	res := s.finish(r)
 	res.Probes = s.delta.Probes - probesBefore
+	res.Bounded = s.delta.Bounded - boundedBefore
 	res.Attaches = s.delta.Evals - evalsBefore
 	return res, nil
 }
@@ -438,7 +443,7 @@ func (s *Searcher) Place(n *model.Network, assign model.Assignment, user int, op
 	bestTo := -1
 	bestSc := model.Score{Primary: math.Inf(-1), Tie: math.Inf(-1)}
 	for _, to := range s.cands.For(user) {
-		if sc := s.delta.ProbeMoveScore(user, model.Unassigned, to); sc.Better(bestSc) {
+		if sc, ok := s.delta.ProbeMoveBeats(user, model.Unassigned, to, bestSc, 0); ok {
 			bestTo, bestSc = to, sc
 		}
 	}
@@ -510,7 +515,7 @@ func (s *Searcher) place(n *model.Network, r *run) {
 			if !r.takeProbe() {
 				break
 			}
-			if sc := s.delta.ProbeMoveScore(i, model.Unassigned, to); sc.Better(bestSc) {
+			if sc, ok := s.delta.ProbeMoveBeats(i, model.Unassigned, to, bestSc, 0); ok {
 				bestTo, bestSc = to, sc
 			}
 		}
@@ -593,7 +598,7 @@ func (s *Searcher) hillClimb(r *run) {
 				if !r.takeProbe() {
 					break
 				}
-				if sc := s.delta.ProbeMoveScore(i, from, to); sc.BetterEps(bestSc, improveEps) {
+				if sc, ok := s.delta.ProbeMoveBeats(i, from, to, bestSc, improveEps); ok {
 					bestTo, bestSc = to, sc
 				}
 			}
@@ -683,7 +688,7 @@ func (s *Searcher) tryChain(n *model.Network, u0 int, depth int, r *run) bool {
 			if !r.takeProbe() {
 				break
 			}
-			if sc := s.delta.ProbeMoveScore(u, from, to); sc.Better(bestSc) {
+			if sc, ok := s.delta.ProbeMoveBeats(u, from, to, bestSc, 0); ok {
 				bestTo, bestSc = to, sc
 			}
 		}

@@ -15,7 +15,9 @@ import (
 // the two affected cells and re-running the water-fill over the active
 // set: O(|cell_from| + |cell_to| + active) per probe instead of
 // O(users + extenders) for a full EvaluateWith, with zero per-probe
-// allocations and no re-validation.
+// allocations and no re-validation. An argmax loop that only asks
+// whether a move beats its bar (ProbeMoveBeats) mostly skips even the
+// two cell sums.
 //
 // Bit-identity contract (DESIGN.md §10): every aggregate and per-user
 // throughput reported by a DeltaEval is bit-for-bit identical to a fresh
@@ -38,12 +40,15 @@ import (
 // up. A DeltaEval is not safe for concurrent use; give each worker
 // goroutine its own, exactly like EvalScratch.
 type DeltaEval struct {
-	// Evals counts Attach rebuilds and Probes counts ProbeMove /
-	// ProbeMoveUser calls since the caller last reset them — the work
-	// metrics behind strategy.Stats.Evaluations and Stats.DeltaProbes.
-	// Neither counter influences results.
-	Evals  int
-	Probes int
+	// Evals counts Attach rebuilds and Probes counts probes (every
+	// ProbeMove* call) since the caller last reset them; Bounded counts
+	// the ProbeMoveBeats probes its upper bound answered without an
+	// exact re-sum. They are the work metrics behind
+	// strategy.Stats.Evaluations, DeltaProbes and BoundedProbes, and no
+	// counter influences results.
+	Evals   int
+	Probes  int
+	Bounded int
 
 	net  *Network
 	opts Options
@@ -58,11 +63,13 @@ type DeltaEval struct {
 	active  []int       // cells with count > 0, ascending
 
 	// from-cell memo: memoDem is the demand of memoUser's committed
-	// cell without memoUser. A user's candidate probes all share it, so
-	// it is summed once per user; only Commit moves a user, so Commit
-	// (and Attach) reset memoUser to -1.
-	memoUser int
-	memoDem  float64
+	// cell without memoUser, exact when memoExact and otherwise
+	// leaveDemand's upper bound. A user's candidate probes all share it,
+	// so it is computed once per user; only Commit moves a user, so
+	// Commit (and Attach) reset memoUser to -1.
+	memoUser  int
+	memoDem   float64
+	memoExact bool
 
 	perExt    []float64 // committed per-extender delivered throughput
 	aggregate float64   // committed Σ perExt over active, ascending
@@ -286,7 +293,7 @@ func (d *DeltaEval) Members(j int) []int {
 // `to`; either end may be Unassigned. The committed state is untouched
 // and nothing is allocated.
 func (d *DeltaEval) ProbeMove(i, from, to int) float64 {
-	agg, _, _ := d.probe(i, from, to)
+	agg, _, _ := d.exactProbe(i, from, to)
 	return agg
 }
 
@@ -294,7 +301,7 @@ func (d *DeltaEval) ProbeMove(i, from, to int) float64 {
 // throughput under the hypothesis (0 when to == Unassigned) — the
 // quantity the selfish baseline maximizes.
 func (d *DeltaEval) ProbeMoveUser(i, from, to int) (agg, own float64) {
-	agg, own, _ = d.probe(i, from, to)
+	agg, own, _ = d.exactProbe(i, from, to)
 	return agg, own
 }
 
@@ -304,8 +311,41 @@ func (d *DeltaEval) ProbeMoveUser(i, from, to int) (agg, own float64) {
 // components equal ProbeMove's aggregate, so Score comparisons reduce
 // bit-for-bit to the old aggregate comparisons.
 func (d *DeltaEval) ProbeMoveScore(i, from, to int) Score {
-	agg, _, util := d.probe(i, from, to)
+	agg, _, util := d.exactProbe(i, from, to)
 	return Score{Primary: util, Tie: agg}
+}
+
+// ProbeMoveBeats answers the argmax loop's question about the
+// (i: from → to) hypothesis — does its score beat bar by more than eps?
+// — with exactly the decision ProbeMoveScore(i, from, to).BetterEps(bar,
+// eps) makes, as one probe. When it does, the returned Score is the
+// probe's exact score. Under the sum-rate utility without Redistribute
+// the probe first scores a proven upper bound on the aggregate, built
+// from the cached cell sums in O(active cells) (DESIGN.md §10): a bound that cannot beat bar answers false without
+// re-summing either cell, and Bounded counts the probe. Only a bound
+// that passes pays the exact O(|cell|) probe. On false the returned
+// Score is an upper bound, not the probe's value.
+func (d *DeltaEval) ProbeMoveBeats(i, from, to int, bar Score, eps float64) (Score, bool) {
+	d.checkMove(i, from, to)
+	d.Probes++
+	if from != to && d.opts.Utility.IsSumRate() && !d.opts.Redistribute {
+		ub, _, _ := d.probe(i, from, to, true)
+		if sc := (Score{Primary: ub, Tie: ub}); !sc.BetterEps(bar, eps) {
+			d.Bounded++
+			return sc, false
+		}
+	}
+	agg, _, util := d.probe(i, from, to, false)
+	sc := Score{Primary: util, Tie: agg}
+	return sc, sc.BetterEps(bar, eps)
+}
+
+// exactProbe is the checked, counted exact probe behind ProbeMove,
+// ProbeMoveUser and ProbeMoveScore.
+func (d *DeltaEval) exactProbe(i, from, to int) (agg, own, util float64) {
+	d.checkMove(i, from, to)
+	d.Probes++
+	return d.probe(i, from, to, false)
 }
 
 // Commit applies the move (i: from → to) to the committed state: the two
@@ -422,19 +462,23 @@ func (d *DeltaEval) recommit() {
 }
 
 // probe evaluates the (i: from → to) hypothesis without touching the
-// committed state: the two affected cells' sums are recomputed from the
-// cached 1/r arrays (with i removed or merged at its sorted position;
-// the from-cell demand is memoised per user until the next Commit), the
-// hypothetical active set is built ascending, and the water-fill and
-// aggregate sum run over it in exactly EvaluateWith's order. The
-// utility rides the same single pass: each cell's contribution is
-// accumulated (or min-tracked, for max-min) as its delivered
-// throughput is produced, so non-sum-rate probes stay O(Δ) and
-// allocation-free; the sum-rate utility is the aggregate itself and
-// costs nothing extra.
-func (d *DeltaEval) probe(i, from, to int) (agg, own, util float64) {
-	d.checkMove(i, from, to)
-	d.Probes++
+// committed state: the two affected cells' demands come from
+// leaveDemand and joinDemand, the hypothetical active set is built
+// ascending, and the water-fill and aggregate sum run over it in
+// exactly EvaluateWith's order. The utility rides the same single
+// pass: each cell's contribution is accumulated (or min-tracked, for
+// max-min) as its delivered throughput is produced, so non-sum-rate
+// probes stay O(Δ) and allocation-free; the sum-rate utility is the
+// aggregate itself and costs nothing extra.
+//
+// With bounded set the two demands are upper bounds instead of exact
+// values and everything after them is the same tail. Without
+// Redistribute that tail is a min with a fixed share per cell and a
+// sum in a fixed order; round-to-nearest is monotone in each operand
+// of min and +, as it is in the divisor of upperDemand's /, so the
+// aggregate it returns is at or above the exact probe's. Only
+// ProbeMoveBeats asks for it, under sum-rate without Redistribute.
+func (d *DeltaEval) probe(i, from, to int, bounded bool) (agg, own, util float64) {
 	if from == to {
 		return d.aggregate, d.PerUser(i), d.utility
 	}
@@ -443,34 +487,11 @@ func (d *DeltaEval) probe(i, from, to int) (agg, own, util float64) {
 	fromDem, toDem := 0.0, 0.0
 	toCount := 0
 	if from != Unassigned && d.count[from] > 1 {
-		if d.memoUser != i {
-			k, _ := slices.BinarySearch(d.members[from], i)
-			cell := d.inv[from]
-			var inv float64
-			for _, v := range cell[:k] {
-				inv += v
-			}
-			for _, v := range cell[k+1:] {
-				inv += v
-			}
-			d.memoUser = i
-			d.memoDem = float64(d.count[from]-1) / inv
-		}
-		fromDem = d.memoDem
+		fromDem = d.leaveDemand(i, from, bounded)
 	}
 	if to != Unassigned {
-		k, _ := slices.BinarySearch(d.members[to], i)
-		cell := d.inv[to]
-		var inv float64
-		for _, v := range cell[:k] {
-			inv += v
-		}
-		inv += 1 / d.net.WiFiRates[i][to]
-		for _, v := range cell[k:] {
-			inv += v
-		}
 		toCount = d.count[to] + 1
-		toDem = float64(toCount) / inv
+		toDem = d.joinDemand(i, to, bounded)
 	}
 
 	// Hypothetical active set, ascending: committed active with `from`
@@ -575,6 +596,82 @@ func (d *DeltaEval) probe(i, from, to int) (agg, own, util float64) {
 		own = toPer / float64(toCount)
 	}
 	return agg, own, util
+}
+
+// leaveDemand is the WiFi demand of i's committed cell `from` without
+// i: exact, re-summing the cell's other 1/r terms in member order, or
+// when bounded an upperDemand over the cached cell sum. Either is
+// memoised per user, since all of a user's candidate probes share it;
+// an exact memo also serves bounded probes. The bound needs no search
+// for i's cached term: every cached term is the division 1/r of the
+// member's current rate (Attach, move and replay all store exactly
+// that), so redoing it gives the same float.
+func (d *DeltaEval) leaveDemand(i, from int, bounded bool) float64 {
+	if d.memoUser == i && (bounded || d.memoExact) {
+		return d.memoDem
+	}
+	cell := d.inv[from]
+	c := float64(len(cell) - 1)
+	d.memoUser, d.memoExact = i, !bounded
+	if bounded {
+		x := 1 / d.net.WiFiRates[i][from]
+		d.memoDem = upperDemand(c, d.invSum[from]-x, d.invSum[from], len(cell))
+		return d.memoDem
+	}
+	k, _ := slices.BinarySearch(d.members[from], i)
+	var inv float64
+	for _, v := range cell[:k] {
+		inv += v
+	}
+	for _, v := range cell[k+1:] {
+		inv += v
+	}
+	d.memoDem = c / inv
+	return d.memoDem
+}
+
+// joinDemand is the WiFi demand of cell `to` with i added. The exact
+// value re-sums the cell's 1/r terms with i's merged at its sorted
+// position; the bounded value is upperDemand over the cached cell sum.
+func (d *DeltaEval) joinDemand(i, to int, bounded bool) float64 {
+	x := 1 / d.net.WiFiRates[i][to]
+	c := float64(d.count[to] + 1)
+	if bounded {
+		s := d.invSum[to] + x
+		return upperDemand(c, s, s, d.count[to]+1)
+	}
+	k, _ := slices.BinarySearch(d.members[to], i)
+	cell := d.inv[to]
+	var inv float64
+	for _, v := range cell[:k] {
+		inv += v
+	}
+	inv += x
+	for _, v := range cell[k:] {
+		inv += v
+	}
+	return c / inv
+}
+
+// upperDemand returns an upper bound on count/ŝ, where ŝ is the
+// sequential float sum of n positive 1/r terms that the exact probe
+// would compute and sum estimates it from the cached cell sum (scale ≥
+// sum caps the magnitudes involved). A sequential sum of n positive
+// terms is within γₙ₋₁ = (n−1)u/(1−(n−1)u) of its real value,
+// relatively, with u = 2⁻⁵³; the cached sum carries one such error and
+// ŝ another, so ŝ ≥ sum − 2γₙ·scale. The slack subtracted here,
+// (4n+8)·2⁻⁵²·scale, is about four times that, which also covers the
+// rounding of this expression, so lo is a lower bound on ŝ and
+// count/lo, rounded, is at or above count/ŝ, rounded. A lo at or below
+// zero proves nothing (removing a dominant term cancels the sum); the
+// demand is then unbounded, and the probe tail's min with the cell's
+// PLC share still bounds what the cell delivers.
+func upperDemand(count, sum, scale float64, n int) float64 {
+	lo := sum - float64(4*n+8)*0x1p-52*scale
+	if lo <= 0 {
+		return math.Inf(1)
+	}
+	return count / lo
 }
 
 // check panics when the evaluator has no attached state or the network

@@ -142,13 +142,9 @@ type Score struct {
 	Tie     float64
 }
 
-// Better reports s > o in strict lexicographic order.
-func (s Score) Better(o Score) bool {
-	if s.Primary != o.Primary {
-		return s.Primary > o.Primary
-	}
-	return s.Tie > o.Tie
-}
+// Better reports s > o in strict lexicographic order: BetterEps with
+// eps 0, which is how argmax loops ask DeltaEval.ProbeMoveBeats for it.
+func (s Score) Better(o Score) bool { return s.BetterEps(o, 0) }
 
 // BetterEps reports whether s beats o by more than eps, the
 // strict-improvement form the search loops use: the primary must win

@@ -57,18 +57,19 @@ func (s *lsStrategy) Name() string { return s.name }
 // lsStats builds the Stats record of one search.
 func lsStats(name string, n *model.Network, res *localsearch.Result, total time.Duration) Stats {
 	return Stats{
-		Strategy:    name,
-		Users:       n.NumUsers(),
-		Extenders:   n.NumExtenders(),
-		Total:       total,
-		Evaluations: res.Attaches,
-		DeltaProbes: res.Probes,
-		Commits:     res.Commits,
-		Improving:   res.Improving,
-		Aggregate:   res.Aggregate,
-		Utility:     res.Utility,
-		Trajectory:  res.Trajectory,
-		Stop:        res.Stop.String(),
+		Strategy:      name,
+		Users:         n.NumUsers(),
+		Extenders:     n.NumExtenders(),
+		Total:         total,
+		Evaluations:   res.Attaches,
+		DeltaProbes:   res.Probes,
+		BoundedProbes: res.Bounded,
+		Commits:       res.Commits,
+		Improving:     res.Improving,
+		Aggregate:     res.Aggregate,
+		Utility:       res.Utility,
+		Trajectory:    res.Trajectory,
+		Stop:          res.Stop.String(),
 	}
 }
 

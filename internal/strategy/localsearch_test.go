@@ -2,6 +2,8 @@ package strategy
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/plcwifi/wolt/internal/model"
@@ -115,5 +117,83 @@ func TestLocalSearchOnlineAdd(t *testing.T) {
 		if _, err := model.EvaluateWith(&scratch, n, assign, model.Options{}); err != nil {
 			t.Fatalf("%s: online-built assignment invalid: %v", name, err)
 		}
+	}
+}
+
+// cityRates is a user's scan on the city harness's deployment geometry
+// (internal/city): four extenders on a 60 m grid, PHY rate
+// 866/(1+(d/25)³) Mbps, out of reach below 5 Mbps.
+func cityRates(x, y float64) []float64 {
+	row := make([]float64, 4)
+	for j := range row {
+		dx, dy := x-60*float64(j%2), y-60*float64(j/2)
+		r := 866 / (1 + math.Pow(math.Hypot(dx, dy)/25, 3))
+		if r >= 5 {
+			row[j] = r
+		}
+	}
+	return row
+}
+
+// TestWarmRepairAnswersFromBound drives wolt-hillclimb the way a
+// city-churn member does: 1024 users on four extenders with PLC caps of
+// 300–800 Mbps, the city model (sum-rate, no redistribution), arrivals
+// placed one by one, then 200 roaming rescans each repaired warm under
+// a 200-probe budget. Nearly every probe of such a repair cannot beat
+// the incumbent, and the evaluator must reject most of them from its
+// bound rather than re-summing cells.
+func TestWarmRepairAnswersFromBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var reassigns []Stats
+	st, err := New("wolt-hillclimb", Config{
+		Seed:     7,
+		Budget:   Budget{Probes: 200},
+		Observer: func(s Stats) { reassigns = append(reassigns, s) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	online, reassigner := st.(Online), st.(Reassigner)
+
+	const users, calls = 1024, 200
+	n := &model.Network{PLCCaps: make([]float64, 4)}
+	for j := range n.PLCCaps {
+		n.PLCCaps[j] = 300 + 500*rng.Float64()
+	}
+	xs, ys := make([]float64, users), make([]float64, users)
+	var assign model.Assignment
+	for i := 0; i < users; i++ {
+		xs[i], ys[i] = 60*rng.Float64(), 60*rng.Float64()
+		n.InsertRow(i, cityRates(xs[i], ys[i]))
+		assign = append(assign, model.Unassigned)
+		if _, err := online.Add(n, assign, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < calls; k++ {
+		i := rng.Intn(users)
+		theta, step := 2*math.Pi*rng.Float64(), 30*rng.Float64()
+		xs[i] = math.Min(60, math.Max(0, xs[i]+step*math.Cos(theta)))
+		ys[i] = math.Min(60, math.Max(0, ys[i]+step*math.Sin(theta)))
+		row := cityRates(xs[i], ys[i])
+		if j := assign[i]; j != model.Unassigned && row[j] <= 0 {
+			assign[i] = model.Unassigned // out of reach: the repair re-places it
+		}
+		n.SetRow(i, row)
+		if assign, err = reassigner.Reassign(n, assign); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var probes, bounded int
+	for _, s := range reassigns {
+		probes += s.DeltaProbes
+		bounded += s.BoundedProbes
+	}
+	if len(reassigns) != calls || probes == 0 {
+		t.Fatalf("observed %d repairs with %d probes, want %d repairs that probe", len(reassigns), probes, calls)
+	}
+	if 2*bounded <= probes {
+		t.Errorf("bound answered %d of %d warm-repair probes, want most", bounded, probes)
 	}
 }

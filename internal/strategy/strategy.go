@@ -103,6 +103,10 @@ type Stats struct {
 	// Probes replace the full evaluations the probe loops performed
 	// before the rewire.
 	DeltaProbes int
+	// BoundedProbes counts the DeltaProbes of the local-search family
+	// that a proven upper bound rejected without re-summing a cell
+	// (ProbeMoveBeats, DESIGN.md §10); the rest paid an exact probe.
+	BoundedProbes int
 	// Commits counts committed delta moves of the local-search family,
 	// including k-opt chain rollbacks (evaluator work, not net moves);
 	// Improving counts strict improvements of the best-so-far

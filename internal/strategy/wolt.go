@@ -183,6 +183,7 @@ func (s *incrementalStrategy) Reassign(n *model.Network, prev model.Assignment) 
 		}
 	}
 	if res.Search != nil {
+		st.BoundedProbes = res.Search.Bounded
 		st.Commits = res.Search.Commits
 		st.Improving = res.Search.Improving
 		st.Aggregate = res.Search.Aggregate
