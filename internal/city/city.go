@@ -94,7 +94,8 @@ type Config struct {
 	// exercise).
 	Policy string
 	// Budget bounds each member's per-event re-solve (default
-	// 200 probes when the policy is budget-aware and no budget is set).
+	// 200 probes when the policy is a local-search one and no budget is
+	// set).
 	Budget strategy.Budget
 	// ReassignOnLeave lets departures trigger warm repairs.
 	ReassignOnLeave bool
@@ -151,7 +152,7 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Budget == (strategy.Budget{}) {
 		switch cfg.Policy {
-		case "wolt-hillclimb", "wolt-kopt", "wolt-anneal", "wolt-incremental":
+		case "wolt-hillclimb", "wolt-kopt", "wolt-anneal":
 			cfg.Budget = strategy.Budget{Probes: 200}
 		}
 	}

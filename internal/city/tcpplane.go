@@ -3,6 +3,7 @@ package city
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,6 +52,9 @@ type TCPPlane struct {
 
 	mu     sync.Mutex
 	agents map[int]*control.Agent
+	// leaving holds the departed agents whose member may not have
+	// dropped them yet (Stats waits for them).
+	leaving []*control.Agent
 	// Closed agents' lifetime counters, folded in at departure so
 	// DirectivesSeen/RedirectsSeen cover the whole run.
 	closedDirectives int
@@ -144,7 +148,8 @@ func (p *TCPPlane) Update(userID int, rates, rssi []float64) ([]control.Directiv
 	return nil, nil
 }
 
-// Leave sends the departure and tears the connection down.
+// Leave sends the departure. It does not wait for the member to drop
+// the user and close the connection; the next Stats does.
 func (p *TCPPlane) Leave(userID int) ([]control.Directive, bool) {
 	p.mu.Lock()
 	a := p.agents[userID]
@@ -157,6 +162,9 @@ func (p *TCPPlane) Leave(userID int) ([]control.Directive, bool) {
 	p.mu.Lock()
 	p.closedDirectives += a.Directives()
 	p.closedRedirects += a.Redirects()
+	if err == nil {
+		p.leaving = append(slices.DeleteFunc(p.leaving, acknowledged), a)
+	}
 	p.mu.Unlock()
 	if err != nil {
 		return nil, false
@@ -189,10 +197,42 @@ func (p *TCPPlane) RedirectsSeen() int {
 	return n
 }
 
+// acknowledged reports whether a departed agent's member has closed the
+// connection, which it does only after dropping the user.
+func acknowledged(a *control.Agent) bool {
+	select {
+	case <-a.Closed():
+		return true
+	default:
+		return false
+	}
+}
+
+// quiesce waits, bounded by the join timeout, until the member of every
+// departed agent has dropped it.
+func (p *TCPPlane) quiesce() error {
+	p.mu.Lock()
+	leaving := slices.Clone(p.leaving)
+	p.mu.Unlock()
+	deadline := time.After(p.joinTimeout)
+	for _, a := range leaving {
+		select {
+		case <-a.Closed():
+		case <-deadline:
+			return fmt.Errorf("city: departures unacknowledged after %v", p.joinTimeout)
+		}
+	}
+	return nil
+}
+
 // Stats merges the member snapshots: directly from the hosted plane, or
 // over the wire (one MsgStats probe per distinct member address) when
-// attached to out-of-process members.
+// attached to out-of-process members. It first waits for departures in
+// flight (quiesce), so no user that left is still in the snapshot.
 func (p *TCPPlane) Stats() (shard.Stats, error) {
+	if err := p.quiesce(); err != nil {
+		return shard.Stats{}, err
+	}
 	if p.plane != nil {
 		return p.plane.Stats(), nil
 	}
@@ -217,13 +257,16 @@ func (p *TCPPlane) Stats() (shard.Stats, error) {
 	return shard.MergeStats(len(p.addrs), snaps), nil
 }
 
-// Close tears down every live agent and, in hosted mode, the member
-// servers.
+// Close tears down every live and departing agent and, in hosted mode,
+// the member servers.
 func (p *TCPPlane) Close() error {
 	p.mu.Lock()
-	agents := p.agents
-	p.agents = make(map[int]*control.Agent)
+	agents, leaving := p.agents, p.leaving
+	p.agents, p.leaving = make(map[int]*control.Agent), nil
 	p.mu.Unlock()
+	for _, a := range leaving {
+		_ = a.Close()
+	}
 	for _, a := range agents {
 		_ = a.Close()
 	}

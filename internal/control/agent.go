@@ -48,9 +48,13 @@ type Agent struct {
 	// vice versa.
 	directives   chan Message
 	statsReplies chan Message
+	// readerDone is closed when the current connection's read loop
+	// exits: the controller closed the connection, or the agent did.
+	// Replaced with the connection on a redirect.
+	readerDone chan struct{}
 
 	done     chan struct{}
-	readerWG sync.WaitGroup
+	stopOnce sync.Once
 }
 
 // Dial connects an agent to the controller at addr.
@@ -65,10 +69,10 @@ func Dial(addr string, userID int) (*Agent, error) {
 		extender:     model.Unassigned,
 		directives:   make(chan Message, 16),
 		statsReplies: make(chan Message, 16),
+		readerDone:   make(chan struct{}),
 		done:         make(chan struct{}),
 	}
-	a.readerWG.Add(1)
-	go a.readLoop(wc, a.directives, a.statsReplies)
+	go a.readLoop(wc, a.directives, a.statsReplies, a.readerDone)
 	go a.keepaliveLoop()
 	return a, nil
 }
@@ -104,14 +108,16 @@ func (a *Agent) statsCh() chan Message {
 }
 
 // readLoop drains one connection; it exits (closing that connection's
-// channels) when the connection dies or is replaced by a redirect.
-func (a *Agent) readLoop(wc *wireConn, directives, statsReplies chan Message) {
-	defer a.readerWG.Done()
+// channels and the connection itself) when the connection dies or is
+// replaced by a redirect.
+func (a *Agent) readLoop(wc *wireConn, directives, statsReplies chan Message, readerDone chan struct{}) {
+	defer close(readerDone)
 	defer close(directives)
 	defer close(statsReplies)
 	for {
 		msg, err := wc.recv()
 		if err != nil {
+			_ = wc.close() // already dead; this releases the socket
 			return
 		}
 		// wireConn.recv reuses its decode scratch, so slice fields are
@@ -171,10 +177,10 @@ func (a *Agent) keepaliveLoop() {
 // before the redial observe a closed-connection error.
 func (a *Agent) redial(addr string) error {
 	a.mu.Lock()
-	old := a.wc
+	old, oldDone := a.wc, a.readerDone
 	a.mu.Unlock()
 	_ = old.close()
-	a.readerWG.Wait()
+	<-oldDone
 
 	wc, err := dialAddr(addr)
 	if err != nil {
@@ -182,13 +188,14 @@ func (a *Agent) redial(addr string) error {
 	}
 	directives := make(chan Message, 16)
 	statsReplies := make(chan Message, 16)
+	readerDone := make(chan struct{})
 	a.mu.Lock()
 	a.wc = wc
 	a.directives = directives
 	a.statsReplies = statsReplies
+	a.readerDone = readerDone
 	a.mu.Unlock()
-	a.readerWG.Add(1)
-	go a.readLoop(wc, directives, statsReplies)
+	go a.readLoop(wc, directives, statsReplies, readerDone)
 	return nil
 }
 
@@ -337,30 +344,36 @@ func (a *Agent) UpdateScan(rates, rssi []float64) error {
 	})
 }
 
-// Leave tells the controller the user is departing and closes the
-// connection.
+// Leave tells the controller the user is departing. The controller
+// drops the user and then closes the connection; the agent's read loop
+// releases its side when it sees that, and Closed fires. Leave does not
+// wait for it.
 func (a *Agent) Leave() error {
-	err := a.send(Message{Type: MsgLeave, UserID: a.userID})
-	closeErr := a.Close()
-	if err != nil {
+	a.stopOnce.Do(func() { close(a.done) })
+	if err := a.send(Message{Type: MsgLeave, UserID: a.userID}); err != nil {
+		_ = a.Close()
 		return err
 	}
-	return closeErr
+	return nil
+}
+
+// Closed returns a channel that is closed once the agent's connection
+// is gone: after Leave, once the controller has dropped the user and
+// closed its side.
+func (a *Agent) Closed() <-chan struct{} {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.readerDone
 }
 
 // Close tears the connection down without a leave message (an abrupt
 // disconnect, which the controller also treats as a departure).
 func (a *Agent) Close() error {
-	select {
-	case <-a.done:
-		return nil
-	default:
-		close(a.done)
-	}
+	a.stopOnce.Do(func() { close(a.done) })
 	a.mu.Lock()
-	wc := a.wc
+	wc, readerDone := a.wc, a.readerDone
 	a.mu.Unlock()
 	err := wc.close()
-	a.readerWG.Wait()
+	<-readerDone
 	return err
 }

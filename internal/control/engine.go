@@ -38,7 +38,7 @@ type EngineConfig struct {
 	// internal/strategy.
 	Policy string
 	// ModelOpts selects the evaluation model used by evaluation-driven
-	// policies (greedy, selfish, incremental candidates).
+	// policies (greedy, selfish, wolt-incremental, local search).
 	ModelOpts model.Options
 	// Workers bounds WOLT's intra-solve Phase II parallelism; results
 	// are bit-identical for every value (DESIGN.md §7).
@@ -46,10 +46,10 @@ type EngineConfig struct {
 	// Seed derives the policy instance's private randomness (e.g. the
 	// random baseline's draws).
 	Seed int64
-	// Budget bounds budget-aware policies per operation (the anytime
-	// local-search family and wolt-incremental): a probe budget makes
-	// every per-join/leave re-solve an O(budget) warm repair instead of
-	// a full two-phase solve. Zero is unlimited (DESIGN.md §11).
+	// Budget bounds budget-aware policies per operation: a probe budget
+	// makes the local-search family's per-join/leave re-solve an
+	// O(budget) warm repair; wolt-incremental takes only Budget.Moves
+	// (NewEngine rejects more). Zero is unlimited (DESIGN.md §11).
 	Budget strategy.Budget
 	// ReassignOnLeave lets reassigning policies re-solve when a user
 	// departs, returning rebalancing directives from Leave. The paper's

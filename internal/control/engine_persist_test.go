@@ -127,7 +127,12 @@ func TestEnginePersistentVsRebuild(t *testing.T) {
 			ModelOpts: model.Options{Redistribute: true},
 		}},
 		{"incremental", EngineConfig{
-			Policy:          "wolt-incremental",
+			Policy:    "wolt-incremental",
+			ModelOpts: model.Options{Redistribute: true},
+			Budget:    strategy.Budget{Moves: 3},
+		}},
+		{"hillclimb-moves", EngineConfig{
+			Policy:          "wolt-hillclimb",
 			ModelOpts:       model.Options{Redistribute: true},
 			Budget:          strategy.Budget{Probes: 60, Moves: 3},
 			ReassignOnLeave: true,

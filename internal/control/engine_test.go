@@ -48,6 +48,9 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngine(EngineConfig{PLCCaps: []float64{10}, Policy: "bogus"}); err == nil {
 		t.Error("unknown policy: want error")
 	}
+	if _, err := NewEngine(EngineConfig{PLCCaps: []float64{10}, Policy: "wolt-incremental", Budget: strategy.Budget{Probes: 60}}); err == nil || !strings.Contains(err.Error(), "wolt-hillclimb") {
+		t.Errorf("wolt-incremental with a probe budget: error %v, want one naming wolt-hillclimb", err)
+	}
 	if _, err := NewEngine(EngineConfig{PLCCaps: []float64{10, 20}, Owned: []int{0, 2}}); err == nil {
 		t.Error("owned extender out of range: want error")
 	}

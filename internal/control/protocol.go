@@ -115,6 +115,9 @@ type wireConn struct {
 
 	readTimeout  time.Duration
 	writeTimeout time.Duration
+
+	closeOnce sync.Once
+	closeErr  error
 }
 
 func newWireConn(c net.Conn, r *bufio.Reader) *wireConn {
@@ -188,8 +191,11 @@ func (wc *wireConn) recv() (Message, error) {
 	return wc.recvMsg, nil
 }
 
+// close closes the connection once; later calls return the first
+// call's error.
 func (wc *wireConn) close() error {
-	return wc.c.Close()
+	wc.closeOnce.Do(func() { wc.closeErr = wc.c.Close() })
+	return wc.closeErr
 }
 
 // armWrite applies a write deadline to the burst that follows. Callers

@@ -4,55 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/plcwifi/wolt/internal/localsearch"
 	"github.com/plcwifi/wolt/internal/model"
 )
-
-// assignWarm is the warm re-solve path: no target solve at all — the
-// previous assignment seeds an anytime local search whose every state
-// is already known valid, so the entire re-solve is O(probes) delta
-// work. At enterprise scale that is the difference between ~1.25s
-// (two-phase) and well under a millisecond (BENCH_anytime.json).
-//
-// The budget argument keeps its cold-path meaning (moves of existing
-// users; negative = unlimited; arrivals free) and overrides
-// warm.Search.Budget.Moves. Result fields that only exist relative to
-// a target (Target, TargetAggregate as a distinct value) degrade
-// gracefully: Target is nil and TargetAggregate equals
-// AchievedAggregate.
-func assignWarm(cs *Scratch, n *model.Network, prev model.Assignment, budget int, warm WarmOptions, evalOpts model.Options) (*IncrementalResult, error) {
-	sopts := warm.Search
-	sopts.Model = evalOpts
-	switch {
-	case budget > 0:
-		sopts.Budget.Moves = budget
-	case budget == 0:
-		sopts.Budget.Moves = -1 // placement only
-	default:
-		sopts.Budget.Moves = 0 // unlimited
-	}
-	sr, err := cs.warm.Search(warm.Ctx, n, prev, warm.Method, sopts)
-	if err != nil {
-		return nil, err
-	}
-	res := &IncrementalResult{
-		Assign:            sr.Assign,
-		TargetAggregate:   sr.Aggregate,
-		AchievedAggregate: sr.Aggregate,
-		Evals:             sr.Attaches,
-		DeltaProbes:       sr.Probes,
-		Search:            sr,
-	}
-	for i, j := range prev {
-		switch {
-		case j == model.Unassigned && sr.Assign[i] != model.Unassigned:
-			res.Placed = append(res.Placed, i)
-		case j != model.Unassigned && sr.Assign[i] != j:
-			res.Moves = append(res.Moves, i)
-		}
-	}
-	return res, nil
-}
 
 // IncrementalResult is the outcome of a budgeted re-association.
 type IncrementalResult struct {
@@ -76,11 +29,6 @@ type IncrementalResult struct {
 	// move-selection loop.
 	Evals       int
 	DeltaProbes int
-	// Search carries the local-search diagnostics of the warm path
-	// (Options.Warm): commits, improving-move counts, the best-so-far
-	// trajectory and the stop reason. Nil on the cold target-directed
-	// path.
-	Search *localsearch.Result
 }
 
 // AssignIncremental moves the network toward the full WOLT association
@@ -114,9 +62,6 @@ func AssignIncrementalWith(cs *Scratch, n *model.Network, prev model.Assignment,
 
 	if cs == nil {
 		cs = &Scratch{}
-	}
-	if opts.Warm != nil {
-		return assignWarm(cs, n, prev, budget, *opts.Warm, evalOpts)
 	}
 	target, err := AssignWith(cs, n, opts)
 	if err != nil {

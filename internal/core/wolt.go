@@ -17,12 +17,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"github.com/plcwifi/wolt/internal/hungarian"
-	"github.com/plcwifi/wolt/internal/localsearch"
 	"github.com/plcwifi/wolt/internal/model"
 	"github.com/plcwifi/wolt/internal/nlp"
 )
@@ -73,27 +71,6 @@ type Options struct {
 	// coordinate solver's cell objective; Phase I is utility-agnostic
 	// (its Lemma 2 seeding is about coverage, not the objective).
 	Utility model.Utility
-	// Warm, when non-nil, switches AssignIncrementalWith to the warm
-	// local-search path: the previous assignment seeds an anytime
-	// search (internal/localsearch) instead of re-running the two-phase
-	// solve for a target. Sub-millisecond at enterprise scale, at a
-	// small objective gap (BENCH_anytime.json). AssignWith ignores it.
-	Warm *WarmOptions
-}
-
-// WarmOptions configures the warm incremental path.
-type WarmOptions struct {
-	// Search tunes the local search (probe/time budget, neighborhood
-	// size, method-specific knobs). Search.Model is overwritten with
-	// the evalOpts of the AssignIncrementalWith call, and
-	// Search.Budget.Moves with its budget argument, so the move cap
-	// stays a single knob across both paths.
-	Search localsearch.Options
-	// Method selects the family member (default HillClimbing).
-	Method localsearch.Method
-	// Ctx makes the re-solve interruptible under the anytime contract;
-	// nil means context.Background().
-	Ctx context.Context
 }
 
 // Result is a complete WOLT association.
@@ -118,10 +95,12 @@ type Result struct {
 }
 
 // Scratch holds reusable buffers for repeated WOLT solves: the Phase I
-// utility matrix, the Hungarian solver's workspace and the Phase II
-// projected-gradient workspace. The zero value is ready to use; buffers
-// grow to the largest network seen and are retained. A Scratch is not
-// safe for concurrent use; give each worker goroutine its own.
+// utility matrix, the Hungarian solver's workspace, the Phase II
+// projected-gradient workspace and the delta evaluator behind
+// AssignIncrementalWith's candidate moves. The zero value is ready to
+// use; buffers grow to the largest network seen and are retained. A
+// Scratch is not safe for concurrent use; give each worker goroutine
+// its own.
 type Scratch struct {
 	util    [][]float64
 	utilBuf []float64
@@ -130,11 +109,6 @@ type Scratch struct {
 	// delta backs AssignIncrementalWith's candidate-move probes; it is
 	// re-attached per call and its buffers persist across calls.
 	delta model.DeltaEval
-	// warm backs the warm incremental path's local search; its
-	// evaluator, neighborhood cache and best-so-far buffers persist
-	// across re-solves, which is what keeps the steady state
-	// allocation-free.
-	warm localsearch.Searcher
 }
 
 // matrix shapes the scratch's utility buffer to rows×cols.

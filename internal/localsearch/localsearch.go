@@ -67,7 +67,7 @@ type Method int
 const (
 	// HillClimbing commits the single best improving move per pass
 	// until no candidate move improves: the cheapest and most
-	// predictable member, and the one the warm solve paths use.
+	// predictable member, and the warm repair (wolt-hillclimb).
 	HillClimbing Method = iota
 	// KOpt first climbs to a single-move optimum, then escapes it with
 	// eject/reinsert chains up to Options.Depth moves deep, keeping the
@@ -141,8 +141,7 @@ type Budget struct {
 	// Moves caps committed re-associations of already-placed users.
 	// Placing a previously unassigned user is free, mirroring the
 	// arrivals-are-free rule of core.AssignIncrementalWith. A negative
-	// value forbids re-associations entirely (placement only), the
-	// warm-path encoding of that rule's "budget 0".
+	// value forbids re-associations entirely (placement only).
 	Moves int
 	// Time caps wall clock. Results under a time budget depend on
 	// machine speed; use Probes where determinism matters.

@@ -65,6 +65,68 @@ func TestLocalSearchWarmReassign(t *testing.T) {
 	}
 }
 
+// TestHillClimbMoveBudget: Budget.Moves caps the warm repair's moves of
+// already-placed users — negative places the arrival only, k moves at
+// most k users — and arrivals stay free. A larger move budget never ends
+// below the placement-only result, since every commit improves it.
+func TestHillClimbMoveBudget(t *testing.T) {
+	n := testNetwork(t, 18, 4)
+	opts := model.Options{Redistribute: true}
+	// A deliberately bad previous state with one arrival: every other
+	// user sits on its weakest reachable extender.
+	prev := make(model.Assignment, n.NumUsers())
+	for i := range prev {
+		prev[i] = model.Unassigned
+		for j, r := range n.WiFiRates[i] {
+			if r > 0 && (prev[i] == model.Unassigned || r < n.WiFiRates[i][prev[i]]) {
+				prev[i] = j
+			}
+		}
+	}
+	prev[0] = model.Unassigned
+	repair := func(moves int) (model.Assignment, float64) {
+		t.Helper()
+		st, err := New("wolt-hillclimb", Config{ModelOpts: opts, Budget: Budget{Probes: 5000, Moves: moves}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.(Reassigner).Reassign(n, prev.Clone())
+		if err != nil {
+			t.Fatalf("moves %d: %v", moves, err)
+		}
+		if got[0] == model.Unassigned {
+			t.Fatalf("moves %d: arrival not placed", moves)
+		}
+		return got, model.Aggregate(n, got, opts)
+	}
+	moved := func(got model.Assignment) int {
+		k := 0
+		for i, j := range prev {
+			if j != model.Unassigned && got[i] != j {
+				k++
+			}
+		}
+		return k
+	}
+
+	placed, placedAgg := repair(-1)
+	if k := moved(placed); k != 0 {
+		t.Errorf("Moves < 0 moved %d existing users", k)
+	}
+	for _, budget := range []int{1, 2, 3} {
+		got, agg := repair(budget)
+		if k := moved(got); k > budget {
+			t.Errorf("Moves %d moved %d users", budget, k)
+		}
+		if agg < placedAgg {
+			t.Errorf("Moves %d ended at %v, below the placement-only %v", budget, agg, placedAgg)
+		}
+	}
+	if free, _ := repair(0); moved(free) <= 3 {
+		t.Fatalf("unlimited repair moved only %d users; the caps above bind nothing", moved(free))
+	}
+}
+
 // TestLocalSearchCtxCancelled: a cancelled Config.Ctx still yields a
 // valid assignment (the anytime contract through the registry).
 func TestLocalSearchCtxCancelled(t *testing.T) {

@@ -135,7 +135,8 @@ type Observer func(Stats)
 // every strategy.
 type Config struct {
 	// ModelOpts selects the evaluation model used by evaluation-driven
-	// strategies (greedy, selfish, optimal, incremental candidates).
+	// strategies (greedy, selfish, optimal, wolt-incremental's candidate
+	// moves, the local-search family).
 	ModelOpts model.Options
 	// Core tunes the WOLT variants' two-phase solver.
 	Core core.Options
@@ -160,9 +161,9 @@ type Config struct {
 	// Budget bounds the work of budget-aware strategies: the
 	// local-search family (wolt-hillclimb, wolt-kopt, wolt-anneal)
 	// honors all three dimensions per Solve/Reassign, and
-	// wolt-incremental honors Budget.Moves as its per-Reassign move
-	// cap. The zero Budget is unlimited. (This replaces the former
-	// wolt-incremental-only MoveBudget knob.)
+	// wolt-incremental honors only Budget.Moves, as its per-Reassign
+	// move cap after a cold target solve; New rejects a probe or time
+	// budget on it. The zero Budget is unlimited.
 	Budget Budget
 	// Ctx, when non-nil, makes the local-search family interruptible:
 	// cancellation stops a solve at the next probe checkpoint and the
@@ -219,11 +220,16 @@ func Register(name string, f Factory) {
 }
 
 // New builds a configured instance of the named strategy. The error
-// wraps ErrUnknown for unregistered names and lists the valid ones.
+// wraps ErrUnknown for unregistered names and lists the valid ones, and
+// rejects a probe or time budget on wolt-incremental, whose only budget
+// is Budget.Moves.
 func New(name string, cfg Config) (Strategy, error) {
 	f, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("%w %q (want one of: %v)", ErrUnknown, name, Names())
+	}
+	if name == "wolt-incremental" && (cfg.Budget.Probes > 0 || cfg.Budget.Time > 0) {
+		return nil, fmt.Errorf("strategy: wolt-incremental takes only a move budget, got %+v; use wolt-hillclimb for a probe- or time-budgeted warm repair", cfg.Budget)
 	}
 	return f(cfg), nil
 }

@@ -3,7 +3,9 @@ package strategy
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/plcwifi/wolt/internal/baseline"
 	"github.com/plcwifi/wolt/internal/model"
@@ -63,6 +65,21 @@ func TestNewUnknownStrategy(t *testing.T) {
 	_, err := New("does-not-exist", Config{})
 	if !errors.Is(err, ErrUnknown) {
 		t.Fatalf("New(unknown) error = %v, want ErrUnknown", err)
+	}
+}
+
+// TestIncrementalRejectsSearchBudget: wolt-incremental's only budget is
+// Budget.Moves; a probe or time budget asks for a warm hill-climb
+// repair, which is wolt-hillclimb, and New says so.
+func TestIncrementalRejectsSearchBudget(t *testing.T) {
+	for _, b := range []Budget{{Probes: 60}, {Time: time.Millisecond}, {Probes: 60, Moves: 3}} {
+		_, err := New("wolt-incremental", Config{Budget: b})
+		if err == nil || !strings.Contains(err.Error(), "wolt-hillclimb") {
+			t.Errorf("New(wolt-incremental, %+v) error = %v, want one naming wolt-hillclimb", b, err)
+		}
+	}
+	if _, err := New("wolt-incremental", Config{Budget: Budget{Moves: 3}}); err != nil {
+		t.Errorf("move budget: %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/plcwifi/wolt/internal/core"
-	"github.com/plcwifi/wolt/internal/localsearch"
 	"github.com/plcwifi/wolt/internal/model"
 )
 
@@ -29,17 +28,7 @@ func init() {
 		case budget < 0:
 			budget = 0 // placement only
 		}
-		s := &incrementalStrategy{cfg: cfg, opts: coreOptions(cfg, 0), budget: budget}
-		// A probe or time budget opts Reassign into the warm path: the
-		// previous assignment seeds an anytime hill climb instead of a
-		// fresh two-phase target solve (core.WarmOptions).
-		if cfg.Budget.Probes > 0 || cfg.Budget.Time > 0 {
-			s.opts.Warm = &core.WarmOptions{
-				Search: localsearch.Options{Seed: cfg.Seed, Budget: cfg.Budget},
-				Ctx:    cfg.Ctx,
-			}
-		}
-		return s
+		return &incrementalStrategy{cfg: cfg, opts: coreOptions(cfg, 0), budget: budget}
 	})
 }
 
@@ -168,29 +157,7 @@ func (s *incrementalStrategy) Reassign(n *model.Network, prev model.Assignment) 
 	if err != nil {
 		return nil, err
 	}
-	var st Stats
-	if res.Target != nil {
-		st = woltStats("wolt-incremental", n, res.Target, time.Since(start), res.Evals)
-	} else {
-		// Warm path: no target solve ran, so there are no phase
-		// diagnostics — only the local search's anytime record.
-		st = Stats{
-			Strategy:    "wolt-incremental",
-			Users:       n.NumUsers(),
-			Extenders:   n.NumExtenders(),
-			Total:       time.Since(start),
-			Evaluations: res.Evals,
-		}
-	}
-	if res.Search != nil {
-		st.BoundedProbes = res.Search.Bounded
-		st.Commits = res.Search.Commits
-		st.Improving = res.Search.Improving
-		st.Aggregate = res.Search.Aggregate
-		st.Utility = res.Search.Utility
-		st.Trajectory = res.Search.Trajectory
-		st.Stop = res.Search.Stop.String()
-	}
+	st := woltStats("wolt-incremental", n, res.Target, time.Since(start), res.Evals)
 	st.DeltaProbes = res.DeltaProbes
 	s.cfg.emit(st)
 	return res.Assign, nil

@@ -57,19 +57,34 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 
-# internal/localsearch is pure algorithm layer: it sits below core and
-# strategy (both import it for the warm paths), so it may depend only
-# on internal/model and internal/seed. An import of the registry, the
-# solver pipeline, or any plane above them would be a layering cycle
-# waiting to happen. Test files are exempt (bench_test.go prices the
-# warm re-solve against the full solve in internal/core).
+# internal/localsearch is pure algorithm layer: it sits below strategy
+# (the one package that imports it, for the local-search family's warm
+# repairs), so it may depend only on internal/model and internal/seed.
+# An import of the registry, the solver pipeline, or any plane above
+# them would be a layering cycle waiting to happen. Test files are
+# exempt (bench_test.go prices the warm re-solve against the full solve
+# in internal/core).
 bad=$(grep -rnE '"github.com/plcwifi/wolt/internal/(strategy|core|control|shard|netsim|experiments|baseline|nlp)"' \
 	--include='*.go' ./internal/localsearch/ \
 	| grep -v '_test\.go:' || true)
 if [ -n "$bad" ]; then
 	echo "import lint: internal/localsearch must stay in the algorithm layer (model+seed only):" >&2
 	echo "$bad" >&2
-	echo "hand results up through internal/core or the strategy registry instead" >&2
+	echo "hand results up through the strategy registry instead" >&2
+	exit 1
+fi
+# Conversely, internal/strategy is the only package that imports
+# internal/localsearch: every warm repair is a registry strategy
+# (wolt-hillclimb, wolt-kopt, wolt-anneal), and internal/core keeps only
+# the two-phase solve and wolt-incremental's cold target-directed moves.
+# localsearch's own test files are the one exemption.
+bad=$(grep -rnF '"github.com/plcwifi/wolt/internal/localsearch"' --include='*.go' . \
+	| grep -v '^\./internal/strategy/' \
+	| grep -v '^\./internal/localsearch/[^/]*_test\.go:' || true)
+if [ -n "$bad" ]; then
+	echo "import lint: internal/localsearch imported outside internal/strategy:" >&2
+	echo "$bad" >&2
+	echo "run a warm repair through the strategy registry (wolt-hillclimb) instead" >&2
 	exit 1
 fi
 # internal/city is a pure harness: it composes the planes (shard,
@@ -152,17 +167,19 @@ fi
 # registry (the per-policy types, their caching dispatch and sequential
 # escape hatch, the duplicate strongest-signal rule and the experiments'
 # copy of Policy.Assign are gone; baseline.Strongest is the one rule),
-# and the hill climb visits users through localsearch's persistent
-# deficitRank (the per-pass heap and the function that filled it are gone).
+# the hill climb visits users through localsearch's persistent
+# deficitRank (the per-pass heap and the function that filled it are
+# gone), and wolt-hillclimb is the only warm repair (core's hill-climb
+# fork behind wolt-incremental and its options struct are gone).
 # Test files are covered too; the one exemption is the experiments test
 # that pins the refusal of the retired "tcp-json" plane name.
-bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic|deficitOrder|sweepOrder' \
+bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic|deficitOrder|sweepOrder|WarmOptions|assignWarm' \
 	--include='*.go' . \
 	| grep -v '^\./internal/experiments/experiments_test\.go:.*"tcp-json"' || true)
 if [ -n "$bad" ]; then
 	echo "import lint: removed identifier reintroduced:" >&2
 	echo "$bad" >&2
-	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values, and the hill climb's visit order is the persistent localsearch.deficitRank" >&2
+	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values, the hill climb's visit order is the persistent localsearch.deficitRank, and wolt-hillclimb is the one warm repair" >&2
 	exit 1
 fi
 echo "import lint: clean"
