@@ -3,7 +3,6 @@ package city
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"github.com/plcwifi/wolt/internal/shard"
 )
@@ -122,22 +121,13 @@ func TestCityTCPConcurrentWithMobility(t *testing.T) {
 	if res.Directives < res.Joins {
 		t.Errorf("agents saw %d directives for %d joins", res.Directives, res.Joins)
 	}
-	// Departures are fire-and-forget on the wire; give the members a
-	// moment to drain the last MsgLeave frames before comparing.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		st, err := plane.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Users == res.FinalUsers {
-			break
-		}
-		if !time.Now().Before(deadline) {
-			t.Errorf("plane tracks %d users at end of run, harness %d", st.Users, res.FinalUsers)
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Stats waits until every member has dropped its departed users.
+	st, err := plane.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Users != res.FinalUsers {
+		t.Errorf("plane tracks %d users at end of run, harness %d", st.Users, res.FinalUsers)
 	}
 }
 
@@ -173,17 +163,13 @@ func TestCityTCPAttachedStats(t *testing.T) {
 		t.Fatalf("degenerate stream: %+v", res)
 	}
 
-	// Departures are fire-and-forget on the wire: wait for the members
-	// to drain the last MsgLeave frames before comparing snapshots.
-	want := host.Stats()
-	for deadline := time.Now().Add(2 * time.Second); want.Leaves < res.Leaves && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-		want = host.Stats()
-	}
+	// The plane's Stats waits until every member has dropped its
+	// departed users, so the hosted snapshot taken after it is final.
 	got, err := plane.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := host.Stats()
 	for _, f := range []struct {
 		name      string
 		got, want int

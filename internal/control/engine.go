@@ -64,8 +64,8 @@ type EngineConfig struct {
 	// Budget.Moves < 0 ("arrivals are free, re-associations forbidden").
 	// Setting Budget.Moves < 0 directly implies it. At city scale this
 	// turns each join from a budgeted hill-climb repair (its whole probe
-	// budget, plus a compare, a copy and a directive scan of the
-	// member's assignment) into an O(M) candidate probe, and emits
+	// budget, plus a compare of the member's assignment with its
+	// directed column) into an O(M) candidate probe, and emits
 	// exactly one directive per join.
 	// Updates and leave-time repairs still use the configured budget's
 	// full re-solve path. Policies without an online form fall back to
@@ -94,9 +94,11 @@ type EngineConfig struct {
 // edit (Network.InsertRow, RemoveRow, SetRow) plus the matching edit of
 // the assignment, and a failed operation makes the inverse edit. The
 // strategy's evaluator and candidate cache replay those edits instead
-// of rebuilding, so a placement-only join costs its placement, and only
-// a Reassign, which may move anyone, pays a scan of the table to emit
-// its directives. The steady-state per-event path (join, update, leave
+// of rebuilding, so a placement-only join costs its placement. A
+// Reassign, which may move anyone, edits the assignment in place; its
+// directives come from one sequential compare of the assignment with
+// the directed column, which reads the row table only for rows that
+// moved. The steady-state per-event path (join, update, leave
 // under an anytime policy) performs O(1) allocations regardless of
 // table size — the discipline the million-user city harness depends on
 // (DESIGN.md §12).
@@ -140,6 +142,13 @@ type Engine struct {
 	// matching logged row edit of net.
 	net    model.Network
 	assign model.Assignment
+	// directed is each row's last directed association (local extender
+	// index, model.Unassigned before the first directive), in lockstep
+	// with rows: the rows whose assign differs from directed are exactly
+	// the ones that need a directive.
+	directed []int
+	// dirs collects an operation's directives before the returned copy.
+	dirs []Directive
 	// prevRates/prevRSSI snapshot a row's report across Update so a
 	// failed re-solve can restore it atomically.
 	prevRates, prevRSSI []float64
@@ -149,13 +158,10 @@ type Engine struct {
 // capacity across occupants: global-width rates/rssi plus, for shard
 // members, the owned-subset projection the network rows alias.
 type userRow struct {
-	id int
-	// extender is the user's current association as a GLOBAL extender ID
-	// (model.Unassigned before the first directive).
-	extender int
-	rates    []float64 // global width
-	rssi     []float64 // global width or empty
-	local    []float64 // owned-width projection (nil in identity mode)
+	id    int
+	rates []float64 // global width
+	rssi  []float64 // global width or empty
+	local []float64 // owned-width projection (nil in identity mode)
 }
 
 // Directive is one association order produced by an engine operation:
@@ -314,8 +320,8 @@ func (e *Engine) project(r *userRow) {
 
 // insertRow opens the sorted slot pos for a new user, reusing the pooled
 // buffers parked at the slice tail by earlier departures, and stores its
-// scan report. The network and the assignment gain the matching row,
-// unassigned.
+// scan report. The network, the assignment and the directed column gain
+// the matching row, unassigned.
 func (e *Engine) insertRow(pos, userID int, rates, rssi []float64) {
 	n := len(e.rows)
 	if cap(e.rows) > n {
@@ -326,17 +332,17 @@ func (e *Engine) insertRow(pos, userID int, rates, rssi []float64) {
 	spare := e.rows[n] // pooled buffers (or zero row) past the old end
 	copy(e.rows[pos+1:n+1], e.rows[pos:n])
 	spare.id = userID
-	spare.extender = model.Unassigned
 	e.rows[pos] = spare
 	r := &e.rows[pos]
 	e.setReport(r, rates, rssi)
 	e.net.InsertRow(pos, e.netRow(r))
 	e.assign = slices.Insert(e.assign, pos, model.Unassigned)
+	e.directed = slices.Insert(e.directed, pos, model.Unassigned)
 }
 
 // removeRow closes the slot pos, parking its buffers at the tail for the
-// next arrival to reuse, and drops the matching network and assignment
-// row.
+// next arrival to reuse, and drops the matching network, assignment and
+// directed row.
 func (e *Engine) removeRow(pos int) {
 	n := len(e.rows)
 	spare := e.rows[pos]
@@ -345,6 +351,7 @@ func (e *Engine) removeRow(pos int) {
 	e.rows = e.rows[:n-1]
 	e.net.RemoveRow(pos)
 	e.assign = slices.Delete(e.assign, pos, pos+1)
+	e.directed = slices.Delete(e.directed, pos, pos+1)
 }
 
 // setRow stores a fresh scan report in row pos and logs it as the
@@ -483,7 +490,7 @@ func (e *Engine) Extender(userID int) (int, bool) {
 	if !present {
 		return model.Unassigned, false
 	}
-	return e.rows[pos].extender, true
+	return e.globalOf(e.directed[pos]), true
 }
 
 // Stats returns the engine's counters and current assignment (global
@@ -493,7 +500,7 @@ func (e *Engine) Stats() Stats {
 	defer e.mu.Unlock()
 	assignment := make(map[int]int, len(e.rows))
 	for i := range e.rows {
-		assignment[e.rows[i].id] = e.rows[i].extender
+		assignment[e.rows[i].id] = e.globalOf(e.directed[i])
 	}
 	return Stats{
 		Policy:           e.policy,
@@ -534,8 +541,9 @@ func (e *Engine) StatsLite() Stats {
 // operation's row edit, so net and assign are current.
 //
 // A placement changes only row row, so it emits at most that row's
-// directive; only a Reassign, which may move anyone, scans the table.
-// Steady state this path allocates only the returned directive slice.
+// directive; only a Reassign, which may move anyone, compares the whole
+// assignment with the directed column. Steady state this path allocates
+// only the returned directive slice.
 func (e *Engine) solveLocked(row int, placementOnly bool) ([]Directive, error) {
 	if e.policy == PolicyRSSI {
 		// Signal-strength placement touches only the reporting user; no
@@ -543,14 +551,14 @@ func (e *Engine) solveLocked(row int, placementOnly bool) ([]Directive, error) {
 		e.assign[row] = e.strongest(&e.rows[row])
 		return e.emitRow(row), nil
 	}
-	assign, err := e.applyStrategy(row, placementOnly)
+	placed, err := e.applyStrategy(row, placementOnly)
 	if err != nil {
 		return nil, err
 	}
-	if assign == nil {
+	if placed {
 		return e.emitRow(row), nil
 	}
-	return e.emitAll(assign), nil
+	return e.emitAll(), nil
 }
 
 // strongest returns the local index of the owned extender with the
@@ -574,50 +582,41 @@ func (e *Engine) strongest(u *userRow) int {
 	return best
 }
 
-// emitRow folds row i of the working assignment into the user table
-// and returns its directive, if the row changed.
+// emitRow folds row i of the working assignment into the directed
+// column and returns its directive, if the row changed.
 func (e *Engine) emitRow(i int) []Directive {
-	r := &e.rows[i]
-	globalExt := e.globalOf(e.assign[i])
-	if globalExt == r.extender {
+	if e.assign[i] == e.directed[i] {
 		return nil
 	}
-	return []Directive{e.direct(r, globalExt)}
+	return []Directive{e.direct(i)}
 }
 
-// emitAll adopts a solved assignment (local extender indices, row
-// order) as the working one, folds it into the user table and returns
-// the changed users' directives — exactly one allocation, sized to the
-// change set.
-func (e *Engine) emitAll(assign model.Assignment) []Directive {
-	copy(e.assign, assign)
-	changed := 0
-	for i := range e.rows {
-		if e.globalOf(assign[i]) != e.rows[i].extender {
-			changed++
+// emitAll folds the working assignment into the directed column and
+// returns the changed users' directives — exactly one allocation, sized
+// to the change set. The compare walks two int columns; only rows that
+// moved touch the row table.
+func (e *Engine) emitAll() []Directive {
+	e.dirs = e.dirs[:0]
+	for i, j := range e.assign {
+		if j != e.directed[i] {
+			e.dirs = append(e.dirs, e.direct(i))
 		}
 	}
-	if changed == 0 {
+	if len(e.dirs) == 0 {
 		return nil
 	}
-	dirs := make([]Directive, 0, changed)
-	for i := range e.rows {
-		r := &e.rows[i]
-		if globalExt := e.globalOf(assign[i]); globalExt != r.extender {
-			dirs = append(dirs, e.direct(r, globalExt))
-		}
-	}
-	return dirs
+	return slices.Clone(e.dirs)
 }
 
-// direct records row r's move to globalExt and returns its directive.
-func (e *Engine) direct(r *userRow, globalExt int) Directive {
-	reassoc := r.extender != model.Unassigned
-	r.extender = globalExt
+// direct records row i's move to its working assignment and returns its
+// directive.
+func (e *Engine) direct(i int) Directive {
+	reassoc := e.directed[i] != model.Unassigned
+	e.directed[i] = e.assign[i]
 	if reassoc {
 		e.reassociations++
 	}
-	return Directive{UserID: r.id, Extender: globalExt, Reassociation: reassoc}
+	return Directive{UserID: e.rows[i].id, Extender: e.globalOf(e.assign[i]), Reassociation: reassoc}
 }
 
 // globalOf maps a local extender index to its global ID
@@ -643,20 +642,19 @@ func (e *Engine) globalOf(local int) int {
 // Budget.Moves < 0 buys on the solver side, surfaced here as the join
 // fast path.
 //
-// A placement edits e.assign in place and returns nil; a re-solve
-// returns the new assignment, leaving e.assign untouched.
-func (e *Engine) applyStrategy(row int, placementOnly bool) (model.Assignment, error) {
+// Both forms edit e.assign in place (and leave it untouched on error);
+// placed reports the placement form, which changed only row row.
+func (e *Engine) applyStrategy(row int, placementOnly bool) (placed bool, err error) {
 	on, online := e.strategy.(strategy.Online)
 	re, reassigner := e.strategy.(strategy.Reassigner)
 	if online && row >= 0 && (placementOnly || !reassigner) {
-		if _, err := on.Add(&e.net, e.assign, row); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		_, err := on.Add(&e.net, e.assign, row)
+		return true, err
 	}
 	if reassigner {
-		return re.Reassign(&e.net, e.assign)
+		_, err := re.Reassign(&e.net, e.assign)
+		return false, err
 	}
-	return nil, fmt.Errorf("control: policy %q cannot place an arriving user: %w",
+	return false, fmt.Errorf("control: policy %q cannot place an arriving user: %w",
 		e.policy, strategy.ErrNoOnlineForm)
 }

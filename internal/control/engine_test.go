@@ -462,7 +462,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			}
 		})
 		// 4 operations, each allowed a handful of allocations (directive
-		// slice, solver Result + assignment/trajectory copies). What
+		// slice, solver Result + trajectory copy). What
 		// matters is the bound holds at n=100 AND n=400.
 		if avg > 32 {
 			t.Errorf("n=%d: %v allocs per churn cycle, want O(1) (<=32)", n, avg)

@@ -322,6 +322,22 @@ func TestMobilityShape(t *testing.T) {
 	assertRenders(t, res)
 }
 
+// TestMobilityMovesPinned pins the anytime and budgeted worlds' total
+// re-associations. Reassign edits the world's assignment in place, so
+// counting moves needs a snapshot taken before the call; without it
+// both totals read 0.
+func TestMobilityMovesPinned(t *testing.T) {
+	res, err := Mobility(Options{Seed: 5, Trials: 6, Users: 18, Extenders: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, anytime := res.AnytimeSummary()
+	_, _, budgeted := res.TotalMoves()
+	if anytime != 6 || budgeted != 7 {
+		t.Errorf("total moves: anytime %d, budgeted %d; want 6 and 7", anytime, budgeted)
+	}
+}
+
 func TestChannelsShape(t *testing.T) {
 	res, err := Channels(Options{Seed: 13, Trials: 2, Users: 18, Extenders: 8})
 	if err != nil {

@@ -143,11 +143,14 @@ func Mobility(opts Options) (*MobilityResult, error) {
 			inst := netsim.Build(w.topo, scen.Radio)
 			var out stepOut
 			if w.strategy != nil {
+				// Reassign edits w.assign in place: snapshot it to count
+				// the moves.
+				before := w.assign.Clone()
 				next, err := w.strategy.Reassign(inst.Net, w.assign)
 				if err != nil {
 					return stepOut{}, err
 				}
-				out.moves = w.assign.Diff(next)
+				out.moves = before.Diff(next)
 				w.assign = next
 			}
 			out.aggregate = model.Aggregate(inst.Net, w.assign, Redistribute)

@@ -119,10 +119,14 @@ func benchWarmResolve(b *testing.B, method localsearch.Method, probes int) {
 	ctx := context.Background()
 	var s localsearch.Searcher
 	var last *localsearch.Result
+	start := make(model.Assignment, len(warm.churned))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Search(ctx, warm.net, warm.churned, method, opts)
+		// The search repairs its start in place: every iteration
+		// starts from a fresh copy of the churned state.
+		copy(start, warm.churned)
+		res, err := s.Search(ctx, warm.net, start, method, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,12 +18,13 @@
 //   - It is interruptible at probe granularity: a context cancellation,
 //     an expired time budget, or an exhausted probe/move budget stops
 //     the search at the next checkpoint.
-//   - It always returns the best valid assignment found so far — never
-//     an error for running out of budget, never a half-applied chain
-//     (tentative k-opt commits are rolled back before returning).
+//   - It always leaves the best valid assignment found so far in the
+//     caller's start assignment, edited in place — never an error for
+//     running out of budget, never a half-applied chain (tentative
+//     k-opt commits are rolled back before returning).
 //   - The returned aggregate is the committed evaluator state, which is
-//     bit-identical to a fresh model.EvaluateWith of the returned
-//     assignment (the differential tests assert ==, not ≈).
+//     bit-identical to a fresh model.EvaluateWith of the end state (the
+//     differential tests assert ==, not ≈).
 //
 // Determinism: with a probe/move budget the result is a pure function
 // of (network, start, Options) for any context; only Budget.Time trades
@@ -130,10 +131,10 @@ func (r StopReason) String() string {
 	return "unknown"
 }
 
-// Budget bounds a search. Zero or negative fields mean unlimited; an
-// all-zero Budget runs to the method's natural end (local optimum or
-// temperature floor). This is the one budget vocabulary shared with
-// strategy.Config.
+// Budget bounds a search. Zero fields mean unlimited, and so do negative
+// Probes or Time; a negative Moves means placement only. An all-zero
+// Budget runs to the method's natural end (local optimum or temperature
+// floor). This is the one budget vocabulary shared with strategy.Config.
 type Budget struct {
 	// Probes caps ProbeMove evaluations, the search's unit of work and
 	// the deterministic way to bound it.
@@ -146,11 +147,6 @@ type Budget struct {
 	// Time caps wall clock. Results under a time budget depend on
 	// machine speed; use Probes where determinism matters.
 	Time time.Duration
-}
-
-// Unlimited reports whether no dimension of the budget binds.
-func (b Budget) Unlimited() bool {
-	return b.Probes <= 0 && b.Moves == 0 && b.Time <= 0
 }
 
 // AnnealOptions tunes the Annealing method. Zero values pick defaults
@@ -217,9 +213,10 @@ func (o Options) rng() *rand.Rand {
 	return seed.Rand(o.Seed, seed.StrategyRand, 0)
 }
 
-// Result reports a finished search. All slices are caller-owned copies.
+// Result reports a finished search. Trajectory is a caller-owned copy.
 type Result struct {
-	// Assign is the best assignment found (a copy; always valid).
+	// Assign is the best assignment found: the caller's start, edited
+	// in place (always valid).
 	Assign model.Assignment
 	// Aggregate is Assign's total throughput, bit-identical to a fresh
 	// model.EvaluateWith under the same model options.
@@ -360,13 +357,17 @@ func (r *run) haltWith(reason StopReason) {
 // best-so-far buffers. Like
 // core.Scratch, a Searcher is not safe for concurrent use but amortizes
 // every allocation across repeated searches — the warm re-solve loop
-// runs allocation-free after the first call on a given network size.
+// allocates nothing that scales with users after the first call on a
+// given network size.
 type Searcher struct {
 	delta model.DeltaEval
 	cands Candidates
+	// out is the running search's start assignment: every commit writes
+	// its row back, so the caller's slice tracks the evaluator.
+	out model.Assignment
 
 	// best is the annealer's best-so-far assignment; the other methods
-	// end on their best state, so finish reads the evaluator instead.
+	// end on their best state, which their commits left in out.
 	best      model.Assignment
 	bestScore model.Score
 	annealing bool
@@ -391,11 +392,14 @@ type Searcher struct {
 }
 
 // Search runs one method of the family from the start assignment and
-// returns the best state found. The start may contain Unassigned
-// entries (arrivals); they are placed greedily first, free of the move
-// budget. The error is non-nil only for an invalid input (start fails
-// validation against n) — budget exhaustion and cancellation are
-// normal returns per the anytime contract.
+// leaves the best state found in start, edited in place: only the rows
+// a placement, commit or rollback touched are written, and Annealing
+// copies its best state back once at the end. Result.Assign is start.
+// The start may contain Unassigned entries (arrivals); they are placed
+// greedily first, free of the move budget. The error is non-nil only
+// for an invalid input (start fails validation against n), and then
+// start is untouched — budget exhaustion and cancellation are normal
+// returns per the anytime contract.
 func (s *Searcher) Search(ctx context.Context, n *model.Network, start model.Assignment, method Method, opts Options) (*Result, error) {
 	r := newRun(ctx, opts.Budget)
 	probesBefore, boundedBefore, evalsBefore := s.delta.Probes, s.delta.Bounded, s.delta.Evals
@@ -416,6 +420,7 @@ func (s *Searcher) Search(ctx context.Context, n *model.Network, start model.Ass
 		}
 	}
 	res := s.finish(r)
+	s.out = nil
 	res.Probes = s.delta.Probes - probesBefore
 	res.Bounded = s.delta.Bounded - boundedBefore
 	res.Attaches = s.delta.Evals - evalsBefore
@@ -454,21 +459,6 @@ func (s *Searcher) Place(n *model.Network, assign model.Assignment, user int, op
 	return bestTo, nil
 }
 
-// HillClimb is Search(ctx, n, start, HillClimbing, opts).
-func (s *Searcher) HillClimb(ctx context.Context, n *model.Network, start model.Assignment, opts Options) (*Result, error) {
-	return s.Search(ctx, n, start, HillClimbing, opts)
-}
-
-// KOpt is Search(ctx, n, start, KOpt, opts).
-func (s *Searcher) KOpt(ctx context.Context, n *model.Network, start model.Assignment, opts Options) (*Result, error) {
-	return s.Search(ctx, n, start, KOpt, opts)
-}
-
-// Anneal is Search(ctx, n, start, Annealing, opts).
-func (s *Searcher) Anneal(ctx context.Context, n *model.Network, start model.Assignment, opts Options) (*Result, error) {
-	return s.Search(ctx, n, start, Annealing, opts)
-}
-
 // begin syncs the evaluator and the visit order to (n, start),
 // refreshes the candidate cache, places unassigned users, and records
 // the post-placement state as the initial best (copying it only for
@@ -477,6 +467,7 @@ func (s *Searcher) begin(n *model.Network, start model.Assignment, method Method
 	if err := s.delta.Sync(n, start, opts.Model); err != nil {
 		return err
 	}
+	s.out = start
 	s.rank.sync(n, opts.Model.Utility, s.delta.Evals)
 	s.cands.Ensure(n, opts.neighborhood())
 	s.placed, s.commits, s.improving = 0, 0, 0
@@ -528,17 +519,20 @@ func (s *Searcher) place(n *model.Network, r *run) {
 	}
 }
 
-// commit applies the move (i: from → to) to the evaluator and marks
-// i's place in the visit order out of date.
+// commit applies the move (i: from → to) to the evaluator and the
+// caller's assignment, and marks i's place in the visit order out of
+// date.
 func (s *Searcher) commit(i, from, to int) {
 	s.delta.Commit(i, from, to)
+	s.out[i] = to
 	s.rank.touch(i)
 	s.commits++
 }
 
 // noteBest records the committed state as the new best. Only the
-// annealer copies the assignment: hill climbing and k-opt return on
-// their best state, so finish snapshots it once.
+// annealer copies the assignment: hill climbing and k-opt end on their
+// best state, which the commits have already written into the caller's
+// assignment.
 func (s *Searcher) noteBest() {
 	s.bestScore = s.delta.Score()
 	if s.annealing {
@@ -828,19 +822,17 @@ func (s *Searcher) anneal(n *model.Network, opts Options, r *run) {
 	}
 }
 
-// finish assembles the caller-owned Result from the search state. The
-// Start entry is trajectory[0] (the post-placement baseline). Every
-// method but Annealing ends on its best state, so Assign is one copy of
-// the evaluator's committed assignment.
+// finish assembles the Result from the search state. The Start entry
+// is trajectory[0] (the post-placement baseline). Every method but
+// Annealing ends on its best state, which the commits have already
+// written into the caller's assignment; the annealer copies its best
+// state over the walk's end state.
 func (s *Searcher) finish(r *run) *Result {
-	var assign model.Assignment
 	if s.annealing {
-		assign = append(assign, s.best...)
-	} else {
-		assign = s.delta.AppendAssignment(nil)
+		copy(s.out, s.best)
 	}
 	res := &Result{
-		Assign:     assign,
+		Assign:     s.out,
 		Aggregate:  s.bestScore.Tie,
 		Utility:    s.bestScore.Primary,
 		Placed:     s.placed,

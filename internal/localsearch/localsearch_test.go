@@ -2,6 +2,7 @@ package localsearch
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -110,7 +111,7 @@ func TestSearchImprovesOverStart(t *testing.T) {
 	}
 	var s Searcher
 	opts := Options{}
-	res, err := s.HillClimb(context.Background(), n, start, opts)
+	res, err := s.Search(context.Background(), n, start, HillClimbing, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +133,11 @@ func TestKOptAtLeastHillClimb(t *testing.T) {
 	for _, base := range []int64{5, 11, 17} {
 		n, start := searchInstance(base, 8, 60)
 		var s Searcher
-		hc, err := s.HillClimb(context.Background(), n, start, Options{})
+		hc, err := s.Search(context.Background(), n, start.Clone(), HillClimbing, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ko, err := s.KOpt(context.Background(), n, start, Options{})
+		ko, err := s.Search(context.Background(), n, start.Clone(), KOpt, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +164,7 @@ func TestSearchPlacesArrivals(t *testing.T) {
 	// placements stay free: every reachable arrival must end assigned.
 	var s Searcher
 	opts := Options{Budget: Budget{Moves: 1}}
-	res, err := s.HillClimb(context.Background(), n, start, opts)
+	res, err := s.Search(context.Background(), n, start, HillClimbing, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestSearchCtxCancellation(t *testing.T) {
 	for _, method := range allMethods {
 		var s Searcher
 		opts := Options{Seed: 13}
-		res, err := s.Search(ctx, n, start, method, opts)
+		res, err := s.Search(ctx, n, start.Clone(), method, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -216,7 +217,7 @@ func TestSearchCtxCancellation(t *testing.T) {
 	defer cancel2()
 	var s Searcher
 	opts := Options{Seed: 13}
-	res, err := s.Anneal(ctx2, n, start, opts)
+	res, err := s.Search(ctx2, n, start, Annealing, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestSearchProbeBudgetExact(t *testing.T) {
 	for _, budget := range []int{1, 10, 100, 1000} {
 		var s Searcher
 		opts := Options{Seed: 21, Budget: Budget{Probes: budget}}
-		res, err := s.HillClimb(context.Background(), n, start, opts)
+		res, err := s.Search(context.Background(), n, start.Clone(), HillClimbing, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +250,7 @@ func TestSearchTimeBudget(t *testing.T) {
 	var s Searcher
 	opts := Options{Seed: 23, Budget: Budget{Time: 100 * time.Microsecond}}
 	startT := time.Now()
-	res, err := s.Anneal(context.Background(), n, start, opts)
+	res, err := s.Search(context.Background(), n, start, Annealing, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,17 +268,17 @@ func TestSearchDeterministic(t *testing.T) {
 	for _, method := range allMethods {
 		opts := Options{Seed: 31, Budget: Budget{Probes: 4000}}
 		var s1 Searcher
-		r1, err := s1.Search(context.Background(), n, start, method, opts)
+		r1, err := s1.Search(context.Background(), n, start.Clone(), method, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var s2 Searcher
 		// Warm the second searcher with an unrelated search first: the
 		// reused scratch must not leak into the next result.
-		if _, err := s2.Search(context.Background(), n, start, Annealing, Options{Seed: 99, Budget: Budget{Probes: 500}}); err != nil {
+		if _, err := s2.Search(context.Background(), n, start.Clone(), Annealing, Options{Seed: 99, Budget: Budget{Probes: 500}}); err != nil {
 			t.Fatal(err)
 		}
-		r2, err := s2.Search(context.Background(), n, start, method, opts)
+		r2, err := s2.Search(context.Background(), n, start.Clone(), method, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,14 +348,17 @@ func TestSearchInvalidStart(t *testing.T) {
 	bad := start.Clone()
 	bad[0] = n.NumExtenders() + 5
 	var s Searcher
-	if _, err := s.HillClimb(context.Background(), n, bad, Options{}); err == nil {
+	if _, err := s.Search(context.Background(), n, bad, HillClimbing, Options{}); err == nil {
 		t.Fatal("expected validation error for out-of-range assignment")
 	}
 }
 
 // FuzzSearchVsFull drives all three methods over fuzzer-chosen
 // instances and budgets, holding the bit-identity invariant: the end
-// state must equal a fresh full EvaluateWith.
+// state must equal a fresh full EvaluateWith. It also holds the
+// in-place contract: the end state is the caller's start, edited, and
+// a second searcher started from a copy of the original start reaches
+// the same assignment.
 func FuzzSearchVsFull(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(24), uint16(400), uint8(0))
 	f.Add(int64(42), uint8(8), uint8(60), uint16(2000), uint8(1))
@@ -371,6 +375,7 @@ func FuzzSearchVsFull(f *testing.F) {
 			// schedule (~14k steps); keep fuzz iterations fast.
 			opts.Budget.Probes = 3000
 		}
+		orig := start.Clone()
 		res, err := s.Search(context.Background(), n, start, m, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -385,6 +390,21 @@ func FuzzSearchVsFull(f *testing.F) {
 		}
 		if res.Aggregate < res.Start {
 			t.Fatalf("lost ground: %v < %v", res.Aggregate, res.Start)
+		}
+		inPlace, err := model.EvaluateWith(&scratch, n, start, opts.Model)
+		if err != nil {
+			t.Fatalf("invalid start after search: %v", err)
+		}
+		if !slices.Equal(start, res.Assign) || inPlace.Aggregate != res.Aggregate {
+			t.Fatalf("start %v (aggregate %v) is not the end state %v (aggregate %v)",
+				start, inPlace.Aggregate, res.Assign, res.Aggregate)
+		}
+		var s2 Searcher
+		if _, err := s2.Search(context.Background(), n, orig, m, opts); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(orig, start) {
+			t.Fatalf("search from a copy of the start reached %v, want %v", orig, start)
 		}
 	})
 }

@@ -281,12 +281,13 @@ func checkRankReplay(t testing.TB, base int64, steps int, util0 int, cov *rankCo
 			a[i] = reachable(rng, n.WiFiRates[i])
 		default:
 			method, o := allMethods[rng.Intn(len(allMethods))], opts()
+			in := a.Clone()
 			res, err := s.Search(context.Background(), n, a, method, o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var fresh Searcher
-			want, err := fresh.Search(context.Background(), n, a, method, o)
+			want, err := fresh.Search(context.Background(), n, in, method, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -373,12 +374,13 @@ func TestSearcherReuseMatchesFresh(t *testing.T) {
 				}
 				n.SetRow(row, rates)
 			}
+			in := a.Clone()
 			res, err := s.Search(context.Background(), n, a, method, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var fresh Searcher
-			want, err := fresh.Search(context.Background(), n, a, method, opts)
+			want, err := fresh.Search(context.Background(), n, in, method, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

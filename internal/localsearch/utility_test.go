@@ -37,7 +37,7 @@ func TestHillClimbFollowsUtility(t *testing.T) {
 	// the throughput optimum (move u2 off the shared extender).
 	var s Searcher
 	opts := Options{Model: model.Options{Redistribute: true}}
-	res, err := s.Search(context.Background(), n, aJoin, HillClimbing, opts)
+	res, err := s.Search(context.Background(), n, aJoin.Clone(), HillClimbing, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestHillClimbFollowsUtility(t *testing.T) {
 	// walk back to the fair one.
 	var sm Searcher
 	mmOpts := Options{Model: model.Options{Redistribute: true, Utility: model.MaxMinFairness()}}
-	mmRes, err := sm.Search(context.Background(), n, bJoin, HillClimbing, mmOpts)
+	mmRes, err := sm.Search(context.Background(), n, bJoin.Clone(), HillClimbing, mmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

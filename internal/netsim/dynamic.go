@@ -133,11 +133,14 @@ func RunDynamic(cfg DynamicConfig, policy Policy) ([]EpochResult, error) {
 
 		inst = Build(topo, rm)
 		assign = assignFromMap(inst, current)
+		// Reassign edits assign in place: keep the pre-epoch association
+		// to count the moves.
+		before := assign.Clone()
 		newAssign, err := reassign(st, inst, assign)
 		if err != nil {
 			return nil, err
 		}
-		reassigned := assign.Diff(newAssign)
+		reassigned := before.Diff(newAssign)
 		for i, j := range newAssign {
 			current[inst.UserIDs[i]] = j
 		}

@@ -236,7 +236,7 @@ func TestBaselineOnEpochIsIdentity(t *testing.T) {
 		RSSIPolicy(),
 		randomPolicy(1),
 	} {
-		out, err := reassign(newStrategy(t, p), inst, assign)
+		out, err := reassign(newStrategy(t, p), inst, assign.Clone())
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

@@ -67,9 +67,14 @@ func (r *rssiStrategy) Add(n *model.Network, assign model.Assignment, user int) 
 }
 
 // Reassign implements Reassigner: every user roams to its currently
-// strongest extender, regardless of the previous association.
-func (r *rssiStrategy) Reassign(n *model.Network, _ model.Assignment) (model.Assignment, error) {
-	return r.Solve(n)
+// strongest extender, regardless of the previous association, which it
+// overwrites.
+func (r *rssiStrategy) Reassign(n *model.Network, prev model.Assignment) (model.Assignment, error) {
+	next, err := r.Solve(n)
+	if err != nil {
+		return nil, err
+	}
+	return adopt(prev, next)
 }
 
 // addStrategy covers the two arrival-order baselines (greedy and

@@ -14,19 +14,19 @@ func init() {
 }
 
 // lsStrategy adapts the internal/localsearch family to the registry:
-// Solve searches from an empty association (placement seeds it),
-// Reassign searches from the previous one — the warm path that makes
-// per-epoch re-solves sub-millisecond — and Add places one arrival
-// through the evaluator's Sync fast path. All three forms honor
-// Config.Budget and Config.Ctx under the anytime contract (DESIGN.md
-// §11): they always return the best-so-far valid association.
+// Solve searches from a fresh empty association (placement seeds it),
+// Reassign searches from the previous one, editing it in place — the
+// warm path that makes per-epoch re-solves sub-millisecond — and Add
+// places one arrival through the evaluator's Sync fast path. All three
+// forms honor Config.Budget and Config.Ctx under the anytime contract
+// (DESIGN.md §11): they always return the best-so-far valid
+// association.
 type lsStrategy struct {
 	name   string
 	method localsearch.Method
 	cfg    Config
 	opts   localsearch.Options
 	search localsearch.Searcher
-	empty  model.Assignment
 }
 
 func newLocalSearch(name string, method localsearch.Method) Factory {
@@ -79,31 +79,25 @@ func lsStats(name string, n *model.Network, res *localsearch.Result, total time.
 // register it for completeness and for the budget-vs-quality curve of
 // the anytime experiment.
 func (s *lsStrategy) Solve(n *model.Network) (model.Assignment, error) {
-	if cap(s.empty) < n.NumUsers() {
-		s.empty = make(model.Assignment, n.NumUsers())
+	start := make(model.Assignment, n.NumUsers())
+	for i := range start {
+		start[i] = model.Unassigned
 	}
-	s.empty = s.empty[:n.NumUsers()]
-	for i := range s.empty {
-		s.empty[i] = model.Unassigned
-	}
-	return s.run(n, s.empty)
+	return s.Reassign(n, start)
 }
 
 // Reassign implements Reassigner: the warm path. The previous
 // association seeds the search, arrivals (Unassigned entries) are
-// placed for free, and the budgeted climb repairs the rest.
+// placed for free, and the budgeted climb repairs the rest; the search
+// writes only the rows it moves back into prev.
 func (s *lsStrategy) Reassign(n *model.Network, prev model.Assignment) (model.Assignment, error) {
-	return s.run(n, prev)
-}
-
-func (s *lsStrategy) run(n *model.Network, start model.Assignment) (model.Assignment, error) {
 	t0 := time.Now()
-	res, err := s.search.Search(s.cfg.Ctx, n, start, s.method, s.opts)
+	res, err := s.search.Search(s.cfg.Ctx, n, prev, s.method, s.opts)
 	if err != nil {
 		return nil, err
 	}
 	s.cfg.emit(lsStats(s.name, n, res, time.Since(t0)))
-	return res.Assign, nil
+	return prev, nil
 }
 
 // Add implements Online: one arrival, placed on the candidate extender

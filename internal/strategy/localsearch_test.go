@@ -42,7 +42,7 @@ func TestLocalSearchWarmReassign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := st.(Reassigner).Reassign(n, full)
+		got, err := st.(Reassigner).Reassign(n, full.Clone())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -64,8 +64,10 @@ type Online interface {
 
 // Reassigner is implemented by strategies whose operational mode is
 // epoch recomputation: Reassign computes a new association given the
-// previous one (which full-recompute strategies ignore and the budgeted
-// incremental strategy steers from).
+// previous one (which full-recompute strategies ignore and the warm
+// strategies steer from). Like Add, it edits prev in place and returns
+// it; on error prev is untouched. Callers that need the old association
+// afterwards (to count moves, say) copy it first.
 type Reassigner interface {
 	Strategy
 	Reassign(n *model.Network, prev model.Assignment) (model.Assignment, error)
@@ -184,6 +186,16 @@ func (c Config) rng() *rand.Rand {
 		return c.Rng
 	}
 	return seed.Rand(c.Seed, seed.StrategyRand, 0)
+}
+
+// adopt copies a full recompute's result into prev, the in-place form of
+// the Reassigner contract.
+func adopt(prev, next model.Assignment) (model.Assignment, error) {
+	if len(prev) != len(next) {
+		return nil, fmt.Errorf("strategy: previous assignment covers %d users, network has %d", len(prev), len(next))
+	}
+	copy(prev, next)
+	return prev, nil
 }
 
 // emit forwards a Stats record to the observer, if any.

@@ -3,6 +3,7 @@ package strategy
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -289,6 +290,43 @@ func TestOnlineAndReassignerForms(t *testing.T) {
 	}
 }
 
+// TestReassignEditsPrevInPlace pins the Reassigner contract for every
+// registry strategy that has the form: the new association is written
+// into prev and prev itself is returned; a prev that does not cover the
+// network is an error that leaves prev untouched.
+func TestReassignEditsPrevInPlace(t *testing.T) {
+	n := testNetwork(t, 12, 3)
+	start, err := baseline.RSSIByRate(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range Names() {
+		st, err := New(name, Config{ModelOpts: model.Options{Redistribute: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		re, ok := st.(Reassigner)
+		if !ok {
+			continue
+		}
+		prev := start.Clone()
+		got, err := re.Reassign(n, prev)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(prev) || &got[0] != &prev[0] {
+			t.Errorf("%s: Reassign returned a new slice, want prev edited in place", name)
+		}
+		short := start[:len(start)-1].Clone()
+		if _, err := re.Reassign(n, short); err == nil {
+			t.Errorf("%s: Reassign accepted a prev covering %d of %d users", name, len(short), n.NumUsers())
+		}
+		if !slices.Equal(short, start[:len(start)-1]) {
+			t.Errorf("%s: failed Reassign edited prev: %v", name, short)
+		}
+	}
+}
+
 func TestGreedyAddMatchesBaseline(t *testing.T) {
 	n := testNetwork(t, 6, 3)
 	opts := model.Options{Redistribute: true}
@@ -336,7 +374,7 @@ func TestIncrementalRespectsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, err := st.(Reassigner).Reassign(n, rssiStart)
+	next, err := st.(Reassigner).Reassign(n, rssiStart.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

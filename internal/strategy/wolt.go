@@ -120,9 +120,14 @@ func (w *woltStrategy) Solve(n *model.Network) (model.Assignment, error) {
 }
 
 // Reassign implements Reassigner: WOLT's controller recomputes the full
-// association at every epoch; the previous assignment is ignored.
-func (w *woltStrategy) Reassign(n *model.Network, _ model.Assignment) (model.Assignment, error) {
-	return w.Solve(n)
+// association at every epoch and copies it into prev, whose contents it
+// ignores.
+func (w *woltStrategy) Reassign(n *model.Network, prev model.Assignment) (model.Assignment, error) {
+	next, err := w.Solve(n)
+	if err != nil {
+		return nil, err
+	}
+	return adopt(prev, next)
 }
 
 // incrementalStrategy is the budgeted re-association extension: Reassign
@@ -160,5 +165,5 @@ func (s *incrementalStrategy) Reassign(n *model.Network, prev model.Assignment) 
 	st := woltStats("wolt-incremental", n, res.Target, time.Since(start), res.Evals)
 	st.DeltaProbes = res.DeltaProbes
 	s.cfg.emit(st)
-	return res.Assign, nil
+	return adopt(prev, res.Assign)
 }

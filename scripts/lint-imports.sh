@@ -169,17 +169,19 @@ fi
 # copy of Policy.Assign are gone; baseline.Strongest is the one rule),
 # the hill climb visits users through localsearch's persistent
 # deficitRank (the per-pass heap and the function that filled it are
-# gone), and wolt-hillclimb is the only warm repair (core's hill-climb
-# fork behind wolt-incremental and its options struct are gone).
+# gone), wolt-hillclimb is the only warm repair (core's hill-climb
+# fork behind wolt-incremental and its options struct are gone), and
+# Searcher.Search is the one search entry point (the HillClimb, KOpt and
+# Anneal wrappers and the unused Budget.Unlimited are gone).
 # Test files are covered too; the one exemption is the experiments test
 # that pins the refusal of the retired "tcp-json" plane name.
-bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic|deficitOrder|sweepOrder|WarmOptions|assignWarm' \
+bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic|deficitOrder|sweepOrder|WarmOptions|assignWarm|\.Unlimited\(|\.HillClimb\(|\.KOpt\(|\.Anneal\(' \
 	--include='*.go' . \
 	| grep -v '^\./internal/experiments/experiments_test\.go:.*"tcp-json"' || true)
 if [ -n "$bad" ]; then
 	echo "import lint: removed identifier reintroduced:" >&2
 	echo "$bad" >&2
-	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values, the hill climb's visit order is the persistent localsearch.deficitRank, and wolt-hillclimb is the one warm repair" >&2
+	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values, the hill climb's visit order is the persistent localsearch.deficitRank, wolt-hillclimb is the one warm repair, and Searcher.Search is the one search entry point" >&2
 	exit 1
 fi
 echo "import lint: clean"
