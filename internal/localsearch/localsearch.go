@@ -213,7 +213,9 @@ func (o Options) rng() *rand.Rand {
 	return seed.Rand(o.Seed, seed.StrategyRand, 0)
 }
 
-// Result reports a finished search. Trajectory is a caller-owned copy.
+// Result reports a finished search. The Result Search returns, and its
+// Trajectory, belong to the Searcher and stay valid until its next
+// Search; copy what must outlive that.
 type Result struct {
 	// Assign is the best assignment found: the caller's start, edited
 	// in place (always valid).
@@ -272,11 +274,12 @@ type run struct {
 	halted     bool
 }
 
-func newRun(ctx context.Context, b Budget) *run {
+// start resets r for a search under ctx and budget b.
+func (r *run) start(ctx context.Context, b Budget) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := &run{ctx: ctx, probesLeft: -1, movesLeft: -1}
+	*r = run{ctx: ctx, probesLeft: -1, movesLeft: -1}
 	if b.Probes > 0 {
 		r.probesLeft = b.Probes
 	}
@@ -290,7 +293,6 @@ func newRun(ctx context.Context, b Budget) *run {
 		r.timed = true
 	}
 	r.interrupted() // an already-cancelled ctx halts before any work
-	return r
 }
 
 // takeProbe reserves one probe evaluation; false means the search must
@@ -372,6 +374,10 @@ type Searcher struct {
 	bestScore model.Score
 	annealing bool
 	traj      []float64
+	// run and res are the current search's interruption state and
+	// result, reused so a search allocates neither.
+	run run
+	res Result
 
 	placed, commits, improving int
 
@@ -399,9 +405,11 @@ type Searcher struct {
 // greedily first, free of the move budget. The error is non-nil only
 // for an invalid input (start fails validation against n), and then
 // start is untouched — budget exhaustion and cancellation are normal
-// returns per the anytime contract.
+// returns per the anytime contract. The Result is the Searcher's own
+// and is overwritten by the next Search.
 func (s *Searcher) Search(ctx context.Context, n *model.Network, start model.Assignment, method Method, opts Options) (*Result, error) {
-	r := newRun(ctx, opts.Budget)
+	r := &s.run
+	r.start(ctx, opts.Budget)
 	probesBefore, boundedBefore, evalsBefore := s.delta.Probes, s.delta.Bounded, s.delta.Evals
 	if err := s.begin(n, start, method, opts, r); err != nil {
 		return nil, err
@@ -831,18 +839,18 @@ func (s *Searcher) finish(r *run) *Result {
 	if s.annealing {
 		copy(s.out, s.best)
 	}
-	res := &Result{
+	s.res = Result{
 		Assign:     s.out,
 		Aggregate:  s.bestScore.Tie,
 		Utility:    s.bestScore.Primary,
 		Placed:     s.placed,
 		Commits:    s.commits,
 		Improving:  s.improving,
-		Trajectory: append([]float64(nil), s.traj...),
+		Trajectory: s.traj,
 		Stop:       r.stop,
 	}
 	if len(s.traj) > 0 {
-		res.Start = s.traj[0]
+		s.res.Start = s.traj[0]
 	}
-	return res
+	return &s.res
 }

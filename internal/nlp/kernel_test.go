@@ -128,19 +128,16 @@ func hashSolution(h hash.Hash, sol *Solution) {
 	}
 }
 
-// TestPhase2Golden solves the golden corpus under every utility with the
+// goldenDigest solves corpus under every utility with the
 // projected-gradient solver at 1 and 3 workers, and with the coordinate
-// solver, and checks the digest of all results against the pinned one.
-// The digest was computed by the solver before its kernel rewrite.
-func TestPhase2Golden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden corpus includes a 2k-user instance")
-	}
+// solver, and returns the hex SHA-256 of all results. The 3-worker
+// solves share one Workspace across every instance and utility, so the
+// digest also pins reuse across changing sizes.
+func goldenDigest(t *testing.T, corpus []goldenInstance) string {
+	t.Helper()
 	h := sha256.New()
-	// The 3-worker solves share one Workspace across every instance and
-	// utility, so the digest also pins reuse across changing sizes.
 	var ws Workspace
-	for _, inst := range goldenCorpus() {
+	for _, inst := range corpus {
 		for _, ut := range goldenUtilities {
 			for _, workers := range []int{1, 3} {
 				w := &ws
@@ -162,8 +159,90 @@ func TestPhase2Golden(t *testing.T) {
 			hashSolution(h, sol)
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != phase2GoldenDigest {
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPhase2Golden checks the digest of the golden corpus's solutions
+// against the pinned one. The digest was computed by the solver before
+// its kernel rewrite.
+func TestPhase2Golden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden corpus includes a 2k-user instance")
+	}
+	if got := goldenDigest(t, goldenCorpus()); got != phase2GoldenDigest {
 		t.Fatalf("Phase II golden digest = %s, want %s", got, phase2GoldenDigest)
+	}
+}
+
+// phase2CityDigest pins the solvers' exact output on cityCorpus, as
+// phase2GoldenDigest does on goldenCorpus. It was computed before the
+// vertex-row and whole-cell swap shortcuts went in.
+const phase2CityDigest = "99dd6309cc18154427cd1ace98670897d1585c68e194db0c17ee39c1bf8f132b"
+
+// City geometry of internal/city: extenders on a square grid cityCell
+// meters apart, and the PHY rate's distance falloff
+// cityRate0/(1+(d/cityHalf)³), cut to 0 (unreachable) below cityMin.
+const (
+	cityCell  = 60.0
+	cityRate0 = 866.0
+	cityHalf  = 25.0
+	cityMin   = 5.0
+)
+
+// cityProblem draws users over a side×side grid of extenders the way
+// the city workloads see them: users stand uniformly over the grid's
+// square and reach every extender whose falloff rate clears cityMin.
+// Rates are continuous and range from 5 to 866 Mbps, so the objective
+// reaches about 10⁴. The first side² users stand within 30 m of
+// extender j and are pinned to it, as Phase I leaves one user per
+// extender.
+func cityProblem(rng *rand.Rand, users, side int) Problem {
+	numExt := side * side
+	width := float64(side-1) * cityCell
+	rates := make([][]float64, users)
+	fixed := make(model.Assignment, users)
+	for i := range rates {
+		x, y := rng.Float64()*width, rng.Float64()*width
+		fixed[i] = model.Unassigned
+		if i < numExt {
+			x = math.Min(width, math.Max(0, float64(i%side)*cityCell+60*rng.Float64()-30))
+			y = math.Min(width, math.Max(0, float64(i/side)*cityCell+60*rng.Float64()-30))
+			fixed[i] = i
+		}
+		rates[i] = make([]float64, numExt)
+		for j := range rates[i] {
+			dx, dy := x-float64(j%side)*cityCell, y-float64(j/side)*cityCell
+			r := cityRate0 / (1 + math.Pow(math.Sqrt(dx*dx+dy*dy)/cityHalf, 3))
+			if r >= cityMin {
+				rates[i][j] = r
+			}
+		}
+	}
+	return Problem{Rates: rates, Fixed: fixed}
+}
+
+// cityCorpus is the instance set behind phase2CityDigest: the
+// campus-wolt shape, 60 to 120 users over a 4×4 grid.
+func cityCorpus() []goldenInstance {
+	var corpus []goldenInstance
+	rng := seed.Root(9160)
+	for c := 0; c < 8; c++ {
+		users := 60 + rng.Intn(61)
+		corpus = append(corpus, goldenInstance{
+			name: fmt.Sprintf("city-%d", c),
+			p:    cityProblem(rng, users, 4),
+		})
+	}
+	return corpus
+}
+
+// TestPhase2GoldenCity pins the solvers on city-scale rates. The
+// golden corpus draws 6–54 Mbps and its objectives stay below 2048;
+// here they reach about 10⁴, where polish's 1e-12 acceptance epsilon is
+// under one ulp of the objective.
+func TestPhase2GoldenCity(t *testing.T) {
+	if got := goldenDigest(t, cityCorpus()); got != phase2CityDigest {
+		t.Fatalf("Phase II city digest = %s, want %s", got, phase2CityDigest)
 	}
 }
 
@@ -191,6 +270,23 @@ func TestWorkspaceSolveAllocs(t *testing.T) {
 // each user reaching ~70% of the extenders.
 func BenchmarkPhase2Campus(b *testing.B) {
 	p := goldenProblem(seed.Root(9151), 90, 16, 16, 0.7, false)
+	var w Workspace
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveProjectedGradientWith(&w, p, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPhase2City times one warm Phase II solve of a city-scale
+// instance: 120 users over a 4×4 grid, 16 of them pinned, rates from
+// the city falloff, the shape the campus-wolt workload solves. Most of
+// BenchmarkPhase2Campus's time goes to gradient iterations; here the
+// polish pass costs about as much as the relaxation.
+func BenchmarkPhase2City(b *testing.B) {
+	p := cityProblem(seed.Root(9161), 120, 4)
 	var w Workspace
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -315,6 +411,65 @@ func FuzzProjectOnSupportExact(f *testing.F) {
 	f.Add(1e300, -1e300, 1e300, 0.0, 0.0, uint8(7))
 	f.Fuzz(func(t *testing.T, a, b, c, d, e float64, mask uint8) {
 		checkProjectionExact(t, []float64{a, b, c, d, e}, mask)
+	})
+}
+
+// FuzzVertexRowExact checks candRows on a single-mass row of x (mass
+// mu on one support coordinate) against building the candidate in full
+// and projecting it with michelotOracle: every output bit and the row's
+// single-mass mark must agree. Gradients may be NaN, ±Inf or huge, the
+// step may be +Inf, and the candidate buffer may still hold an earlier
+// attempt: mass on one coordinate (prev ≥ 0) or a general row.
+func FuzzVertexRowExact(f *testing.F) {
+	f.Add(1.0, 0.5, 0.3, -0.2, 0.1, -3.0, 0.0, uint8(0), uint8(31), int8(-1))
+	f.Add(1.0, 0.5, 4.0, -0.2, 0.1, -3.0, 0.0, uint8(0), uint8(31), int8(2))
+	f.Add(1.0, 0.5, 0.3, math.NaN(), 0.1, -3.0, 0.0, uint8(0), uint8(31), int8(0))
+	f.Add(1.0, 0.5, 0.3, math.Inf(-1), 0.1, -3.0, 0.0, uint8(0), uint8(31), int8(1))
+	f.Add(1.0, math.Inf(1), 0.3, -0.2, 0.1, -3.0, 0.0, uint8(0), uint8(31), int8(-1))
+	f.Add(0.75, 0.125, 1e300, -1e300, 0.0, 0.0, 0.0, uint8(1), uint8(7), int8(-1))
+	f.Add(1.0, 0.5, 2.0, 0.0, 0.0, 0.0, 0.0, uint8(0), uint8(1), int8(-1))
+	f.Add(-0x1.76e28b611d9dap+01, 1.0, 0.0, -2.0, -0x1.f3efb51727ef7p+01, 0.0, 0.0, uint8(0), uint8(31), int8(-1))
+	f.Fuzz(func(t *testing.T, mu, step, a, b, c, d, e float64, at, mask uint8, prev int8) {
+		var sup []int
+		for j := 0; j < 5; j++ {
+			if mask&(1<<j) != 0 {
+				sup = append(sup, j)
+			}
+		}
+		if len(sup) == 0 {
+			return
+		}
+		top := sup[int(at)%len(sup)]
+		x, grad, cand := make([]float64, 5), []float64{a, b, c, d, e}, make([]float64, 5)
+		x[top] = mu
+		w := &Workspace{
+			x: [][]float64{x}, grad: [][]float64{grad}, cand: [][]float64{cand},
+			supports: [][]int{sup}, proj: make([]projScratch, 1), step: math.Abs(step),
+			xv: []int{top}, cv: []int{-1},
+		}
+		if prev >= 0 {
+			w.cv[0] = sup[int(prev)%len(sup)]
+			cand[w.cv[0]] = 0.75
+		} else {
+			for _, j := range sup {
+				cand[j] = 0.25
+			}
+		}
+		w.candRows(0, 1)
+		want := make([]float64, 5)
+		for _, j := range sup {
+			want[j] = x[j] + w.step*grad[j]
+		}
+		michelotOracle(&projScratch{}, want, sup)
+		for j := range want {
+			if math.Float64bits(cand[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("row %v + %v·%v on %v: coordinate %d = %v, oracle %v",
+					x, w.step, grad, sup, j, cand[j], want[j])
+			}
+		}
+		if got, want := w.cv[0], singleMass(want, sup); got != want {
+			t.Fatalf("single-mass mark %d, want %d", got, want)
+		}
 	})
 }
 

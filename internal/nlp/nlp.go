@@ -24,10 +24,17 @@
 // (gradient, candidate build, cell loads, polish moves) walks the user's
 // reachable extenders, precomputed once per solve together with the
 // inverse rates 1/r_ij, and the simplex projection short-cuts the common
-// case where one coordinate dominates (see projectOnSupport). A
+// case where one coordinate dominates (see projectOnSupport). Work that
+// cannot move a bit is skipped: a row of the iterate with all its mass
+// on one extender takes its projection from one read of its gradient
+// row and rewrites one coordinate (candRows), the cell loads add such a
+// row at its one index (cells), and the sum-rate swap scan visits only
+// the members of cells that a swap could still improve (queueSwaps). A
 // Workspace carries every buffer across solves, so a warm solve
 // allocates only the Solution it returns. None of this changes a bit of
-// any result: TestPhase2Golden pins the output on a seeded corpus.
+// any result: TestPhase2Golden and TestPhase2GoldenCity pin the output
+// on seeded corpora, and FuzzPhase2KernelExact compares whole solves
+// with a copy of the solver without the shortcuts.
 //
 // # Intra-solve parallelism
 //
@@ -46,6 +53,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/plcwifi/wolt/internal/model"
 	"github.com/plcwifi/wolt/internal/parallel"
@@ -54,7 +62,9 @@ import (
 // Problem is a Phase II instance.
 type Problem struct {
 	// Rates is the full user × extender WiFi rate matrix r_ij.
-	// Non-positive entries mark unreachable extenders.
+	// Non-positive entries mark unreachable extenders; a reachable rate
+	// must be at least 2⁻¹⁰²² (the smallest normal float64), so that
+	// 1/r_ij is finite.
 	Rates [][]float64
 	// Fixed holds the Phase I decisions: Fixed[i] is user i's pinned
 	// extender, or model.Unassigned for the users Phase II must place.
@@ -62,7 +72,9 @@ type Problem struct {
 }
 
 // validate checks p and returns its extender count and its free users,
-// listed in buf's storage.
+// listed in buf's storage. It rejects subnormal rates: 1/r of one can
+// overflow to +Inf, and a load would then add 0·Inf = NaN for a user
+// holding no mass there.
 func (p Problem) validate(buf []int) (numExt int, free []int, err error) {
 	free = buf[:0]
 	if len(p.Rates) == 0 {
@@ -80,16 +92,16 @@ func (p Problem) validate(buf []int) (numExt int, free []int, err error) {
 		if len(row) != numExt {
 			return 0, nil, fmt.Errorf("nlp: user %d has %d rates, want %d", i, len(row), numExt)
 		}
+		reachable := false
+		for j, r := range row {
+			if r > 0 && r < 0x1p-1022 {
+				return 0, nil, fmt.Errorf("nlp: user %d has subnormal rate %g to extender %d", i, r, j)
+			}
+			reachable = reachable || r > 0
+		}
 		j := p.Fixed[i]
 		switch {
 		case j == model.Unassigned:
-			reachable := false
-			for _, r := range row {
-				if r > 0 {
-					reachable = true
-					break
-				}
-			}
 			if !reachable {
 				return 0, nil, fmt.Errorf("nlp: free user %d reaches no extender", i)
 			}
@@ -204,12 +216,23 @@ type Workspace struct {
 	proj           []projScratch
 	alpha          float64
 	step           float64
+	// xv[k] (cv[k]) is t when row k of x (cand) is single-mass: every
+	// support coordinate but t holds exactly 0. It is -1 otherwise.
+	xv, cv []int
 
 	// Polish state: per-extender loads and cached cell terms, the
 	// extender of each free user, and the coordinate start's assignment.
 	n, s, contrib []float64
 	ext           []int
 	alt           model.Assignment
+	// Swap-scan state (see queueSwaps): cell c's free users in
+	// ascending order, members[memberAt[c]:memberAt[c+1]]; under the
+	// sum-rate term minInv[j*numExt+c], the least 1/r_kj over c's
+	// members k that reach j, and maxOwn[c], the greatest 1/r_kc over
+	// them; and the bitset of partners queued for the current user.
+	members, memberAt []int
+	minInv, maxOwn    []float64
+	queued            []uint64
 }
 
 // grow returns buf resized to n elements, reallocating only when its
@@ -272,6 +295,9 @@ func (w *Workspace) attach(p Problem, term cellTerm) (numExt int, err error) {
 	w.n, w.s = grow(w.n, numExt), grow(w.s, numExt)
 	w.contrib = grow(w.contrib, numExt)
 	w.ext = grow(w.ext, f)
+	w.members, w.memberAt = grow(w.members, f), grow(w.memberAt, numExt+1)
+	w.minInv, w.maxOwn = grow(w.minInv, numExt*numExt), grow(w.maxOwn, numExt)
+	w.queued = grow(w.queued, (f+63)/64)
 	return numExt, nil
 }
 
@@ -298,16 +324,24 @@ func (w *Workspace) forRows(workers int, fn func(w *Workspace, lo, hi int)) {
 }
 
 // cells recomputes the fractional per-extender loads of iterate x into
-// cellsN/cellsS and returns the relaxation objective. The accumulation
-// order (fixed load first, then free rows in ascending k) is fixed, so
-// the result is bit-identical however the caller parallelizes the rest
-// of the iteration. Off-support coordinates hold mass 0, and adding 0
-// to a non-negative load is exact, so skipping them changes no bit.
-func (w *Workspace) cells(x [][]float64) float64 {
+// cellsN/cellsS and returns the relaxation objective; vert marks x's
+// single-mass rows (xv or cv). The accumulation order (fixed load
+// first, then free rows in ascending k) is fixed, so the result is
+// bit-identical however the caller parallelizes the rest of the
+// iteration. Off-support coordinates, and every coordinate of a
+// single-mass row but its one, hold mass 0, and adding 0·(1/r) = 0 to a
+// non-negative load is exact (1/r is finite; see validate), so skipping
+// them changes no bit.
+func (w *Workspace) cells(x [][]float64, vert []int) float64 {
 	copy(w.cellsN, w.fixedN)
 	copy(w.cellsS, w.fixedS)
 	for k, sup := range w.supports {
 		row, invR := x[k], w.invR[k]
+		if t := vert[k]; t >= 0 {
+			w.cellsN[t] += row[t]
+			w.cellsS[t] += row[t] * invR[t]
+			continue
+		}
 		for _, j := range sup {
 			mass := row[j]
 			w.cellsN[j] += mass
@@ -371,16 +405,70 @@ func (w *Workspace) gradAlphaRows(lo, hi int) {
 // candRows builds rows [lo, hi) of the line-search candidate x + step·grad
 // and projects each onto its simplex. Off-support coordinates of cand
 // stay at the 0 they were cleared to.
+//
+// A single-mass row of x (mass μ on t) skips the build. Its candidate
+// values are top = μ + step·g_t at t and step·g_j elsewhere (0 + y = y
+// up to the sign of a zero, which no test below can see), so the
+// projection's vertex test (onVertex) is taken from top and the others'
+// max and min. When it holds, top is the row's strict maximum, and
+// projectOnSupport would set θ = top−1 and write top−θ at t and 0
+// elsewhere; the row is written so directly, touching only t and the
+// one coordinate the buffer row last held mass on. No finiteness
+// test is needed here: max and min carry a NaN through, a non-finite
+// top, second or low fails margin < 1 or the gap test, and all-finite
+// values whose sum overflows are too large for margin < 1. Any other
+// row, or a failed test (which includes a row leaving t for another
+// vertex), takes the full path.
 func (w *Workspace) candRows(lo, hi int) {
 	ps := &w.proj[lo/rowChunk]
 	step := w.step
 	for k := lo; k < hi; k++ {
 		row, x, grad, sup := w.cand[k], w.x[k], w.grad[k], w.supports[k]
+		if t := w.xv[k]; t >= 0 {
+			top := x[t] + step*grad[t]
+			second, low := math.Inf(-1), top
+			for _, j := range sup {
+				if j != t {
+					v := step * grad[j]
+					second, low = max(second, v), min(low, v)
+				}
+			}
+			if onVertex(top, second, low, len(sup), true) {
+				switch prev := w.cv[k]; {
+				case prev == t:
+				case prev >= 0:
+					row[prev] = 0
+				default:
+					for _, j := range sup {
+						row[j] = 0
+					}
+				}
+				row[t] = top - (top - 1)
+				w.cv[k] = t
+				continue
+			}
+		}
 		for _, j := range sup {
 			row[j] = x[j] + step*grad[j]
 		}
 		projectOnSupport(ps, row, sup)
+		w.cv[k] = singleMass(row, sup)
 	}
+}
+
+// singleMass returns the one support coordinate of row that is not
+// exactly 0, or -1 when there is no such single coordinate.
+func singleMass(row []float64, sup []int) int {
+	t := -1
+	for _, j := range sup {
+		if row[j] != 0 {
+			if t >= 0 {
+				return -1
+			}
+			t = j
+		}
+	}
+	return t
 }
 
 // SolveProjectedGradient solves the Phase II relaxation by projected
@@ -423,16 +511,22 @@ func SolveProjectedGradientWith(w *Workspace, p Problem, opts Options) (*Solutio
 	w.cellsN, w.cellsS = grow(w.cellsN, numExt), grow(w.cellsS, numExt)
 	w.invS2, w.gN, w.gS = grow(w.invS2, numExt), grow(w.gN, numExt), grow(w.gS, numExt)
 	w.proj = grow(w.proj, (f+rowChunk-1)/rowChunk)
+	w.xv, w.cv = grow(w.xv, f), grow(w.cv, f)
 
 	// x[k][j]: fractional assignment of free user k to extender j,
-	// initialized uniformly over reachable extenders.
+	// initialized uniformly over reachable extenders; a user reaching
+	// one extender starts single-mass. cand starts all zero.
 	for k, sup := range w.supports {
 		for _, j := range sup {
 			w.x[k][j] = 1 / float64(len(sup))
 		}
+		w.xv[k], w.cv[k] = -1, -1
+		if len(sup) == 1 {
+			w.xv[k] = sup[0]
+		}
 	}
 
-	prev := w.cells(w.x)
+	prev := w.cells(w.x, w.xv)
 	step := opts.Step
 	iters := 0
 	for ; iters < opts.MaxIter; iters++ {
@@ -471,9 +565,10 @@ func SolveProjectedGradientWith(w *Workspace, p Problem, opts Options) (*Solutio
 		for attempt := 0; attempt < 20; attempt++ {
 			w.step = step
 			w.forRows(opts.Workers, (*Workspace).candRows)
-			obj := w.cells(w.cand)
+			obj := w.cells(w.cand, w.cv)
 			if obj > prev {
 				w.x, w.cand = w.cand, w.x
+				w.xv, w.cv = w.cv, w.xv
 				// converged per the paper's criterion unless the gain
 				// clears the tolerance
 				improved = obj-prev >= opts.Tol
@@ -502,11 +597,15 @@ func SolveProjectedGradientWith(w *Workspace, p Problem, opts Options) (*Solutio
 	// Theorem 3 extraction: collapse each user's mass onto one extender,
 	// then polish with discrete best-response moves (each move increases
 	// the objective, so this terminates).
+	// Off-support mass is 0, so the argmax is on the support unless a
+	// row went NaN (a term that overflows); such a user takes its first
+	// reachable extender.
 	assign := p.Fixed.Clone()
 	for k, i := range free {
-		best, bestMass := -1, -1.0
-		for j, mass := range w.x[k] {
-			if mass > bestMass {
+		sup := w.supports[k]
+		best, bestMass := sup[0], -1.0
+		for _, j := range sup {
+			if mass := w.x[k][j]; mass > bestMass {
 				best, bestMass = j, mass
 			}
 		}
@@ -692,9 +791,11 @@ func (w *Workspace) coordinate(p Problem, assign model.Assignment) (float64, int
 	copy(n, w.fixedN)
 	copy(s, w.fixedS)
 	for k, i := range w.free {
-		invR := w.invR[k]
-		bestJ, bestGain := -1, math.Inf(-1)
-		for _, j := range w.supports[k] {
+		// A user whose every gain is -Inf or NaN (a cell term that
+		// overflows) joins its first reachable extender.
+		invR, sup := w.invR[k], w.supports[k]
+		bestJ, bestGain := sup[0], math.Inf(-1)
+		for _, j := range sup {
 			gain := w.term.at(n[j]+1, s[j]+invR[j]) - w.term.at(n[j], s[j])
 			if gain > bestGain {
 				bestJ, bestGain = j, gain
@@ -777,12 +878,27 @@ func (w *Workspace) polish(p Problem, assign model.Assignment) (float64, int) {
 		// first-improvement in row-major a < b order: an improving swap
 		// is applied immediately and the scan resumes at the next pair.
 		// Counts are unchanged by a swap; only the two cells' inverse-
-		// rate sums move.
+		// rate sums move. Only the partners queueSwaps queues are
+		// visited: every other b shares a's cell, sits where a cannot
+		// go, or (sum-rate only) sits in a cell no swap with a can
+		// improve, and was skipped or rejected by the full scan. An
+		// accepted swap moves a and b, so the member lists, the two
+		// cells' bounds and a's queue are rebuilt after it.
+		sumRate := w.term.obj == nil
+		w.listMembers()
+		if sumRate {
+			for c := range contrib {
+				w.cellBounds(c)
+			}
+		}
 		for a := range ext {
-			ratesA, invA := w.rates[a], w.invR[a]
-			for b := a + 1; b < len(ext); b++ {
+			if !w.queueSwaps(a, obj, sumRate) {
+				continue
+			}
+			invA := w.invR[a]
+			for b := w.nextSwap(a + 1); b >= 0; b = w.nextSwap(b + 1) {
 				ja, jb := ext[a], ext[b]
-				if ja == jb || ratesA[jb] <= 0 || w.rates[b][ja] <= 0 {
+				if w.rates[b][ja] <= 0 {
 					continue
 				}
 				invB := w.invR[b]
@@ -796,6 +912,12 @@ func (w *Workspace) polish(p Problem, assign model.Assignment) (float64, int) {
 					contrib[jb] = w.term.at(n[jb], s[jb])
 					obj = resum()
 					changed = true
+					w.listMembers()
+					if sumRate {
+						w.cellBounds(ja)
+						w.cellBounds(jb)
+					}
+					w.queueSwaps(a, obj, sumRate)
 				}
 			}
 		}
@@ -808,6 +930,109 @@ func (w *Workspace) polish(p Problem, assign model.Assignment) (float64, int) {
 		assign[i] = ext[k]
 	}
 	return obj, sweeps
+}
+
+// listMembers rebuilds the member lists from the free users' current
+// extenders (a counting sort, so each list ascends).
+func (w *Workspace) listMembers() {
+	numExt := len(w.maxOwn)
+	at := w.memberAt
+	clear(at)
+	for _, c := range w.ext {
+		at[c+1]++
+	}
+	for c := 0; c < numExt; c++ {
+		at[c+1] += at[c]
+	}
+	for k, c := range w.ext {
+		w.members[at[c]] = k
+		at[c]++
+	}
+	copy(at[1:], at[:numExt])
+	at[0] = 0
+}
+
+// cellBounds recomputes column c of minInv and maxOwn[c] from cell c's
+// member list.
+func (w *Workspace) cellBounds(c int) {
+	numExt := len(w.maxOwn)
+	for j := c; j < len(w.minInv); j += numExt {
+		w.minInv[j] = math.Inf(1)
+	}
+	hi := math.Inf(-1)
+	for _, k := range w.members[w.memberAt[c]:w.memberAt[c+1]] {
+		inv := w.invR[k]
+		for _, j := range w.supports[k] {
+			w.minInv[j*numExt+c] = min(w.minInv[j*numExt+c], inv[j])
+		}
+		hi = max(hi, inv[c])
+	}
+	w.maxOwn[c] = hi
+}
+
+// queueSwaps queues the partners b > a whose swaps with free user a
+// the scan must score: the members of every cell c ≠ ja = ext[a] that
+// a reaches, except, under the sum-rate term, those of a cell the test
+// below closes. It reports whether it queued any.
+//
+// A swap with b in c scores the candidate
+//
+//	fl(fl(fl(fl(obj−C_ja)−C_c)+T_ja)+T_c)
+//
+// where C are the cached cell terms and T the terms at the swapped
+// sums s'_ja = fl(fl(s_ja−1/r_a,ja)+1/r_b,ja) and s'_c =
+// fl(fl(s_c−1/r_b,c)+1/r_a,c). Every rounded operation is monotone in
+// each operand, and 1/r_b,ja ≥ minInv[ja][c], 1/r_b,c ≤ maxOwn[c]. So
+// when the two sums built from those bounds are still ≥ s_ja and ≥ s_c,
+// and both are positive, no b moves either sum down. Then T = n/s' ≤
+// n/s = C for both cells (a NaN sum gives T = 0 ≤ C), and each
+// candidate is NaN or at most the bound with C in place of T. If that
+// bound is ≤ fl(obj+1e-12), no swap with a member of c is accepted.
+// A NaN anywhere in the test fails it and keeps the cell open.
+func (w *Workspace) queueSwaps(a int, obj float64, sumRate bool) bool {
+	clear(w.queued)
+	s, contrib, numExt := w.s, w.contrib, len(w.maxOwn)
+	ja, invA := w.ext[a], w.invR[a]
+	sja, cja := s[ja], contrib[ja]
+	leave := sja - invA[ja]
+	limit := obj + 1e-12
+	minIn := w.minInv[ja*numExt : (ja+1)*numExt]
+	queued := false
+	for _, c := range w.supports[a] {
+		mem := w.members[w.memberAt[c]:w.memberAt[c+1]]
+		if c == ja || len(mem) == 0 || mem[len(mem)-1] <= a {
+			continue
+		}
+		if sumRate && sja > 0 && s[c] > 0 &&
+			leave+minIn[c] >= sja &&
+			s[c]-w.maxOwn[c]+invA[c] >= s[c] &&
+			obj-cja-contrib[c]+cja+contrib[c] <= limit {
+			continue
+		}
+		for i := len(mem) - 1; i >= 0 && mem[i] > a; i-- {
+			b := mem[i]
+			w.queued[b>>6] |= 1 << (b & 63)
+			queued = true
+		}
+	}
+	return queued
+}
+
+// nextSwap returns the least queued partner ≥ i, or -1.
+func (w *Workspace) nextSwap(i int) int {
+	q := i >> 6
+	if q >= len(w.queued) {
+		return -1
+	}
+	word := w.queued[q] &^ (1<<(i&63) - 1)
+	for word == 0 {
+		q++
+		if q == len(w.queued) {
+			return -1
+		}
+		word = w.queued[q]
+	}
+	return q<<6 | bits.TrailingZeros64(word)
 }
 
 // discreteObjective computes Σ_j T_WiFi_j for an integral assignment.
@@ -892,7 +1117,8 @@ func projectSimplexWith(ps *projScratch, row, rates []float64) {
 // dropped. Passes thus shed the others until only top is left, and the
 // last computes θ̂ = fl(top−1), which is below top since M < 2⁴⁷. A
 // NaN or ±Inf makes the sum non-finite; they, ties and huge values fail
-// the test and run Michelot.
+// the test and run Michelot. The test is onVertex, which candRows also
+// takes single-mass rows through.
 func projectOnSupport(ps *projScratch, row []float64, support []int) {
 	if len(support) == 0 {
 		return
@@ -917,11 +1143,9 @@ func projectOnSupport(ps *projScratch, row []float64, support []int) {
 			low = v
 		}
 	}
-	m := float64(len(support))
-	margin := (m + 2) * (m + 2) * (max(math.Abs(top), math.Abs(low)) + 1) * 0x1p-50
 	var theta float64
 	// sum-sum == 0 holds only for a finite sum, i.e. finite values.
-	if sum-sum == 0 && margin < 1 && top-second > 1+margin {
+	if onVertex(top, second, low, len(support), sum-sum == 0) {
 		theta = top - 1
 	} else {
 		act := ps.work[:len(support)]
@@ -951,4 +1175,15 @@ func projectOnSupport(ps *projScratch, row []float64, support []int) {
 		}
 		row[j] = v
 	}
+}
+
+// onVertex is the projection's vertex fast-path test (see
+// projectOnSupport) for a row of m support values with maximum top,
+// runner-up second and minimum low, all finite when finite is true:
+// margin = (m+2)²(M+1)·2⁻⁵⁰ < 1 with M = max(|top|, |low|), and
+// top − second > 1 + margin.
+func onVertex(top, second, low float64, m int, finite bool) bool {
+	fm := float64(m)
+	margin := (fm + 2) * (fm + 2) * (max(math.Abs(top), math.Abs(low)) + 1) * 0x1p-50
+	return finite && margin < 1 && top-second > 1+margin
 }

@@ -20,6 +20,8 @@ func TestValidate(t *testing.T) {
 		{name: "fixed out of range", p: Problem{Rates: [][]float64{{1}}, Fixed: model.Assignment{5}}},
 		{name: "fixed unreachable", p: Problem{Rates: [][]float64{{0, 5}}, Fixed: model.Assignment{0}}},
 		{name: "free unreachable", p: Problem{Rates: [][]float64{{0, 0}}, Fixed: model.Assignment{model.Unassigned}}},
+		{name: "subnormal rate", p: Problem{Rates: [][]float64{{5, 0x1p-1070}}, Fixed: model.Assignment{model.Unassigned}}},
+		{name: "subnormal fixed rate", p: Problem{Rates: [][]float64{{0x1p-1023, 5}}, Fixed: model.Assignment{1}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -27,6 +29,37 @@ func TestValidate(t *testing.T) {
 				t.Error("want error, got nil")
 			}
 		})
+	}
+}
+
+// TestOverflowingTermsStillAssign: rates so small that the α-fair
+// cell terms overflow to -Inf (or the iterate to NaN) still give every
+// free user a reachable extender, under every utility, from the
+// projected-gradient solve and from the coordinate solve alike.
+func TestOverflowingTermsStillAssign(t *testing.T) {
+	for _, r := range []float64{1e-50, 0x1p-1022} {
+		p := Problem{
+			Rates: [][]float64{{r, 0}, {r, r}, {0, r}},
+			Fixed: model.Assignment{model.Unassigned, model.Unassigned, model.Unassigned},
+		}
+		for _, ut := range goldenUtilities {
+			sol, err := SolveProjectedGradient(p, Options{Utility: ut.u})
+			if err != nil {
+				t.Fatalf("r=%g %s: %v", r, ut.name, err)
+			}
+			coord, err := SolveCoordinateWith(p, AlphaFairCell(ut.u))
+			if err != nil {
+				t.Fatalf("r=%g %s: coordinate: %v", r, ut.name, err)
+			}
+			for _, a := range []model.Assignment{sol.Assign, coord.Assign} {
+				for i, j := range a {
+					if j < 0 || p.Rates[i][j] <= 0 {
+						t.Fatalf("r=%g %s: user %d on extender %d, want a reachable one (%v)",
+							r, ut.name, i, j, a)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"slices"
 	"time"
 
 	"github.com/plcwifi/wolt/internal/localsearch"
@@ -54,7 +55,8 @@ func newLocalSearch(name string, method localsearch.Method) Factory {
 // Name implements Strategy.
 func (s *lsStrategy) Name() string { return s.name }
 
-// lsStats builds the Stats record of one search.
+// lsStats builds the Stats record of one search, with its own copy of
+// the trajectory (the Result's belongs to the Searcher).
 func lsStats(name string, n *model.Network, res *localsearch.Result, total time.Duration) Stats {
 	return Stats{
 		Strategy:      name,
@@ -68,7 +70,7 @@ func lsStats(name string, n *model.Network, res *localsearch.Result, total time.
 		Improving:     res.Improving,
 		Aggregate:     res.Aggregate,
 		Utility:       res.Utility,
-		Trajectory:    res.Trajectory,
+		Trajectory:    slices.Clone(res.Trajectory),
 		Stop:          res.Stop.String(),
 	}
 }
@@ -89,14 +91,17 @@ func (s *lsStrategy) Solve(n *model.Network) (model.Assignment, error) {
 // Reassign implements Reassigner: the warm path. The previous
 // association seeds the search, arrivals (Unassigned entries) are
 // placed for free, and the budgeted climb repairs the rest; the search
-// writes only the rows it moves back into prev.
+// writes only the rows it moves back into prev. Without an Observer
+// it allocates nothing once the Searcher has grown to the network.
 func (s *lsStrategy) Reassign(n *model.Network, prev model.Assignment) (model.Assignment, error) {
 	t0 := time.Now()
 	res, err := s.search.Search(s.cfg.Ctx, n, prev, s.method, s.opts)
 	if err != nil {
 		return nil, err
 	}
-	s.cfg.emit(lsStats(s.name, n, res, time.Since(t0)))
+	if s.cfg.Observer != nil {
+		s.cfg.Observer(lsStats(s.name, n, res, time.Since(t0)))
+	}
 	return prev, nil
 }
 

@@ -259,3 +259,34 @@ func TestWarmRepairAnswersFromBound(t *testing.T) {
 		t.Errorf("bound answered %d of %d warm-repair probes, want most", bounded, probes)
 	}
 }
+
+// TestLocalSearchReassignAllocs pins the warm repair's allocations:
+// once the Searcher has grown to the network, a Reassign without an
+// Observer allocates nothing — the search's Result and trajectory are
+// the Searcher's own, and only an Observer's Stats gets a copy.
+func TestLocalSearchReassignAllocs(t *testing.T) {
+	n := testNetwork(t, 40, 6)
+	st, err := New("wolt-hillclimb", Config{
+		ModelOpts: model.Options{Redistribute: true},
+		Budget:    Budget{Probes: 200},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := st.(Reassigner)
+	prev := make(model.Assignment, n.NumUsers())
+	for i := range prev {
+		prev[i] = model.Unassigned
+	}
+	if _, err := r.Reassign(n, prev); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := r.Reassign(n, prev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Reassign allocates %v times, want 0", allocs)
+	}
+}
