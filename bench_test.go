@@ -246,12 +246,12 @@ func BenchmarkOptimalityGap(b *testing.B) {
 // --- Ablation benches (DESIGN.md §4) ---
 
 // benchNetwork builds a deterministic enterprise-scale instance.
-func benchNetwork(b *testing.B, numExt, numUsers int) *model.Network {
-	b.Helper()
+func benchNetwork(tb testing.TB, numExt, numUsers int) *model.Network {
+	tb.Helper()
 	scen := experiments.NewEnterpriseScenario(numExt, numUsers, 42)
 	topo, err := topology.Generate(scen.Topology)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return netsim.Build(topo, scen.Radio).Net
 }
@@ -532,38 +532,75 @@ func BenchmarkFairnessVariant(b *testing.B) {
 // BenchmarkFrontierAlpha prices one full two-phase wolt-alpha solve per
 // utility member on the enterprise instance, attaching the frontier's
 // headline quantities (achieved utility, Jain index, sum-rate) as
-// metrics: bench-frontier.sh records these rows as BENCH_frontier.json.
+// metrics: scripts/bench.sh frontier records these rows in
+// BENCH_frontier.jsonl. It first holds the frontier's gate
+// (checkPFFairer), so no runner records a frontier whose fairness
+// member buys no fairness.
 func BenchmarkFrontierAlpha(b *testing.B) {
 	n := benchNetwork(b, 10, 40)
-	opts := model.Options{Redistribute: true}
+	checkPFFairer(b, n)
 	for _, alpha := range []float64{0, 0.5, 1, 2, 4, math.Inf(1)} {
 		name := fmt.Sprintf("alpha=%g", alpha)
 		b.Run(name, func(b *testing.B) {
-			st, err := strategy.New("wolt-alpha", strategy.Config{ModelOpts: opts, Alpha: alpha})
-			if err != nil {
-				b.Fatal(err)
-			}
+			st := frontierStrategy(b, "wolt-alpha", alpha)
 			var agg, jain, util float64
 			for i := 0; i < b.N; i++ {
-				assign, err := st.Solve(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				evalOpts := opts
-				evalOpts.Utility = model.AlphaFair(alpha)
-				eval, err := model.Evaluate(n, assign, evalOpts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				agg = eval.Aggregate
-				jain = stats.JainIndex(eval.PerUser)
-				util = eval.Utility
+				agg, jain, util = frontierPoint(b, n, st, alpha)
 			}
 			b.ReportMetric(agg, "aggregate_Mbps")
 			b.ReportMetric(jain, "jain")
 			b.ReportMetric(util, "utility")
 		})
 	}
+}
+
+// TestFrontierPFFairer runs BenchmarkFrontierAlpha's gate on every
+// `go test`: the instance is deterministic, so the gate needs no timing.
+func TestFrontierPFFairer(t *testing.T) {
+	checkPFFairer(t, benchNetwork(t, 10, 40))
+}
+
+// checkPFFairer is the frontier's acceptance gate: on the enterprise
+// instance, wolt-pf (α=1) must show a strictly higher Jain index than
+// plain wolt (α=0). Fairness members must buy fairness, not just cost
+// throughput.
+func checkPFFairer(tb testing.TB, n *model.Network) {
+	tb.Helper()
+	_, wolt, _ := frontierPoint(tb, n, frontierStrategy(tb, "wolt", 0), 0)
+	_, pf, _ := frontierPoint(tb, n, frontierStrategy(tb, "wolt-pf", 1), 1)
+	if !(pf > wolt) {
+		tb.Fatalf("wolt-pf jain %.4f <= wolt jain %.4f", pf, wolt)
+	}
+}
+
+// frontierOpts is the frontier's network model.
+var frontierOpts = model.Options{Redistribute: true}
+
+// frontierStrategy builds the named registry strategy at α.
+func frontierStrategy(tb testing.TB, name string, alpha float64) strategy.Strategy {
+	tb.Helper()
+	st, err := strategy.New(name, strategy.Config{ModelOpts: frontierOpts, Alpha: alpha})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// frontierPoint solves n with st and scores the association under U_α:
+// its sum-rate, Jain index and achieved utility.
+func frontierPoint(tb testing.TB, n *model.Network, st strategy.Strategy, alpha float64) (agg, jain, util float64) {
+	tb.Helper()
+	assign, err := st.Solve(n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	evalOpts := frontierOpts
+	evalOpts.Utility = model.AlphaFair(alpha)
+	eval, err := model.Evaluate(n, assign, evalOpts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eval.Aggregate, stats.JainIndex(eval.PerUser), eval.Utility
 }
 
 // BenchmarkQoSPlanning measures the TDMA admission + best-effort WOLT

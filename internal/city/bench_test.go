@@ -7,16 +7,20 @@ import (
 	"github.com/plcwifi/wolt/internal/strategy"
 )
 
-// benchRun drives one city run and reports the harness metrics the
-// BENCH_city.json trajectory records: sustained join throughput,
-// directive latency percentiles, cross-shard handoff rate and the peak
-// population actually sustained.
-func benchRun(b *testing.B, cfg Config) {
+// benchRun drives one city run and reports the harness metrics
+// BENCH_city.jsonl records: sustained join throughput, directive
+// latency percentiles, cross-shard handoff rate and the peak
+// population actually sustained. A run that sustains fewer than
+// minPeak users fails: the acceptance scale is part of the benchmark.
+func benchRun(b *testing.B, cfg Config, minPeak int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		res, err := Run(cfg)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if res.PeakUsers < minPeak {
+			b.Fatalf("sustained only %d users, want >= %d", res.PeakUsers, minPeak)
 		}
 		b.ReportMetric(res.JoinsPerSec, "joins/sec")
 		b.ReportMetric(float64(res.P50Latency.Microseconds()), "p50_us")
@@ -40,15 +44,15 @@ func BenchmarkCitySmoke(b *testing.B) {
 		Budget:          strategy.Budget{Probes: 200},
 		ReassignOnLeave: true,
 		Seed:            2026,
-	})
+	}, 0)
 }
 
 // BenchmarkCitySustained1M is the north-star run: 256 shards, 10^6
 // users sustained, placement-only warm joins on the concurrent
 // coordinator, fixed-memory latency sketches, no final-assignment copy.
 // One iteration drives over a million plane operations and takes
-// minutes, so it only runs when WOLT_CITY_1M is set (scripts/
-// bench-city.sh sets it); the CI bench-smoke regex still compiles it.
+// minutes, so it only runs when WOLT_CITY_1M is set (scripts/bench.sh
+// sets it when recording; its smoke mode still compiles the benchmark).
 func BenchmarkCitySustained1M(b *testing.B) {
 	if os.Getenv("WOLT_CITY_1M") == "" {
 		b.Skip("set WOLT_CITY_1M=1 to run the multi-minute 10^6-user benchmark")
@@ -70,7 +74,7 @@ func BenchmarkCitySustained1M(b *testing.B) {
 		Concurrency:         4,
 		SkipFinalAssignment: true,
 		Seed:                2026,
-	})
+	}, 1_000_000)
 }
 
 // BenchmarkCitySustained is the acceptance-scale run: 32 shards,
@@ -90,5 +94,5 @@ func BenchmarkCitySustained(b *testing.B) {
 		Budget:          strategy.Budget{Probes: 200},
 		ReassignOnLeave: true,
 		Seed:            2026,
-	})
+	}, 100_000)
 }

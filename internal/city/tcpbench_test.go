@@ -172,7 +172,7 @@ func spawnTCPMembers(b *testing.B) (stop func()) {
 	return shutdown
 }
 
-// reportTCP publishes one TCP run's metrics (the BENCH_wire.json rows).
+// reportTCP publishes one TCP run's metrics (the BENCH_wire.jsonl rows).
 func reportTCP(b *testing.B, res Result) {
 	b.Helper()
 	b.ReportMetric(res.JoinsPerSec, "joins/sec")
@@ -223,7 +223,8 @@ func BenchmarkCityTCPSmoke(b *testing.B) {
 }
 
 // BenchmarkCityTCP10K drives the 10^4-user city against out-of-process
-// members — the acceptance row scripts/bench-wire.sh records.
+// members — the acceptance row scripts/bench.sh wire records. A run
+// that sustains fewer than 10^4 users fails.
 func BenchmarkCityTCP10K(b *testing.B) {
 	if os.Getenv("WOLT_CITY_TCP") == "" {
 		b.Skip("set WOLT_CITY_TCP=1 to run the multi-process 10^4-user TCP benchmark")

@@ -22,7 +22,7 @@ var anytimeBudgets = []int{100, 1_000, 10_000, 100_000, 1_000_000}
 
 // AnytimeRun is one (strategy, probe budget) cell of the curve. All
 // fields are deterministic for any worker count (wall-clock timings are
-// deliberately absent; bench-anytime.sh measures latency separately).
+// deliberately absent; `scripts/bench.sh anytime` measures latency).
 type AnytimeRun struct {
 	Strategy string
 	// Budget is the probe cap handed to strategy.Config.Budget.Probes.

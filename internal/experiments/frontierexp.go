@@ -20,8 +20,8 @@ var frontierAlphas = []float64{0, 0.5, 1, 2, 4, math.Inf(1)}
 
 // FrontierRun is one α cell of the frontier: the two-phase solve under
 // U_α, re-priced by the full evaluator. All fields are deterministic
-// for any worker count (wall-clock latencies live in bench-frontier.sh,
-// not here).
+// for any worker count (wall-clock latencies are recorded by
+// `scripts/bench.sh frontier`, not here).
 type FrontierRun struct {
 	// Alpha is the utility exponent (math.Inf(1) = max-min).
 	Alpha float64

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -80,5 +81,30 @@ func TestShardHonorsCancelledContext(t *testing.T) {
 	opts.Ctx = ctx
 	if _, err := Shard(opts); !errors.Is(err, context.Canceled) {
 		t.Errorf("got %v, want context.Canceled", err)
+	}
+}
+
+// BenchmarkShardGap records the aggregate-throughput gap each shard
+// count pays against the global solve (the K=1 plane), at the largest
+// user count of a small shard experiment: 8 extenders, up to 18 users,
+// 2 trials. The gap is bit-identical for any worker count, so gap_pct
+// is stable across hosts; ns/op is the whole experiment's wall clock.
+func BenchmarkShardGap(b *testing.B) {
+	opts := Options{Trials: 2, Users: 18, Extenders: 8}
+	for _, k := range shardCounts {
+		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
+			var res *ShardResult
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = Shard(opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, run := range res.Runs {
+				if run.Users == opts.Users && run.Shards == k {
+					b.ReportMetric(run.GapPct, "gap_pct")
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,7 @@
 // Benchmarks for the warm re-solve path, in package localsearch_test so
 // they can price the anytime search against the full two-phase solve in
-// internal/core without an import cycle. scripts/bench-anytime.sh runs
-// these and records the numbers in BENCH_anytime.json.
+// internal/core without an import cycle. scripts/bench.sh anytime runs
+// these and records the numbers in BENCH_anytime.jsonl.
 package localsearch_test
 
 import (
@@ -105,7 +105,8 @@ func warmSetup() {
 
 // benchWarmResolve measures one warm re-solve at the given method and
 // probe budget, reporting the objective gap vs the full solve as
-// "gap_pct" (the acceptance target is ≤ 3%).
+// "gap_pct". Below 1000 probes the gap must be at most 3% (the anytime
+// acceptance target), or the benchmark fails.
 func benchWarmResolve(b *testing.B, method localsearch.Method, probes int) {
 	warmOnce.Do(warmSetup)
 	if warmErr != nil {
@@ -134,6 +135,9 @@ func benchWarmResolve(b *testing.B, method localsearch.Method, probes int) {
 	}
 	b.StopTimer()
 	gap := 100 * (warm.fullAgg - last.Aggregate) / warm.fullAgg
+	if probes < 1000 && gap > 3 {
+		b.Fatalf("gap %.4f%% at %d probes, want <= 3%%", gap, probes)
+	}
 	b.ReportMetric(gap, "gap_pct")
 	b.ReportMetric(100*(warm.fullAgg-last.Start)/warm.fullAgg, "startgap_pct")
 	b.ReportMetric(float64(last.Probes), "probes/op")

@@ -9,7 +9,7 @@
 // changes by one join, leave, or rate update, the previous assignment
 // is already near-optimal, so a few thousand probes of local search
 // recover almost all of the objective in well under a millisecond —
-// the regime BENCH_anytime.json measures.
+// the regime BENCH_anytime.jsonl measures.
 //
 // # Anytime contract
 //

@@ -85,14 +85,14 @@ const (
 	// delta-vs-full differential fuzz harness (internal/model).
 	DeltaFuzz
 	// DeltaBench seeds the networks and probe schedules of the
-	// delta-evaluation benchmarks behind BENCH_delta.json.
+	// delta-evaluation benchmarks behind BENCH_delta.jsonl.
 	DeltaBench
 	// LocalSearchFuzz seeds the random instances, start assignments and
 	// perturbations of the local-search differential harness
 	// (internal/localsearch).
 	LocalSearchFuzz
 	// AnytimeBench seeds the churn perturbations of the warm re-solve
-	// benchmarks behind BENCH_anytime.json.
+	// benchmarks behind BENCH_anytime.jsonl.
 	AnytimeBench
 	// CityTrace seeds a city run's churn trace (internal/city via
 	// internal/workload).

@@ -11,9 +11,10 @@ import (
 
 // BenchmarkCoordinatorJoin measures per-join latency as the control
 // plane is partitioned: each join only solves its shard's sub-instance,
-// so latency should fall as the shard count grows (the scaling payoff
-// the gap metric prices). scripts/bench-shard.sh publishes the ns/join
-// figures to BENCH_shard.json.
+// so latency should fall as the shard count grows (the payoff for the
+// throughput gap that BenchmarkShardGap in internal/experiments
+// records). scripts/bench.sh shard records the ns/join figures in
+// BENCH_shard.jsonl.
 func BenchmarkCoordinatorJoin(b *testing.B) {
 	const (
 		numExt = 24

@@ -16,7 +16,7 @@
 // Config.Observer hook: phase wall-clock timings, Hungarian
 // augmentations, Phase II iterations and polish sweeps, and model
 // evaluations — the per-solve instrumentation behind the "solve"
-// experiment and BENCH_solve.json.
+// experiment and BENCH_solve.jsonl.
 package strategy
 
 import (

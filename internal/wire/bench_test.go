@@ -19,17 +19,16 @@ func benchScan() Message {
 // BenchmarkWireEncodeDecode prices one steady-state exchange — a scan
 // report encoded+decoded plus a directive encoded+decoded — through
 // reused buffers, the unit of work the agent↔server hot path performs
-// per churn event. The allocs/op column must be 0 (also asserted by
-// TestWireSteadyStateAllocs).
+// per churn event. The round trip must not allocate: the benchmark
+// fails before its timed loop if testing.AllocsPerRun sees an
+// allocation, so every runner of it enforces the 0 allocs/op gate.
 func BenchmarkWireEncodeDecode(b *testing.B) {
 	join := benchScan()
 	dir := Message{Type: MsgAssociate, UserID: 123456, Extender: 17, Reassociation: true}
 	var buf, scratch []byte
 	var m Message
 	rd := bytes.NewReader(nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	roundTrip := func() {
 		var err error
 		buf = buf[:0]
 		if buf, err = AppendFrame(buf, &join); err != nil {
@@ -45,5 +44,13 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		if err := ReadFrame(rd, &m, &scratch); err != nil {
 			b.Fatal(err)
 		}
+	}
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		b.Fatalf("wire round trip allocates %v times, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
 	}
 }

@@ -184,4 +184,22 @@ if [ -n "$bad" ]; then
 	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values, the hill climb's visit order is the persistent localsearch.deficitRank, wolt-hillclimb is the one warm repair, and Searcher.Search is the one search entry point" >&2
 	exit 1
 fi
+# One bench driver: scripts/bench.sh runs every recorded benchmark and
+# appends to BENCH_<suite>.jsonl. The per-suite runners it replaced and
+# their single-document JSON outputs stay gone: no scripts/bench-*.sh
+# file, and no mention of a deleted runner or of a .json BENCH file in
+# code, scripts, CI or the living docs. CHANGES.md and ROADMAP.md keep
+# the history, and the other Markdown files are paper notes and change
+# requests that quote it.
+old_bench='bench-(anytime|city|delta|frontier|shard|solve|wire)\.sh|BENCH_[a-z]+\.json\b'
+bad=$( (ls scripts/bench-*.sh 2>/dev/null || true)
+	grep -rnE "$old_bench" --exclude-dir=.git --exclude-dir=.bench_build --exclude='*.md' . || true
+	grep -nE "$old_bench" README.md DESIGN.md EXPERIMENTS.md perfbench/METRICS.md \
+		.claude/skills/verify/SKILL.md || true)
+if [ -n "$bad" ]; then
+	echo "import lint: a per-suite bench runner or a .json BENCH file is back:" >&2
+	echo "$bad" >&2
+	echo "record through scripts/bench.sh SUITE, which appends to BENCH_<suite>.jsonl" >&2
+	exit 1
+fi
 echo "import lint: clean"
