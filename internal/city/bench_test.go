@@ -1,21 +1,29 @@
 package city
 
 import (
+	"fmt"
 	"os"
+	"runtime"
+	"runtime/metrics"
 	"testing"
+	"time"
 
 	"github.com/plcwifi/wolt/internal/strategy"
 )
 
 // benchRun drives one city run and reports the harness metrics
 // BENCH_city.jsonl records: sustained join throughput, directive
-// latency percentiles, cross-shard handoff rate and the peak
-// population actually sustained. A run that sustains fewer than
-// minPeak users fails: the acceptance scale is part of the benchmark.
+// latency percentiles, cross-shard handoff rate, the peak population
+// actually sustained and the peak heap per user of that population. A
+// run that sustains fewer than minPeak users fails: the acceptance
+// scale is part of the benchmark.
 func benchRun(b *testing.B, cfg Config, minPeak int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
+		runtime.GC() // start from the live heap, not an earlier run's garbage
+		heapPeak := watchHeap()
 		res, err := Run(cfg)
+		peak := heapPeak()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -28,6 +36,34 @@ func benchRun(b *testing.B, cfg Config, minPeak int) {
 		b.ReportMetric(res.HandoffRate, "handoff_rate")
 		b.ReportMetric(float64(res.PeakUsers), "users_peak")
 		b.ReportMetric(float64(res.Events), "events")
+		b.ReportMetric(float64(peak)/float64(res.PeakUsers), "heap_peak_B/user")
+	}
+}
+
+// watchHeap samples the bytes of heap objects (live, plus dead ones
+// not yet swept) every millisecond until the returned function is
+// called, which stops the sampler and returns the largest sample.
+func watchHeap() (peak func() uint64) {
+	done, res := make(chan struct{}), make(chan uint64)
+	go func() {
+		sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		var top uint64
+		for {
+			metrics.Read(sample)
+			top = max(top, sample[0].Value.Uint64())
+			select {
+			case <-done:
+				res <- top
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return func() uint64 {
+		close(done)
+		return <-res
 	}
 }
 
@@ -57,7 +93,12 @@ func BenchmarkCitySustained1M(b *testing.B) {
 	if os.Getenv("WOLT_CITY_1M") == "" {
 		b.Skip("set WOLT_CITY_1M=1 to run the multi-minute 10^6-user benchmark")
 	}
-	benchRun(b, Config{
+	benchRun(b, millionConfig(), 1_000_000)
+}
+
+// millionConfig is BenchmarkCitySustained1M's configuration.
+func millionConfig() Config {
+	return Config{
 		Shards:              256,
 		TargetUsers:         1_000_000,
 		InitialFill:         1.0,
@@ -74,7 +115,22 @@ func BenchmarkCitySustained1M(b *testing.B) {
 		Concurrency:         4,
 		SkipFinalAssignment: true,
 		Seed:                2026,
-	}, 1_000_000)
+	}
+}
+
+// BenchmarkCityHeap prices the plane's memory: the 10^6-user
+// configuration cut to 20,000 users and a 2 s horizon, at 32 and 256
+// shards (128 and 1024 extenders). A stored scan is one float64 per
+// extender in the city, so heap_peak_B/user grows with the shard count
+// for as long as scans are stored dense.
+func BenchmarkCityHeap(b *testing.B) {
+	for _, shards := range []int{32, 256} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			cfg := millionConfig()
+			cfg.Shards, cfg.TargetUsers, cfg.Horizon = shards, 20_000, 2
+			benchRun(b, cfg, 20_000)
+		})
+	}
 }
 
 // BenchmarkCitySustained is the acceptance-scale run: 32 shards,

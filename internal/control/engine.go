@@ -493,6 +493,22 @@ func (e *Engine) Extender(userID int) (int, bool) {
 	return e.globalOf(e.directed[pos]), true
 }
 
+// AppendReport appends copies of the user's stored scan report (the
+// global-width rates and RSSI it last sent) to rates and rssi and
+// returns them with its directed global extender, so a caller can
+// replay the user's join on another engine. ok is false, and the
+// slices come back unchanged, when the user is not in the table.
+func (e *Engine) AppendReport(userID int, rates, rssi []float64) (_, _ []float64, extender int, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	pos, present := e.rowIndex(userID)
+	if !present {
+		return rates, rssi, model.Unassigned, false
+	}
+	r := &e.rows[pos]
+	return append(rates, r.rates...), append(rssi, r.rssi...), e.globalOf(e.directed[pos]), true
+}
+
 // Stats returns the engine's counters and current assignment (global
 // extender IDs).
 func (e *Engine) Stats() Stats {

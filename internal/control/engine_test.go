@@ -3,6 +3,7 @@ package control
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -307,6 +308,63 @@ func TestEngineOwnedSubset(t *testing.T) {
 	_, err = e.Join(8, []float64{50, 0, 30}, nil)
 	if err == nil || !strings.Contains(err.Error(), "owned by this shard") {
 		t.Errorf("got %v, want shard-ownership rejection", err)
+	}
+}
+
+// TestEngineAppendReport pins the read accessor a shard coordinator
+// re-homes users through: it hands back copies of the stored
+// global-width scan and the directed extender, on identity and
+// owned-subset engines alike.
+func TestEngineAppendReport(t *testing.T) {
+	for name, owned := range map[string][]int{"identity": nil, "owned subset": {1, 2}} {
+		t.Run(name, func(t *testing.T) {
+			e, err := NewEngine(EngineConfig{PLCCaps: []float64{60, 20, 40}, Owned: owned, Policy: PolicyRSSI})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(wantRates, wantRSSI []float64, wantExt int) {
+				t.Helper()
+				// Appending keeps the caller's prefix.
+				rates, rssi, ext, ok := e.AppendReport(7, []float64{-1}, nil)
+				if !ok || ext != wantExt {
+					t.Fatalf("AppendReport = ext %d ok %v, want ext %d ok true", ext, ok, wantExt)
+				}
+				if !slices.Equal(rates, append([]float64{-1}, wantRates...)) || !slices.Equal(rssi, wantRSSI) {
+					t.Fatalf("AppendReport = rates %v rssi %v, want [-1 %v] and %v", rates, rssi, wantRates, wantRSSI)
+				}
+				// The slices are copies: scribbling on them leaves the
+				// stored report alone.
+				for i := range rates {
+					rates[i] = 99
+				}
+				for i := range rssi {
+					rssi[i] = 99
+				}
+				again, againRSSI, _, _ := e.AppendReport(7, nil, nil)
+				if !slices.Equal(again, wantRates) || !slices.Equal(againRSSI, wantRSSI) {
+					t.Fatalf("report changed to %v/%v after mutating the returned copies", again, againRSSI)
+				}
+			}
+			if _, err := e.Join(7, []float64{50, 12, 30}, []float64{-40, -70, -60}); err != nil {
+				t.Fatal(err)
+			}
+			// Identity engines direct to extender 0 (the strongest);
+			// the subset engine only owns 1 and 2.
+			wantExt := 0
+			if owned != nil {
+				wantExt = 2
+			}
+			check([]float64{50, 12, 30}, []float64{-40, -70, -60}, wantExt)
+			// An update without RSSI stores an empty RSSI vector.
+			if _, err := e.Update(7, []float64{0, 25, 5}, nil); err != nil {
+				t.Fatal(err)
+			}
+			check([]float64{0, 25, 5}, nil, 1)
+			e.Leave(7)
+			if rates, rssi, ext, ok := e.AppendReport(7, nil, nil); ok || rates != nil || rssi != nil || ext != model.Unassigned {
+				t.Errorf("after leave AppendReport = %v %v %d %v, want absent", rates, rssi, ext, ok)
+			}
+		})
 	}
 }
 

@@ -168,53 +168,3 @@ func TestCoordinatorConcurrentStress(t *testing.T) {
 		}
 	}
 }
-
-// TestCoordinatorScanPoolBounded pins the satellite: a departure spike
-// cannot grow a member's scan pool past its cap.
-func TestCoordinatorScanPoolBounded(t *testing.T) {
-	const numExt = 8
-	// rssi: the test is about pool bookkeeping, not solver behavior, and
-	// rssi joins are O(extenders) instead of a full re-solve.
-	coord, err := NewCoordinator(Config{
-		Shards: 1,
-		EngineConfig: control.EngineConfig{
-			PLCCaps: testCaps(numExt),
-			Policy:  "rssi",
-			Seed:    7,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const users = scanPoolCap + 200
-	for i := 0; i < users; i++ {
-		if _, err := coord.Join(i, testRates(7, i, numExt), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < users; i++ {
-		if _, ok := coord.Leave(i); !ok {
-			t.Fatalf("leave of user %d reported absent", i)
-		}
-	}
-	rt := coord.routing.Load()
-	for _, m := range rt.members {
-		m.mu.Lock()
-		if n := len(m.scanPool); n > scanPoolCap {
-			t.Errorf("member %d scan pool grew to %d, cap is %d", m.id, n, scanPoolCap)
-		}
-		m.mu.Unlock()
-	}
-	// A rebalance drops the pools outright.
-	if _, _, err := coord.AddShard(); err != nil {
-		t.Fatal(err)
-	}
-	rt = coord.routing.Load()
-	for _, m := range rt.members {
-		m.mu.Lock()
-		if n := len(m.scanPool); n != 0 {
-			t.Errorf("member %d scan pool has %d entries after rebalance, want 0", m.id, n)
-		}
-		m.mu.Unlock()
-	}
-}

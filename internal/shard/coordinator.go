@@ -62,11 +62,11 @@ func (cfg Config) member(m int, owned []int) control.EngineConfig {
 type Stats struct {
 	// Shards is the current member count.
 	Shards int
-	// Users/Joins/Leaves/Reassociations are coordinator-level logical
-	// counters: rebalance re-joins are not counted as user joins, and a
-	// reassociation is any directive that moved an already-associated
-	// user — whether the policy moved it within a shard or a handoff
-	// moved it across shards.
+	// Users sums the member engines' users. Joins/Leaves/Reassociations
+	// are coordinator-level logical counters: rebalance re-joins are not
+	// counted as user joins, and a reassociation is any directive that
+	// moved an already-associated user — whether the policy moved it
+	// within a shard or a handoff moved it across shards.
 	Users          int
 	Joins          int
 	Leaves         int
@@ -116,20 +116,6 @@ func MergeStats(shards int, members []control.Stats) Stats {
 	return st
 }
 
-// scan is a user's last reported radio scan, kept so rebalancing can
-// re-route users without asking the agents to re-report.
-type scan struct {
-	rates []float64
-	rssi  []float64
-}
-
-// userRec is everything a member tracks per homed user: the last scan
-// and the merged-view global extender assignment.
-type userRec struct {
-	sc  scan
-	ext int
-}
-
 // counters are the coordinator-level logical counters, kept per member
 // (guarded by the member's lock) and folded together at Stats time.
 type counters struct {
@@ -145,50 +131,20 @@ func (a *counters) add(b counters) {
 	a.redirects += b.redirects
 }
 
-// scanPoolCap bounds each member's pool of departed users' scan buffers.
-// The pool only absorbs leave/join churn imbalance; a departure spike
-// beyond the cap frees the buffers instead of pinning peak memory
-// forever, and rebalancing drops the pools outright.
-const scanPoolCap = 256
-
-// member is one shard member: its engine plus the slice of coordinator
-// state for the users homed on it, all guarded by its own lock. The
-// struct survives rebalances (counters persist; the engine is rebuilt
-// when the owned-extender set changes) and dies only when the member
-// leaves the ring, at which point its counters fold into
-// Coordinator.retired.
+// member is one shard member: its engine and its share of the
+// coordinator-level counters, guarded by its own lock. The engine is
+// the member's one user table: it holds every homed user's last scan
+// and directed extender, so the coordinator keeps no per-user state of
+// its own beyond the stripes' home index. The struct survives
+// rebalances (counters persist; the engine is rebuilt when the
+// owned-extender set changes) and dies only when the member leaves the
+// ring, at which point its counters fold into Coordinator.retired.
 type member struct {
 	id int
 
-	mu    sync.Mutex
-	eng   *control.Engine // nil = member owns no extenders
-	users map[int]userRec // users homed here (scan + merged assignment)
-	ctr   counters
-
-	// scanPool parks departed users' scan buffers for reuse, keeping the
-	// steady-state churn path free of per-event vector allocations.
-	scanPool []scan
-}
-
-// takeScan pops pooled scan buffers (or a zero scan) and fills them with
-// copies of the reported vectors. Callers hold m.mu.
-func (m *member) takeScan(rates, rssi []float64) scan {
-	var sc scan
-	if n := len(m.scanPool); n > 0 {
-		sc = m.scanPool[n-1]
-		m.scanPool = m.scanPool[:n-1]
-	}
-	sc.rates = append(sc.rates[:0], rates...)
-	sc.rssi = append(sc.rssi[:0], rssi...)
-	return sc
-}
-
-// releaseScan returns a departed user's scan buffers to the member's
-// pool, dropping them once the pool is full. Callers hold m.mu.
-func (m *member) releaseScan(sc scan) {
-	if len(m.scanPool) < scanPoolCap {
-		m.scanPool = append(m.scanPool, sc)
-	}
+	mu  sync.Mutex
+	eng *control.Engine // nil = member owns no extenders
+	ctr counters
 }
 
 // routing is the read-mostly routing snapshot: which members exist and
@@ -219,13 +175,13 @@ type stripe struct {
 //
 // Concurrency model (DESIGN.md §13): routing lives in an epoch-versioned
 // snapshot behind an atomic pointer; the user→home index is striped by
-// user ID; each member's engine and per-user state sit behind the
-// member's own lock. An operation takes exactly one stripe lock, then
-// member locks in ascending member-ID order (both on a handoff).
-// Rebalancing is stop-the-world: all stripe locks ascending, then all
-// member locks ascending, then a new snapshot is published. Holding any
-// stripe lock therefore freezes routing, so a snapshot loaded after the
-// stripe lock is pinned for the whole operation.
+// user ID; each member's engine (its one user table) and counters sit
+// behind the member's own lock. An operation takes exactly one stripe
+// lock, then member locks in ascending member-ID order (both on a
+// handoff). Rebalancing is stop-the-world: all stripe locks ascending,
+// then all member locks ascending, then a new snapshot is published.
+// Holding any stripe lock therefore freezes routing, so a snapshot
+// loaded after the stripe lock is pinned for the whole operation.
 type Coordinator struct {
 	cfg  Config
 	ring *Ring // guarded by admin
@@ -259,7 +215,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	members := make(map[int]*member, cfg.Shards)
 	for m := 0; m < cfg.Shards; m++ {
-		members[m] = &member{id: m, users: make(map[int]userRec)}
+		members[m] = &member{id: m}
 	}
 	ids := sortedMemberIDs(members)
 	ownerOf := c.ring.OwnerMap(len(cfg.PLCCaps))
@@ -331,23 +287,27 @@ func (c *Coordinator) Owner(extender int) int {
 	return rt.ownerOf[extender]
 }
 
-// applyLocked folds engine directives into the member's merged per-user
-// assignments, recomputing the Reassociation flag globally: an engine
-// that just admitted a handed-off user reports a fresh association, but
-// from the plane's point of view the user moved. Every directive a
-// member engine emits addresses a user homed on that member, so the
-// caller's member lock covers all of them. Returns the (patched)
-// directives.
-func (m *member) applyLocked(dirs []control.Directive) []control.Directive {
-	for i, d := range dirs {
-		rec, had := m.users[d.UserID]
-		reassoc := had && rec.ext != model.Unassigned && rec.ext != d.Extender
-		rec.ext = d.Extender
-		m.users[d.UserID] = rec
-		if reassoc {
+// tally counts the member engine's reassociation directives into the
+// member's counters and returns the directives. Callers hold m.mu.
+func (m *member) tally(dirs []control.Directive) []control.Directive {
+	for _, d := range dirs {
+		if d.Reassociation {
 			m.ctr.reassociations++
 		}
-		dirs[i].Reassociation = reassoc
+	}
+	return dirs
+}
+
+// takenOver patches the directive of a user that an engine has just
+// taken over from another engine (a handoff or a rebalance re-join).
+// The engine admitted the user fresh and flags its first directive as a
+// first association, but from the plane's point of view the user moved
+// when it was directed before (prior) to a different extender.
+func takenOver(dirs []control.Directive, userID, prior int) []control.Directive {
+	for i, d := range dirs {
+		if d.UserID == userID {
+			dirs[i].Reassociation = prior != model.Unassigned && prior != d.Extender
+		}
 	}
 	return dirs
 }
@@ -378,9 +338,8 @@ func (c *Coordinator) Join(userID int, rates, rssi []float64) ([]control.Directi
 		return nil, err
 	}
 	s.home[userID] = owner
-	m.users[userID] = userRec{sc: m.takeScan(rates, rssi), ext: model.Unassigned}
 	m.ctr.joins++
-	return m.applyLocked(dirs), nil
+	return m.tally(dirs), nil
 }
 
 // Update refreshes a user's scan report. When the report's best-rate
@@ -409,13 +368,7 @@ func (c *Coordinator) Update(userID int, rates, rssi []float64) ([]control.Direc
 		if err != nil {
 			return nil, err
 		}
-		// Refresh the stored scan in place: the old copy's buffers
-		// already have the right capacity.
-		rec := m.users[userID]
-		rec.sc.rates = append(rec.sc.rates[:0], rates...)
-		rec.sc.rssi = append(rec.sc.rssi[:0], rssi...)
-		m.users[userID] = rec
-		return m.applyLocked(dirs), nil
+		return m.tally(dirs), nil
 	}
 	// Cross-shard handoff: both member locks, ascending member-ID order
 	// (the lock protocol's second tier; see the Coordinator doc comment).
@@ -428,25 +381,20 @@ func (c *Coordinator) Update(userID int, rates, rssi []float64) ([]control.Direc
 	}
 	// The old member's leave may itself rebalance (ReassignOnLeave);
 	// those directives ride along with the join's.
+	prior, _ := old.eng.Extender(userID)
 	leaveDirs, _ := old.eng.Leave(userID)
-	rec := old.users[userID]
-	delete(old.users, userID)
-	leaveDirs = old.applyLocked(leaveDirs)
+	leaveDirs = old.tally(leaveDirs)
 	dirs, err := next.eng.Join(userID, rates, rssi)
 	if err != nil {
 		// The user is gone from its old shard and rejected by the new
 		// one (offline-only policy): it has effectively departed.
 		delete(s.home, userID)
-		old.releaseScan(rec.sc)
 		old.ctr.leaves++
 		return nil, fmt.Errorf("shard: handoff of user %d to member %d: %w", userID, owner, err)
 	}
 	s.home[userID] = owner
-	rec.sc.rates = append(rec.sc.rates[:0], rates...)
-	rec.sc.rssi = append(rec.sc.rssi[:0], rssi...)
-	next.users[userID] = rec
 	next.ctr.handoffs++
-	dirs = next.applyLocked(dirs)
+	dirs = next.tally(takenOver(dirs, userID, prior))
 	if len(leaveDirs) == 0 {
 		return dirs, nil
 	}
@@ -480,12 +428,9 @@ func (c *Coordinator) Leave(userID int) ([]control.Directive, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	dirs, _ := m.eng.Leave(userID)
-	rec := m.users[userID]
-	delete(m.users, userID)
-	m.releaseScan(rec.sc)
 	delete(s.home, userID)
 	m.ctr.leaves++
-	return m.applyLocked(dirs), true
+	return m.tally(dirs), true
 }
 
 // AddShard adds a new member to the ring and rebalances: extenders whose
@@ -541,28 +486,35 @@ func (c *Coordinator) lockWorld(rt *routing) (unlock func()) {
 	}
 }
 
-// rebalance recomputes extender ownership after a ring change, rebuilds
-// the engines whose owned sets changed, re-routes affected users
-// deterministically (ascending user ID) and publishes the next routing
-// snapshot. Users whose home member changed count as handoffs; users
-// re-joining a rebuilt engine of the same member do not. added >= 0
-// introduces that member; removed >= 0 drops it (its counters fold into
-// the retired totals). Callers hold c.admin; the world is locked for
-// the duration.
+// rebalance recomputes extender ownership after a ring change, builds
+// fresh engines for the members whose owned sets changed, re-joins
+// their users (and a removed member's) deterministically (ascending
+// user ID) and publishes the next routing snapshot. Users whose home
+// member changed count as handoffs; users re-joining a rebuilt engine
+// of the same member do not. added >= 0 introduces that member;
+// removed >= 0 drops it (its counters fold into the retired totals).
+// Callers hold c.admin; the world is locked for the duration.
+//
+// A user's home is always the member owning its best-rate extender:
+// Join routes it there, Update hands it off when that owner changes,
+// and a user no engine accepts departs. A member whose owned set did
+// not change therefore keeps every user it has, and only users of
+// rebuilt or removed members move — always onto rebuilt members.
 func (c *Coordinator) rebalance(added, removed int) (int, error) {
 	rt := c.routing.Load()
 	unlock := c.lockWorld(rt)
 	defer unlock()
 
-	// Next membership: the member structs (and their counters, users and
-	// locks) carry over; only the ring delta is applied.
+	// Next membership: the member structs (and their counters and locks)
+	// carry over; only the ring delta is applied.
 	members := make(map[int]*member, len(rt.members)+1)
 	for id, m := range rt.members {
 		members[id] = m
 	}
 	if added >= 0 {
-		members[added] = &member{id: added, users: make(map[int]userRec)}
+		members[added] = &member{id: added}
 		members[added].mu.Lock() // world-locked like its peers
+		defer members[added].mu.Unlock()
 	}
 	var removedMember *member
 	if removed >= 0 {
@@ -575,81 +527,61 @@ func (c *Coordinator) rebalance(added, removed int) (int, error) {
 	newSets := ownedSets(memberIDs, newOwnerOf)
 	oldSets := ownedSets(memberIDs, rt.ownerOf)
 
-	changed := make(map[int]bool, len(members))
+	// The replacement engines stay local until every user is re-joined:
+	// the old engines are where the re-homed users' scans are read from.
+	built := make(map[int]*control.Engine)
 	for _, m := range memberIDs {
-		if !slices.Equal(oldSets[m], newSets[m]) {
-			changed[m] = true
+		if slices.Equal(oldSets[m], newSets[m]) {
+			continue
 		}
-	}
-	for m := range changed {
 		eng, err := c.buildEngine(m, newSets[m])
 		if err != nil {
-			if added >= 0 {
-				members[added].mu.Unlock()
-			}
 			return 0, err
 		}
-		members[m].eng = eng
+		built[m] = eng
 	}
 
 	ids := make([]int, 0, 1024)
 	for i := range c.stripes {
-		for id := range c.stripes[i].home {
-			ids = append(ids, id)
+		for id, home := range c.stripes[i].home {
+			if _, rebuilt := built[home]; rebuilt || home == removed {
+				ids = append(ids, id)
+			}
 		}
 	}
 	sort.Ints(ids)
 
 	handoffs := 0
+	var rates, rssi []float64
 	for _, id := range ids {
 		st := c.stripeFor(id)
 		oldHome := st.home[id]
-		oldMember := rt.members[oldHome]
-		rec := oldMember.users[id]
-		newHome := OwnerForRates(newOwnerOf, rec.sc.rates)
-		oldAlive := oldHome != removed
-		oldRebuilt := changed[oldHome]
-		if newHome == oldHome && oldAlive && !oldRebuilt {
-			continue
+		old := rt.members[oldHome]
+		var prior int
+		rates, rssi, prior, _ = old.eng.AppendReport(id, rates[:0], rssi[:0])
+		newHome := OwnerForRates(newOwnerOf, rates)
+		next, eng := members[newHome], built[newHome]
+		var dirs []control.Directive
+		var err error
+		if eng != nil {
+			dirs, err = eng.Join(id, rates, rssi)
 		}
-		if oldAlive && !oldRebuilt && oldMember.eng != nil {
-			// Old engine still live: the user is leaving it for another
-			// member. (Rebuilt engines start empty, and a removed member's
-			// engine dies with it; neither has anything to remove.)
-			oldMember.eng.Leave(id)
-		}
-		depart := func() {
+		if eng == nil || err != nil {
+			// No surviving member owns anything this user reaches, or
+			// its new engine refused it: it has effectively departed.
 			delete(st.home, id)
-			delete(oldMember.users, id)
-			oldMember.releaseScan(rec.sc)
-			oldMember.ctr.leaves++
-		}
-		if newHome < 0 || members[newHome] == nil || members[newHome].eng == nil {
-			// No surviving member owns anything this user reaches; it
-			// has effectively departed.
-			depart()
-			continue
-		}
-		next := members[newHome]
-		dirs, err := next.eng.Join(id, rec.sc.rates, rec.sc.rssi)
-		if err != nil {
-			depart()
+			old.ctr.leaves++
 			continue
 		}
 		if newHome != oldHome {
 			handoffs++
 			next.ctr.handoffs++
-			delete(oldMember.users, id)
-			next.users[id] = rec
 			st.home[id] = newHome
 		}
-		next.applyLocked(dirs)
+		next.tally(takenOver(dirs, id, prior))
 	}
-
-	// Rebalancing is rare and re-routes the whole population: reset the
-	// scan pools so a past churn spike can't pin peak memory forever.
-	for _, m := range members {
-		m.scanPool = nil
+	for m, eng := range built {
+		members[m].eng = eng
 	}
 
 	if removedMember != nil {
@@ -664,9 +596,6 @@ func (c *Coordinator) rebalance(added, removed int) (int, error) {
 		members: members,
 		ids:     memberIDs,
 	})
-	if added >= 0 {
-		members[added].mu.Unlock()
-	}
 	return handoffs, nil
 }
 
@@ -698,17 +627,13 @@ func (c *Coordinator) stats(withAssignment bool) Stats {
 	c.retiredMu.Lock()
 	total := c.retired
 	c.retiredMu.Unlock()
-	st := Stats{Shards: len(rt.members)}
-	if withAssignment {
-		st.Assignment = make(map[int]int, 1024)
-	}
+	perShard := make([]control.Stats, 0, len(rt.ids))
 	for _, id := range rt.ids {
 		m := rt.members[id]
 		if !withAssignment {
 			m.mu.Lock()
 		}
 		total.add(m.ctr)
-		st.Users += len(m.users)
 		var es control.Stats
 		switch {
 		case m.eng == nil:
@@ -718,16 +643,16 @@ func (c *Coordinator) stats(withAssignment bool) Stats {
 		default:
 			es = m.eng.StatsLite()
 		}
-		if withAssignment {
-			for uid, rec := range m.users {
-				st.Assignment[uid] = rec.ext
-			}
-		}
 		if !withAssignment {
 			m.mu.Unlock()
 		}
-		st.DroppedReassigns += es.DroppedReassigns
-		st.PerShard = append(st.PerShard, es)
+		perShard = append(perShard, es)
+	}
+	// The engines hold the users and their assignments; only the
+	// plane-level counters are the coordinator's own.
+	st := MergeStats(len(rt.members), perShard)
+	if !withAssignment {
+		st.Assignment = nil
 	}
 	st.Joins = total.joins
 	st.Leaves = total.leaves

@@ -38,7 +38,7 @@ frontier  .                        FrontierAlpha
 shard     ./internal/shard         CoordinatorJoin
 shard     ./internal/experiments   ShardGap
 city      ./internal/city          CitySmoke
-city      ./internal/city          CitySustained              1x
+city      ./internal/city          CitySustained|CityHeap     1x
 city      ./internal/control       EngineChurnEvent|EngineJoinLeave
 wire      ./internal/wire          WireEncodeDecode
 wire      ./internal/city          CityTCPSmoke

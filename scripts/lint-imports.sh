@@ -172,16 +172,18 @@ fi
 # gone), wolt-hillclimb is the only warm repair (core's hill-climb
 # fork behind wolt-incremental and its options struct are gone), and
 # Searcher.Search is the one search entry point (the HillClimb, KOpt and
-# Anneal wrappers and the unused Budget.Unlimited are gone).
+# Anneal wrappers and the unused Budget.Unlimited are gone), and a shard
+# member's engine is its one user table (the coordinator's per-user
+# scan copies, their pool and the directive fold over them are gone).
 # Test files are covered too; the one exemption is the experiments test
 # that pins the refusal of the retired "tcp-json" plane name.
-bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic|deficitOrder|sweepOrder|WarmOptions|assignWarm|\.Unlimited\(|\.HillClimb\(|\.KOpt\(|\.Anneal\(' \
+bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic|deficitOrder|sweepOrder|WarmOptions|assignWarm|\.Unlimited\(|\.HillClimb\(|\.KOpt\(|\.Anneal\(|scanPool|takeScan|releaseScan|userRec|scanPoolCap|applyLocked' \
 	--include='*.go' . \
 	| grep -v '^\./internal/experiments/experiments_test\.go:.*"tcp-json"' || true)
 if [ -n "$bad" ]; then
 	echo "import lint: removed identifier reintroduced:" >&2
 	echo "$bad" >&2
-	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values, the hill climb's visit order is the persistent localsearch.deficitRank, wolt-hillclimb is the one warm repair, and Searcher.Search is the one search entry point" >&2
+	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values, the hill climb's visit order is the persistent localsearch.deficitRank, wolt-hillclimb is the one warm repair, Searcher.Search is the one search entry point, and a shard member's control.Engine is its one user table" >&2
 	exit 1
 fi
 # One bench driver: scripts/bench.sh runs every recorded benchmark and
