@@ -94,8 +94,12 @@ type EngineConfig struct {
 // edit (Network.InsertRow, RemoveRow, SetRow) plus the matching edit of
 // the assignment, and a failed operation makes the inverse edit. The
 // strategy's evaluator and candidate cache replay those edits instead
-// of rebuilding, so a placement-only join costs its placement. A
-// Reassign, which may move anyone, edits the assignment in place; its
+// of rebuilding, so a placement-only join rebuilds nothing. It still
+// costs O(users): each insert or remove shifts every later entry of
+// the engine's rows, the Network's rows, the evaluator's member
+// indices and the candidate slots by one place, which is memmove work
+// that grows linearly with the table (BenchmarkEngineJoinLeaveScaling).
+// A Reassign, which may move anyone, edits the assignment in place; its
 // directives come from one sequential compare of the assignment with
 // the directed column, which reads the row table only for rows that
 // moved. The steady-state per-event path (join, update, leave

@@ -580,9 +580,13 @@ func BenchmarkEngineChurnEvent(b *testing.B) {
 
 // BenchmarkEngineJoinLeaveScaling prices one leave + rejoin pair on a
 // shard-member engine (wolt-hillclimb, 4 of 8 extenders owned,
-// placement-only joins) at three table sizes. A join that costs its
-// placement stays near-flat across sizes; one that rebuilds the
-// member's view grows with the table.
+// placement-only joins) at three table sizes. Neither operation
+// rebuilds the member's view, but the pair is not flat across sizes:
+// the remove and the insert each shift every later entry of the
+// engine's rows, the Network's rows, the evaluator's member indices
+// and the candidate slots, so the cost grows linearly with the table.
+// On a 2-vCPU VM it read about 3.8, 13 and 49 µs/op at 250, 1000 and
+// 4000 users, with about 60% of the 4000-user CPU samples in memmove.
 func BenchmarkEngineJoinLeaveScaling(b *testing.B) {
 	for _, n := range []int{250, 1000, 4000} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {

@@ -169,31 +169,40 @@ func BenchmarkWarmResolveAnneal(b *testing.B) {
 // call catches up by replaying one row edit rather than re-attaching.
 // The state starts at a hill-climb local optimum. Across the user
 // counts, ns/op should grow only with the probed cells, not with the
-// number of users. Two models: "redistribute" (PLC leftover
-// redistribution), where every probe is exact, and "city", the
-// city harness's sum-rate model without redistribution, where probes
-// that cannot win are rejected from a bound (bounded/op).
+// number of users. Three models: "redistribute" (PLC leftover
+// redistribution), where every probe is exact; "city", the city
+// harness's sum-rate model without redistribution, where probes that
+// cannot win are rejected from a bound (bounded/op); and "capped", the
+// city model with PLC capacities cut 1000×, so every cell delivers its
+// PLC share and no single move can win: each repair is one dominated
+// pass, priced without probing (model.DeltaEval.Dominated).
 func BenchmarkWarmRepair(b *testing.B) {
 	models := []struct {
-		name string
-		opts model.Options
+		name     string
+		opts     model.Options
+		capScale float64
 	}{
-		{"redistribute", model.Options{Redistribute: true}},
-		{"city", model.Options{}},
+		{"redistribute", model.Options{Redistribute: true}, 1},
+		{"city", model.Options{}, 1},
+		{"capped", model.Options{}, 1e-3},
 	}
 	for _, m := range models {
 		for _, users := range []int{250, 1000, 4000} {
 			b.Run(fmt.Sprintf("%s/users=%d", m.name, users), func(b *testing.B) {
-				benchWarmRepair(b, m.opts, users)
+				benchWarmRepair(b, m.opts, m.capScale, users)
 			})
 		}
 	}
 }
 
 // benchWarmRepair is one BenchmarkWarmRepair case: users users on
-// the 4-extender warm instance, evaluated under mopts.
-func benchWarmRepair(b *testing.B, mopts model.Options, users int) {
+// the 4-extender warm instance with its PLC capacities scaled by
+// capScale, evaluated under mopts.
+func benchWarmRepair(b *testing.B, mopts model.Options, capScale float64, users int) {
 	n := warmBenchNetwork(users, 4)
+	for j := range n.PLCCaps {
+		n.PLCCaps[j] *= capScale
+	}
 	opts := localsearch.Options{
 		Model:  mopts,
 		Budget: localsearch.Budget{Probes: 200},
@@ -244,6 +253,9 @@ func benchWarmRepair(b *testing.B, mopts model.Options, users int) {
 		assign = res.Assign
 		probes += res.Probes
 		bounded += res.Bounded
+	}
+	if capScale < 1 && bounded != probes {
+		b.Fatalf("capped instance: %d of %d probes bounded, want every one", bounded, probes)
 	}
 	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 	b.ReportMetric(float64(bounded)/float64(b.N), "bounded/op")

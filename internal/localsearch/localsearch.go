@@ -333,6 +333,23 @@ func (r *run) takeMove() bool {
 	return true
 }
 
+// takeProbes reserves k probes at once for work that no checkpoint can
+// interrupt (no time budget, a context that cannot be cancelled),
+// exactly as k takeProbe calls would: it returns how many it reserved,
+// min(k, probes left), and halts with StopProbes when k exceeds what
+// was left.
+func (r *run) takeProbes(k int) int {
+	if r.probesLeft >= 0 {
+		if k > r.probesLeft {
+			k = r.probesLeft
+			r.haltWith(StopProbes)
+		}
+		r.probesLeft -= k
+	}
+	r.sinceCheck = (r.sinceCheck + k) % checkEvery
+	return k
+}
+
 func (r *run) interrupted() bool {
 	select {
 	case <-r.ctx.Done():
@@ -395,6 +412,15 @@ type Searcher struct {
 
 	// hill-climb visit order, kept across searches (rank.go).
 	rank deficitRank
+	// reach counts each user's reachable extenders, current with the
+	// network from begin on: it prices a dominated pass.
+	reach reachCount
+
+	// The running search's network and utility. lagging means the
+	// visit order has not caught up with them yet (catchUp).
+	net     *model.Network
+	util    model.Utility
+	lagging bool
 }
 
 // Search runs one method of the family from the start assignment and
@@ -467,19 +493,29 @@ func (s *Searcher) Place(n *model.Network, assign model.Assignment, user int, op
 	return bestTo, nil
 }
 
-// begin syncs the evaluator and the visit order to (n, start),
-// refreshes the candidate cache, places unassigned users, and records
-// the post-placement state as the initial best (copying it only for
-// Annealing, the one method that can walk away from its best).
+// begin syncs the evaluator, the reach counts and the candidate cache
+// to (n, start), places unassigned users, and records the
+// post-placement state as the initial best (copying it only for
+// Annealing, the one method that can walk away from its best). The
+// visit order catches up here only when placement or a method other
+// than hill climbing needs it; a hill climb leaves it to its first pass
+// that probes, so a pass priced whole (chargeDominated) never pays for
+// it. The candidate cache does not wait: Place ensures it too, and a
+// cache left behind here would make the next join replay the edits
+// this search skipped.
 func (s *Searcher) begin(n *model.Network, start model.Assignment, method Method, opts Options, r *run) error {
 	if err := s.delta.Sync(n, start, opts.Model); err != nil {
 		return err
 	}
 	s.out = start
-	s.rank.sync(n, opts.Model.Utility, s.delta.Evals)
+	s.net, s.util, s.lagging = n, opts.Model.Utility, true
+	s.reach.sync(n)
 	s.cands.Ensure(n, opts.neighborhood())
 	s.placed, s.commits, s.improving = 0, 0, 0
-	s.place(n, r)
+	if method != HillClimbing || s.unplaced() > 0 {
+		s.catchUp()
+		s.place(r)
+	}
 	s.bestScore = s.delta.Score()
 	s.annealing = method == Annealing
 	if s.annealing {
@@ -487,6 +523,25 @@ func (s *Searcher) begin(n *model.Network, start model.Assignment, method Method
 	}
 	s.traj = append(s.traj[:0], s.bestScore.Primary)
 	return nil
+}
+
+// catchUp brings the visit order up to the running search's network,
+// once per search. The order is a pure function of the committed
+// state, so when it catches up changes no visit.
+func (s *Searcher) catchUp() {
+	if s.lagging {
+		s.rank.sync(s.net, s.util, s.delta.Evals)
+		s.lagging = false
+	}
+}
+
+// unplaced counts the users no cell holds, in O(extenders).
+func (s *Searcher) unplaced() int {
+	free := s.net.NumUsers()
+	for j := 0; j < s.net.NumExtenders(); j++ {
+		free -= len(s.delta.Members(j))
+	}
+	return free
 }
 
 // place greedily assigns every Unassigned user to the candidate that
@@ -497,12 +552,8 @@ func (s *Searcher) begin(n *model.Network, start model.Assignment, method Method
 // is still a valid state. The cells' member counts say how many users
 // are unassigned, so the scan stops after the last of them — a warm
 // repair with no arrivals scans nothing.
-func (s *Searcher) place(n *model.Network, r *run) {
-	free := n.NumUsers()
-	for j := 0; j < n.NumExtenders(); j++ {
-		free -= len(s.delta.Members(j))
-	}
-	for i := 0; free > 0; i++ {
+func (s *Searcher) place(r *run) {
+	for i, free := 0, s.unplaced(); free > 0; i++ {
 		if s.delta.Assigned(i) != model.Unassigned {
 			continue
 		}
@@ -560,13 +611,13 @@ func (s *Searcher) noteBest() {
 // repairs the damage long before a full pass would finish.
 //
 // The order is the Searcher's persistent deficitRank, not rebuilt per
-// pass: begin replays the network's row edits into it, every commit
-// (Place's included) marks the moved user dirty, and each pass starts
-// by flushing the dirty users — O(edits + dirty·log users) per call
-// instead of a heap over every user, with a wholesale change (another
-// network or utility, a gap longer than the edit log, an evaluator
-// re-Attach) falling back to one heapify, no dearer than a per-pass
-// heap. A user's deficit depends only on its own row and extender, and
+// pass: the first pass that probes replays the network's row edits
+// into it (catchUp), every commit (Place's included) marks the moved
+// user dirty, and each pass starts by flushing the dirty users —
+// O(edits + dirty·log users) per call instead of a heap over every
+// user, with a wholesale change (another network or utility, a gap
+// longer than the edit log, an evaluator re-Attach) falling back to
+// one heapify, no dearer than a per-pass heap. A user's deficit depends only on its own row and extender, and
 // the flush runs only at pass start, so each pass walks exactly the
 // order a fresh sort of the committed state at pass start would give:
 // visit order, probes, commits and trajectory are those of a per-pass
@@ -578,8 +629,17 @@ func (s *Searcher) noteBest() {
 // than improveEps, so the loop terminates; the visit order is a pure
 // function of the committed state, so trajectories are deterministic
 // and a larger probe budget only ever extends a smaller one's.
+//
+// A probe no user can win (model.DeltaEval.ProbeDominated) is answered
+// in O(1) without reading the user's row, and a pass in which every
+// probe is such a one is priced whole (chargeDominated): decisions and
+// counts are the loop's own.
 func (s *Searcher) hillClimb(r *run) {
 	for {
+		if s.chargeDominated(r) {
+			return
+		}
+		s.catchUp()
 		s.rank.flush(&s.delta)
 		committed := false
 		for p := 0; ; p++ {
@@ -599,6 +659,9 @@ func (s *Searcher) hillClimb(r *run) {
 				if !r.takeProbe() {
 					break
 				}
+				if s.delta.ProbeDominated(from, to, bestSc, improveEps) {
+					continue
+				}
 				if sc, ok := s.delta.ProbeMoveBeats(i, from, to, bestSc, improveEps); ok {
 					bestTo, bestSc = to, sc
 				}
@@ -616,6 +679,30 @@ func (s *Searcher) hillClimb(r *run) {
 			return // a full clean pass: single-move local optimum
 		}
 	}
+}
+
+// chargeDominated prices a hill-climb pass that no move can win without
+// running it, and reports whether it did; the climb then ends. It
+// applies when the committed state is dominated
+// (model.DeltaEval.Dominated: sum-rate without Redistribute or
+// FixedShare, every extender active with at least two members and
+// capped), every user is placed, and each user's neighborhood is all
+// of its reachable extenders. The pass would then probe each user's
+// other reachable extenders, K = Σ (reach − 1) probes, have every one
+// rejected by the bound, and commit nothing. Under a budget of probes
+// alone (no time budget, a context that cannot be cancelled) no
+// checkpoint can cut it short, so the loop's own accounting is
+// min(K, probes left) bounded probes, then a StopProbes halt when K
+// exceeds what was left and the single-move optimum otherwise. That
+// costs O(extenders) instead of K probes.
+func (s *Searcher) chargeDominated(r *run) bool {
+	n := s.net
+	if r.timed || r.ctx.Done() != nil || s.cands.M() < n.NumExtenders() ||
+		!s.delta.Dominated(s.bestScore, improveEps) || s.unplaced() > 0 {
+		return false
+	}
+	s.delta.ChargeDominated(r.takeProbes(s.reach.sum - n.NumUsers()))
+	return true
 }
 
 // kopt escapes single-move local optima with eject/reinsert chains:

@@ -23,15 +23,16 @@ const (
 // extender, so the order survives across searches and is repaired edit
 // by edit instead of being rebuilt per pass:
 //
-//   - row edits, replayed after the evaluator's Sync at the start of a
-//     search: an insert shifts indices at or above the row up and
-//     queues the new user, a remove drops the user and shifts the
-//     indices above it down, a set marks the user dirty. Shifting keeps
-//     relative order, index tie-break included;
+//   - row edits, replayed when a search first needs the order
+//     (Searcher.catchUp): an insert shifts indices at or above the row
+//     up and queues the new user, a remove drops the user and shifts
+//     the indices above it down, a set marks the user dirty. Shifting
+//     keeps relative order, index tie-break included;
 //   - every Commit the searcher makes marks the moved user dirty. Place
 //     does not replay: it maps the placed user back through the edits
 //     not yet replayed (touchAt), so a join costs O(edits) here and the
-//     O(users) index shift is paid once, by the next search;
+//     O(users) index shift is paid once, by the next search that
+//     probes;
 //   - a wholesale change — another network or utility, a gap longer
 //     than the edit log, or an evaluator re-Attach — marks every key
 //     out of date.
@@ -74,8 +75,8 @@ type deficitRank struct {
 // evaluator that has made evals Attaches. It replays the row edits
 // logged since the last sync, or rescans every row's best rate and
 // marks every key out of date when it cannot; another utility or
-// Attach count marks the keys out of date too. Call it right after the
-// evaluator's Sync.
+// Attach count marks the keys out of date too. Call it after the
+// evaluator's Sync, before the order is next read or touched.
 func (r *deficitRank) sync(n *model.Network, util model.Utility, evals int) {
 	if r.net == n && n.Replayable(r.gen) {
 		r.replay()

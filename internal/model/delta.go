@@ -41,9 +41,10 @@ import (
 // goroutine its own, exactly like EvalScratch.
 type DeltaEval struct {
 	// Evals counts Attach rebuilds and Probes counts probes (every
-	// ProbeMove* call) since the caller last reset them; Bounded counts
+	// ProbeMove* call, and every probe ProbeDominated or ChargeDominated
+	// answers for one) since the caller last reset them; Bounded counts
 	// the ProbeMoveBeats probes its upper bound answered without an
-	// exact re-sum. They are the work metrics behind
+	// exact re-sum, or would have. They are the work metrics behind
 	// strategy.Stats.Evaluations, DeltaProbes and BoundedProbes, and no
 	// counter influences results.
 	Evals   int
@@ -74,6 +75,11 @@ type DeltaEval struct {
 	perExt    []float64 // committed per-extender delivered throughput
 	aggregate float64   // committed Σ perExt over active, ascending
 	utility   float64   // committed Options.Utility value (== aggregate for sum-rate)
+	// capped[j] reports that active cell j delivers its full PLC share,
+	// !(demand[j] < fair·c_j), under the sum-rate utility without
+	// Redistribute or FixedShare; it is false otherwise. recommit keeps
+	// it, so ProbeDominated reads two flags instead of redoing the min.
+	capped []bool
 
 	// probe scratch, sized to the active set of the hypothesis
 	pActive    []int
@@ -120,6 +126,8 @@ func (d *DeltaEval) Attach(n *Network, a Assignment, opts Options) error {
 	d.count = growZeroInts(d.count, numExt)
 	d.demand = growZeroFloats(d.demand, numExt)
 	d.perExt = growZeroFloats(d.perExt, numExt)
+	d.capped = growBools(d.capped, numExt)
+	clear(d.capped)
 	d.active = d.active[:0]
 	for j := 0; j < numExt; j++ {
 		d.recomputeCell(j)
@@ -340,6 +348,60 @@ func (d *DeltaEval) ProbeMoveBeats(i, from, to int, bar Score, eps float64) (Sco
 	return sc, sc.BetterEps(bar, eps)
 }
 
+// ProbeDominated answers ProbeMoveBeats(i, from, to, bar, eps) in O(1),
+// without reading user i's rate row, for a move no user can win
+// (DESIGN.md §10): under the sum-rate utility without Redistribute or
+// FixedShare, `from` keeps a member and `to` already has one, both
+// cells deliver their full PLC share (capped), and the committed score
+// does not beat bar. Then the active set and the share are unchanged,
+// each of the two cells can deliver no more than its share, which it
+// already delivers, and ProbeMoveBeats' bound rejects the move. On true
+// the probe is counted as that call counts it: one Probes, one Bounded.
+// On false nothing is counted and the caller asks ProbeMoveBeats. The
+// caller vouches for the move as checkMove would (i sits on `from`,
+// `to` is reachable), since nothing here reads i.
+func (d *DeltaEval) ProbeDominated(from, to int, bar Score, eps float64) bool {
+	d.check()
+	if from == to || from < 0 || to < 0 || !d.capped[from] || !d.capped[to] ||
+		d.count[from] < 2 || d.beats(bar, eps) {
+		return false
+	}
+	d.Probes++
+	d.Bounded++
+	return true
+}
+
+// Dominated reports whether ProbeDominated holds for every move between
+// two extenders: the model qualifies, every extender is active with at
+// least two members and capped, and the committed score does not beat
+// bar. Then no single re-association of an assigned user can beat bar,
+// and a search may price a whole pass of such probes at once
+// (ChargeDominated). It costs O(extenders).
+func (d *DeltaEval) Dominated(bar Score, eps float64) bool {
+	d.check()
+	if len(d.active) != d.net.NumExtenders() || d.beats(bar, eps) {
+		return false
+	}
+	for _, j := range d.active {
+		if d.count[j] < 2 || !d.capped[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// ChargeDominated counts k probes that Dominated proved ProbeMoveBeats
+// would reject from its bound, as k such calls would count them.
+func (d *DeltaEval) ChargeDominated(k int) {
+	d.Probes += k
+	d.Bounded += k
+}
+
+// beats reports whether the committed score beats bar by more than eps.
+func (d *DeltaEval) beats(bar Score, eps float64) bool {
+	return Score{Primary: d.utility, Tie: d.aggregate}.BetterEps(bar, eps)
+}
+
 // exactProbe is the checked, counted exact probe behind ProbeMove,
 // ProbeMoveUser and ProbeMoveScore.
 func (d *DeltaEval) exactProbe(i, from, to int) (agg, own, util float64) {
@@ -389,6 +451,7 @@ func (d *DeltaEval) move(i, from, to int) {
 			}
 		}
 		d.perExt[from] = 0
+		d.capped[from] = false
 	}
 	if to != Unassigned && d.count[to] == 1 {
 		a := append(d.active, 0)
@@ -445,8 +508,11 @@ func (d *DeltaEval) recommit() {
 			}
 		} else {
 			fair := 1 / float64(contenders)
+			dom := d.opts.Utility.IsSumRate() && !d.opts.FixedShare
 			for _, j := range act {
-				d.perExt[j] = minf(d.demand[j], fair*d.net.PLCCaps[j])
+				share := fair * d.net.PLCCaps[j]
+				d.perExt[j] = minf(d.demand[j], share)
+				d.capped[j] = dom && !(d.demand[j] < share)
 			}
 		}
 		for _, j := range act {

@@ -108,9 +108,24 @@ trap 'rm -f "$raw"' EXIT
 
 export WOLT_CITY_1M="${WOLT_CITY_1M-1}" WOLT_CITY_TCP="${WOLT_CITY_TCP-1}"
 nproc=$(getconf _NPROCESSORS_ONLN)
+
+# commit names the code measured: the described commit and, for a tree
+# with uncommitted changes, that working tree's hash as well, so two
+# different edits of one commit get two tags. The hash is what
+# `git write-tree` gives after `git add -A`, on a scratch copy of the
+# index, so the repository's own index is left as it was.
+commit=$(git describe --always --dirty 2>/dev/null || echo unknown)
+case $commit in
+*-dirty)
+	index=$(mktemp)
+	cp "$(git rev-parse --git-path index)" "$index" 2>/dev/null || rm -f "$index"
+	tree=$(GIT_INDEX_FILE=$index git add -A && GIT_INDEX_FILE=$index git write-tree) || tree=unknown
+	rm -f "$index"
+	commit=$commit-$(echo "$tree" | cut -c1-12)
+	;;
+esac
 host=$(printf '{"nproc": %s, "gomaxprocs": %s, "go": "%s", "commit": "%s", "date": "%s"}' \
-	"$nproc" "${GOMAXPROCS:-$nproc}" "$(go env GOVERSION)" \
-	"$(git describe --always --dirty 2>/dev/null || echo unknown)" \
+	"$nproc" "${GOMAXPROCS:-$nproc}" "$(go env GOVERSION)" "$commit" \
 	"$(date -u +%Y-%m-%dT%H:%M:%SZ)")
 
 for s in $suites; do
