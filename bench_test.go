@@ -432,35 +432,6 @@ func benchName(prefix string, v int) string {
 	return prefix + string(buf[i:])
 }
 
-// BenchmarkAssignmentSolverScaling compares the two Phase I engines on
-// square random instances.
-func BenchmarkAssignmentSolverScaling(b *testing.B) {
-	for _, size := range []int{20, 60, 120} {
-		rng := rand.New(rand.NewSource(int64(size)))
-		utility := make([][]float64, size)
-		for i := range utility {
-			utility[i] = make([]float64, size)
-			for j := range utility[i] {
-				utility[i][j] = rng.Float64() * 100
-			}
-		}
-		b.Run("hungarian/"+benchName("n", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := hungarian.Maximize(utility); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("auction/"+benchName("n", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := hungarian.AuctionMaximize(utility); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkIncrementalBudget shows the throughput recovered per allowed
 // re-association: the extension knob behind the paper's Fig 6c concern.
 func BenchmarkIncrementalBudget(b *testing.B) {

@@ -54,6 +54,8 @@ const (
 	rateAt0  = 866.0
 	rateHalf = 25.0 // distance (m) where the rate halves... roughly
 	rateMin  = 5.0  // below this the extender is out of reach
+	// roamStepFrac bounds one roaming step as a fraction of cellSize.
+	roamStepFrac = 0.5
 )
 
 // Config parameterizes one city run.
@@ -78,10 +80,6 @@ type Config struct {
 	// UpdateMean is a user's mean time between roaming scan updates in
 	// seconds; 0 disables mobility.
 	UpdateMean float64
-	// StepFrac is the roam step length as a fraction of the extender
-	// grid spacing (default 0.5): each update moves the user a uniform
-	// step up to StepFrac*cellSize in a uniform direction.
-	StepFrac float64
 	// DiurnalFloor, when positive, shapes arrivals with
 	// workload.Diurnal(DiurnalPeriod, DiurnalFloor): the arrival rate
 	// swings between floor*peak at the period boundaries and the peak
@@ -140,9 +138,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 2 * cfg.DwellMean
-	}
-	if cfg.StepFrac <= 0 {
-		cfg.StepFrac = 0.5
 	}
 	if cfg.DiurnalPeriod <= 0 {
 		cfg.DiurnalPeriod = cfg.Horizon
@@ -386,10 +381,10 @@ func (c *City) placeNew(id int) {
 }
 
 // roam moves user id one mobility step: a uniform direction, a uniform
-// step length up to StepFrac*cellSize, clamped to the grid.
+// step length up to roamStepFrac*cellSize, clamped to the grid.
 func (c *City) roam(id int) {
 	theta := 2 * math.Pi * c.draw(id)
-	r := c.cfg.StepFrac * cellSize * c.draw(id)
+	r := roamStepFrac * cellSize * c.draw(id)
 	w := float64(c.side-1) * cellSize
 	if w <= 0 {
 		w = cellSize

@@ -2,7 +2,6 @@ package city
 
 import (
 	"fmt"
-	"log"
 	"slices"
 	"sync"
 	"time"
@@ -11,8 +10,9 @@ import (
 	"github.com/plcwifi/wolt/internal/shard"
 )
 
-// tcpJoinTimeout is how long one TCP join waits for its association
-// directive when TCPConfig leaves JoinTimeout zero.
+// tcpJoinTimeout bounds each wait of the TCP plane on a member: a join's
+// association directive, a stats probe, and the close that acknowledges
+// a departure.
 const tcpJoinTimeout = 10 * time.Second
 
 // TCPConfig parameterizes a TCP-backed city plane.
@@ -23,15 +23,6 @@ type TCPConfig struct {
 	// process's fd budget). Empty hosts every member in this process on
 	// ephemeral ports.
 	Peers []string
-	// JoinTimeout bounds one join's wait for its directive (default
-	// tcpJoinTimeout).
-	JoinTimeout time.Duration
-	// PushQueueDepth is forwarded to the hosted members (in-process mode
-	// only; see control.ServerConfig.PushQueueDepth).
-	PushQueueDepth int
-	// Logger receives member-server connection errors (in-process mode
-	// only); nil discards them.
-	Logger *log.Logger
 }
 
 // TCPPlane drives the city's churn through real TCP sockets: one
@@ -45,10 +36,9 @@ type TCPConfig struct {
 // directly; the server-side redirect path stays as the safety net and
 // is exercised by tests that dial the wrong member on purpose.
 type TCPPlane struct {
-	joinTimeout time.Duration
-	ownerOf     []int
-	addrs       []string
-	plane       *shard.Plane // hosted members; nil when attached to Peers
+	ownerOf []int
+	addrs   []string
+	plane   *shard.Plane // hosted members; nil when attached to Peers
 
 	mu     sync.Mutex
 	agents map[int]*control.Agent
@@ -66,13 +56,9 @@ type TCPPlane struct {
 // attaching to members running elsewhere.
 func (c *City) NewTCPPlane(tcfg TCPConfig) (*TCPPlane, error) {
 	cfg := c.cfg
-	if tcfg.JoinTimeout <= 0 {
-		tcfg.JoinTimeout = tcpJoinTimeout
-	}
 	p := &TCPPlane{
-		joinTimeout: tcfg.JoinTimeout,
-		ownerOf:     shard.OwnerMapFor(cfg.Seed, cfg.Shards, 0, len(c.caps)),
-		agents:      make(map[int]*control.Agent),
+		ownerOf: shard.OwnerMapFor(cfg.Seed, cfg.Shards, 0, len(c.caps)),
+		agents:  make(map[int]*control.Agent),
 	}
 	if len(tcfg.Peers) > 0 {
 		if len(tcfg.Peers) != cfg.Shards {
@@ -83,11 +69,9 @@ func (c *City) NewTCPPlane(tcfg TCPConfig) (*TCPPlane, error) {
 		return p, nil
 	}
 	plane, err := shard.Listen(shard.PlaneConfig{
-		Config:         shard.Config{Shards: cfg.Shards, EngineConfig: c.engineConfig()},
-		Addr:           "127.0.0.1:0",
-		Member:         -1,
-		PushQueueDepth: tcfg.PushQueueDepth,
-		Logger:         tcfg.Logger,
+		Config: shard.Config{Shards: cfg.Shards, EngineConfig: c.engineConfig()},
+		Addr:   "127.0.0.1:0",
+		Member: -1,
 	})
 	if err != nil {
 		return nil, err
@@ -121,7 +105,7 @@ func (p *TCPPlane) Join(userID int, rates, rssi []float64) ([]control.Directive,
 	if err != nil {
 		return nil, err
 	}
-	ext, err := a.Join(rates, rssi, p.joinTimeout)
+	ext, err := a.Join(rates, rssi, tcpJoinTimeout)
 	if err != nil {
 		_ = a.Close()
 		return nil, fmt.Errorf("city: tcp join user %d: %w", userID, err)
@@ -214,12 +198,12 @@ func (p *TCPPlane) quiesce() error {
 	p.mu.Lock()
 	leaving := slices.Clone(p.leaving)
 	p.mu.Unlock()
-	deadline := time.After(p.joinTimeout)
+	deadline := time.After(tcpJoinTimeout)
 	for _, a := range leaving {
 		select {
 		case <-a.Closed():
 		case <-deadline:
-			return fmt.Errorf("city: departures unacknowledged after %v", p.joinTimeout)
+			return fmt.Errorf("city: departures unacknowledged after %v", tcpJoinTimeout)
 		}
 	}
 	return nil
@@ -247,7 +231,7 @@ func (p *TCPPlane) Stats() (shard.Stats, error) {
 		if err != nil {
 			return shard.Stats{}, fmt.Errorf("city: stats probe to member %d: %w", m, err)
 		}
-		es, err := a.Stats(p.joinTimeout)
+		es, err := a.Stats(tcpJoinTimeout)
 		_ = a.Close()
 		if err != nil {
 			return shard.Stats{}, fmt.Errorf("city: stats probe to member %d: %w", m, err)

@@ -211,28 +211,6 @@ func TestProportionalFairFewUsers(t *testing.T) {
 	}
 }
 
-func TestPhase1AuctionMatchesHungarian(t *testing.T) {
-	rng := rand.New(rand.NewSource(66))
-	for trial := 0; trial < 20; trial++ {
-		n := randomNetwork(rng, 3+rng.Intn(3), 6+rng.Intn(10))
-		h, err := Assign(n, Options{Phase1: Phase1Hungarian})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := Assign(n, Options{Phase1: Phase1Auction})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(h.PhaseIUtility-a.PhaseIUtility) > 1e-6 {
-			t.Fatalf("trial %d: phase-I utilities differ: hungarian %v, auction %v",
-				trial, h.PhaseIUtility, a.PhaseIUtility)
-		}
-	}
-	if _, err := Assign(fig3Network(), Options{Phase1: Phase1Solver(9)}); err == nil {
-		t.Error("unknown phase-I solver: want error")
-	}
-}
-
 // randomValid draws a random complete assignment over reachable extenders.
 func randomValid(n *model.Network, rng *rand.Rand) (model.Assignment, error) {
 	assign := make(model.Assignment, n.NumUsers())

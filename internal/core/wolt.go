@@ -44,32 +44,17 @@ const (
 	Phase2Coordinate
 )
 
-// Phase1Solver selects the assignment-problem engine for Phase I.
-type Phase1Solver int
-
-const (
-	// Phase1Hungarian is the O(|A|³) shortest-augmenting-path solver the
-	// paper specifies. The default.
-	Phase1Hungarian Phase1Solver = iota + 1
-	// Phase1Auction uses Bertsekas' auction algorithm with ε-scaling —
-	// an alternative with different practical scaling and a natural
-	// distributed implementation.
-	Phase1Auction
-)
-
 // Options configures Assign.
 type Options struct {
-	// Phase1 selects the assignment engine (default Hungarian).
-	Phase1 Phase1Solver
 	// Solver selects the Phase II engine (default projected gradient).
 	Solver Phase2Solver
-	// NLP tunes the projected-gradient solver.
+	// NLP tunes the projected-gradient solver; its Utility is replaced
+	// by the one below.
 	NLP nlp.Options
 	// Utility selects the Phase II objective family (the zero value is
 	// the paper's sum-throughput, bit-identical to the pre-utility
-	// solver). It overrides NLP.Utility when non-zero and drives the
-	// coordinate solver's cell objective; Phase I is utility-agnostic
-	// (its Lemma 2 seeding is about coverage, not the objective).
+	// solver) for either engine; Phase I is utility-agnostic (its
+	// Lemma 2 seeding is about coverage, not the objective).
 	Utility model.Utility
 }
 
@@ -90,7 +75,7 @@ type Result struct {
 	Phase1Time time.Duration
 	Phase2Time time.Duration
 	// Phase1Augmentations counts the Hungarian solver's shortest-
-	// augmenting-path steps; zero when the auction solver ran.
+	// augmenting-path steps.
 	Phase1Augmentations int
 }
 
@@ -190,13 +175,6 @@ func AssignWith(s *Scratch, n *model.Network, opts Options) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown phase II solver %d", opts.Solver)
 	}
-	switch opts.Phase1 {
-	case 0:
-		opts.Phase1 = Phase1Hungarian
-	case Phase1Hungarian, Phase1Auction:
-	default:
-		return nil, fmt.Errorf("core: unknown phase I solver %d", opts.Phase1)
-	}
 
 	// Phase I: assignment problem over u_ij.
 	phase1Start := time.Now()
@@ -208,17 +186,7 @@ func AssignWith(s *Scratch, n *model.Network, opts Options) (*Result, error) {
 	// The solver's total is not used directly: forced unreachable
 	// pairings are discarded below, so the utility is re-summed over the
 	// retained pairs only.
-	var (
-		match         []int
-		err           error
-		augmentations int
-	)
-	if opts.Phase1 == Phase1Auction {
-		match, _, err = hungarian.AuctionMaximize(utilities)
-	} else {
-		match, _, err = s.hung.Maximize(utilities)
-		augmentations = s.hung.Augmentations()
-	}
+	match, _, err := s.hung.Maximize(utilities)
 	if err != nil {
 		return nil, fmt.Errorf("phase I: %w", err)
 	}
@@ -242,7 +210,7 @@ func AssignWith(s *Scratch, n *model.Network, opts Options) (*Result, error) {
 		PhaseIUsers:         phase1,
 		PhaseIUtility:       phase1Utility,
 		Phase1Time:          time.Since(phase1Start),
-		Phase1Augmentations: augmentations,
+		Phase1Augmentations: s.hung.Augmentations(),
 	}
 
 	// Phase II: place the remaining users.
@@ -252,20 +220,16 @@ func AssignWith(s *Scratch, n *model.Network, opts Options) (*Result, error) {
 	}
 	phase2Start := time.Now()
 	problem := nlp.Problem{Rates: n.WiFiRates, Fixed: fixed}
-	utility := opts.Utility
-	if utility.IsSumRate() {
-		utility = opts.NLP.Utility
-	}
 	var sol *nlp.Solution
 	switch opts.Solver {
 	case Phase2ProjectedGradient:
 		nlpOpts := opts.NLP
-		nlpOpts.Utility = utility
+		nlpOpts.Utility = opts.Utility
 		sol, err = nlp.SolveProjectedGradientWith(&s.nlp, problem, nlpOpts)
 	case Phase2Coordinate:
 		// AlphaFairCell of the zero utility is SumThroughput itself, so
 		// the default path is exactly the old SolveCoordinate.
-		sol, err = nlp.SolveCoordinateWith(problem, nlp.AlphaFairCell(utility))
+		sol, err = nlp.SolveCoordinateWith(problem, nlp.AlphaFairCell(opts.Utility))
 	default:
 		return nil, fmt.Errorf("core: unknown phase II solver %d", opts.Solver)
 	}

@@ -264,14 +264,3 @@ func dims(cost [][]float64) (rows, cols int, err error) {
 	}
 	return rows, cols, nil
 }
-
-func transpose(cost [][]float64, n, m int) [][]float64 {
-	t := make([][]float64, m)
-	for j := range t {
-		t[j] = make([]float64, n)
-		for i := 0; i < n; i++ {
-			t[j][i] = cost[i][j]
-		}
-	}
-	return t
-}

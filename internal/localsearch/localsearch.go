@@ -36,7 +36,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"github.com/plcwifi/wolt/internal/model"
@@ -59,8 +58,17 @@ const checkEvery = 128
 // it zero: each user may move only among its 8 best-rate extenders.
 const DefaultNeighborhood = 8
 
-// DefaultDepth is the k-opt chain depth when Options leaves it zero.
-const DefaultDepth = 3
+// kOptDepth is the k-opt chain length: a chain ejects and reinserts at
+// most this many users.
+const kOptDepth = 3
+
+// The annealer's schedule: it freezes (StopFrozen) once the temperature
+// falls below annealFloor times the starting one, and cools by
+// annealCooling per step when the probe budget is unlimited.
+const (
+	annealFloor   = 1e-3
+	annealCooling = 0.9995
+)
 
 // Method selects one member of the search family.
 type Method int
@@ -71,7 +79,7 @@ const (
 	// predictable member, and the warm repair (wolt-hillclimb).
 	HillClimbing Method = iota
 	// KOpt first climbs to a single-move optimum, then escapes it with
-	// eject/reinsert chains up to Options.Depth moves deep, keeping the
+	// eject/reinsert chains up to kOptDepth moves deep, keeping the
 	// best improving prefix of each chain and rolling back the rest.
 	KOpt
 	// Annealing walks random candidate moves under a Metropolis
@@ -149,24 +157,6 @@ type Budget struct {
 	Time time.Duration
 }
 
-// AnnealOptions tunes the Annealing method. Zero values pick defaults
-// scaled to the instance, so the common configuration is empty.
-type AnnealOptions struct {
-	// InitTemp is the starting temperature in aggregate-throughput
-	// units (Mbps). Zero means 2% of the seed assignment's aggregate:
-	// early steps accept moves that cost up to a couple percent of the
-	// objective, late steps only improvements.
-	InitTemp float64
-	// Cooling is the per-step geometric factor in (0,1). Zero picks a
-	// schedule that reaches the temperature floor exactly when the
-	// probe budget runs out (or 0.9995 when the budget is unlimited),
-	// so the walk always gets a greedy final phase.
-	Cooling float64
-	// FloorFrac stops the walk when temperature falls below
-	// FloorFrac×InitTemp (StopFrozen). Zero means 1e-3.
-	FloorFrac float64
-}
-
 // Options configures a search.
 type Options struct {
 	// Model selects the throughput model the committed states are
@@ -177,17 +167,9 @@ type Options struct {
 	// DefaultNeighborhood; negative or ≥ NumExtenders means all
 	// reachable extenders.
 	Neighborhood int
-	// Depth is the k-opt chain length (KOpt only). Zero means
-	// DefaultDepth.
-	Depth int
 	// Seed roots the annealer's randomness via
-	// seed.Rand(Seed, seed.StrategyRand, 0) when Rng is nil.
+	// seed.Rand(Seed, seed.StrategyRand, 0), drawn afresh per search.
 	Seed int64
-	// Rng, when non-nil, supplies the annealer's randomness directly
-	// (the strategy layer passes its per-instance generator here).
-	Rng *rand.Rand
-	// Anneal tunes the Annealing method.
-	Anneal AnnealOptions
 	// Budget bounds the search; see the anytime contract above.
 	Budget Budget
 }
@@ -197,20 +179,6 @@ func (o Options) neighborhood() int {
 		return DefaultNeighborhood
 	}
 	return o.Neighborhood
-}
-
-func (o Options) depth() int {
-	if o.Depth <= 0 {
-		return DefaultDepth
-	}
-	return o.Depth
-}
-
-func (o Options) rng() *rand.Rand {
-	if o.Rng != nil {
-		return o.Rng
-	}
-	return seed.Rand(o.Seed, seed.StrategyRand, 0)
 }
 
 // Result reports a finished search. The Result Search returns, and its
@@ -707,7 +675,7 @@ func (s *Searcher) chargeDominated(r *run) bool {
 
 // kopt escapes single-move local optima with eject/reinsert chains:
 // climb to an optimum, then from each seed user build a chain of up to
-// depth moves — move the user to its best candidate even if that
+// kOptDepth moves — move the user to its best candidate even if that
 // worsens the objective, then eject the weakest member of the
 // destination cell and continue. The best improving prefix of the
 // chain is kept; the rest is rolled back by committing the moves in
@@ -715,7 +683,6 @@ func (s *Searcher) chargeDominated(r *run) bool {
 // §10: a cell's sum depends only on its member set). When any chain
 // improves, the climb restarts, Lin-Kernighan style.
 func (s *Searcher) kopt(n *model.Network, opts Options, r *run) {
-	depth := opts.depth()
 	users := n.NumUsers()
 	if cap(s.moved) < users {
 		s.moved = make([]bool, users)
@@ -732,7 +699,7 @@ func (s *Searcher) kopt(n *model.Network, opts Options, r *run) {
 		}
 		improved := false
 		for u := 0; u < users; u++ {
-			if s.tryChain(n, u, depth, r) {
+			if s.tryChain(n, u, r) {
 				improved = true
 			}
 			if r.halted {
@@ -750,7 +717,7 @@ func (s *Searcher) kopt(n *model.Network, opts Options, r *run) {
 // its best improving prefix. Returns whether the best aggregate
 // improved. On any exit — including budget exhaustion mid-chain — every
 // tentative commit beyond the kept prefix has been rolled back.
-func (s *Searcher) tryChain(n *model.Network, u0 int, depth int, r *run) bool {
+func (s *Searcher) tryChain(n *model.Network, u0 int, r *run) bool {
 	s.chainUser = s.chainUser[:0]
 	s.chainFrom = s.chainFrom[:0]
 	s.chainTo = s.chainTo[:0]
@@ -762,7 +729,7 @@ func (s *Searcher) tryChain(n *model.Network, u0 int, depth int, r *run) bool {
 	bestDepth := 0
 	bestChainSc := s.bestScore
 	u := u0
-	for len(s.chainUser) < depth {
+	for len(s.chainUser) < kOptDepth {
 		from := s.delta.Assigned(u)
 		if from == model.Unassigned {
 			break
@@ -856,30 +823,19 @@ func (s *Searcher) anneal(n *model.Network, opts Options, r *run) {
 		return
 	}
 
-	rng := opts.rng()
-	t0 := opts.Anneal.InitTemp
-	if t0 <= 0 {
-		// Utility units, not Mbps, when a non-zero utility is chosen:
-		// 2% of the seed score's magnitude (the aggregate under the
-		// zero utility, where |score| == score — today's temperature
-		// bit-for-bit).
-		t0 = 0.02 * math.Max(math.Abs(s.bestScore.Primary), 1)
+	rng := seed.Rand(opts.Seed, seed.StrategyRand, 0)
+	// The walk starts at 2% of the seed score's magnitude (utility
+	// units; Mbps under the zero utility): early steps accept moves that
+	// cost up to a couple percent of the objective, late steps only
+	// improvements. It freezes at annealFloor of that temperature,
+	// reached exactly when the probe budget runs out, so every budget
+	// gets a full hot-to-greedy schedule.
+	t0 := 0.02 * math.Max(math.Abs(s.bestScore.Primary), 1)
+	cool := annealCooling
+	if opts.Budget.Probes > 0 {
+		cool = math.Pow(annealFloor, 1/float64(opts.Budget.Probes))
 	}
-	floorFrac := opts.Anneal.FloorFrac
-	if floorFrac <= 0 {
-		floorFrac = 1e-3
-	}
-	cool := opts.Anneal.Cooling
-	if cool <= 0 || cool >= 1 {
-		if opts.Budget.Probes > 0 {
-			// Reach the floor exactly when the probe budget runs out,
-			// so every budget gets a full hot-to-greedy schedule.
-			cool = math.Pow(floorFrac, 1/float64(opts.Budget.Probes))
-		} else {
-			cool = 0.9995
-		}
-	}
-	floor := t0 * floorFrac
+	floor := t0 * annealFloor
 
 	curScore := s.delta.Score()
 	temp := t0

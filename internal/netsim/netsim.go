@@ -83,7 +83,7 @@ func Build(topo *topology.Topology, rm radio.Model) *Instance {
 //
 // Every trial, and every RunDynamic trace, builds its own strategy
 // instance from Config. A randomized strategy's draws thus depend only on
-// Config.Seed and the trial; leave Config.Rng nil for parallel runs.
+// Config.Seed and the trial, whatever the worker count.
 type Policy struct {
 	// Name labels the policy's result rows.
 	Name string

@@ -115,16 +115,19 @@ func (p Problem) validate(buf []int) (numExt int, free []int, err error) {
 	return numExt, free, nil
 }
 
+// The projected-gradient schedule: iteration stops once an accepted
+// step improves the objective by less than pgTol (the paper's 1e-5),
+// and each solve starts at step pgStep, halving it whenever a step does
+// not improve the objective.
+const (
+	pgTol  = 1e-5
+	pgStep = 0.5
+)
+
 // Options tunes the projected-gradient solver.
 type Options struct {
-	// Tol is the stopping criterion: iteration stops when the objective
-	// improves by less than Tol. The paper uses 1e-5.
-	Tol float64
 	// MaxIter caps gradient iterations (default 2000).
 	MaxIter int
-	// Step is the initial gradient step size (default 0.5); the solver
-	// backtracks when a step does not improve the objective.
-	Step float64
 	// Workers bounds the goroutines used inside one solve (gradient
 	// rows, simplex projections). <= 1 runs fully sequentially; results
 	// are bit-identical for every value.
@@ -139,14 +142,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Tol <= 0 {
-		o.Tol = 1e-5
-	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 2000
-	}
-	if o.Step <= 0 {
-		o.Step = 0.5
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
@@ -527,7 +524,7 @@ func SolveProjectedGradientWith(w *Workspace, p Problem, opts Options) (*Solutio
 	}
 
 	prev := w.cells(w.x, w.xv)
-	step := opts.Step
+	step := pgStep
 	iters := 0
 	for ; iters < opts.MaxIter; iters++ {
 		// cellsN/cellsS hold the loads of the current iterate: either the
@@ -571,7 +568,7 @@ func SolveProjectedGradientWith(w *Workspace, p Problem, opts Options) (*Solutio
 				w.xv, w.cv = w.cv, w.xv
 				// converged per the paper's criterion unless the gain
 				// clears the tolerance
-				improved = obj-prev >= opts.Tol
+				improved = obj-prev >= pgTol
 				prev = obj
 				break
 			}

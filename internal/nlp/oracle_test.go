@@ -47,7 +47,7 @@ func oracleSolve(p Problem, opts Options) (*Solution, error) {
 		}
 	}
 	prev := oracleCells(w, w.x)
-	step := opts.Step
+	step := pgStep
 	iters := 0
 	for ; iters < opts.MaxIter; iters++ {
 		if w.alpha == 0 {
@@ -107,7 +107,7 @@ func oracleSolve(p Problem, opts Options) (*Solution, error) {
 			obj := oracleCells(w, w.cand)
 			if obj > prev {
 				w.x, w.cand = w.cand, w.x
-				improved = obj-prev >= opts.Tol
+				improved = obj-prev >= pgTol
 				prev = obj
 				break
 			}

@@ -18,9 +18,6 @@ import (
 type Config struct {
 	// Shards is the initial shard-member count (>= 1).
 	Shards int
-	// VirtualNodes is the per-member virtual node count on the ring
-	// (<= 0 selects DefaultVirtualNodes).
-	VirtualNodes int
 	// EngineConfig is the member template. Every member engine runs it
 	// restricted to the extenders the ring assigns that member, so its
 	// Owned must stay empty. Seed roots the ring's virtual-node
@@ -207,7 +204,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:    cfg,
-		ring:   newRing(cfg.Seed, cfg.Shards, cfg.VirtualNodes),
+		ring:   newRing(cfg.Seed, cfg.Shards, DefaultVirtualNodes),
 		nextID: cfg.Shards,
 	}
 	for i := range c.stripes {

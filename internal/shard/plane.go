@@ -7,7 +7,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"time"
 
 	"github.com/plcwifi/wolt/internal/control"
 )
@@ -31,12 +30,10 @@ type PlaneConfig struct {
 	// ID), required in single-member mode so redirects can point across
 	// processes.
 	Peers []string
-	// PushQueueDepth, ReadTimeout, WriteTimeout and Logger are passed to
-	// every member server (see control.ServerConfig).
-	PushQueueDepth int
-	ReadTimeout    time.Duration
-	WriteTimeout   time.Duration
-	Logger         *log.Logger
+	// Logger is passed to every member server (see
+	// control.ServerConfig); the servers' other settings keep their
+	// defaults.
+	Logger *log.Logger
 }
 
 // Plane is a sharded TCP control plane: one control.Server per hosted
@@ -69,7 +66,7 @@ func Listen(cfg PlaneConfig) (*Plane, error) {
 
 	p := &Plane{
 		cfg:     cfg,
-		ownerOf: newRing(cfg.Seed, cfg.Shards, cfg.VirtualNodes).OwnerMap(len(cfg.PLCCaps)),
+		ownerOf: newRing(cfg.Seed, cfg.Shards, DefaultVirtualNodes).OwnerMap(len(cfg.PLCCaps)),
 		addrs:   make([]string, cfg.Shards),
 		servers: make(map[int]*control.Server, cfg.Shards),
 	}
@@ -100,12 +97,9 @@ func Listen(cfg PlaneConfig) (*Plane, error) {
 			listenAddr = net.JoinHostPort(host, "0")
 		}
 		srv, err := control.NewServer(listenAddr, control.ServerConfig{
-			EngineConfig:   cfg.member(m, owned[m]),
-			PushQueueDepth: cfg.PushQueueDepth,
-			ReadTimeout:    cfg.ReadTimeout,
-			WriteTimeout:   cfg.WriteTimeout,
-			Redirect:       p.redirectFor(m),
-			Logger:         cfg.Logger,
+			EngineConfig: cfg.member(m, owned[m]),
+			Redirect:     p.redirectFor(m),
+			Logger:       cfg.Logger,
 		})
 		if err != nil {
 			_ = p.Close()

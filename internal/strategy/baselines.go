@@ -7,6 +7,7 @@ import (
 
 	"github.com/plcwifi/wolt/internal/baseline"
 	"github.com/plcwifi/wolt/internal/model"
+	"github.com/plcwifi/wolt/internal/seed"
 )
 
 func init() {
@@ -16,7 +17,9 @@ func init() {
 		return &addStrategy{cfg: cfg, name: "selfish", add: baseline.SelfishAddWith}
 	})
 	Register("optimal", func(cfg Config) Strategy { return &optimalStrategy{cfg: cfg} })
-	Register("random", func(cfg Config) Strategy { return &randomStrategy{cfg: cfg, rng: cfg.rng()} })
+	Register("random", func(cfg Config) Strategy {
+		return &randomStrategy{cfg: cfg, rng: seed.Rand(cfg.Seed, seed.StrategyRand, 0)}
+	})
 }
 
 // baselineStats is the Stats record of a single-phase strategy.
@@ -134,7 +137,7 @@ func (o *optimalStrategy) Name() string { return "optimal" }
 func (o *optimalStrategy) Solve(n *model.Network) (model.Assignment, error) {
 	start := time.Now()
 	o.search.ResetStats()
-	assign, _, err := baseline.OptimalBoundedWith(&o.search, n, o.cfg.ModelOpts, o.cfg.Optimal)
+	assign, _, err := baseline.OptimalBoundedWith(&o.search, n, o.cfg.ModelOpts, baseline.DefaultOptimalLimits)
 	if err != nil {
 		return nil, err
 	}

@@ -43,11 +43,6 @@ func newLocalSearch(name string, method localsearch.Method) Factory {
 			// annealing temperature all follow the utility's Score.
 			opts.Model.Utility = model.AlphaFair(cfg.Alpha)
 		}
-		if method == localsearch.Annealing {
-			// Only the annealer draws randomness; hand it the
-			// instance rng so Config.Rng keeps working.
-			opts.Rng = cfg.Rng
-		}
 		return &lsStrategy{name: name, method: method, cfg: cfg, opts: opts}
 	}
 }

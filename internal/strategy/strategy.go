@@ -23,15 +23,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
-	"github.com/plcwifi/wolt/internal/baseline"
-	"github.com/plcwifi/wolt/internal/core"
 	"github.com/plcwifi/wolt/internal/localsearch"
 	"github.com/plcwifi/wolt/internal/model"
-	"github.com/plcwifi/wolt/internal/seed"
 )
 
 // Budget is the one budget vocabulary shared by every budget-aware
@@ -88,7 +84,7 @@ type Stats struct {
 	// Phase1Users is the number of users pinned by Phase I.
 	Phase1Users int
 	// HungarianAugmentations counts Phase I's shortest-augmenting-path
-	// steps (zero for the auction solver and the baselines).
+	// steps (zero for the baselines).
 	HungarianAugmentations int
 	// Phase2Iterations and PolishSweeps are the projected-gradient
 	// iteration count and the discrete polish sweep count of Phase II.
@@ -140,8 +136,6 @@ type Config struct {
 	// strategies (greedy, selfish, optimal, wolt-incremental's candidate
 	// moves, the local-search family).
 	ModelOpts model.Options
-	// Core tunes the WOLT variants' two-phase solver.
-	Core core.Options
 	// Workers bounds intra-solve parallelism of WOLT's Phase II; <= 0 or
 	// 1 solves sequentially. Results are bit-identical for every value
 	// (DESIGN.md §7). It is deliberately NOT defaulted to NumCPU: under
@@ -154,12 +148,10 @@ type Config struct {
 	// non-zero. Fixed-utility strategies (wolt, wolt-pf) ignore
 	// it.
 	Alpha float64
-	// Seed derives the instance's private rng when Rng is nil.
+	// Seed roots the private rng of the randomized strategies: random
+	// draws from one per instance, wolt-anneal restarts one per search.
+	// Their draws thus depend only on Seed, never on other instances.
 	Seed int64
-	// Rng, when non-nil, is used directly by randomized strategies.
-	// Sharing one rng across instances serializes them (draw order then
-	// depends on call order); prefer Seed for parallel use.
-	Rng *rand.Rand
 	// Budget bounds the work of budget-aware strategies: the
 	// local-search family (wolt-hillclimb, wolt-kopt, wolt-anneal)
 	// honors all three dimensions per Solve/Reassign, and
@@ -172,20 +164,8 @@ type Config struct {
 	// best-so-far valid assignment is returned (the anytime contract,
 	// DESIGN.md §11). Other strategies ignore it.
 	Ctx context.Context
-	// Optimal bounds the exhaustive strategy's instance sizes; zero
-	// fields use baseline.DefaultOptimalLimits.
-	Optimal baseline.OptimalLimits
 	// Observer receives per-solve Stats; nil disables instrumentation.
 	Observer Observer
-}
-
-// rng returns the instance's random source: Config.Rng when set, else a
-// private rng on the dedicated StrategyRand stream of Config.Seed.
-func (c Config) rng() *rand.Rand {
-	if c.Rng != nil {
-		return c.Rng
-	}
-	return seed.Rand(c.Seed, seed.StrategyRand, 0)
 }
 
 // adopt copies a full recompute's result into prev, the in-place form of

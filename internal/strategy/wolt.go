@@ -33,17 +33,11 @@ func init() {
 }
 
 // coreOptions derives the two-phase solver options of a WOLT variant:
-// the named variant's Phase II engine overrides Config.Core.Solver, and
-// Config.Workers flows into the NLP solver unless the caller tuned
-// NLP.Workers explicitly.
+// its Phase II engine (zero means projected gradient) and Config.Workers
+// as the NLP solver's worker bound.
 func coreOptions(cfg Config, solver core.Phase2Solver) core.Options {
-	opts := cfg.Core
-	if solver != 0 {
-		opts.Solver = solver
-	}
-	if opts.NLP.Workers == 0 {
-		opts.NLP.Workers = cfg.Workers
-	}
+	opts := core.Options{Solver: solver}
+	opts.NLP.Workers = cfg.Workers
 	return opts
 }
 
@@ -79,15 +73,11 @@ type woltStrategy struct {
 }
 
 // newWOLT builds the factory of a two-phase variant. A zero solver
-// keeps Config.Core.Solver (defaulting to projected gradient); a zero
-// utility keeps Config.Core.Utility, so the plain variants stay
-// bit-identical to the pre-utility registry.
+// means projected gradient; the zero utility is the paper's sum-rate.
 func newWOLT(name string, solver core.Phase2Solver, utility model.Utility) Factory {
 	return func(cfg Config) Strategy {
 		opts := coreOptions(cfg, solver)
-		if !utility.IsSumRate() {
-			opts.Utility = utility
-		}
+		opts.Utility = utility
 		return &woltStrategy{name: name, cfg: cfg, opts: opts}
 	}
 }

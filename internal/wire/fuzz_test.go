@@ -27,12 +27,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, code byte, userID, extender int64, reassoc bool,
 		addr, errStr string, ratesRaw, rssiRaw []byte, withStats bool,
 		policy string, statA, statB int64) {
-		typ, err := codeType(code%9 + 1)
-		if err != nil {
-			t.Fatalf("in-range code rejected: %v", err)
-		}
 		in := Message{
-			Type:          typ,
+			Type:          MsgType(code%9 + 1),
 			UserID:        int(userID),
 			Extender:      int(extender),
 			Reassociation: reassoc,

@@ -52,37 +52,65 @@ const (
 // is rejected before any allocation happens.
 const MaxFrame = 1 << 26
 
-// MsgType discriminates protocol messages.
-type MsgType string
+// MsgType discriminates protocol messages. Its value is the frame's
+// type byte; code 0 is reserved so a zeroed header byte is always
+// invalid.
+type MsgType byte
 
-// Message types exchanged between agents and the controller.
+// Message types exchanged between agents and the controller. Their
+// values are the wire codes 1–9 (join=1 … error=9), so the order below
+// is part of the frame format.
 const (
 	// MsgJoin is sent by an agent when it needs an association. It
 	// carries the agent's user ID and its scan report.
-	MsgJoin MsgType = "join"
+	MsgJoin MsgType = iota + 1
 	// MsgLeave is sent by an agent that is disconnecting.
-	MsgLeave MsgType = "leave"
+	MsgLeave
 	// MsgUpdate is sent by an associated agent whose radio environment
 	// changed (mobility): it carries a fresh scan report. The controller
 	// may push re-association directives in response.
-	MsgUpdate MsgType = "update"
+	MsgUpdate
 	// MsgAssociate is sent by the CC to direct an agent to an extender.
-	MsgAssociate MsgType = "associate"
+	MsgAssociate
 	// MsgRedirect is sent by a shard-member CC that does not own the
 	// joining user's best-rate extender: Addr names the member that does,
 	// and the agent re-sends its join there (cross-shard handoff).
-	MsgRedirect MsgType = "redirect"
+	MsgRedirect
 	// MsgPing is an agent keepalive. The controller ignores it, but the
 	// bytes reset the server-side read deadline, so a healthy idle agent
 	// is never dropped as stalled.
-	MsgPing MsgType = "ping"
+	MsgPing
 	// MsgStats asks the CC for a snapshot of controller statistics.
-	MsgStats MsgType = "stats"
+	MsgStats
 	// MsgStatsReply answers MsgStats.
-	MsgStatsReply MsgType = "stats_reply"
+	MsgStatsReply
 	// MsgError reports a protocol or policy failure to the agent.
-	MsgError MsgType = "error"
+	MsgError
 )
+
+// msgNames names each message type by code, for error messages.
+var msgNames = [...]string{
+	MsgJoin:       "join",
+	MsgLeave:      "leave",
+	MsgUpdate:     "update",
+	MsgAssociate:  "associate",
+	MsgRedirect:   "redirect",
+	MsgPing:       "ping",
+	MsgStats:      "stats",
+	MsgStatsReply: "stats_reply",
+	MsgError:      "error",
+}
+
+// valid reports whether t is one of the protocol's message types.
+func (t MsgType) valid() bool { return t >= MsgJoin && t <= MsgError }
+
+// String names the message type; an unknown code prints as its number.
+func (t MsgType) String() string {
+	if t.valid() {
+		return msgNames[t]
+	}
+	return fmt.Sprintf("MsgType(%d)", byte(t))
+}
 
 // Message is the single wire format; fields are used according to Type.
 type Message struct {
@@ -129,70 +157,17 @@ type Stats struct {
 	Assignment    map[int]int
 }
 
-// typeCode maps a MsgType to its one-byte wire code. Code 0 is reserved
-// so a zeroed header byte is always invalid.
-func typeCode(t MsgType) (byte, error) {
-	switch t {
-	case MsgJoin:
-		return 1, nil
-	case MsgLeave:
-		return 2, nil
-	case MsgUpdate:
-		return 3, nil
-	case MsgAssociate:
-		return 4, nil
-	case MsgRedirect:
-		return 5, nil
-	case MsgPing:
-		return 6, nil
-	case MsgStats:
-		return 7, nil
-	case MsgStatsReply:
-		return 8, nil
-	case MsgError:
-		return 9, nil
-	}
-	return 0, fmt.Errorf("wire: unencodable message type %q", t)
-}
-
-// codeType is typeCode's inverse; the returned MsgType values are the
-// package constants, so decoding a type never allocates.
-func codeType(c byte) (MsgType, error) {
-	switch c {
-	case 1:
-		return MsgJoin, nil
-	case 2:
-		return MsgLeave, nil
-	case 3:
-		return MsgUpdate, nil
-	case 4:
-		return MsgAssociate, nil
-	case 5:
-		return MsgRedirect, nil
-	case 6:
-		return MsgPing, nil
-	case 7:
-		return MsgStats, nil
-	case 8:
-		return MsgStatsReply, nil
-	case 9:
-		return MsgError, nil
-	}
-	return "", fmt.Errorf("wire: unknown message type code %d", c)
-}
-
 // AppendFrame appends m's complete frame (length header included) to dst
 // and returns the extended slice. It allocates only when dst lacks
 // capacity, so a conn reusing its buffer encodes at 0 allocs/op. The
 // one encode error is a Type outside the protocol's message set; dst is
 // returned unextended then.
 func AppendFrame(dst []byte, m *Message) ([]byte, error) {
-	code, err := typeCode(m.Type)
-	if err != nil {
-		return dst, err
+	if !m.Type.valid() {
+		return dst, fmt.Errorf("wire: unencodable message type %q", m.Type)
 	}
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, code)
+	dst = append(dst, 0, 0, 0, 0, byte(m.Type))
 	dst = binary.AppendVarint(dst, int64(m.UserID))
 	dst = binary.AppendVarint(dst, int64(m.Extender))
 	dst = appendBool(dst, m.Reassociation)
@@ -355,9 +330,9 @@ func DecodeFrame(body []byte, m *Message) error {
 	if len(body) < 1 {
 		return fmt.Errorf("wire: empty frame")
 	}
-	t, err := codeType(body[0])
-	if err != nil {
-		return err
+	t := MsgType(body[0])
+	if !t.valid() {
+		return fmt.Errorf("wire: unknown message type code %d", body[0])
 	}
 	r := frameReader{p: body, off: 1}
 	m.Type = t

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -187,6 +188,12 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	trailing := append(append([]byte(nil), good...), 0xFF)
 	binary.LittleEndian.PutUint32(trailing, uint32(len(trailing)-4))
 	cases["trailing bytes"] = trailing
+	// An otherwise valid frame whose type byte is outside 1–9.
+	for _, code := range []byte{0, 10, 255} {
+		bad := append([]byte(nil), good...)
+		bad[4] = code
+		cases[fmt.Sprintf("type code %d", code)] = bad
+	}
 	// A rates count larger than the remaining payload could hold must be
 	// rejected before any allocation.
 	hostile := []byte{4, 200, 255, 255, 255, 255, 255, 255, 255, 255}
@@ -213,11 +220,13 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 
 func TestEncodeRejectsUnknownType(t *testing.T) {
 	buf := []byte{1, 2, 3}
-	out, err := AppendFrame(buf, &Message{Type: MsgType("bogus")})
-	if err == nil || !strings.Contains(err.Error(), "unencodable") {
-		t.Fatalf("encode of unknown type: err=%v", err)
-	}
-	if len(out) != len(buf) {
-		t.Errorf("failed encode extended the buffer: %d -> %d bytes", len(buf), len(out))
+	for _, typ := range []MsgType{0, MsgError + 1, 255} {
+		out, err := AppendFrame(buf, &Message{Type: typ})
+		if err == nil || !strings.Contains(err.Error(), "unencodable") {
+			t.Fatalf("encode of type code %d: err=%v", byte(typ), err)
+		}
+		if len(out) != len(buf) {
+			t.Errorf("failed encode of type code %d extended the buffer: %d -> %d bytes", byte(typ), len(buf), len(out))
+		}
 	}
 }

@@ -86,14 +86,6 @@ const (
 	Phase2Coordinate = core.Phase2Coordinate
 )
 
-// Phase I solver choices.
-const (
-	// Phase1Hungarian is the paper's O(|A|³) assignment solver. Default.
-	Phase1Hungarian = core.Phase1Hungarian
-	// Phase1Auction uses Bertsekas' auction algorithm.
-	Phase1Auction = core.Phase1Auction
-)
-
 // IncrementalResult is the outcome of a budgeted re-association.
 type IncrementalResult = core.IncrementalResult
 
