@@ -53,8 +53,10 @@ type Agent struct {
 	// Replaced with the connection on a redirect.
 	readerDone chan struct{}
 
-	done     chan struct{}
-	stopOnce sync.Once
+	// keepalive fires ping every keepaliveInterval; stopped (under mu)
+	// keeps ping from re-arming it once Leave or Close has stopped it.
+	keepalive *time.Timer
+	stopped   bool
 }
 
 // Dial connects an agent to the controller at addr.
@@ -63,6 +65,12 @@ func Dial(addr string, userID int) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newAgent(wc, userID), nil
+}
+
+// newAgent starts an agent on a dialed connection: its read loop and
+// its keepalive timer.
+func newAgent(wc *wireConn, userID int) *Agent {
 	a := &Agent{
 		userID:       userID,
 		wc:           wc,
@@ -70,14 +78,16 @@ func Dial(addr string, userID int) (*Agent, error) {
 		directives:   make(chan Message, 16),
 		statsReplies: make(chan Message, 16),
 		readerDone:   make(chan struct{}),
-		done:         make(chan struct{}),
 	}
 	go a.readLoop(wc, a.directives, a.statsReplies, a.readerDone)
-	go a.keepaliveLoop()
-	return a, nil
+	a.mu.Lock()
+	a.keepalive = time.AfterFunc(keepaliveInterval, a.ping)
+	a.mu.Unlock()
+	return a
 }
 
-// dialAddr opens a TCP connection to addr and sends the wire hello.
+// dialAddr opens a TCP connection to addr; the wire hello leads the
+// agent's first message.
 func dialAddr(addr string) (*wireConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
@@ -87,7 +97,7 @@ func dialAddr(addr string) (*wireConn, error) {
 }
 
 // send writes a message on the agent's current connection; wireConn
-// serializes concurrent writers (keepalive vs Join/UpdateScan).
+// serializes concurrent writers (a keepalive ping vs Join/UpdateScan).
 func (a *Agent) send(m Message) error {
 	a.mu.Lock()
 	wc := a.wc
@@ -154,21 +164,28 @@ func (a *Agent) readLoop(wc *wireConn, directives, statsReplies chan Message, re
 	}
 }
 
-// keepaliveLoop pings the controller while the agent is alive, so the
-// server's per-read deadline never drops a healthy idle connection.
-func (a *Agent) keepaliveLoop() {
-	ticker := time.NewTicker(keepaliveInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-a.done:
-			return
-		case <-ticker.C:
-			// A failed ping means the connection is gone; the read loop
-			// observes that independently.
-			_ = a.send(Message{Type: MsgPing})
-		}
+// ping keeps the agent's connection alive, so the server's per-read
+// deadline never drops a healthy idle connection, and re-arms the
+// keepalive timer until Leave or Close stops it. The timer holds no
+// goroutine between pings.
+func (a *Agent) ping() {
+	// A failed ping means the connection is gone; the read loop
+	// observes that independently.
+	_ = a.send(Message{Type: MsgPing})
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.stopped {
+		a.keepalive.Reset(keepaliveInterval)
 	}
+}
+
+// stopKeepalive stops the keepalive for good; a ping already running
+// does not re-arm it.
+func (a *Agent) stopKeepalive() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.stopped = true
+	a.keepalive.Stop()
 }
 
 // redial replaces the agent's connection with one to addr (following a
@@ -349,7 +366,7 @@ func (a *Agent) UpdateScan(rates, rssi []float64) error {
 // releases its side when it sees that, and Closed fires. Leave does not
 // wait for it.
 func (a *Agent) Leave() error {
-	a.stopOnce.Do(func() { close(a.done) })
+	a.stopKeepalive()
 	if err := a.send(Message{Type: MsgLeave, UserID: a.userID}); err != nil {
 		_ = a.Close()
 		return err
@@ -369,7 +386,7 @@ func (a *Agent) Closed() <-chan struct{} {
 // Close tears the connection down without a leave message (an abrupt
 // disconnect, which the controller also treats as a departure).
 func (a *Agent) Close() error {
-	a.stopOnce.Do(func() { close(a.done) })
+	a.stopKeepalive()
 	a.mu.Lock()
 	wc, readerDone := a.wc, a.readerDone
 	a.mu.Unlock()

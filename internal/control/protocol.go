@@ -23,6 +23,7 @@ package control
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -60,7 +61,8 @@ type Stats = wire.Stats
 // A connection whose first byte is not the hello, or whose version this
 // server does not speak, is refused and the caller closes it. The read
 // honors readTimeout so a connect-and-say-nothing client cannot pin the
-// handler goroutine.
+// handler goroutine. The error wraps io.EOF only when the peer closed
+// before sending a byte; a close inside the hello is io.ErrUnexpectedEOF.
 func handshake(c net.Conn, readTimeout, writeTimeout time.Duration) (*wireConn, error) {
 	if readTimeout > 0 {
 		if err := c.SetReadDeadline(time.Now().Add(readTimeout)); err != nil {
@@ -77,6 +79,9 @@ func handshake(c net.Conn, readTimeout, writeTimeout time.Duration) (*wireConn, 
 	}
 	version, err := br.ReadByte()
 	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("control: handshake read: %w", err)
 	}
 	if version != wire.Version1 {
@@ -97,7 +102,8 @@ const connReadBuf = 1024
 // wireConn wraps a TCP connection with the internal/wire binary
 // framing. sendMu serializes writers (the server's outbound writer
 // goroutine vs the handler's direct replies; the agent's keepalive
-// ticker vs Join/UpdateScan) and guards the reused encode buffer.
+// timer vs Join/UpdateScan) and guards the reused encode buffer and the
+// pending hello.
 // recvMsg/recvBuf are the decode scratch: recv is only ever called from
 // one goroutine (the server handler or the agent read loop), and each
 // returned Message is consumed before the next recv, so its slices may
@@ -109,6 +115,7 @@ type wireConn struct {
 
 	sendMu sync.Mutex
 	encBuf []byte
+	hello  bool // the client's hello is not sent yet; it leads the first write
 
 	recvMsg Message
 	recvBuf []byte
@@ -127,30 +134,47 @@ func newWireConn(c net.Conn, r *bufio.Reader) *wireConn {
 	return &wireConn{c: c, r: r}
 }
 
-// dialWireConn builds the client side of a connection: the two-byte
-// hello is written eagerly so the server's handshake completes before
-// the first frame arrives.
+// dialWireConn builds the client side of a connection. The two-byte
+// hello is not written on its own: it leads the first send or
+// sendBatch, so the byte stream is unchanged and a client's opening
+// message costs one write. It writes nothing, so it cannot fail; the
+// error result is always nil.
 func dialWireConn(c net.Conn) (*wireConn, error) {
-	if _, err := c.Write([]byte{wire.Hello, wire.Version1}); err != nil {
-		_ = c.Close()
-		return nil, fmt.Errorf("control: wire handshake: %w", err)
+	wc := newWireConn(c, nil)
+	wc.hello = true
+	return wc, nil
+}
+
+// start returns the encode buffer, emptied, with the pending hello at
+// its head. Callers hold sendMu.
+func (wc *wireConn) start() []byte {
+	buf := wc.encBuf[:0]
+	if wc.hello {
+		buf = append(buf, wire.Hello, wire.Version1)
 	}
-	return newWireConn(c, nil), nil
+	return buf
+}
+
+// write hands the encoded buffer to the kernel as one write; the hello,
+// if it led, is then sent. Callers hold sendMu.
+func (wc *wireConn) write(buf []byte) error {
+	wc.encBuf = buf
+	if err := armWrite(wc.c, wc.writeTimeout); err != nil {
+		return err
+	}
+	wc.hello = false
+	_, err := wc.c.Write(buf)
+	return err
 }
 
 func (wc *wireConn) send(m Message) error {
 	wc.sendMu.Lock()
 	defer wc.sendMu.Unlock()
-	var err error
-	wc.encBuf, err = wire.AppendFrame(wc.encBuf[:0], &m)
+	buf, err := wire.AppendFrame(wc.start(), &m)
 	if err != nil {
 		return err
 	}
-	if err := armWrite(wc.c, wc.writeTimeout); err != nil {
-		return err
-	}
-	_, err = wc.c.Write(wc.encBuf)
-	return err
+	return wc.write(buf)
 }
 
 // sendBatch coalesces a burst of messages at the frame level: every
@@ -163,7 +187,7 @@ func (wc *wireConn) sendBatch(msgs []Message) error {
 	}
 	wc.sendMu.Lock()
 	defer wc.sendMu.Unlock()
-	buf := wc.encBuf[:0]
+	buf := wc.start()
 	var err error
 	for i := range msgs {
 		if buf, err = wire.AppendFrame(buf, &msgs[i]); err != nil {
@@ -171,12 +195,7 @@ func (wc *wireConn) sendBatch(msgs []Message) error {
 			return err
 		}
 	}
-	wc.encBuf = buf
-	if err := armWrite(wc.c, wc.writeTimeout); err != nil {
-		return err
-	}
-	_, err = wc.c.Write(buf)
-	return err
+	return wc.write(buf)
 }
 
 func (wc *wireConn) recv() (Message, error) {

@@ -1,7 +1,9 @@
 package control
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -76,17 +78,21 @@ type Server struct {
 
 // serverConn is one accepted connection: the raw conn (registered
 // before the handshake so Close can unblock the handshake read), the
-// framed wireConn, and a bounded outbound queue drained by a
-// dedicated writer goroutine. The queue decouples the engine's
-// lock-ordered push path from each socket's drain rate: a stalled
-// reader fills its own queue and starts shedding directives instead of
-// blocking pushes to everyone else behind its write deadline.
+// framed wireConn and, from the first push that has to queue, a
+// bounded outbound queue drained by a dedicated writer goroutine. The
+// queue decouples the engine's lock-ordered push path from each
+// socket's drain rate: a stalled reader fills its own queue and starts
+// shedding directives instead of blocking pushes to everyone else
+// behind its write deadline. Most connections never get one: the join
+// reply is written inline (Server.deliver), and only a re-association
+// or a departure's rebalance queues.
 type serverConn struct {
 	c  net.Conn
-	wc *wireConn // set by handle after the handshake, before the writer starts
+	wc *wireConn // set by handle after the handshake, before any write
 
 	outMu     sync.Mutex
-	out       chan []Message
+	out       chan []Message // nil until the first queued push starts the writer
+	wrote     bool           // the server has written to the socket
 	outClosed bool
 
 	// dead flips after the first write error so queued batches behind it
@@ -94,30 +100,27 @@ type serverConn struct {
 	dead atomic.Bool
 }
 
-// enqueue hands a batch to the connection's writer without blocking.
-// It reports how many directives were shed (queue full); a closed
-// outbox (connection tearing down) sheds silently — those users are
-// departing, not stalled.
-func (sc *serverConn) enqueue(msgs []Message) (dropped int) {
+// reply writes a handler reply (redirect, error, stats) directly. It
+// counts as a server write: the socket's send buffer may no longer be
+// empty, so a later join reply on this connection takes the queue.
+func (sc *serverConn) reply(m Message) error {
 	sc.outMu.Lock()
-	defer sc.outMu.Unlock()
-	if sc.outClosed {
-		return 0
-	}
-	select {
-	case sc.out <- msgs:
-		return 0
-	default:
-		return len(msgs)
-	}
+	sc.wrote = true
+	sc.outMu.Unlock()
+	return sc.wc.send(m)
 }
 
+// closeOutbox stops the connection's writer, if one was ever started;
+// pushes after it are shed silently — those users are departing, not
+// stalled.
 func (sc *serverConn) closeOutbox() {
 	sc.outMu.Lock()
 	defer sc.outMu.Unlock()
 	if !sc.outClosed {
 		sc.outClosed = true
-		close(sc.out)
+		if sc.out != nil {
+			close(sc.out)
+		}
 	}
 }
 
@@ -207,7 +210,7 @@ func (s *Server) acceptLoop() {
 				return
 			}
 		}
-		sc := &serverConn{c: conn, out: make(chan []Message, s.cfg.PushQueueDepth)}
+		sc := &serverConn{c: conn}
 		s.wg.Add(1)
 		go s.handle(sc)
 	}
@@ -216,9 +219,9 @@ func (s *Server) acceptLoop() {
 // connWriter drains one connection's outbound queue. Batches enqueued
 // after a write error are skipped (not re-counted as drops — the
 // handler is already tearing the connection down as a departure).
-func (s *Server) connWriter(sc *serverConn) {
+func (s *Server) connWriter(sc *serverConn, out <-chan []Message) {
 	defer s.wg.Done()
-	for msgs := range sc.out {
+	for msgs := range out {
 		if sc.dead.Load() {
 			continue
 		}
@@ -257,12 +260,15 @@ func (s *Server) handle(sc *serverConn) {
 	}
 	wc, err := handshake(sc.c, s.cfg.ReadTimeout, s.cfg.WriteTimeout)
 	if err != nil {
-		s.logf("handshake: %v", err)
+		// An agent's hello rides with its first frame, so one that
+		// closes before sending anything ends here at EOF: a quiet
+		// close, not a failed handshake.
+		if !errors.Is(err, io.EOF) {
+			s.logf("handshake: %v", err)
+		}
 		return
 	}
 	sc.wc = wc
-	s.wg.Add(1)
-	go s.connWriter(sc)
 	var joinedUser = -1
 	for {
 		msg, err := wc.recv()
@@ -276,24 +282,30 @@ func (s *Server) handle(sc *serverConn) {
 		}
 		switch msg.Type {
 		case MsgJoin:
+			// One user per connection: the close that departs it
+			// removes only joinedUser.
+			if joinedUser >= 0 {
+				_ = sc.reply(Message{Type: MsgError, Error: fmt.Sprintf("connection already joined as user %d", joinedUser)})
+				continue
+			}
 			if s.cfg.Redirect != nil {
 				if addr, ok := s.cfg.Redirect(msg.UserID, msg.Rates); ok {
-					_ = wc.send(Message{Type: MsgRedirect, UserID: msg.UserID, Addr: addr})
+					_ = sc.reply(Message{Type: MsgRedirect, UserID: msg.UserID, Addr: addr})
 					continue
 				}
 			}
 			if err := s.join(sc, msg); err != nil {
-				_ = wc.send(Message{Type: MsgError, Error: err.Error()})
+				_ = sc.reply(Message{Type: MsgError, Error: err.Error()})
 				continue
 			}
 			joinedUser = msg.UserID
 		case MsgUpdate:
 			if joinedUser < 0 || msg.UserID != joinedUser {
-				_ = wc.send(Message{Type: MsgError, Error: "update before join"})
+				_ = sc.reply(Message{Type: MsgError, Error: "update before join"})
 				continue
 			}
 			if err := s.update(msg); err != nil {
-				_ = wc.send(Message{Type: MsgError, Error: err.Error()})
+				_ = sc.reply(Message{Type: MsgError, Error: err.Error()})
 			}
 		case MsgLeave:
 			if joinedUser >= 0 {
@@ -305,17 +317,18 @@ func (s *Server) handle(sc *serverConn) {
 			// Keepalive: the read itself refreshed the deadline.
 		case MsgStats:
 			stats := s.StatsSnapshot()
-			if err := wc.send(Message{Type: MsgStatsReply, Stats: &stats}); err != nil {
+			if err := sc.reply(Message{Type: MsgStatsReply, Stats: &stats}); err != nil {
 				return
 			}
 		default:
-			_ = wc.send(Message{Type: MsgError, Error: fmt.Sprintf("unexpected message %q", msg.Type)})
+			_ = sc.reply(Message{Type: MsgError, Error: fmt.Sprintf("unexpected message %q", msg.Type)})
 		}
 	}
 }
 
 // join admits the agent through the engine and pushes the resulting
-// directives (the joining user's own directive included).
+// directives; the joining user's own batch is written inline when it
+// can be (deliver).
 func (s *Server) join(sc *serverConn, msg Message) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
@@ -326,7 +339,7 @@ func (s *Server) join(sc *serverConn, msg Message) error {
 	s.mu.Lock()
 	s.userConns[msg.UserID] = sc
 	s.mu.Unlock()
-	s.pushDirectives(dirs)
+	s.push(dirs, sc)
 	return nil
 }
 
@@ -364,18 +377,24 @@ func (s *Server) removeUser(id int, sc *serverConn) {
 
 // pushDirectives forwards engine directives to the affected agents'
 // connections. Callers hold opMu, which keeps pushes in engine order.
+func (s *Server) pushDirectives(dirs []Directive) {
+	s.push(dirs, nil)
+}
+
+// push is pushDirectives for an operation whose directives may include
+// a join reply: joining, when non-nil, is the connection that just
+// joined.
 //
 // A churn burst is coalesced: one pass under s.mu resolves every
 // directive's connection, directives sharing a connection are grouped
 // (preserving engine order within each), and each connection's batch is
-// handed to its writer goroutine as one unit — the writer turns it into
-// a single coalesced write. Enqueueing never blocks: each connection's
-// queue is bounded, and a slow reader's overflow is shed and counted
-// (Stats.DroppedPushes) rather than stalling every other agent's push
-// behind one stuck socket. Per-connection FIFO order is preserved by
-// the queue, so the directives an agent does receive are in engine
+// delivered as one unit — a single coalesced write. Nothing here blocks
+// on a slow reader: queues are bounded, and a slow reader's overflow is
+// shed and counted (Stats.DroppedPushes) rather than stalling every
+// other agent's push behind one stuck socket. Per-connection FIFO order
+// is preserved, so the directives an agent does receive are in engine
 // order even when some in between were shed.
-func (s *Server) pushDirectives(dirs []Directive) {
+func (s *Server) push(dirs []Directive, joining *serverConn) {
 	if len(dirs) == 0 {
 		return
 	}
@@ -413,10 +432,44 @@ func (s *Server) pushDirectives(dirs []Directive) {
 	}
 	s.mu.Unlock()
 	for i := range batches {
-		if dropped := batches[i].sc.enqueue(batches[i].msgs); dropped > 0 {
-			s.droppedPushes.Add(int64(dropped))
-			s.logf("push queue full: dropped %d directives", dropped)
+		s.deliver(batches[i].sc, batches[i].msgs, batches[i].sc == joining)
+	}
+}
+
+// deliver hands one connection's batch to its socket. A join reply
+// (joinReply) goes out inline when the connection has no writer and the
+// server has never written to it: the socket's send buffer is then
+// empty and the batch is one small frame, so the write cannot block
+// (WriteTimeout still bounds it). It finishes under opMu and outMu,
+// before any later push to the connection can queue, so engine order
+// holds. Every other batch goes through the connection's bounded
+// outbox, whose writer goroutine the first such batch starts.
+func (s *Server) deliver(sc *serverConn, msgs []Message, joinReply bool) {
+	sc.outMu.Lock()
+	defer sc.outMu.Unlock()
+	if sc.outClosed {
+		return
+	}
+	if joinReply && sc.out == nil && !sc.wrote {
+		sc.wrote = true
+		if err := sc.wc.sendBatch(msgs); err != nil {
+			sc.dead.Store(true)
+			s.logf("push %d directives: %v", len(msgs), err)
 		}
+		return
+	}
+	if sc.out == nil {
+		// The handler has not closed the outbox, so it has not returned
+		// and the WaitGroup is above zero: this Add cannot race Wait.
+		sc.out = make(chan []Message, s.cfg.PushQueueDepth)
+		s.wg.Add(1)
+		go s.connWriter(sc, sc.out)
+	}
+	select {
+	case sc.out <- msgs:
+	default:
+		s.droppedPushes.Add(int64(len(msgs)))
+		s.logf("push queue full: dropped %d directives", len(msgs))
 	}
 }
 

@@ -41,6 +41,7 @@ city      ./internal/city          CitySmoke
 city      ./internal/city          CitySustained|CityHeap     1x
 city      ./internal/control       EngineChurnEvent|EngineJoinLeave
 wire      ./internal/wire          WireEncodeDecode
+wire      ./internal/control       AgentLifecycle
 wire      ./internal/city          CityTCPSmoke
 wire      ./internal/city          CityTCP10K                 1x
 '
