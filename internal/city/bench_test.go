@@ -16,8 +16,9 @@ import (
 // latency percentiles, cross-shard handoff rate, the peak population
 // actually sustained and the peak heap per user of that population. A
 // run that sustains fewer than minPeak users fails: the acceptance
-// scale is part of the benchmark.
-func benchRun(b *testing.B, cfg Config, minPeak int) {
+// scale is part of the benchmark. It returns the largest heap per user
+// over the iterations.
+func benchRun(b *testing.B, cfg Config, minPeak int) (heapPerUser float64) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		runtime.GC() // start from the live heap, not an earlier run's garbage
@@ -36,8 +37,11 @@ func benchRun(b *testing.B, cfg Config, minPeak int) {
 		b.ReportMetric(res.HandoffRate, "handoff_rate")
 		b.ReportMetric(float64(res.PeakUsers), "users_peak")
 		b.ReportMetric(float64(res.Events), "events")
-		b.ReportMetric(float64(peak)/float64(res.PeakUsers), "heap_peak_B/user")
+		perUser := float64(peak) / float64(res.PeakUsers)
+		b.ReportMetric(perUser, "heap_peak_B/user")
+		heapPerUser = max(heapPerUser, perUser)
 	}
+	return heapPerUser
 }
 
 // watchHeap samples the bytes of heap objects (live, plus dead ones
@@ -120,15 +124,19 @@ func millionConfig() Config {
 
 // BenchmarkCityHeap prices the plane's memory: the 10^6-user
 // configuration cut to 20,000 users and a 2 s horizon, at 32 and 256
-// shards (128 and 1024 extenders). A stored scan is one float64 per
-// extender in the city, so heap_peak_B/user grows with the shard count
-// for as long as scans are stored dense.
+// shards (128 and 1024 extenders). A member engine stores only the
+// rates of the extenders it owns, so a user's stored scan does not
+// grow with the city and heap_peak_B/user stays flat across the two
+// sizes. The run fails above maxHeapPerUser at either size.
 func BenchmarkCityHeap(b *testing.B) {
+	const maxHeapPerUser = 2048
 	for _, shards := range []int{32, 256} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			cfg := millionConfig()
 			cfg.Shards, cfg.TargetUsers, cfg.Horizon = shards, 20_000, 2
-			benchRun(b, cfg, 20_000)
+			if got := benchRun(b, cfg, 20_000); got > maxHeapPerUser {
+				b.Fatalf("heap_peak_B/user = %.0f, want <= %d", got, maxHeapPerUser)
+			}
 		})
 	}
 }

@@ -45,7 +45,8 @@ type Agent struct {
 	// follows a redirect to another shard; always read them through
 	// dirCh/statsCh. Stats replies get their own channel so a concurrent
 	// WaitForMove (which drains directives) can never steal them — and
-	// vice versa.
+	// vice versa. One slot suffices: each Stats call waits for its
+	// reply before returning.
 	directives   chan Message
 	statsReplies chan Message
 	// readerDone is closed when the current connection's read loop
@@ -76,7 +77,7 @@ func newAgent(wc *wireConn, userID int) *Agent {
 		wc:           wc,
 		extender:     model.Unassigned,
 		directives:   make(chan Message, 16),
-		statsReplies: make(chan Message, 16),
+		statsReplies: make(chan Message, 1),
 		readerDone:   make(chan struct{}),
 	}
 	go a.readLoop(wc, a.directives, a.statsReplies, a.readerDone)
@@ -204,7 +205,7 @@ func (a *Agent) redial(addr string) error {
 		return fmt.Errorf("control: redirect to %s: %w", addr, err)
 	}
 	directives := make(chan Message, 16)
-	statsReplies := make(chan Message, 16)
+	statsReplies := make(chan Message, 1)
 	readerDone := make(chan struct{})
 	a.mu.Lock()
 	a.wc = wc

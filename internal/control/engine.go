@@ -88,7 +88,10 @@ type EngineConfig struct {
 //
 // The user table is a flat, ID-sorted row slice with pooled per-row
 // buffers rather than a map of heap nodes: a departed user's rate
-// vectors park at the slice tail and the next arrival reuses them. The
+// vectors park at the slice tail and the next arrival reuses them. A
+// row keeps only the owned-width projection of the user's scan: a
+// shard member owning k of the deployment's extenders stores k rates
+// per user, however wide the reports it is sent. The
 // model.Network the strategy sees and the working assignment are kept
 // in lockstep with the table: a join, leave or update is one logged row
 // edit (Network.InsertRow, RemoveRow, SetRow) plus the matching edit of
@@ -113,12 +116,8 @@ type Engine struct {
 	cfg    EngineConfig
 	policy string
 	// owned lists the global extender IDs this engine may assign, in
-	// increasing order: local extender l is global owned[l]. identity is
-	// true when the engine owns every extender in order (the common
-	// single-CC case), which lets the network rows alias per-user rate
-	// slices without projection.
-	owned    []int
-	identity bool
+	// increasing order: local extender l is global owned[l].
+	owned []int
 	// strategy is the policy instance (nil for PolicyRSSI, which places
 	// users by their reported signal instead). Only used under mu.
 	strategy strategy.Strategy
@@ -140,10 +139,10 @@ type Engine struct {
 	droppedReassigns int
 
 	// net and assign are the member's view the strategy works on, row
-	// for row in lockstep with rows: net's rows alias the table's rate
-	// buffers (owned-width projections for shard members) and assign
-	// holds each row's local extender index. Every table edit is the
-	// matching logged row edit of net.
+	// for row in lockstep with rows: net's rows alias the table's
+	// owned-width rate buffers and assign holds each row's local
+	// extender index. Every table edit is the matching logged row edit
+	// of net.
 	net    model.Network
 	assign model.Assignment
 	// directed is each row's last directed association (local extender
@@ -153,19 +152,20 @@ type Engine struct {
 	directed []int
 	// dirs collects an operation's directives before the returned copy.
 	dirs []Directive
-	// prevRates/prevRSSI snapshot a row's report across Update so a
-	// failed re-solve can restore it atomically.
+	// prevRates/prevRSSI snapshot a row's owned-width report across
+	// Update so a failed re-solve can restore it atomically.
 	prevRates, prevRSSI []float64
 }
 
-// userRow is one user's slot in the flat table. The slices keep their
-// capacity across occupants: global-width rates/rssi plus, for shard
-// members, the owned-subset projection the network rows alias.
+// userRow is one user's slot in the flat table. It stores only the
+// owned-width projection of the user's scan report: entry l is the
+// report's value for global extender owned[l], the rates of the
+// extenders this engine assigns, and the network row aliases rates. The
+// slices keep their capacity across occupants.
 type userRow struct {
 	id    int
-	rates []float64 // global width
-	rssi  []float64 // global width or empty
-	local []float64 // owned-width projection (nil in identity mode)
+	rates []float64 // owned width
+	rssi  []float64 // owned width, or empty when the report had none
 }
 
 // Directive is one association order produced by an engine operation:
@@ -247,7 +247,6 @@ func (e *Engine) resolveOwned(owned []int) error {
 			return fmt.Errorf("control: extender %d owned twice", g)
 		}
 	}
-	e.identity = len(e.owned) == numExt
 	return nil
 }
 
@@ -276,7 +275,7 @@ func (e *Engine) validateScan(userID int, rates, rssi []float64) error {
 			return nil
 		}
 	}
-	if e.identity {
+	if len(e.owned) == numExt {
 		return fmt.Errorf("user %d reaches no extender", userID)
 	}
 	return fmt.Errorf("user %d reaches no extender owned by this shard", userID)
@@ -289,36 +288,18 @@ func (e *Engine) rowIndex(userID int) (int, bool) {
 	return pos, pos < len(e.rows) && e.rows[pos].id == userID
 }
 
-// setReport copies a scan report into a row's pooled buffers and
-// refreshes the owned-subset projection.
+// setReport gathers the owned entries of a global-width scan report
+// into a row's pooled buffers.
 func (e *Engine) setReport(r *userRow, rates, rssi []float64) {
-	r.rates = append(r.rates[:0], rates...)
-	r.rssi = append(r.rssi[:0], rssi...)
-	e.project(r)
-}
-
-// netRow is the rate vector the network row of r aliases: the global
-// vector itself for identity engines, the owned-width projection
-// otherwise.
-func (e *Engine) netRow(r *userRow) []float64 {
-	if e.identity {
-		return r.rates
+	r.rates = r.rates[:0]
+	for _, g := range e.owned {
+		r.rates = append(r.rates, rates[g])
 	}
-	return r.local
-}
-
-// project refreshes a row's owned-width rate projection (no-op for
-// identity engines, whose network rows alias the global vector).
-func (e *Engine) project(r *userRow) {
-	if e.identity {
-		return
-	}
-	if cap(r.local) < len(e.owned) {
-		r.local = make([]float64, len(e.owned))
-	}
-	r.local = r.local[:len(e.owned)]
-	for l, g := range e.owned {
-		r.local[l] = r.rates[g]
+	r.rssi = r.rssi[:0]
+	if len(rssi) > 0 {
+		for _, g := range e.owned {
+			r.rssi = append(r.rssi, rssi[g])
+		}
 	}
 }
 
@@ -339,7 +320,7 @@ func (e *Engine) insertRow(pos, userID int, rates, rssi []float64) {
 	e.rows[pos] = spare
 	r := &e.rows[pos]
 	e.setReport(r, rates, rssi)
-	e.net.InsertRow(pos, e.netRow(r))
+	e.net.InsertRow(pos, r.rates)
 	e.assign = slices.Insert(e.assign, pos, model.Unassigned)
 	e.directed = slices.Insert(e.directed, pos, model.Unassigned)
 }
@@ -363,7 +344,7 @@ func (e *Engine) removeRow(pos int) {
 func (e *Engine) setRow(pos int, rates, rssi []float64) {
 	r := &e.rows[pos]
 	e.setReport(r, rates, rssi)
-	e.net.SetRow(pos, e.netRow(r))
+	e.net.SetRow(pos, r.rates)
 }
 
 // Join admits a user with its scan report, runs the policy and returns
@@ -447,7 +428,9 @@ func (e *Engine) Update(userID int, rates, rssi []float64) ([]Directive, error) 
 	}
 	dirs, err := e.solveLocked(pos, false)
 	if err != nil {
-		e.setRow(pos, e.prevRates, e.prevRSSI)
+		r.rates = append(r.rates[:0], e.prevRates...)
+		r.rssi = append(r.rssi[:0], e.prevRSSI...)
+		e.net.SetRow(pos, r.rates)
 		e.assign[pos] = prev
 		return nil, err
 	}
@@ -495,22 +478,6 @@ func (e *Engine) Extender(userID int) (int, bool) {
 		return model.Unassigned, false
 	}
 	return e.globalOf(e.directed[pos]), true
-}
-
-// AppendReport appends copies of the user's stored scan report (the
-// global-width rates and RSSI it last sent) to rates and rssi and
-// returns them with its directed global extender, so a caller can
-// replay the user's join on another engine. ok is false, and the
-// slices come back unchanged, when the user is not in the table.
-func (e *Engine) AppendReport(userID int, rates, rssi []float64) (_, _ []float64, extender int, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	pos, present := e.rowIndex(userID)
-	if !present {
-		return rates, rssi, model.Unassigned, false
-	}
-	r := &e.rows[pos]
-	return append(rates, r.rates...), append(rssi, r.rssi...), e.globalOf(e.directed[pos]), true
 }
 
 // Stats returns the engine's counters and current assignment (global
@@ -586,14 +553,13 @@ func (e *Engine) solveLocked(row int, placementOnly bool) ([]Directive, error) {
 // the user reaches.
 func (e *Engine) strongest(u *userRow) int {
 	best, bestSig := model.Unassigned, -1e18
-	for l, g := range e.owned {
-		r := u.rates[g]
+	for l, r := range u.rates {
 		if r <= 0 {
 			continue
 		}
 		sig := r
 		if len(u.rssi) == len(u.rates) {
-			sig = u.rssi[g]
+			sig = u.rssi[l]
 		}
 		if sig > bestSig {
 			best, bestSig = l, sig

@@ -311,63 +311,6 @@ func TestEngineOwnedSubset(t *testing.T) {
 	}
 }
 
-// TestEngineAppendReport pins the read accessor a shard coordinator
-// re-homes users through: it hands back copies of the stored
-// global-width scan and the directed extender, on identity and
-// owned-subset engines alike.
-func TestEngineAppendReport(t *testing.T) {
-	for name, owned := range map[string][]int{"identity": nil, "owned subset": {1, 2}} {
-		t.Run(name, func(t *testing.T) {
-			e, err := NewEngine(EngineConfig{PLCCaps: []float64{60, 20, 40}, Owned: owned, Policy: PolicyRSSI})
-			if err != nil {
-				t.Fatal(err)
-			}
-			check := func(wantRates, wantRSSI []float64, wantExt int) {
-				t.Helper()
-				// Appending keeps the caller's prefix.
-				rates, rssi, ext, ok := e.AppendReport(7, []float64{-1}, nil)
-				if !ok || ext != wantExt {
-					t.Fatalf("AppendReport = ext %d ok %v, want ext %d ok true", ext, ok, wantExt)
-				}
-				if !slices.Equal(rates, append([]float64{-1}, wantRates...)) || !slices.Equal(rssi, wantRSSI) {
-					t.Fatalf("AppendReport = rates %v rssi %v, want [-1 %v] and %v", rates, rssi, wantRates, wantRSSI)
-				}
-				// The slices are copies: scribbling on them leaves the
-				// stored report alone.
-				for i := range rates {
-					rates[i] = 99
-				}
-				for i := range rssi {
-					rssi[i] = 99
-				}
-				again, againRSSI, _, _ := e.AppendReport(7, nil, nil)
-				if !slices.Equal(again, wantRates) || !slices.Equal(againRSSI, wantRSSI) {
-					t.Fatalf("report changed to %v/%v after mutating the returned copies", again, againRSSI)
-				}
-			}
-			if _, err := e.Join(7, []float64{50, 12, 30}, []float64{-40, -70, -60}); err != nil {
-				t.Fatal(err)
-			}
-			// Identity engines direct to extender 0 (the strongest);
-			// the subset engine only owns 1 and 2.
-			wantExt := 0
-			if owned != nil {
-				wantExt = 2
-			}
-			check([]float64{50, 12, 30}, []float64{-40, -70, -60}, wantExt)
-			// An update without RSSI stores an empty RSSI vector.
-			if _, err := e.Update(7, []float64{0, 25, 5}, nil); err != nil {
-				t.Fatal(err)
-			}
-			check([]float64{0, 25, 5}, nil, 1)
-			e.Leave(7)
-			if rates, rssi, ext, ok := e.AppendReport(7, nil, nil); ok || rates != nil || rssi != nil || ext != model.Unassigned {
-				t.Errorf("after leave AppendReport = %v %v %d %v, want absent", rates, rssi, ext, ok)
-			}
-		})
-	}
-}
-
 // failingReassigner is a stub strategy whose re-solve always errors.
 // Engine tests live in package control, so they can swap it into
 // e.strategy to exercise the failure paths no registry strategy hits
@@ -386,36 +329,67 @@ func (f *failingReassigner) Reassign(*model.Network, model.Assignment) (model.As
 // restore the prior scan report, not leave fresh rates with a stale
 // assignment. Verified by breaking the strategy, pushing a poisoned
 // update, then healing the strategy and checking the next recompute
-// still sees the ORIGINAL rates (user stays on extender 0; with the
-// poisoned rates committed it would move to extender 1).
+// still sees the ORIGINAL rates (user stays on the Fig 3 network's
+// extender 0; with the poisoned rates committed it would move to
+// extender 1). The owned-subset engine sees the Fig 3 network as
+// global extenders 1 and 2 of three: its rows hold only those two
+// rates, so the rollback must restore the owned-width buffers.
 func TestEngineUpdateAtomic(t *testing.T) {
-	e := fig3Engine(t, PolicyWOLT)
-	if _, err := e.Join(1, []float64{50, 10}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if ext, _ := e.Extender(1); ext != 0 {
-		t.Fatalf("user 1 on extender %d, want 0", ext)
-	}
+	for _, tc := range []struct {
+		name  string
+		caps  []float64
+		owned []int
+		// scan lifts Fig 3 rates to the engine's global-width report.
+		scan func(a, b float64) []float64
+	}{
+		{"identity", []float64{60, 20}, nil,
+			func(a, b float64) []float64 { return []float64{a, b} }},
+		{"owned subset", []float64{30, 60, 20}, []int{1, 2},
+			func(a, b float64) []float64 { return []float64{70, a, b} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(EngineConfig{
+				PLCCaps:   tc.caps,
+				Owned:     tc.owned,
+				Policy:    PolicyWOLT,
+				ModelOpts: model.Options{Redistribute: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ext0 := e.owned[0]
+			if _, err := e.Join(1, tc.scan(50, 10), nil); err != nil {
+				t.Fatal(err)
+			}
+			if ext, _ := e.Extender(1); ext != ext0 {
+				t.Fatalf("user 1 on extender %d, want %d", ext, ext0)
+			}
 
-	healthy := e.strategy
-	boom := errors.New("solver exploded")
-	e.strategy = &failingReassigner{err: boom}
-	if _, err := e.Update(1, []float64{1, 55}, nil); !errors.Is(err, boom) {
-		t.Fatalf("poisoned update: got err %v, want %v", err, boom)
-	}
-	if ext, _ := e.Extender(1); ext != 0 {
-		t.Fatalf("failed update moved user to extender %d", ext)
-	}
+			healthy := e.strategy
+			boom := errors.New("solver exploded")
+			e.strategy = &failingReassigner{err: boom}
+			if _, err := e.Update(1, tc.scan(1, 55), nil); !errors.Is(err, boom) {
+				t.Fatalf("poisoned update: got err %v, want %v", err, boom)
+			}
+			if ext, _ := e.Extender(1); ext != ext0 {
+				t.Fatalf("failed update moved user to extender %d", ext)
+			}
+			if got := e.rows[0].rates; !slices.Equal(got, []float64{50, 10}) {
+				t.Fatalf("row after rollback = %v, want the owned-width [50 10]", got)
+			}
 
-	// Heal the strategy and trigger a recompute via a second user's
-	// arrival: if the failed update had committed rates {1, 55}, WOLT
-	// would now move user 1 to extender 1. With the rollback it stays.
-	e.strategy = healthy
-	if _, err := e.Join(2, []float64{40, 20}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if ext, _ := e.Extender(1); ext != 0 {
-		t.Errorf("user 1 on extender %d after rollback; poisoned rates leaked into the table", ext)
+			// Heal the strategy and trigger a recompute via a second
+			// user's arrival: if the failed update had committed rates
+			// {1, 55}, WOLT would now move user 1 off extender 0. With
+			// the rollback it stays.
+			e.strategy = healthy
+			if _, err := e.Join(2, tc.scan(40, 20), nil); err != nil {
+				t.Fatal(err)
+			}
+			if ext, _ := e.Extender(1); ext != ext0 {
+				t.Errorf("user 1 on extender %d after rollback; poisoned rates leaked into the table", ext)
+			}
+		})
 	}
 }
 

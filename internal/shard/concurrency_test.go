@@ -12,11 +12,12 @@ import (
 )
 
 // TestCoordinatorConcurrentStress drives concurrent Join/Update/Leave
-// traffic from several goroutines — plus mid-flight AddShard rebalances
-// and a Stats poller — against the lock-striped coordinator, then checks
-// that the merged counters add up and the final association is valid.
-// Run it under -race: the lock protocol (stripe → ascending member IDs,
-// stop-the-world rebalance) is exactly what it exercises.
+// traffic from several goroutines — plus a Stats poller — against the
+// lock-striped coordinator, then checks that the merged counters add
+// up, that Stats and StatsWithAssignment agree once traffic has
+// stopped, and that the final association is valid. Run it under
+// -race: the lock protocol (stripe → ascending member IDs, cross-shard
+// handoffs taking both member locks) is exactly what it exercises.
 func TestCoordinatorConcurrentStress(t *testing.T) {
 	const (
 		numExt    = 16
@@ -69,23 +70,11 @@ func TestCoordinatorConcurrentStress(t *testing.T) {
 				// members are visited one by one, so only weak sanity
 				// holds mid-flight.
 				st := coord.Stats()
-				if st.Users < 0 || st.Joins < 0 || st.Shards < 4 {
+				if st.Users < 0 || st.Joins < 0 {
 					t.Errorf("implausible mid-flight stats: %+v", st)
 					return
 				}
 				time.Sleep(time.Millisecond)
-			}
-		}
-	}()
-
-	// Two rebalances land while traffic is in flight.
-	traffic.Add(1)
-	go func() {
-		defer traffic.Done()
-		for i := 0; i < 2; i++ {
-			if _, _, err := coord.AddShard(); err != nil {
-				t.Errorf("AddShard: %v", err)
-				return
 			}
 		}
 	}()
@@ -128,7 +117,7 @@ func TestCoordinatorConcurrentStress(t *testing.T) {
 	}
 
 	const wantUsers = workers * (usersEach - leaveEach)
-	st := coord.StatsWithAssignment()
+	st := checkStatsAgree(t, coord)
 	if st.Joins != workers*usersEach {
 		t.Errorf("merged Joins = %d, want %d", st.Joins, workers*usersEach)
 	}
@@ -137,12 +126,6 @@ func TestCoordinatorConcurrentStress(t *testing.T) {
 	}
 	if st.Users != wantUsers {
 		t.Errorf("merged Users = %d, want %d", st.Users, wantUsers)
-	}
-	if st.Shards != 6 {
-		t.Errorf("Shards = %d, want 6 after two AddShards", st.Shards)
-	}
-	if got := coord.Epoch(); got != 3 {
-		t.Errorf("routing epoch = %d, want 3 (initial + two rebalances)", got)
 	}
 
 	// Final association validity: complete, in range, and in agreement

@@ -66,7 +66,7 @@ func Listen(cfg PlaneConfig) (*Plane, error) {
 
 	p := &Plane{
 		cfg:     cfg,
-		ownerOf: newRing(cfg.Seed, cfg.Shards, DefaultVirtualNodes).OwnerMap(len(cfg.PLCCaps)),
+		ownerOf: OwnerMapFor(cfg.Seed, cfg.Shards, DefaultVirtualNodes, len(cfg.PLCCaps)),
 		addrs:   make([]string, cfg.Shards),
 		servers: make(map[int]*control.Server, cfg.Shards),
 	}
@@ -78,7 +78,7 @@ func Listen(cfg PlaneConfig) (*Plane, error) {
 			p.members = append(p.members, m)
 		}
 	}
-	owned := ownedSets(p.members, p.ownerOf)
+	owned := ownedSets(cfg.Shards, p.ownerOf)
 
 	host, basePort, err := splitHostPort(cfg.Addr)
 	if err != nil {

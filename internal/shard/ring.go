@@ -4,16 +4,18 @@
 //
 // A deterministic consistent-hash ring (seeded via internal/seed, with
 // virtual nodes) assigns every extender to exactly one shard member.
-// Each member runs a transport-free control.Engine restricted to its
-// owned extenders. Both compositions below are configured by one Config
-// whose embedded control.EngineConfig is the member template (member m
-// runs it over its owned extenders with seed.Derive(Seed, ShardEngine,
-// m)), and both route by one rule, OwnerForRates: a user belongs to the
-// member owning its best-rate extender.
+// Membership is static: the ring holds members 0..Shards-1, fixed when
+// the plane is built. Each member runs a transport-free control.Engine
+// restricted to its owned extenders. Both compositions below are
+// configured by one Config whose embedded control.EngineConfig is the
+// member template (member m runs it over its owned extenders with
+// seed.Derive(Seed, ShardEngine, m)), and both route by one rule,
+// OwnerForRates: a user belongs to the member owning its best-rate
+// extender.
 //
 //   - Coordinator: N in-process engines behind one API, with cross-shard
-//     handoffs on scan updates and rebalancing when a shard joins or
-//     leaves. Used by the "shard" experiment and the integration tests.
+//     handoffs on scan updates. Used by the "shard" experiment, the city
+//     harness and the integration tests.
 //   - Plane: N TCP control.Servers (one process or one member per
 //     process; PlaneConfig adds the listen addresses and socket knobs)
 //     that bounce mis-routed joins to the owning member with typed
@@ -36,121 +38,73 @@ import (
 
 // DefaultVirtualNodes is the per-member virtual node count. 64 vnodes
 // keep the expected ownership imbalance below ~15% for small member
-// counts while keeping ring rebuilds cheap.
+// counts while keeping ring builds cheap.
 const DefaultVirtualNodes = 64
-
-// Ring is a deterministic consistent-hash ring mapping extenders to
-// shard members. It is not safe for concurrent mutation; the coordinator
-// guards it with its own lock.
-type Ring struct {
-	base   int64
-	vnodes int
-	points []ringPoint
-}
 
 type ringPoint struct {
 	hash   uint64
 	member int
 }
 
-// NewRing creates an empty ring rooted at the given seed. vnodes <= 0
-// selects DefaultVirtualNodes.
-func NewRing(base int64, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	return &Ring{base: base, vnodes: vnodes}
-}
-
-// Add places a member's virtual nodes on the ring. Adding an existing
-// member is a no-op.
-func (r *Ring) Add(member int) {
-	for _, p := range r.points {
-		if p.member == member {
-			return
+// ringPoints places the virtual nodes of members 0..shards-1 on the
+// ring rooted at base, sorted by hash (ties to the lower member ID).
+func ringPoints(base int64, shards, vnodes int) []ringPoint {
+	points := make([]ringPoint, 0, shards*vnodes)
+	for m := 0; m < shards; m++ {
+		for v := 0; v < vnodes; v++ {
+			idx := int64(m)*int64(vnodes) + int64(v)
+			h := uint64(seed.Derive(base, seed.ShardRing, idx))
+			points = append(points, ringPoint{hash: h, member: m})
 		}
 	}
-	for v := 0; v < r.vnodes; v++ {
-		idx := int64(member)*int64(r.vnodes) + int64(v)
-		h := uint64(seed.Derive(r.base, seed.ShardRing, idx))
-		r.points = append(r.points, ringPoint{hash: h, member: member})
-	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].hash != points[j].hash {
+			return points[i].hash < points[j].hash
 		}
-		return r.points[i].member < r.points[j].member
+		return points[i].member < points[j].member
 	})
+	return points
 }
 
-// Remove deletes a member's virtual nodes from the ring.
-func (r *Ring) Remove(member int) {
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
+// OwnerMapFor computes the deterministic extender→member map both
+// transports derive from (base seed, shards, virtualNodes): extender j
+// belongs to the successor of its key hash on the ring (wrapping
+// around), or -1 when the ring is empty. virtualNodes <= 0 selects
+// DefaultVirtualNodes. Any process sharing those three values routes
+// identically without asking the plane; clients use the map with
+// OwnerForRates to dial the owning member directly and skip the
+// redirect hop.
+func OwnerMapFor(base int64, shards, virtualNodes, numExtenders int) []int {
+	if virtualNodes <= 0 {
+		virtualNodes = DefaultVirtualNodes
 	}
-	r.points = kept
-}
-
-// Members returns the distinct member IDs on the ring, sorted.
-func (r *Ring) Members() []int {
-	set := map[int]struct{}{}
-	for _, p := range r.points {
-		set[p.member] = struct{}{}
-	}
-	out := make([]int, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Owner returns the member owning extender j: the successor of the
-// extender's key hash on the ring (wrapping around), or -1 on an empty
-// ring.
-func (r *Ring) Owner(extender int) int {
-	if len(r.points) == 0 {
-		return -1
-	}
-	key := uint64(seed.Derive(r.base, seed.ShardKey, int64(extender)))
-	i := sort.Search(len(r.points), func(i int) bool {
-		return r.points[i].hash >= key
-	})
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].member
-}
-
-// OwnerMap returns the extender→member map for numExtenders extenders.
-func (r *Ring) OwnerMap(numExtenders int) []int {
+	points := ringPoints(base, shards, virtualNodes)
 	owners := make([]int, numExtenders)
 	for j := range owners {
-		owners[j] = r.Owner(j)
+		if len(points) == 0 {
+			owners[j] = -1
+			continue
+		}
+		key := uint64(seed.Derive(base, seed.ShardKey, int64(j)))
+		i := sort.Search(len(points), func(i int) bool {
+			return points[i].hash >= key
+		})
+		if i == len(points) {
+			i = 0
+		}
+		owners[j] = points[i].member
 	}
 	return owners
 }
 
-// newRing builds the ring holding members 0..shards-1: the one
-// construction NewCoordinator, Listen and OwnerMapFor share.
-func newRing(base int64, shards, virtualNodes int) *Ring {
-	r := NewRing(base, virtualNodes)
-	for m := 0; m < shards; m++ {
-		r.Add(m)
+// ownedSets groups extenders by owning member, indexed by member ID;
+// a member owning nothing gets an empty entry.
+func ownedSets(shards int, ownerOf []int) [][]int {
+	sets := make([][]int, shards)
+	for j, m := range ownerOf {
+		sets[m] = append(sets[m], j)
 	}
-	return r
-}
-
-// OwnerMapFor recomputes the deterministic extender→member map both
-// transports derive from (seed, shards, virtualNodes): any process
-// sharing those three values routes identically without asking the
-// plane. Clients use it with OwnerForRates to dial the owning member
-// directly and skip the redirect hop.
-func OwnerMapFor(seed int64, shards, virtualNodes, numExtenders int) []int {
-	return newRing(seed, shards, virtualNodes).OwnerMap(numExtenders)
+	return sets
 }
 
 // OwnerForRates is the routing rule: a scan report belongs to the

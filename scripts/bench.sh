@@ -17,7 +17,8 @@
 #
 # Recording sets the WOLT_CITY_1M and WOLT_CITY_TCP gates of the two
 # long city runs unless the caller has set them; an empty value skips
-# that run (the 10^6-user city needs more than 8 GB of memory).
+# that run (on 2 vCPUs the 10^6-user city takes about a minute and
+# peaks near 0.5 GB of RSS).
 #
 # Usage:
 #   scripts/bench.sh SUITE|all [count]   record (count defaults to 3)
