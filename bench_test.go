@@ -329,7 +329,7 @@ func BenchmarkPhase1Coverage(b *testing.B) {
 		}
 		var agg float64
 		for i := 0; i < b.N; i++ {
-			sol, err := nlp.SolveCoordinate(nlp.Problem{Rates: n.WiFiRates, Fixed: free})
+			sol, err := nlp.SolveCoordinateWith(nlp.Problem{Rates: n.WiFiRates, Fixed: free}, nlp.SumThroughput)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -352,7 +352,7 @@ func BenchmarkHungarianScaling(b *testing.B) {
 		}
 		b.Run(benchName("n", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := hungarian.Minimize(cost); err != nil {
+				if _, _, err := new(hungarian.Workspace).Minimize(cost); err != nil {
 					b.Fatal(err)
 				}
 			}

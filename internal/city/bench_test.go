@@ -160,3 +160,16 @@ func BenchmarkCitySustained(b *testing.B) {
 		Seed:            2026,
 	}, 100_000)
 }
+
+// Run prepares and runs a city on its sharded plane in one call.
+func Run(cfg Config) (Result, error) {
+	c, err := New(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	coord, err := c.NewCoordinator()
+	if err != nil {
+		return Result{}, err
+	}
+	return c.Run(coord)
+}

@@ -218,19 +218,6 @@ type Result struct {
 	P99Latency  time.Duration
 }
 
-// ScrubHostMetrics zeroes the fields that measure this host rather than
-// the simulated system — Elapsed, JoinsPerSec and the latency
-// percentiles. Determinism comparisons (tests, the replay harness) call
-// it instead of hand-maintaining the field list; everything left is
-// bit-identical for a given Config in sequential mode.
-func (r *Result) ScrubHostMetrics() {
-	r.Elapsed = 0
-	r.JoinsPerSec = 0
-	r.P50Latency = 0
-	r.P99Latency = 0
-	r.DroppedPushes = 0
-}
-
 // City is a prepared run: deployment, churn trace and per-user streams,
 // reusable across planes (the differential test replays one City against
 // a sharded and a single-engine plane).
@@ -322,9 +309,6 @@ func (c *City) InitialUsers() int {
 	n := int(math.Round(c.cfg.InitialFill * float64(c.cfg.TargetUsers)))
 	return n
 }
-
-// TraceLen returns the churn trace's event count.
-func (c *City) TraceLen() int { return len(c.trace) }
 
 // engineConfig is the engine every plane of this city runs: the single
 // CC of NewEngine, and the member template of the sharded planes.
@@ -758,19 +742,6 @@ func (c *City) runConcurrent(plane Plane, res *Result, p50, p99 *stats.Quantile)
 		err = genErr
 	}
 	return present, err
-}
-
-// Run prepares and runs a city on its sharded plane in one call.
-func Run(cfg Config) (Result, error) {
-	c, err := New(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	coord, err := c.NewCoordinator()
-	if err != nil {
-		return Result{}, err
-	}
-	return c.Run(coord)
 }
 
 // roamHeap is a binary min-heap of user IDs ordered by their nextUpd

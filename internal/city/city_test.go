@@ -320,3 +320,16 @@ func TestCityReusableAcrossRuns(t *testing.T) {
 		t.Errorf("replay differs:\n 1st: %+v\n 2nd: %+v", results[0], results[1])
 	}
 }
+
+// ScrubHostMetrics zeroes the fields that measure this host rather than
+// the simulated system — Elapsed, JoinsPerSec and the latency
+// percentiles. Determinism comparisons call it instead of
+// hand-maintaining the field list; everything left is
+// bit-identical for a given Config in sequential mode.
+func (r *Result) ScrubHostMetrics() {
+	r.Elapsed = 0
+	r.JoinsPerSec = 0
+	r.P50Latency = 0
+	r.P99Latency = 0
+	r.DroppedPushes = 0
+}

@@ -294,15 +294,6 @@ func (a *Agent) Redirects() int {
 	return int(a.redirects.Load())
 }
 
-// Err returns the last error message the controller pushed to this agent
-// (nil if none). Asynchronous rejections — e.g. an invalid scan update —
-// surface here.
-func (a *Agent) Err() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastErr
-}
-
 // WaitForMove blocks until the agent's association changes from the given
 // extender or the timeout expires, returning the new extender.
 func (a *Agent) WaitForMove(from int, timeout time.Duration) (int, error) {

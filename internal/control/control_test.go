@@ -434,3 +434,11 @@ func TestOfflineOnlyPolicySurfacesTypedError(t *testing.T) {
 		t.Errorf("join error = %q, want the policy named", err)
 	}
 }
+
+// Err returns the last error message the controller pushed to this agent
+// (nil if none): asynchronous rejections, e.g. an invalid scan update.
+func (a *Agent) Err() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.lastErr
+}

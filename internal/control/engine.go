@@ -3,6 +3,7 @@ package control
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -184,8 +185,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		return nil, errors.New("control: no PLC capacities configured")
 	}
 	for j, c := range cfg.PLCCaps {
-		if c <= 0 {
-			return nil, fmt.Errorf("control: extender %d has non-positive capacity %v", j, c)
+		if !(c > 0) || math.IsInf(c, 1) {
+			return nil, fmt.Errorf("control: extender %d has capacity %v, want positive and finite", j, c)
 		}
 	}
 	if cfg.Policy == "" {
@@ -250,17 +251,8 @@ func (e *Engine) resolveOwned(owned []int) error {
 	return nil
 }
 
-// Policy returns the engine's policy name.
-func (e *Engine) Policy() string { return e.policy }
-
-// NumExtenders returns the GLOBAL extender count (scan-report width).
-func (e *Engine) NumExtenders() int { return len(e.cfg.PLCCaps) }
-
-// Owned returns a copy of the global extender IDs this engine assigns.
-func (e *Engine) Owned() []int { return append([]int(nil), e.owned...) }
-
-// validateScan checks a scan report's shape and that the user reaches at
-// least one extender this engine owns.
+// validateScan checks a scan report's shape, that every entry is finite,
+// and that the user reaches at least one extender this engine owns.
 func (e *Engine) validateScan(userID int, rates, rssi []float64) error {
 	numExt := len(e.cfg.PLCCaps)
 	if len(rates) != numExt {
@@ -269,6 +261,16 @@ func (e *Engine) validateScan(userID int, rates, rssi []float64) error {
 	}
 	if len(rssi) != 0 && len(rssi) != numExt {
 		return fmt.Errorf("scan report has %d RSSI entries, want %d", len(rssi), numExt)
+	}
+	for j, r := range rates {
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return fmt.Errorf("scan report has non-finite rate %v for extender %d", r, j)
+		}
+	}
+	for j, s := range rssi {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return fmt.Errorf("scan report has non-finite RSSI %v for extender %d", s, j)
+		}
 	}
 	for _, g := range e.owned {
 		if rates[g] > 0 {

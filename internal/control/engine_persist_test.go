@@ -172,7 +172,7 @@ func TestEnginePersistentVsRebuild(t *testing.T) {
 func comparePersistent(t *testing.T, persistent, rebuild *Engine, seedVal int64, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seedVal))
-	numExt := persistent.NumExtenders()
+	numExt := len(persistent.cfg.PLCCaps)
 	const idSpace = 40
 	scan := func(avoid int) []float64 {
 		rates := make([]float64, numExt)
@@ -286,3 +286,6 @@ func TestEngineRoamOffOwnExtender(t *testing.T) {
 		})
 	}
 }
+
+// Owned returns a copy of the global extender IDs this engine assigns.
+func (e *Engine) Owned() []int { return append([]int(nil), e.owned...) }

@@ -3,6 +3,8 @@ package control
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -43,8 +45,10 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngine(EngineConfig{}); err == nil {
 		t.Error("no capacities: want error")
 	}
-	if _, err := NewEngine(EngineConfig{PLCCaps: []float64{10, -3}}); err == nil {
-		t.Error("negative capacity: want error")
+	for _, c := range []float64{-3, math.NaN(), math.Inf(1)} {
+		if _, err := NewEngine(EngineConfig{PLCCaps: []float64{10, c}}); err == nil {
+			t.Errorf("capacity %v: want error", c)
+		}
 	}
 	if _, err := NewEngine(EngineConfig{PLCCaps: []float64{10}, Policy: "bogus"}); err == nil {
 		t.Error("unknown policy: want error")
@@ -63,6 +67,41 @@ func TestEngineValidation(t *testing.T) {
 // TestEngineRegistryNamesAccepted pins the satellite contract that any
 // strategy-registry name is a valid policy — the control plane no longer
 // has its own closed policy enum.
+// TestEngineRejectsNonFiniteScans: a NaN or ±Inf entry in a scan
+// report's rates or RSSI fails Join and Update, under every kind of
+// policy, and leaves the engine's state as it was.
+func TestEngineRejectsNonFiniteScans(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct{ rates, rssi []float64 }{
+		{[]float64{nan, 30}, nil},
+		{[]float64{inf, 30}, nil},
+		{[]float64{30, -inf}, nil},
+		{[]float64{30, 20}, []float64{nan, -60}},
+		{[]float64{30, 20}, []float64{-50, inf}},
+		{[]float64{30, 20}, []float64{-inf, -60}},
+	}
+	for _, policy := range []string{PolicyWOLT, "wolt-hillclimb", PolicyGreedy, PolicyRSSI} {
+		e := fig3Engine(t, policy)
+		for id, rates := range [][]float64{{15, 10}, {40, 20}} {
+			if _, err := e.Join(id, rates, []float64{-50, -60}); err != nil {
+				t.Fatalf("%s: join %d: %v", policy, id, err)
+			}
+		}
+		before := e.Stats()
+		for _, b := range bad {
+			if _, err := e.Join(9, b.rates, b.rssi); err == nil {
+				t.Errorf("%s: Join(%v, %v) succeeded", policy, b.rates, b.rssi)
+			}
+			if _, err := e.Update(0, b.rates, b.rssi); err == nil {
+				t.Errorf("%s: Update(%v, %v) succeeded", policy, b.rates, b.rssi)
+			}
+		}
+		if after := e.Stats(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: rejected scans changed the engine:\n%+v\nwant\n%+v", policy, after, before)
+		}
+	}
+}
+
 func TestEngineRegistryNamesAccepted(t *testing.T) {
 	for _, name := range []string{"wolt", "wolt-coordinate", "wolt-incremental", "greedy", "selfish", "rssi"} {
 		if _, err := NewEngine(EngineConfig{PLCCaps: []float64{60, 20}, Policy: name}); err != nil {

@@ -31,9 +31,6 @@ import (
 	"github.com/plcwifi/wolt/internal/wire"
 )
 
-// MsgType discriminates protocol messages (defined in internal/wire).
-type MsgType = wire.MsgType
-
 // Message types exchanged between agents and the controller; see the
 // internal/wire constants for per-type semantics.
 const (

@@ -167,13 +167,6 @@ func (s *Server) Addr() string {
 	return s.listener.Addr().String()
 }
 
-// Engine returns the server's policy engine (shared state; the shard
-// coordinator and tests read stats or drive in-process operations
-// through it).
-func (s *Server) Engine() *Engine {
-	return s.engine
-}
-
 // Close shuts the controller down and waits for its goroutines. Every
 // open connection is closed, whether or not its agent ever joined.
 func (s *Server) Close() error {

@@ -112,16 +112,11 @@ func (s *Scratch) matrix(rows, cols int) [][]float64 {
 	return s.util
 }
 
-// Utilities returns the Phase I utility matrix u_ij = min(c_j/|A|, r_ij)
-// (Algorithm 1 lines 1–3). Unreachable pairs get unreachableUtility.
-func Utilities(n *model.Network) [][]float64 {
-	return UtilitiesWith(nil, n)
-}
-
-// UtilitiesWith is Utilities with an optional caller-provided scratch.
-// When s is non-nil the returned matrix is owned by the scratch and is
-// overwritten by the next UtilitiesWith/AssignWith call on it; a nil
-// scratch allocates a caller-owned matrix, exactly like Utilities.
+// UtilitiesWith returns the Phase I utility matrix u_ij = min(c_j/|A|,
+// r_ij) (Algorithm 1 lines 1–3). Unreachable pairs get
+// unreachableUtility. When s is non-nil the returned matrix is owned by
+// the scratch and is overwritten by the next UtilitiesWith/AssignWith
+// call on it; a nil scratch allocates a caller-owned matrix.
 func UtilitiesWith(s *Scratch, n *model.Network) [][]float64 {
 	numExt := float64(n.NumExtenders())
 	var u [][]float64
@@ -240,26 +235,4 @@ func AssignWith(s *Scratch, n *model.Network, opts Options) (*Result, error) {
 	res.Phase2 = sol
 	res.Phase2Time = time.Since(phase2Start)
 	return res, nil
-}
-
-// Lemma1Improves reports whether, per Lemma 1, connecting a user with WiFi
-// rate r to a cell whose current members have the given rates increases
-// (or preserves) the cell's aggregate WiFi throughput. The condition is
-// that the user's inverse rate does not exceed the cell's mean inverse
-// rate: 1/r ≤ (1/|N|)·Σ 1/r_i.
-func Lemma1Improves(memberRates []float64, r float64) bool {
-	if r <= 0 {
-		return false
-	}
-	if len(memberRates) == 0 {
-		return true
-	}
-	var invSum float64
-	for _, m := range memberRates {
-		if m <= 0 {
-			return false
-		}
-		invSum += 1 / m
-	}
-	return 1/r <= invSum/float64(len(memberRates))
 }

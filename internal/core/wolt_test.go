@@ -22,7 +22,7 @@ func fig3Network() *model.Network {
 
 func TestUtilitiesFig3(t *testing.T) {
 	// u_ij = min(c_j/|A|, r_ij) with c/|A| = 30 and 10.
-	u := Utilities(fig3Network())
+	u := UtilitiesWith(nil, fig3Network())
 	want := [][]float64{
 		{15, 10},
 		{30, 10},
@@ -41,7 +41,7 @@ func TestUtilitiesUnreachable(t *testing.T) {
 		WiFiRates: [][]float64{{0, 20}},
 		PLCCaps:   []float64{50, 50},
 	}
-	u := Utilities(n)
+	u := UtilitiesWith(nil, n)
 	if u[0][0] != unreachableUtility {
 		t.Errorf("unreachable utility = %v", u[0][0])
 	}
@@ -119,9 +119,14 @@ func TestAssignMoreUsersThanExtenders(t *testing.T) {
 			}
 		}
 		// Phase I users keep their extender through Phase II.
-		groups := res.Assign.Groups(n.NumExtenders())
-		for j, g := range groups {
-			if len(g) == 0 {
+		members := make([]int, n.NumExtenders())
+		for _, j := range res.Assign {
+			if j != model.Unassigned {
+				members[j]++
+			}
+		}
+		for j, m := range members {
+			if m == 0 {
 				t.Errorf("solver %d: extender %d has no users despite |U|>|A|", solver, j)
 			}
 		}
@@ -258,4 +263,26 @@ func randomNetwork(rng *rand.Rand, numExt, numUsers int) *model.Network {
 		}
 	}
 	return &model.Network{WiFiRates: rates, PLCCaps: caps}
+}
+
+// Lemma1Improves reports whether, per Lemma 1, connecting a user with WiFi
+// rate r to a cell whose current members have the given rates increases
+// (or preserves) the cell's aggregate WiFi throughput. The condition is
+// that the user's inverse rate does not exceed the cell's mean inverse
+// rate: 1/r ≤ (1/|N|)·Σ 1/r_i.
+func Lemma1Improves(memberRates []float64, r float64) bool {
+	if r <= 0 {
+		return false
+	}
+	if len(memberRates) == 0 {
+		return true
+	}
+	var invSum float64
+	for _, m := range memberRates {
+		if m <= 0 {
+			return false
+		}
+		invSum += 1 / m
+	}
+	return 1/r <= invSum/float64(len(memberRates))
 }

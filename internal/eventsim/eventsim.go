@@ -49,8 +49,6 @@ type Sim struct {
 	queue eventQueue
 	now   float64
 	seq   uint64
-	// processed counts executed events.
-	processed uint64
 	// free recycles executed events: a long open-loop run (the city
 	// harness schedules one event per arrival/departure/roam across
 	// millions of users) stays at a steady handful of live event structs
@@ -65,12 +63,6 @@ func New() *Sim {
 
 // Now returns the current simulation time.
 func (s *Sim) Now() float64 { return s.now }
-
-// Processed returns the number of events executed so far.
-func (s *Sim) Processed() uint64 { return s.processed }
-
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.queue) }
 
 // ScheduleAt queues handler to run at absolute time t.
 func (s *Sim) ScheduleAt(t float64, handler Handler) error {
@@ -106,16 +98,6 @@ func (s *Sim) Schedule(delay float64, handler Handler) error {
 	return s.ScheduleAt(s.now+delay, handler)
 }
 
-// NextAt peeks at the next event's time without executing it, reporting
-// false on an empty queue. Open-loop drivers interleave their own work
-// with the simulation by stepping while NextAt stays below a boundary.
-func (s *Sim) NextAt() (float64, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].at, true
-}
-
 // Step executes the next event, advancing the clock to it. It reports
 // whether an event was executed.
 func (s *Sim) Step() bool {
@@ -130,7 +112,6 @@ func (s *Sim) Step() bool {
 	s.now = ev.at
 	ev.handler = nil
 	s.free = append(s.free, ev)
-	s.processed++
 	h(s)
 	return true
 }
@@ -145,14 +126,4 @@ func (s *Sim) RunUntil(horizon float64) {
 	if s.now < horizon {
 		s.now = horizon
 	}
-}
-
-// Run executes every queued event (including ones scheduled during the
-// run) up to maxEvents, returning the number executed.
-func (s *Sim) Run(maxEvents uint64) uint64 {
-	var n uint64
-	for n < maxEvents && s.Step() {
-		n++
-	}
-	return n
 }

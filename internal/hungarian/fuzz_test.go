@@ -24,7 +24,7 @@ func FuzzMinimizeMatchesBruteForce(f *testing.F) {
 				cost[i][j] = math.Round(rng.Float64()*400-200) / 4
 			}
 		}
-		match, total, err := Minimize(cost)
+		match, total, err := minimize(cost)
 		if err != nil {
 			t.Fatal(err)
 		}

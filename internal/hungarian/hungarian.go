@@ -20,26 +20,6 @@ var ErrEmpty = errors.New("hungarian: empty cost matrix")
 // solution.
 const Unmatched = -1
 
-// Minimize finds a minimum-cost matching of rows to columns. Every row of
-// the smaller dimension is matched to a distinct column (or row) of the
-// larger one; entries of the returned slice are column indices per row,
-// with Unmatched for rows left out when rows > columns.
-//
-// Minimize allocates fresh internal state per call; repeated solvers on a
-// hot path should hold a Workspace and call its Minimize method instead.
-func Minimize(cost [][]float64) (rowToCol []int, total float64, err error) {
-	var w Workspace
-	return w.Minimize(cost)
-}
-
-// Maximize finds a maximum-utility matching (see Minimize for the matching
-// semantics) by negating the utilities. Like Minimize, it is a thin
-// wrapper over a throwaway Workspace.
-func Maximize(utility [][]float64) (rowToCol []int, total float64, err error) {
-	var w Workspace
-	return w.Maximize(utility)
-}
-
 // Workspace holds the solver's internal state — dual potentials, matching
 // and path arrays, and the negation/transpose buffers — so repeated solves
 // reuse one set of allocations. The zero value is ready to use; buffers
@@ -63,9 +43,12 @@ type Workspace struct {
 // scale-free cost metric for per-solve stats.
 func (w *Workspace) Augmentations() int { return w.augmentations }
 
-// Minimize solves the minimum-cost matching reusing the workspace's
-// buffers. Only the returned rowToCol slice is freshly allocated (the
-// caller owns it); all solver state lives in the workspace.
+// Minimize finds a minimum-cost matching of rows to columns. Every row of
+// the smaller dimension is matched to a distinct column (or row) of the
+// larger one; entries of the returned slice are column indices per row,
+// with Unmatched for rows left out when rows > columns. Only the
+// returned rowToCol slice is freshly allocated (the caller owns it); all
+// solver state lives in the workspace.
 func (w *Workspace) Minimize(cost [][]float64) (rowToCol []int, total float64, err error) {
 	n, m, err := dims(cost)
 	if err != nil {

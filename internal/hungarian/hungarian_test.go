@@ -46,7 +46,7 @@ func TestMinimizeKnownSquare(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			match, total, err := Minimize(tt.cost)
+			match, total, err := minimize(tt.cost)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +63,7 @@ func TestMaximizeKnown(t *testing.T) {
 		{15, 10},
 		{30, 10},
 	}
-	match, total, err := Maximize(utility)
+	match, total, err := maximize(utility)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRectangularMoreRows(t *testing.T) {
 		{9, 2},
 		{3, 8},
 	}
-	match, total, err := Maximize(utility)
+	match, total, err := maximize(utility)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRectangularMoreCols(t *testing.T) {
 		{8, 4, 7},
 		{5, 2, 3},
 	}
-	match, total, err := Minimize(cost)
+	match, total, err := minimize(cost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,19 +118,19 @@ func TestRectangularMoreCols(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	if _, _, err := Minimize(nil); err == nil {
+	if _, _, err := minimize(nil); err == nil {
 		t.Error("nil matrix: want error")
 	}
-	if _, _, err := Minimize([][]float64{{}}); err == nil {
+	if _, _, err := minimize([][]float64{{}}); err == nil {
 		t.Error("zero columns: want error")
 	}
-	if _, _, err := Minimize([][]float64{{1, 2}, {3}}); err == nil {
+	if _, _, err := minimize([][]float64{{1, 2}, {3}}); err == nil {
 		t.Error("ragged matrix: want error")
 	}
-	if _, _, err := Minimize([][]float64{{math.NaN()}}); err == nil {
+	if _, _, err := minimize([][]float64{{math.NaN()}}); err == nil {
 		t.Error("NaN cost: want error")
 	}
-	if _, _, err := Minimize([][]float64{{math.Inf(1)}}); err == nil {
+	if _, _, err := minimize([][]float64{{math.Inf(1)}}); err == nil {
 		t.Error("Inf cost: want error")
 	}
 }
@@ -149,7 +149,7 @@ func TestAgainstBruteForce(t *testing.T) {
 				cost[i][j] = math.Round(rng.Float64()*200-100) / 4
 			}
 		}
-		match, total, err := Minimize(cost)
+		match, total, err := minimize(cost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,11 +177,11 @@ func TestMaximizeMatchesNegatedMinimize(t *testing.T) {
 				neg[i][j] = -u[i][j]
 			}
 		}
-		_, maxTotal, err := Maximize(u)
+		_, maxTotal, err := maximize(u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, minTotal, err := Minimize(neg)
+		_, minTotal, err := minimize(neg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestLargeInstanceRuns(t *testing.T) {
 			cost[i][j] = rng.Float64() * 1000
 		}
 	}
-	match, total, err := Minimize(cost)
+	match, total, err := minimize(cost)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,21 @@ func randomMatrix(rng *rand.Rand, n, m int) [][]float64 {
 	return a
 }
 
+// minimize solves on a fresh workspace.
+func minimize(cost [][]float64) ([]int, float64, error) {
+	var w Workspace
+	return w.Minimize(cost)
+}
+
+// maximize solves on a fresh workspace.
+func maximize(utility [][]float64) ([]int, float64, error) {
+	var w Workspace
+	return w.Maximize(utility)
+}
+
 // TestWorkspaceMatchesPackageFunctions reuses one workspace across many
 // instances of varying shapes and asserts bit-identical agreement with
-// the allocating package-level entry points.
+// fresh workspaces.
 func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	var w Workspace
@@ -29,7 +41,7 @@ func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 		for _, s := range shapes {
 			cost := randomMatrix(rng, s.n, s.m)
 
-			wantMatch, wantTotal, err := Minimize(cost)
+			wantMatch, wantTotal, err := minimize(cost)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +58,7 @@ func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 				}
 			}
 
-			wantMatch, wantTotal, err = Maximize(cost)
+			wantMatch, wantTotal, err = maximize(cost)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +95,7 @@ func BenchmarkMinimizeAlloc(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Minimize(cost); err != nil {
+		if _, _, err := minimize(cost); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,6 @@
 package localsearch_test
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -117,7 +116,6 @@ func benchWarmResolve(b *testing.B, method localsearch.Method, probes int) {
 		Seed:   2020,
 		Budget: localsearch.Budget{Probes: probes},
 	}
-	ctx := context.Background()
 	var s localsearch.Searcher
 	var last *localsearch.Result
 	start := make(model.Assignment, len(warm.churned))
@@ -127,7 +125,7 @@ func benchWarmResolve(b *testing.B, method localsearch.Method, probes int) {
 		// The search repairs its start in place: every iteration
 		// starts from a fresh copy of the churned state.
 		copy(start, warm.churned)
-		res, err := s.Search(ctx, warm.net, start, method, opts)
+		res, err := s.Search(warm.net, start, method, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,13 +205,12 @@ func benchWarmRepair(b *testing.B, mopts model.Options, capScale float64, users 
 		Model:  mopts,
 		Budget: localsearch.Budget{Probes: 200},
 	}
-	ctx := context.Background()
 	start := make(model.Assignment, users)
 	for i := range start {
 		start[i] = model.Unassigned
 	}
 	var s localsearch.Searcher
-	res, err := s.Search(ctx, n, start, localsearch.HillClimbing, localsearch.Options{Model: opts.Model})
+	res, err := s.Search(n, start, localsearch.HillClimbing, localsearch.Options{Model: opts.Model})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,7 +240,7 @@ func benchWarmRepair(b *testing.B, mopts model.Options, capScale float64, users 
 		}
 		spare[i] = n.WiFiRates[i]
 		n.SetRow(i, row)
-		res, err := s.Search(ctx, n, assign, localsearch.HillClimbing, opts)
+		res, err := s.Search(n, assign, localsearch.HillClimbing, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package localsearch
 
 import (
-	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -16,19 +15,18 @@ import (
 // Searcher.Search to it.
 type oracle struct{ s Searcher }
 
-// search is Search(ctx, n, start, HillClimbing, opts) for a context
-// that cannot be cancelled.
+// search is Search(n, start, HillClimbing, opts).
 func (o *oracle) search(n *model.Network, start model.Assignment, opts Options) (*Result, error) {
 	s := &o.s
 	r := &s.run
-	r.start(context.Background(), opts.Budget)
+	r.start(opts.Budget)
 	probesBefore, boundedBefore, evalsBefore := s.delta.Probes, s.delta.Bounded, s.delta.Evals
 	if err := s.delta.Sync(n, start, opts.Model); err != nil {
 		return nil, err
 	}
 	s.out, s.net = start, n
 	s.rank.sync(n, opts.Model.Utility, s.delta.Evals)
-	s.cands.Ensure(n, opts.neighborhood())
+	s.cands.Ensure(n, DefaultNeighborhood)
 	s.placed, s.commits, s.improving = 0, 0, 0
 	s.place(r)
 	s.bestScore = s.delta.Score()
@@ -134,13 +132,10 @@ func domRow(rng *rand.Rand, numExt int) []float64 {
 
 // passProbes is the probe count of a hill-climb pass over every user
 // with a reachable extender: each probes its other candidates.
-func passProbes(n *model.Network, m int) int {
-	if m <= 0 || m > n.NumExtenders() {
-		m = n.NumExtenders()
-	}
+func passProbes(n *model.Network) int {
 	k := 0
 	for _, row := range n.WiFiRates {
-		if c := min(int(countReachable(row)), m); c > 0 {
+		if c := min(int(countReachable(row)), DefaultNeighborhood); c > 0 {
 			k += c - 1
 		}
 	}
@@ -152,11 +147,10 @@ func passProbes(n *model.Network, m int) int {
 // longer than the edit log), arrivals placed online or left to the next
 // search, PLC capacities rescaled between every cell capped and none —
 // and requires every hill climb to return exactly the oracle's Result.
-// Most searches run the model dominance covers, with neighborhoods
-// covering every extender; the rest run neighborhoods below the
-// extender count, Redistribute, FixedShare or a non-sum-rate utility,
-// where no pass may be priced. Budgets are unlimited, 1, or K−1, K or
-// K+1 for the pass probe count K.
+// Most searches run the model dominance covers (at most five extenders,
+// so every neighborhood covers them all); the rest run Redistribute or
+// a non-sum-rate utility, where no pass may be priced. Budgets are
+// unlimited, 1, or K−1, K or K+1 for the pass probe count K.
 func checkHillClimbDominated(t testing.TB, base int64, steps int, cov *dominatedCoverage) {
 	rng := seed.Rand(base, seed.LocalSearchFuzz, 5)
 	numExt := 1 + rng.Intn(5)
@@ -173,16 +167,14 @@ func checkHillClimbDominated(t testing.TB, base int64, steps int, cov *dominated
 	var s Searcher
 	var o oracle
 	for step := 0; step < steps; step++ {
-		opts := Options{Neighborhood: []int{0, 0, -1, numExt, numExt - 1, 1}[rng.Intn(6)]}
+		var opts Options
 		switch rng.Intn(12) {
 		case 0:
 			opts.Model.Redistribute = true
 		case 1:
-			opts.Model.FixedShare = true
-		case 2:
 			opts.Model.Utility = model.AlphaFair(2)
-		case 3:
-			opts.Model.Utility = model.MaxMinFairness()
+		case 2:
+			opts.Model.Utility = model.Utility{MaxMin: true}
 		}
 		edits := rng.Intn(4)
 		if rng.Intn(15) == 0 {
@@ -227,7 +219,7 @@ func checkHillClimbDominated(t testing.TB, base int64, steps int, cov *dominated
 			domCaps(rng, n.PLCCaps)
 			n.Invalidate()
 		}
-		k := passProbes(n, opts.Neighborhood)
+		k := passProbes(n)
 		switch rng.Intn(6) {
 		case 0:
 			opts.Budget.Probes = 1
@@ -240,7 +232,7 @@ func checkHillClimbDominated(t testing.TB, base int64, steps int, cov *dominated
 		case 4:
 			opts.Budget.Probes = rng.Intn(300)
 		}
-		got, err := s.Search(context.Background(), n, a, HillClimbing, opts)
+		got, err := s.Search(n, a, HillClimbing, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,8 +241,7 @@ func checkHillClimbDominated(t testing.TB, base int64, steps int, cov *dominated
 			t.Fatal(err)
 		}
 		sameFullResult(t, step, got, want)
-		whole := opts.Neighborhood <= 0 || opts.Neighborhood >= numExt
-		if cov != nil && whole && got.Placed == 0 && got.Commits == 0 && got.Probes > 0 &&
+		if cov != nil && got.Placed == 0 && got.Commits == 0 && got.Probes > 0 &&
 			s.unplaced() == 0 && s.delta.Dominated(s.delta.Score(), improveEps) {
 			cov.charged++
 			switch budget := opts.Budget.Probes; {

@@ -15,9 +15,8 @@
 //
 // Every search honors the same contract (DESIGN.md §11):
 //
-//   - It is interruptible at probe granularity: a context cancellation,
-//     an expired time budget, or an exhausted probe/move budget stops
-//     the search at the next checkpoint.
+//   - It is interruptible at probe granularity: an exhausted probe or
+//     move budget stops the search at the next probe or move.
 //   - It always leaves the best valid assignment found so far in the
 //     caller's start assignment, edited in place — never an error for
 //     running out of budget, never a half-applied chain (tentative
@@ -26,17 +25,13 @@
 //     bit-identical to a fresh model.EvaluateWith of the end state (the
 //     differential tests assert ==, not ≈).
 //
-// Determinism: with a probe/move budget the result is a pure function
-// of (network, start, Options) for any context; only Budget.Time trades
-// that away, since wall-clock checkpoints depend on machine speed.
-// Deterministic pipelines (experiments, tests) must budget in probes.
+// Determinism: the result is a pure function of (network, start,
+// Options), since every budget counts work, not wall clock.
 package localsearch
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"github.com/plcwifi/wolt/internal/model"
 	"github.com/plcwifi/wolt/internal/seed"
@@ -48,14 +43,8 @@ import (
 // an endless improve/undo cycle.
 const improveEps = 1e-12
 
-// checkEvery is how many probes pass between context/deadline
-// checkpoints: at ~570ns per probe that is one check every ~70µs,
-// cheap enough to keep cancellation latency invisible while keeping
-// the select off the hot loop.
-const checkEvery = 128
-
-// DefaultNeighborhood is the candidate-cache size M when Options leaves
-// it zero: each user may move only among its 8 best-rate extenders.
+// DefaultNeighborhood is the candidate-cache size M: each user may move
+// only among its 8 best-rate extenders.
 const DefaultNeighborhood = 8
 
 // kOptDepth is the k-opt chain length: a chain ejects and reinserts at
@@ -112,10 +101,6 @@ const (
 	StopProbes
 	// StopMoves: the move budget ran out.
 	StopMoves
-	// StopTime: the wall-clock budget expired.
-	StopTime
-	// StopCtx: the context was cancelled.
-	StopCtx
 	// StopFrozen: annealing cooled below its temperature floor.
 	StopFrozen
 )
@@ -129,18 +114,14 @@ func (r StopReason) String() string {
 		return "probes"
 	case StopMoves:
 		return "moves"
-	case StopTime:
-		return "time"
-	case StopCtx:
-		return "ctx"
 	case StopFrozen:
 		return "frozen"
 	}
 	return "unknown"
 }
 
-// Budget bounds a search. Zero fields mean unlimited, and so do negative
-// Probes or Time; a negative Moves means placement only. An all-zero
+// Budget bounds a search. Zero fields mean unlimited, and so does a
+// negative Probes; a negative Moves means placement only. An all-zero
 // Budget runs to the method's natural end (local optimum or temperature
 // floor). This is the one budget vocabulary shared with strategy.Config.
 type Budget struct {
@@ -152,9 +133,6 @@ type Budget struct {
 	// arrivals-are-free rule of core.AssignIncrementalWith. A negative
 	// value forbids re-associations entirely (placement only).
 	Moves int
-	// Time caps wall clock. Results under a time budget depend on
-	// machine speed; use Probes where determinism matters.
-	Time time.Duration
 }
 
 // Options configures a search.
@@ -162,23 +140,11 @@ type Options struct {
 	// Model selects the throughput model the committed states are
 	// evaluated under (must match what the caller compares against).
 	Model model.Options
-	// Neighborhood is the candidate-cache size M: each user considers
-	// only its M best-rate extenders as move targets. Zero means
-	// DefaultNeighborhood; negative or ≥ NumExtenders means all
-	// reachable extenders.
-	Neighborhood int
 	// Seed roots the annealer's randomness via
 	// seed.Rand(Seed, seed.StrategyRand, 0), drawn afresh per search.
 	Seed int64
 	// Budget bounds the search; see the anytime contract above.
 	Budget Budget
-}
-
-func (o Options) neighborhood() int {
-	if o.Neighborhood == 0 {
-		return DefaultNeighborhood
-	}
-	return o.Neighborhood
 }
 
 // Result reports a finished search. The Result Search returns, and its
@@ -229,25 +195,18 @@ type Result struct {
 	Stop StopReason
 }
 
-// run carries one search's interruption state: remaining budgets, the
-// context, the deadline, and the first reason anything tripped.
+// run carries one search's interruption state: remaining budgets and
+// the first reason anything tripped.
 type run struct {
-	ctx        context.Context
-	deadline   time.Time
-	timed      bool
 	probesLeft int // -1 = unlimited
 	movesLeft  int // -1 = unlimited
-	sinceCheck int
 	stop       StopReason
 	halted     bool
 }
 
-// start resets r for a search under ctx and budget b.
-func (r *run) start(ctx context.Context, b Budget) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	*r = run{ctx: ctx, probesLeft: -1, movesLeft: -1}
+// start resets r for a search under budget b.
+func (r *run) start(b Budget) {
+	*r = run{probesLeft: -1, movesLeft: -1}
 	if b.Probes > 0 {
 		r.probesLeft = b.Probes
 	}
@@ -256,15 +215,10 @@ func (r *run) start(ctx context.Context, b Budget) {
 	} else if b.Moves < 0 {
 		r.movesLeft = 0 // placement only
 	}
-	if b.Time > 0 {
-		r.deadline = time.Now().Add(b.Time)
-		r.timed = true
-	}
-	r.interrupted() // an already-cancelled ctx halts before any work
 }
 
 // takeProbe reserves one probe evaluation; false means the search must
-// stop (budget exhausted or interrupted at a checkpoint).
+// stop (budget exhausted).
 func (r *run) takeProbe() bool {
 	if r.halted {
 		return false
@@ -275,13 +229,6 @@ func (r *run) takeProbe() bool {
 	}
 	if r.probesLeft > 0 {
 		r.probesLeft--
-	}
-	r.sinceCheck++
-	if r.sinceCheck >= checkEvery {
-		r.sinceCheck = 0
-		if r.interrupted() {
-			return false
-		}
 	}
 	return true
 }
@@ -301,11 +248,9 @@ func (r *run) takeMove() bool {
 	return true
 }
 
-// takeProbes reserves k probes at once for work that no checkpoint can
-// interrupt (no time budget, a context that cannot be cancelled),
-// exactly as k takeProbe calls would: it returns how many it reserved,
-// min(k, probes left), and halts with StopProbes when k exceeds what
-// was left.
+// takeProbes reserves k probes at once, exactly as k takeProbe calls
+// would: it returns how many it reserved, min(k, probes left), and
+// halts with StopProbes when k exceeds what was left.
 func (r *run) takeProbes(k int) int {
 	if r.probesLeft >= 0 {
 		if k > r.probesLeft {
@@ -314,22 +259,7 @@ func (r *run) takeProbes(k int) int {
 		}
 		r.probesLeft -= k
 	}
-	r.sinceCheck = (r.sinceCheck + k) % checkEvery
 	return k
-}
-
-func (r *run) interrupted() bool {
-	select {
-	case <-r.ctx.Done():
-		r.haltWith(StopCtx)
-		return true
-	default:
-	}
-	if r.timed && !time.Now().Before(r.deadline) {
-		r.haltWith(StopTime)
-		return true
-	}
-	return false
 }
 
 func (r *run) haltWith(reason StopReason) {
@@ -398,12 +328,12 @@ type Searcher struct {
 // The start may contain Unassigned entries (arrivals); they are placed
 // greedily first, free of the move budget. The error is non-nil only
 // for an invalid input (start fails validation against n), and then
-// start is untouched — budget exhaustion and cancellation are normal
-// returns per the anytime contract. The Result is the Searcher's own
+// start is untouched — budget exhaustion is a normal return per the
+// anytime contract. The Result is the Searcher's own
 // and is overwritten by the next Search.
-func (s *Searcher) Search(ctx context.Context, n *model.Network, start model.Assignment, method Method, opts Options) (*Result, error) {
+func (s *Searcher) Search(n *model.Network, start model.Assignment, method Method, opts Options) (*Result, error) {
 	r := &s.run
-	r.start(ctx, opts.Budget)
+	r.start(opts.Budget)
 	probesBefore, boundedBefore, evalsBefore := s.delta.Probes, s.delta.Bounded, s.delta.Evals
 	if err := s.begin(n, start, method, opts, r); err != nil {
 		return nil, err
@@ -442,7 +372,7 @@ func (s *Searcher) Place(n *model.Network, assign model.Assignment, user int, op
 	if err := s.delta.Sync(n, assign, opts.Model); err != nil {
 		return model.Unassigned, err
 	}
-	s.cands.Ensure(n, opts.neighborhood())
+	s.cands.Ensure(n, DefaultNeighborhood)
 	if got := s.delta.Assigned(user); got != model.Unassigned {
 		return model.Unassigned, fmt.Errorf("localsearch: Place(user %d): already assigned to %d", user, got)
 	}
@@ -478,7 +408,7 @@ func (s *Searcher) begin(n *model.Network, start model.Assignment, method Method
 	s.out = start
 	s.net, s.util, s.lagging = n, opts.Model.Utility, true
 	s.reach.sync(n)
-	s.cands.Ensure(n, opts.neighborhood())
+	s.cands.Ensure(n, DefaultNeighborhood)
 	s.placed, s.commits, s.improving = 0, 0, 0
 	if method != HillClimbing || s.unplaced() > 0 {
 		s.catchUp()
@@ -652,20 +582,18 @@ func (s *Searcher) hillClimb(r *run) {
 // chargeDominated prices a hill-climb pass that no move can win without
 // running it, and reports whether it did; the climb then ends. It
 // applies when the committed state is dominated
-// (model.DeltaEval.Dominated: sum-rate without Redistribute or
-// FixedShare, every extender active with at least two members and
-// capped), every user is placed, and each user's neighborhood is all
-// of its reachable extenders. The pass would then probe each user's
-// other reachable extenders, K = Σ (reach − 1) probes, have every one
-// rejected by the bound, and commit nothing. Under a budget of probes
-// alone (no time budget, a context that cannot be cancelled) no
-// checkpoint can cut it short, so the loop's own accounting is
-// min(K, probes left) bounded probes, then a StopProbes halt when K
+// (model.DeltaEval.Dominated: sum-rate without Redistribute, every
+// extender active with at least two members and capped), every user
+// is placed, and each user's neighborhood is all of its reachable
+// extenders. The pass would then probe each user's other reachable
+// extenders, K = Σ (reach − 1) probes, have every one rejected by the
+// bound, and commit nothing. Only the probe budget can cut it short,
+// so the loop's own accounting is min(K, probes left) bounded probes, then a StopProbes halt when K
 // exceeds what was left and the single-move optimum otherwise. That
 // costs O(extenders) instead of K probes.
 func (s *Searcher) chargeDominated(r *run) bool {
 	n := s.net
-	if r.timed || r.ctx.Done() != nil || s.cands.M() < n.NumExtenders() ||
+	if s.cands.M() < n.NumExtenders() ||
 		!s.delta.Dominated(s.bestScore, improveEps) || s.unplaced() > 0 {
 		return false
 	}

@@ -1,7 +1,6 @@
 package localsearch
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,7 +11,7 @@ import (
 	"github.com/plcwifi/wolt/internal/seed"
 )
 
-var rankUtilities = []model.Utility{{}, model.AlphaFair(2), model.MaxMinFairness()}
+var rankUtilities = []model.Utility{{}, model.AlphaFair(2), model.Utility{MaxMin: true}}
 
 // freshOrder is the reference visit order: every user by descending
 // deficit, ties by ascending index, as sort.Sort arranges it.
@@ -213,10 +212,9 @@ func checkRankReplay(t testing.TB, base int64, steps int, util0 int, cov *rankCo
 	u := rankUtilities[util0%len(rankUtilities)]
 	opts := func() Options {
 		return Options{
-			Model:        model.Options{Redistribute: true, Utility: u},
-			Neighborhood: rng.Intn(4),
-			Seed:         base,
-			Budget:       Budget{Probes: []int{0, 1, 7, 40, 200}[rng.Intn(5)]},
+			Model:  model.Options{Redistribute: true, Utility: u},
+			Seed:   base,
+			Budget: Budget{Probes: []int{0, 1, 7, 40, 200}[rng.Intn(5)]},
 		}
 	}
 	var s Searcher
@@ -282,12 +280,12 @@ func checkRankReplay(t testing.TB, base int64, steps int, util0 int, cov *rankCo
 		default:
 			method, o := allMethods[rng.Intn(len(allMethods))], opts()
 			in := a.Clone()
-			res, err := s.Search(context.Background(), n, a, method, o)
+			res, err := s.Search(n, a, method, o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var fresh Searcher
-			want, err := fresh.Search(context.Background(), n, in, method, o)
+			want, err := fresh.Search(n, in, method, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -375,12 +373,12 @@ func TestSearcherReuseMatchesFresh(t *testing.T) {
 				n.SetRow(row, rates)
 			}
 			in := a.Clone()
-			res, err := s.Search(context.Background(), n, a, method, opts)
+			res, err := s.Search(n, a, method, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var fresh Searcher
-			want, err := fresh.Search(context.Background(), n, in, method, opts)
+			want, err := fresh.Search(n, in, method, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package localsearch
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -37,7 +36,7 @@ func TestHillClimbFollowsUtility(t *testing.T) {
 	// the throughput optimum (move u2 off the shared extender).
 	var s Searcher
 	opts := Options{Model: model.Options{Redistribute: true}}
-	res, err := s.Search(context.Background(), n, aJoin.Clone(), HillClimbing, opts)
+	res, err := s.Search(n, aJoin.Clone(), HillClimbing, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +50,8 @@ func TestHillClimbFollowsUtility(t *testing.T) {
 	// Max-min: starting from the throughput optimum, the search must
 	// walk back to the fair one.
 	var sm Searcher
-	mmOpts := Options{Model: model.Options{Redistribute: true, Utility: model.MaxMinFairness()}}
-	mmRes, err := sm.Search(context.Background(), n, bJoin.Clone(), HillClimbing, mmOpts)
+	mmOpts := Options{Model: model.Options{Redistribute: true, Utility: model.Utility{MaxMin: true}}}
+	mmRes, err := sm.Search(n, bJoin.Clone(), HillClimbing, mmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestSearchUtilityMatchesFullEvaluation(t *testing.T) {
 		model.ProportionalFairness(),
 		model.AlphaFair(2),
 		model.AlphaFair(0.5),
-		model.MaxMinFairness(),
+		model.Utility{MaxMin: true},
 	}
 	var scratch model.EvalScratch
 	for _, u := range utilities {
@@ -87,7 +86,7 @@ func TestSearchUtilityMatchesFullEvaluation(t *testing.T) {
 					Seed:  base,
 					Model: model.Options{Redistribute: true, Utility: u},
 				}
-				res, err := s.Search(context.Background(), n, start, method, opts)
+				res, err := s.Search(n, start, method, opts)
 				if err != nil {
 					t.Fatalf("%v base=%d %v: %v", u, base, method, err)
 				}

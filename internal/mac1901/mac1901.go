@@ -280,40 +280,6 @@ func SimulateWithPriorities(capacitiesMbps []float64, priorities []Priority, dur
 	return finish(stations, now, params, collisions, successes), nil
 }
 
-// SimulateTDMA runs the same extenders under the coordinator-scheduled
-// TDMA mode: fixed PPDU grants handed out round-robin. Sharing is
-// time-fair by construction; this is the QoS mode of the standard.
-func SimulateTDMA(capacitiesMbps []float64, duration float64, params Params) (*Result, error) {
-	if err := params.validate(); err != nil {
-		return nil, err
-	}
-	if len(capacitiesMbps) == 0 {
-		return nil, fmt.Errorf("mac1901: no stations")
-	}
-	if duration <= 0 {
-		return nil, fmt.Errorf("mac1901: non-positive duration %v", duration)
-	}
-	stations := make([]*station, len(capacitiesMbps))
-	for i, c := range capacitiesMbps {
-		if c <= 0 {
-			return nil, fmt.Errorf("mac1901: station %d has non-positive capacity %v", i, c)
-		}
-		stations[i] = &station{capacity: c, stats: StationStats{CapacityMbps: c}}
-	}
-	var now float64
-	grant := params.PPDUDuration + params.OverheadPerFrame
-	for i := 0; now+grant <= duration; i = (i + 1) % len(stations) {
-		s := stations[i]
-		s.stats.Successes++
-		s.stats.AirtimeSec += params.PPDUDuration
-		now += grant
-	}
-	if now == 0 {
-		now = duration
-	}
-	return finish(stations, now, params, 0, 0), nil
-}
-
 func finish(stations []*station, now float64, params Params, collisions, successes int) *Result {
 	res := &Result{
 		Stations:    make([]StationStats, len(stations)),

@@ -1,6 +1,7 @@
 package mac1901
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -277,4 +278,39 @@ func TestPrioritySchedules(t *testing.T) {
 	if &CA2.schedule()[0] != &ca3Schedule[0] || &CA3.schedule()[0] != &ca3Schedule[0] {
 		t.Error("CA2/CA3 should use the CA2/CA3 schedule")
 	}
+}
+
+// SimulateTDMA runs the same extenders under the coordinator-scheduled
+// TDMA mode: fixed PPDU grants handed out round-robin. Sharing is
+// time-fair by construction (the QoS mode of the standard), which makes
+// it the oracle of the CSMA shares.
+func SimulateTDMA(capacitiesMbps []float64, duration float64, params Params) (*Result, error) {
+	if err := params.validate(); err != nil {
+		return nil, err
+	}
+	if len(capacitiesMbps) == 0 {
+		return nil, fmt.Errorf("mac1901: no stations")
+	}
+	if duration <= 0 {
+		return nil, fmt.Errorf("mac1901: non-positive duration %v", duration)
+	}
+	stations := make([]*station, len(capacitiesMbps))
+	for i, c := range capacitiesMbps {
+		if c <= 0 {
+			return nil, fmt.Errorf("mac1901: station %d has non-positive capacity %v", i, c)
+		}
+		stations[i] = &station{capacity: c, stats: StationStats{CapacityMbps: c}}
+	}
+	var now float64
+	grant := params.PPDUDuration + params.OverheadPerFrame
+	for i := 0; now+grant <= duration; i = (i + 1) % len(stations) {
+		s := stations[i]
+		s.stats.Successes++
+		s.stats.AirtimeSec += params.PPDUDuration
+		now += grant
+	}
+	if now == 0 {
+		now = duration
+	}
+	return finish(stations, now, params, 0, 0), nil
 }

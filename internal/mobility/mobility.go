@@ -151,12 +151,3 @@ func (f *Fleet) step(w *Walker, dt float64) {
 		f.retarget(w)
 	}
 }
-
-// Position returns a user's current position (for tests and telemetry).
-func (f *Fleet) Position(userID int) (topology.Point, bool) {
-	w, ok := f.walkers[userID]
-	if !ok {
-		return topology.Point{}, false
-	}
-	return w.pos, true
-}

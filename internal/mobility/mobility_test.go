@@ -158,7 +158,10 @@ func TestChurnedUsersTracked(t *testing.T) {
 	// Remove one user, add another; Advance must adapt.
 	removed := topo.Users[0].ID
 	topo.RemoveUser(removed)
-	added := topo.AddUser(topology.Point{X: 1, Y: 1})
+	added := 1000 // the 7 generated users hold IDs 0..6
+	if err := topo.AddUserWithID(added, topology.Point{X: 1, Y: 1}); err != nil {
+		t.Fatal(err)
+	}
 	if err := fleet.Advance(5); err != nil {
 		t.Fatal(err)
 	}
@@ -196,4 +199,13 @@ func TestDeterministic(t *testing.T) {
 			t.Fatalf("position %d differs across identical runs", i)
 		}
 	}
+}
+
+// Position returns a user's current position.
+func (f *Fleet) Position(userID int) (topology.Point, bool) {
+	w, ok := f.walkers[userID]
+	if !ok {
+		return topology.Point{}, false
+	}
+	return w.pos, true
 }

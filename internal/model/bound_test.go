@@ -70,7 +70,7 @@ var boundCases = []struct {
 
 // boundOptions are the option sets under which ProbeMoveBeats takes
 // its bounded path (sum-rate without Redistribute).
-var boundOptions = []Options{{}, {FixedShare: true}}
+var boundOptions = []Options{{}}
 
 // probeUsers returns up to limit users of n, evenly spread.
 func probeUsers(n *Network, limit int) []int {
@@ -197,7 +197,7 @@ func TestProbeMoveBeatsMatchesExact(t *testing.T) {
 	opts := append(append([]Options(nil), boundOptions...),
 		Options{Redistribute: true},
 		Options{Utility: ProportionalFairness()},
-		Options{Utility: MaxMinFairness(), FixedShare: true},
+		Options{Utility: MaxMinFairness()},
 	)
 	for ci, c := range boundCases {
 		for _, o := range opts {
@@ -227,7 +227,7 @@ func FuzzProbeMoveBeats(f *testing.F) {
 		if sizes[0]+sizes[1]+sizes[3]+free == 0 {
 			free = 1
 		}
-		opts := Options{FixedShare: optBits&1 != 0, Redistribute: optBits&2 != 0}
+		opts := Options{Redistribute: optBits&2 != 0}
 		n, assign := boundInstance(seed.Rand(base, seed.DeltaFuzz, 4), sizes, free)
 		var d DeltaEval
 		if err := d.Attach(n, assign, opts); err != nil {

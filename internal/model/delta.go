@@ -77,7 +77,7 @@ type DeltaEval struct {
 	utility   float64   // committed Options.Utility value (== aggregate for sum-rate)
 	// capped[j] reports that active cell j delivers its full PLC share,
 	// !(demand[j] < fair·c_j), under the sum-rate utility without
-	// Redistribute or FixedShare; it is false otherwise. recommit keeps
+	// Redistribute; it is false otherwise. recommit keeps
 	// it, so ProbeDominated reads two flags instead of redoing the min.
 	capped []bool
 
@@ -247,13 +247,6 @@ func (d *DeltaEval) Aggregate() float64 {
 	return d.aggregate
 }
 
-// Utility returns the committed assignment's value under the attached
-// Options.Utility — bit-identical to EvaluateWith's Result.Utility.
-func (d *DeltaEval) Utility() float64 {
-	d.check()
-	return d.utility
-}
-
 // Score returns the committed assignment's lexicographic objective
 // (Utility primary, Aggregate tie-break).
 func (d *DeltaEval) Score() Score {
@@ -350,8 +343,8 @@ func (d *DeltaEval) ProbeMoveBeats(i, from, to int, bar Score, eps float64) (Sco
 
 // ProbeDominated answers ProbeMoveBeats(i, from, to, bar, eps) in O(1),
 // without reading user i's rate row, for a move no user can win
-// (DESIGN.md §10): under the sum-rate utility without Redistribute or
-// FixedShare, `from` keeps a member and `to` already has one, both
+// (DESIGN.md §10): under the sum-rate utility without Redistribute,
+// `from` keeps a member and `to` already has one, both
 // cells deliver their full PLC share (capped), and the committed score
 // does not beat bar. Then the active set and the share are unchanged,
 // each of the two cells can deliver no more than its share, which it
@@ -491,10 +484,6 @@ func (d *DeltaEval) recommit() {
 	agg := 0.0
 	act := d.active
 	if len(act) > 0 {
-		contenders := len(act)
-		if d.opts.FixedShare {
-			contenders = d.net.NumExtenders()
-		}
 		if d.opts.Redistribute {
 			need := d.pNeed[:len(act)]
 			for k, j := range act {
@@ -507,8 +496,8 @@ func (d *DeltaEval) recommit() {
 				d.perExt[j] = minf(d.demand[j], shares[k]*d.net.PLCCaps[j])
 			}
 		} else {
-			fair := 1 / float64(contenders)
-			dom := d.opts.Utility.IsSumRate() && !d.opts.FixedShare
+			fair := 1 / float64(len(act))
+			dom := d.opts.Utility.IsSumRate()
 			for _, j := range act {
 				share := fair * d.net.PLCCaps[j]
 				d.perExt[j] = minf(d.demand[j], share)
@@ -605,10 +594,6 @@ func (d *DeltaEval) probe(i, from, to int, bounded bool) (agg, own, util float64
 	u := d.opts.Utility
 	sumRate := u.IsSumRate()
 	minShare := math.Inf(1)
-	contenders := len(act)
-	if d.opts.FixedShare {
-		contenders = d.net.NumExtenders()
-	}
 	toPer := 0.0
 	if d.opts.Redistribute {
 		need := d.pNeed[:len(act)]
@@ -635,7 +620,7 @@ func (d *DeltaEval) probe(i, from, to int, bounded bool) (agg, own, util float64
 			}
 		}
 	} else {
-		fair := 1 / float64(contenders)
+		fair := 1 / float64(len(act))
 		for _, j := range act {
 			per := minf(demandAt(j), fair*d.net.PLCCaps[j])
 			agg += per

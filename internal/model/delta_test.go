@@ -135,12 +135,10 @@ func checkDeltaAgainstFull(t *testing.T, base int64, numExt, numUsers, numMoves 
 	}
 }
 
-// deltaOptions enumerates the four Redistribute × FixedShare combos.
+// deltaOptions enumerates both Redistribute settings.
 var deltaOptions = []Options{
 	{},
 	{Redistribute: true},
-	{FixedShare: true},
-	{Redistribute: true, FixedShare: true},
 }
 
 // deltaUtilities is the utility dimension of the differential sweep:
@@ -179,7 +177,7 @@ func TestDeltaMatchesFullUtilities(t *testing.T) {
 // FuzzDeltaVsFull is the differential fuzz harness: DeltaEval's probes
 // and commits must agree bit-for-bit with a fresh EvaluateWith across
 // random networks, moves to/from Unassigned, and every
-// Redistribute/FixedShare combination.
+// Redistribute setting.
 func FuzzDeltaVsFull(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(10), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(6), uint8(1), uint8(1))
@@ -191,7 +189,6 @@ func FuzzDeltaVsFull(f *testing.F) {
 		numUsers := int(users%24) + 1
 		opts := Options{
 			Redistribute: optBits&1 != 0,
-			FixedShare:   optBits&2 != 0,
 			Utility:      deltaUtilities[int(utilSel)%len(deltaUtilities)],
 		}
 		checkDeltaAgainstFull(t, base, numExt, numUsers, 24, opts)

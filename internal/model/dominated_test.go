@@ -10,12 +10,12 @@ import (
 // a move it claims is one ProbeMoveBeats rejects from its bound for the
 // same bar and eps (false, one Bounded), both count the probe alike,
 // and nothing is claimed or counted outside the sum-rate model without
-// Redistribute or FixedShare. Where Dominated holds, every move between
+// Redistribute. Where Dominated holds, every move between
 // two extenders is claimed. PLC capacities are scaled from every cell
 // capped to none capped, over the bound-stressing layouts, bars at and
 // around the committed score.
 func TestProbeDominatedMatchesBeats(t *testing.T) {
-	opts := []Options{{}, {FixedShare: true}, {Redistribute: true}, {Utility: ProportionalFairness()}}
+	opts := []Options{{}, {Redistribute: true}, {Utility: ProportionalFairness()}}
 	claimed, whole := 0, 0
 	for ci, c := range boundCases {
 		for _, o := range opts {

@@ -63,8 +63,6 @@ func FuzzEvaluate(f *testing.F) {
 		for _, opts := range []Options{
 			{},
 			{Redistribute: true},
-			{FixedShare: true},
-			{Redistribute: true, FixedShare: true},
 		} {
 			res, err := Evaluate(n, assign, opts)
 			if err != nil {

@@ -21,6 +21,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -151,8 +152,8 @@ func (n *Network) Validate() error {
 		return errors.New("model: network has no extenders")
 	}
 	for j, c := range n.PLCCaps {
-		if c <= 0 {
-			return fmt.Errorf("model: extender %d has non-positive PLC capacity %v", j, c)
+		if !(c > 0) || math.IsInf(c, 1) {
+			return fmt.Errorf("model: extender %d has PLC capacity %v, want positive and finite", j, c)
 		}
 	}
 	for i, row := range n.WiFiRates {
@@ -181,19 +182,6 @@ func (a Assignment) NumAssigned() int {
 		}
 	}
 	return n
-}
-
-// Groups partitions user indices by extender. The result has numExtenders
-// slices; unassigned users are omitted.
-func (a Assignment) Groups(numExtenders int) [][]int {
-	groups := make([][]int, numExtenders)
-	for i, j := range a {
-		if j == Unassigned {
-			continue
-		}
-		groups[j] = append(groups[j], i)
-	}
-	return groups
 }
 
 // Diff returns the number of users whose extender differs between a and b.
@@ -250,15 +238,6 @@ type Options struct {
 	// the conservative analytic model used inside the optimization
 	// (constraint (4)).
 	Redistribute bool
-	// FixedShare makes every plugged-in extender count towards the PLC
-	// time split (A = |all extenders|), whether or not it serves users —
-	// the literal reading of Problem 1's constraint (4), where the single
-	// PLC contention domain spans every extender. With Redistribute on
-	// this is indistinguishable from active-only sharing (idle extenders
-	// have zero demand and release their time); the combination
-	// FixedShare=true, Redistribute=false is the paper's pure analytic
-	// model.
-	FixedShare bool
 	// SkipValidate skips the per-call structural scan (Network.Validate
 	// plus the per-user bounds/reachability loop). Invariant: the caller
 	// must have validated this exact (network, assignment) pair once
@@ -296,12 +275,6 @@ type Result struct {
 	// ActiveExtenders is A, the number of extenders with at least one
 	// associated user.
 	ActiveExtenders int
-}
-
-// Score returns the result's lexicographic objective value
-// (Utility primary, Aggregate tie-break).
-func (r *Result) Score() Score {
-	return Score{Primary: r.Utility, Tie: r.Aggregate}
 }
 
 // EvalScratch holds the reusable buffers of the evaluation inner loop:
@@ -390,15 +363,8 @@ func EvaluateWith(s *EvalScratch, n *Network, a Assignment, opts Options) (*Resu
 		return res, nil
 	}
 
-	contenders := len(active)
-	if opts.FixedShare {
-		contenders = numExt
-	}
 	if opts.Redistribute {
-		// Required time fraction to carry the full WiFi demand. Under
-		// FixedShare the idle extenders participate with zero demand,
-		// which the water-filling immediately hands back, so only the
-		// active set needs to be filled.
+		// Required time fraction to carry the full WiFi demand.
 		need := growFloats(s.need, len(active))
 		s.need = need
 		for k, j := range active {
@@ -414,7 +380,7 @@ func EvaluateWith(s *EvalScratch, n *Network, a Assignment, opts Options) (*Resu
 			res.PerExtender[j] = minf(res.WiFiDemand[j], shares[k]*n.PLCCaps[j])
 		}
 	} else {
-		fair := 1 / float64(contenders)
+		fair := 1 / float64(len(active))
 		for _, j := range active {
 			res.TimeShare[j] = fair
 			res.PerExtender[j] = minf(res.WiFiDemand[j], fair*n.PLCCaps[j])
@@ -456,7 +422,7 @@ func validateAssignment(n *Network, a Assignment) error {
 		if j < 0 || j >= numExt {
 			return fmt.Errorf("model: user %d assigned to invalid extender %d", i, j)
 		}
-		if n.WiFiRates[i][j] <= 0 {
+		if !(n.WiFiRates[i][j] > 0) {
 			return fmt.Errorf("model: user %d assigned to unreachable extender %d", i, j)
 		}
 	}
@@ -471,17 +437,6 @@ func Aggregate(n *Network, a Assignment, opts Options) float64 {
 		return 0
 	}
 	return res.Aggregate
-}
-
-// ObjectiveBasic evaluates the analytic objective (3) with the constraint
-// (4) PLC model (no redistribution): Σ_j min(T_WiFi_j, c_j/A). It is the
-// quantity WOLT's Phase I utilities bound.
-func ObjectiveBasic(n *Network, a Assignment) (float64, error) {
-	res, err := Evaluate(n, a, Options{Redistribute: false})
-	if err != nil {
-		return 0, err
-	}
-	return res.Aggregate, nil
 }
 
 // waterFillTime allocates one unit of medium time max-min fairly across

@@ -44,8 +44,6 @@ func TestEvaluateWithMatchesEvaluate(t *testing.T) {
 			for _, opts := range []Options{
 				{},
 				{Redistribute: true},
-				{FixedShare: true},
-				{Redistribute: true, FixedShare: true},
 			} {
 				want, err := Evaluate(n, a, opts)
 				if err != nil {

@@ -13,7 +13,6 @@ import (
 var syncOptions = []Options{
 	{},
 	{Redistribute: true},
-	{FixedShare: true},
 	{Redistribute: true, Utility: AlphaFair(1)},
 	{Redistribute: true, Utility: MaxMinFairness()},
 }

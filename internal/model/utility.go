@@ -47,15 +47,8 @@ func AlphaFair(alpha float64) Utility {
 	return Utility{Alpha: alpha}
 }
 
-// SumRate is the zero utility: maximize aggregate throughput
-// (objective (3), today's behavior).
-func SumRate() Utility { return Utility{} }
-
 // ProportionalFairness is AlphaFair(1).
 func ProportionalFairness() Utility { return Utility{Alpha: 1} }
-
-// MaxMinFairness is the α→∞ member.
-func MaxMinFairness() Utility { return Utility{MaxMin: true} }
 
 // IsSumRate reports whether u is the zero (sum-rate) member, whose
 // utility is defined to be bit-identical to the aggregate.
@@ -141,10 +134,6 @@ type Score struct {
 	Primary float64
 	Tie     float64
 }
-
-// Better reports s > o in strict lexicographic order: BetterEps with
-// eps 0, which is how argmax loops ask DeltaEval.ProbeMoveBeats for it.
-func (s Score) Better(o Score) bool { return s.BetterEps(o, 0) }
 
 // BetterEps reports whether s beats o by more than eps, the
 // strict-improvement form the search loops use: the primary must win

@@ -220,3 +220,27 @@ func TestUtilityOverEmptyActive(t *testing.T) {
 		t.Errorf("pf utility of empty active set = %v, want 0", got)
 	}
 }
+
+// SumRate is the zero utility: maximize aggregate throughput
+// (objective (3)).
+func SumRate() Utility { return Utility{} }
+
+// MaxMinFairness is the α→∞ member.
+func MaxMinFairness() Utility { return Utility{MaxMin: true} }
+
+// Better reports s > o in strict lexicographic order: BetterEps with
+// eps 0, which is how argmax loops ask DeltaEval.ProbeMoveBeats for it.
+func (s Score) Better(o Score) bool { return s.BetterEps(o, 0) }
+
+// Score returns the result's lexicographic objective value
+// (Utility primary, Aggregate tie-break).
+func (r *Result) Score() Score {
+	return Score{Primary: r.Utility, Tie: r.Aggregate}
+}
+
+// Utility returns the committed assignment's value under the attached
+// Options.Utility — bit-identical to EvaluateWith's Result.Utility.
+func (d *DeltaEval) Utility() float64 {
+	d.check()
+	return d.utility
+}

@@ -241,15 +241,6 @@ func (r StaticResult) MeanJain() float64 {
 	return stats.Mean(xs)
 }
 
-// MeanSaturation returns the mean saturation fraction across trials.
-func (r StaticResult) MeanSaturation() float64 {
-	xs := make([]float64, len(r.Trials))
-	for i, tr := range r.Trials {
-		xs[i] = tr.SaturationFraction
-	}
-	return stats.Mean(xs)
-}
-
 // RunStatic evaluates each policy on the same sequence of random
 // topologies. All users are present from the start; each policy assigns
 // them with Policy.Assign (arrivals in index order, then one epoch —

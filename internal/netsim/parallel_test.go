@@ -126,13 +126,15 @@ func TestRunStaticSaturationFractionBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := 0.0
 	for _, tr := range results[0].Trials {
 		if tr.SaturationFraction < 0 || tr.SaturationFraction > 1 {
 			t.Fatalf("saturation fraction %v out of [0,1]", tr.SaturationFraction)
 		}
+		sum += tr.SaturationFraction
 	}
-	if m := results[0].MeanSaturation(); m <= 0 {
-		t.Fatalf("starved PLC backhaul should saturate some extenders, mean %v", m)
+	if sum <= 0 {
+		t.Fatal("starved PLC backhaul should saturate some extenders")
 	}
 }
 

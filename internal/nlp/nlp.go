@@ -9,11 +9,11 @@
 // and stops when the improvement drops below 1e-5; Theorem 3 proves the
 // relaxation has integral optima. This package provides:
 //
-//   - SolveProjectedGradient: a first-order interior solver over per-user
+//   - SolveProjectedGradientWith: a first-order interior solver over per-user
 //     simplices using the paper's stopping criterion, followed by the
 //     Theorem-3 mass-shifting argument to extract an integral solution.
 //
-//   - SolveCoordinate: a purely discrete best-response (coordinate ascent)
+//   - SolveCoordinateWith: a purely discrete best-response (coordinate ascent)
 //     solver used for cross-validation and as a cheap alternative.
 //
 // Both return complete assignments; tests assert they agree on optima.
@@ -468,16 +468,10 @@ func singleMass(row []float64, sup []int) int {
 	return t
 }
 
-// SolveProjectedGradient solves the Phase II relaxation by projected
+// SolveProjectedGradientWith solves the Phase II relaxation by projected
 // gradient ascent over the free users' assignment simplices and extracts
-// an integral solution. It is SolveProjectedGradientWith on a throwaway
-// Workspace.
-func SolveProjectedGradient(p Problem, opts Options) (*Solution, error) {
-	return SolveProjectedGradientWith(nil, p, opts)
-}
-
-// SolveProjectedGradientWith is SolveProjectedGradient reusing w's
-// buffers (nil means a fresh Workspace). Only the returned Solution and
+// an integral solution, reusing w's buffers (nil means a fresh
+// Workspace). Only the returned Solution and
 // its assignment are allocated once w has grown to the instance size;
 // the result is bit-identical to a fresh solve.
 func SolveProjectedGradientWith(w *Workspace, p Problem, opts Options) (*Solution, error) {
@@ -728,15 +722,10 @@ func Total(objective CellObjective, n, s []float64) float64 {
 	return total
 }
 
-// SolveCoordinate places the free users greedily (each on the extender
-// that most increases Σ T_WiFi given current loads) and then runs
-// best-response sweeps until no single-user move improves the objective.
-func SolveCoordinate(p Problem) (*Solution, error) {
-	return solveCoordinate(p, cellTerm{})
-}
-
-// SolveCoordinateWith is SolveCoordinate under an arbitrary cell
-// objective. The returned Solution's Objective is the given objective's
+// SolveCoordinateWith places the free users greedily (each on the
+// extender that most increases the objective given current loads) and
+// then runs best-response sweeps until no single-user move improves it.
+// The returned Solution's Objective is the given objective's
 // value (not Σ T_WiFi) unless the objectives coincide.
 func SolveCoordinateWith(p Problem, objective CellObjective) (*Solution, error) {
 	if objective == nil {

@@ -428,3 +428,16 @@ func TestProportionalFairAvoidsStarvation(t *testing.T) {
 		}
 	}
 }
+
+// SolveProjectedGradient is SolveProjectedGradientWith on a throwaway
+// Workspace.
+func SolveProjectedGradient(p Problem, opts Options) (*Solution, error) {
+	return SolveProjectedGradientWith(nil, p, opts)
+}
+
+// SolveCoordinate places the free users greedily (each on the extender
+// that most increases Σ T_WiFi given current loads) and then runs
+// best-response sweeps until no single-user move improves Σ T_WiFi.
+func SolveCoordinate(p Problem) (*Solution, error) {
+	return solveCoordinate(p, cellTerm{})
+}

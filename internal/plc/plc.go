@@ -122,20 +122,6 @@ func (m LineModel) BuildLinks(paths []OutletPath, rng *rand.Rand) []Link {
 	return links
 }
 
-// RandomPaths draws plausible outlet paths for n extenders: wire runs of
-// 10–60 m with 1–6 branch taps. Deterministic for a given rng state.
-func RandomPaths(n int, rng *rand.Rand) []OutletPath {
-	paths := make([]OutletPath, n)
-	for i := range paths {
-		paths[i] = OutletPath{
-			ExtenderID: i,
-			WireLenM:   10 + rng.Float64()*50,
-			Branches:   1 + rng.Intn(6),
-		}
-	}
-	return paths
-}
-
 // Estimator performs the paper's offline capacity estimation (§V-A): each
 // PLC link is saturated in isolation and the sustained throughput is
 // recorded as its capacity. Probe is the function that saturates a link

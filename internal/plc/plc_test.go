@@ -180,3 +180,17 @@ func TestNoisyProbeStaysNearTruth(t *testing.T) {
 		t.Errorf("noisy probe mean %v too far from 120", mean)
 	}
 }
+
+// RandomPaths draws plausible outlet paths for n extenders: wire runs of
+// 10–60 m with 1–6 branch taps. Deterministic for a given rng state.
+func RandomPaths(n int, rng *rand.Rand) []OutletPath {
+	paths := make([]OutletPath, n)
+	for i := range paths {
+		paths[i] = OutletPath{
+			ExtenderID: i,
+			WireLenM:   10 + rng.Float64()*50,
+			Branches:   1 + rng.Intn(6),
+		}
+	}
+	return paths
+}

@@ -28,6 +28,10 @@ import (
 	"github.com/plcwifi/wolt/internal/model"
 )
 
+// tdmaBudget is the maximum fraction of medium time the coordinator may
+// reserve, leaving at least 40% CSMA per beacon cycle.
+const tdmaBudget = 0.6
+
 // ErrInfeasible is returned when the priority demands cannot all be
 // guaranteed within the TDMA budget.
 var ErrInfeasible = errors.New("qos: priority demands exceed the TDMA budget")
@@ -47,11 +51,6 @@ type Config struct {
 	// Priority lists the guaranteed-rate users; all other users are
 	// best-effort.
 	Priority []Demand
-	// TDMABudget is the maximum fraction of medium time the coordinator
-	// may reserve (default 0.6, leaving ≥40% CSMA per beacon cycle).
-	TDMABudget float64
-	// Assign configures the best-effort WOLT run.
-	Assign core.Options
 	// Eval selects the evaluation model for the best-effort share.
 	Eval model.Options
 }
@@ -64,7 +63,7 @@ type Plan struct {
 	// ReservedTime[j] is the medium-time fraction reserved for extender
 	// j's priority traffic.
 	ReservedTime []float64
-	// TotalReserved is Σ ReservedTime (≤ TDMABudget).
+	// TotalReserved is Σ ReservedTime (≤ tdmaBudget).
 	TotalReserved float64
 	// Guaranteed[user] is the admitted guaranteed rate.
 	Guaranteed map[int]float64
@@ -82,14 +81,6 @@ func Build(cfg Config) (*Plan, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	budget := cfg.TDMABudget
-	if budget == 0 {
-		budget = 0.6
-	}
-	if budget < 0 || budget > 1 {
-		return nil, fmt.Errorf("qos: TDMA budget %v outside [0,1]", budget)
-	}
-
 	isPriority := make(map[int]float64, len(cfg.Priority))
 	for _, d := range cfg.Priority {
 		if d.User < 0 || d.User >= n.NumUsers() {
@@ -128,7 +119,7 @@ func Build(cfg Config) (*Plan, error) {
 				continue // the WiFi hop cannot sustain the guarantee
 			}
 			frac := d.Mbps / n.PLCCaps[j]
-			if plan.TotalReserved+frac > budget+1e-12 {
+			if plan.TotalReserved+frac > tdmaBudget+1e-12 {
 				continue
 			}
 			if bestJ < 0 || frac < bestFrac {
@@ -137,7 +128,7 @@ func Build(cfg Config) (*Plan, error) {
 		}
 		if bestJ < 0 {
 			return nil, fmt.Errorf("%w: user %d needs %v Mbps (reserved %.2f of %.2f)",
-				ErrInfeasible, d.User, d.Mbps, plan.TotalReserved, budget)
+				ErrInfeasible, d.User, d.Mbps, plan.TotalReserved, tdmaBudget)
 		}
 		plan.Assign[d.User] = bestJ
 		plan.ReservedTime[bestJ] += bestFrac
@@ -171,7 +162,7 @@ func Build(cfg Config) (*Plan, error) {
 	for k, i := range bestEffort {
 		sub.WiFiRates[k] = n.WiFiRates[i]
 	}
-	res, err := core.Assign(sub, cfg.Assign)
+	res, err := core.Assign(sub, core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("qos: best-effort association: %w", err)
 	}

@@ -28,7 +28,6 @@ func TestValidation(t *testing.T) {
 	}{
 		{name: "nil network", cfg: Config{}},
 		{name: "invalid network", cfg: Config{Net: &model.Network{}}},
-		{name: "bad budget", cfg: Config{Net: fig3Network(), TDMABudget: 1.5}},
 		{name: "user out of range", cfg: Config{Net: fig3Network(), Priority: []Demand{{User: 9, Mbps: 5}}}},
 		{name: "zero demand", cfg: Config{Net: fig3Network(), Priority: []Demand{{User: 0, Mbps: 0}}}},
 		{name: "duplicate demand", cfg: Config{Net: fig3Network(), Priority: []Demand{{User: 0, Mbps: 1}, {User: 0, Mbps: 2}}}},
@@ -104,13 +103,12 @@ func TestWiFiHopGatesAdmission(t *testing.T) {
 }
 
 func TestBudgetGatesAdmission(t *testing.T) {
-	// 20 Mbps on a 60 Mbps link needs 1/3 of the medium; a 0.2 budget
-	// cannot hold it.
+	// 40 Mbps on the 60 Mbps link needs 2/3 of the medium; the 0.6
+	// budget cannot hold it (the 20 Mbps link's WiFi hop is too slow).
 	_, err := Build(Config{
-		Net:        fig3Network(),
-		Priority:   []Demand{{User: 1, Mbps: 20}},
-		TDMABudget: 0.2,
-		Eval:       redistribute,
+		Net:      fig3Network(),
+		Priority: []Demand{{User: 1, Mbps: 40}},
+		Eval:     redistribute,
 	})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want ErrInfeasible", err)
@@ -132,8 +130,7 @@ func TestMultipleGuaranteesSharedBudget(t *testing.T) {
 			{User: 0, Mbps: 25},
 			{User: 1, Mbps: 25},
 		},
-		TDMABudget: 0.6,
-		Eval:       redistribute,
+		Eval: redistribute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +162,7 @@ func TestLargestDemandPlacedFirst(t *testing.T) {
 			{User: 0, Mbps: 10},
 			{User: 1, Mbps: 50},
 		},
-		TDMABudget: 0.5,
-		Eval:       redistribute,
+		Eval: redistribute,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -108,26 +108,6 @@ func Default80211g() *RateTable {
 	return t
 }
 
-// Default80211n returns a 2-stream 802.11n (HT40) sensitivity table, the
-// PHY generation of the TL-WPA8630 extenders used on the paper's testbed.
-func Default80211n() *RateTable {
-	t, err := NewRateTable([]RateStep{
-		{MinRSSIDBm: -64, RateMbps: 300},
-		{MinRSSIDBm: -65, RateMbps: 270},
-		{MinRSSIDBm: -69, RateMbps: 240},
-		{MinRSSIDBm: -73, RateMbps: 180},
-		{MinRSSIDBm: -77, RateMbps: 120},
-		{MinRSSIDBm: -79, RateMbps: 90},
-		{MinRSSIDBm: -81, RateMbps: 60},
-		{MinRSSIDBm: -82, RateMbps: 30},
-		{MinRSSIDBm: -88, RateMbps: 13},
-	})
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Rate returns the PHY rate selected at the given RSSI, and whether the
 // station is in range at all (false below the weakest threshold).
 func (t *RateTable) Rate(rssiDBm float64) (float64, bool) {
@@ -137,21 +117,6 @@ func (t *RateTable) Rate(rssiDBm float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MaxRate returns the highest rate in the table.
-func (t *RateTable) MaxRate() float64 {
-	return t.steps[0].RateMbps
-}
-
-// MinRate returns the lowest (cell edge) rate in the table.
-func (t *RateTable) MinRate() float64 {
-	return t.steps[len(t.steps)-1].RateMbps
-}
-
-// Steps returns a copy of the table rows in descending-threshold order.
-func (t *RateTable) Steps() []RateStep {
-	return append([]RateStep(nil), t.steps...)
 }
 
 // Model combines a channel with a rate table: distance in, PHY rate out.
@@ -190,12 +155,6 @@ func DefaultModel() Model {
 	}
 }
 
-// RateAt returns the PHY rate of a user at distance d meters from an
-// extender, without shadowing.
-func (m Model) RateAt(d float64) float64 {
-	return m.rateAtRSSI(m.Channel.RSSIDBm(d))
-}
-
 // LinkRate returns the PHY rate of the (user, extender) link including
 // that link's shadowing offset.
 func (m Model) LinkRate(d float64, userID, extenderID int) float64 {
@@ -221,24 +180,6 @@ func (m Model) shadowDB(userID, extenderID int) float64 {
 		return 0
 	}
 	return m.ShadowSigmaDB * hashNormal(uint64(m.ShadowSeed), uint64(userID), uint64(extenderID))
-}
-
-// RSSIAt returns the unshadowed RSSI at distance d meters.
-func (m Model) RSSIAt(d float64) float64 {
-	return m.Channel.RSSIDBm(d)
-}
-
-// RateMatrix converts a |users| × |extenders| distance matrix into a PHY
-// rate matrix r_ij (no shadowing; row/column indices are not stable IDs).
-func (m Model) RateMatrix(distances [][]float64) [][]float64 {
-	r := make([][]float64, len(distances))
-	for i, row := range distances {
-		r[i] = make([]float64, len(row))
-		for j, d := range row {
-			r[i][j] = m.RateAt(d)
-		}
-	}
-	return r
 }
 
 // hashNormal maps (seed, a, b) to an approximately standard-normal value

@@ -98,12 +98,12 @@ func TestRateSelection(t *testing.T) {
 }
 
 func TestRateTableExtremes(t *testing.T) {
-	tab := Default80211n()
-	if tab.MaxRate() != 300 {
-		t.Errorf("MaxRate = %v, want 300", tab.MaxRate())
+	tab := Default80211g()
+	if r, ok := tab.Rate(0); !ok || r != 54 {
+		t.Errorf("Rate(0 dBm) = (%v,%v), want the top rate 54", r, ok)
 	}
-	if tab.MinRate() != 13 {
-		t.Errorf("MinRate = %v, want 13", tab.MinRate())
+	if r, ok := tab.Rate(-88); !ok || r != 6 {
+		t.Errorf("Rate(-88 dBm) = (%v,%v), want the cell-edge rate 6", r, ok)
 	}
 }
 
@@ -244,4 +244,33 @@ func TestShadowSeedChangesField(t *testing.T) {
 	if same == 10 {
 		t.Error("shadow seed has no effect")
 	}
+}
+
+// Steps returns a copy of the table rows in descending-threshold order.
+func (t *RateTable) Steps() []RateStep {
+	return append([]RateStep(nil), t.steps...)
+}
+
+// RSSIAt returns the unshadowed RSSI at distance d meters.
+func (m Model) RSSIAt(d float64) float64 {
+	return m.Channel.RSSIDBm(d)
+}
+
+// RateMatrix converts a |users| × |extenders| distance matrix into a PHY
+// rate matrix r_ij (no shadowing; row/column indices are not stable IDs).
+func (m Model) RateMatrix(distances [][]float64) [][]float64 {
+	r := make([][]float64, len(distances))
+	for i, row := range distances {
+		r[i] = make([]float64, len(row))
+		for j, d := range row {
+			r[i][j] = m.RateAt(d)
+		}
+	}
+	return r
+}
+
+// RateAt returns the PHY rate of a user at distance d meters from an
+// extender, without shadowing.
+func (m Model) RateAt(d float64) float64 {
+	return m.rateAtRSSI(m.Channel.RSSIDBm(d))
 }

@@ -200,14 +200,6 @@ func (c *Coordinator) stripeFor(userID int) *stripe {
 	return &c.stripes[uint(userID)&(numStripes-1)]
 }
 
-// Owner returns the member ID owning the given extender.
-func (c *Coordinator) Owner(extender int) int {
-	if extender < 0 || extender >= len(c.ownerOf) {
-		return -1
-	}
-	return c.ownerOf[extender]
-}
-
 // tally counts the member engine's reassociation directives into the
 // member's counters and returns the directives. Callers hold m.mu.
 func (m *member) tally(dirs []control.Directive) []control.Directive {

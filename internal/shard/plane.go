@@ -153,14 +153,6 @@ func (p *Plane) Members() []int {
 	return append([]int(nil), p.members...)
 }
 
-// Owner returns the member owning the given extender.
-func (p *Plane) Owner(extender int) int {
-	if extender < 0 || extender >= len(p.ownerOf) {
-		return -1
-	}
-	return p.ownerOf[extender]
-}
-
 // Stats merges the hosted members' engine snapshots. In single-member
 // mode this covers only the local shard; a deployment-wide view needs
 // each process's snapshot.

@@ -200,3 +200,11 @@ func TestPlaneSingleShardIsGlobal(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 user / 0 redirects", st)
 	}
 }
+
+// Owner returns the member owning the given extender.
+func (p *Plane) Owner(extender int) int {
+	if extender < 0 || extender >= len(p.ownerOf) {
+		return -1
+	}
+	return p.ownerOf[extender]
+}

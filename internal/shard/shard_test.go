@@ -387,3 +387,11 @@ func TestCoordinatorReassignOnLeave(t *testing.T) {
 		t.Errorf("per-shard users sum to %d, coordinator reports %d", perShardUsers, st.Users)
 	}
 }
+
+// Owner returns the member ID owning the given extender.
+func (c *Coordinator) Owner(extender int) int {
+	if extender < 0 || extender >= len(c.ownerOf) {
+		return -1
+	}
+	return c.ownerOf[extender]
+}

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Quantile is a streaming estimator of a single quantile using the P²
@@ -52,12 +51,6 @@ func MustQuantile(p float64) *Quantile {
 	}
 	return q
 }
-
-// P returns the target quantile the estimator tracks.
-func (q *Quantile) P() float64 { return q.p }
-
-// Count returns the number of observations added.
-func (q *Quantile) Count() int { return q.n }
 
 // Add feeds one observation into the estimator.
 func (q *Quantile) Add(x float64) {
@@ -151,32 +144,4 @@ func (q *Quantile) Value() float64 {
 		return q.q[rank-1]
 	}
 	return q.q[2]
-}
-
-// Reset returns the estimator to its initial empty state, keeping the
-// target quantile.
-func (q *Quantile) Reset() {
-	n := q.p
-	*q = Quantile{p: n}
-	q.want = [5]float64{1, 1 + 2*n, 1 + 4*n, 3 + 2*n, 5}
-	q.dWant = [5]float64{0, n / 2, n, (1 + n) / 2, 1}
-}
-
-// ExactQuantile is the nearest-rank reference the estimator's tests
-// compare against: the ceil(p*n)-th smallest sample. It copies and
-// sorts; use it for verification, not hot paths.
-func ExactQuantile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }

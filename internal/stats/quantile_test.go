@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -149,4 +150,38 @@ func TestExactQuantile(t *testing.T) {
 	if got := ExactQuantile(nil, 0.5); got != 0 {
 		t.Errorf("ExactQuantile(nil) = %v, want 0", got)
 	}
+}
+
+// P returns the target quantile the estimator tracks.
+func (q *Quantile) P() float64 { return q.p }
+
+// Count returns the number of observations added.
+func (q *Quantile) Count() int { return q.n }
+
+// Reset returns the estimator to its initial empty state, keeping the
+// target quantile.
+func (q *Quantile) Reset() {
+	n := q.p
+	*q = Quantile{p: n}
+	q.want = [5]float64{1, 1 + 2*n, 1 + 4*n, 3 + 2*n, 5}
+	q.dWant = [5]float64{0, n / 2, n, (1 + n) / 2, 1}
+}
+
+// ExactQuantile is the nearest-rank reference the estimator's tests
+// compare against: the ceil(p*n)-th smallest sample. It copies and
+// sorts; use it for verification, not hot paths.
+func ExactQuantile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	rank := int(math.Ceil(p * float64(len(sorted))))
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > len(sorted) {
+		rank = len(sorted)
+	}
+	return sorted[rank-1]
 }

@@ -44,40 +44,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the largest element of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Variance returns the unbiased sample variance of xs.
-// It returns 0 when fewer than two samples are present.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mean := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
 // interpolation between closest ranks. It returns an error for empty input
 // or an out-of-range p.
@@ -101,11 +67,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
 }
 
 // JainIndex returns Jain's fairness index of the allocations xs:
@@ -155,18 +116,6 @@ func CDF(xs []float64) []CDFPoint {
 		points = append(points, CDFPoint{Value: v, P: p})
 	}
 	return points
-}
-
-// MeanCI returns the sample mean of xs together with the half-width of an
-// approximate 95% confidence interval (normal approximation).
-func MeanCI(xs []float64) (mean, halfWidth float64) {
-	mean = Mean(xs)
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	const z95 = 1.96
-	halfWidth = z95 * StdDev(xs) / math.Sqrt(float64(len(xs)))
-	return mean, halfWidth
 }
 
 // Ratio returns a/b, or 0 when b is 0. It exists because experiment code

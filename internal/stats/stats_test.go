@@ -99,7 +99,7 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 }
 
 func TestMedian(t *testing.T) {
-	got, err := Median([]float64{1, 3, 2})
+	got, err := Percentile([]float64{1, 3, 2}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,4 +225,50 @@ func TestRatio(t *testing.T) {
 	if got := Ratio(10, 0); got != 0 {
 		t.Errorf("Ratio(10,0) = %v, want 0", got)
 	}
+}
+
+// Max returns the largest element of xs, or 0 for an empty slice.
+func Max(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
+// MeanCI returns the sample mean of xs together with the half-width of an
+// approximate 95% confidence interval (normal approximation).
+func MeanCI(xs []float64) (mean, halfWidth float64) {
+	mean = Mean(xs)
+	if len(xs) < 2 {
+		return mean, 0
+	}
+	const z95 = 1.96
+	halfWidth = z95 * StdDev(xs) / math.Sqrt(float64(len(xs)))
+	return mean, halfWidth
+}
+
+// StdDev returns the unbiased sample standard deviation of xs.
+func StdDev(xs []float64) float64 {
+	return math.Sqrt(Variance(xs))
+}
+
+// Variance returns the unbiased sample variance of xs.
+// It returns 0 when fewer than two samples are present.
+func Variance(xs []float64) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	mean := Mean(xs)
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	return ss / float64(len(xs)-1)
 }

@@ -19,9 +19,8 @@ func init() {
 // Reassign searches from the previous one, editing it in place — the
 // warm path that makes per-epoch re-solves sub-millisecond — and Add
 // places one arrival through the evaluator's Sync fast path. All three
-// forms honor Config.Budget and Config.Ctx under the anytime contract
-// (DESIGN.md §11): they always return the best-so-far valid
-// association.
+// forms honor Config.Budget under the anytime contract (DESIGN.md §11):
+// they always return the best-so-far valid association.
 type lsStrategy struct {
 	name   string
 	method localsearch.Method
@@ -90,7 +89,7 @@ func (s *lsStrategy) Solve(n *model.Network) (model.Assignment, error) {
 // it allocates nothing once the Searcher has grown to the network.
 func (s *lsStrategy) Reassign(n *model.Network, prev model.Assignment) (model.Assignment, error) {
 	t0 := time.Now()
-	res, err := s.search.Search(s.cfg.Ctx, n, prev, s.method, s.opts)
+	res, err := s.search.Search(n, prev, s.method, s.opts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -124,32 +123,6 @@ func TestHillClimbMoveBudget(t *testing.T) {
 	}
 	if free, _ := repair(0); moved(free) <= 3 {
 		t.Fatalf("unlimited repair moved only %d users; the caps above bind nothing", moved(free))
-	}
-}
-
-// TestLocalSearchCtxCancelled: a cancelled Config.Ctx still yields a
-// valid assignment (the anytime contract through the registry).
-func TestLocalSearchCtxCancelled(t *testing.T) {
-	n := testNetwork(t, 24, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, name := range lsNames {
-		var last Stats
-		st, err := New(name, Config{Seed: 7, Ctx: ctx, Observer: func(s Stats) { last = s }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := st.Solve(n)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var scratch model.EvalScratch
-		if _, err := model.EvaluateWith(&scratch, n, got, model.Options{}); err != nil {
-			t.Fatalf("%s: cancelled solve returned invalid assignment: %v", name, err)
-		}
-		if last.Stop != "ctx" {
-			t.Errorf("%s: Stop = %q, want ctx", name, last.Stop)
-		}
 	}
 }
 

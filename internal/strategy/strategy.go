@@ -20,7 +20,6 @@
 package strategy
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -33,11 +32,10 @@ import (
 // Budget is the one budget vocabulary shared by every budget-aware
 // strategy (an alias of localsearch.Budget): Probes caps O(Δ) delta
 // probes, Moves caps committed re-associations of already-placed users
-// (arrivals are always free; negative Moves means placement only), Time
-// caps wall clock. Zero fields are unlimited, so the zero Budget
-// preserves every strategy's full-effort behavior. Only Probes and
-// Moves are deterministic; Budget.Time depends on machine speed
-// (DESIGN.md §7, §11).
+// (arrivals are always free; negative Moves means placement only). Zero
+// fields are unlimited, so the zero Budget preserves every strategy's
+// full-effort behavior. Both count work, so budgeted results are
+// deterministic (DESIGN.md §7, §11).
 type Budget = localsearch.Budget
 
 // Strategy computes a complete association for a network. Instances are
@@ -120,7 +118,7 @@ type Stats struct {
 	Utility    float64
 	Trajectory []float64
 	// Stop records why an anytime solve returned ("optimum", "probes",
-	// "moves", "time", "ctx", "frozen"); empty for non-anytime
+	// "moves", "frozen"); empty for non-anytime
 	// strategies.
 	Stop string
 }
@@ -154,16 +152,11 @@ type Config struct {
 	Seed int64
 	// Budget bounds the work of budget-aware strategies: the
 	// local-search family (wolt-hillclimb, wolt-kopt, wolt-anneal)
-	// honors all three dimensions per Solve/Reassign, and
-	// wolt-incremental honors only Budget.Moves, as its per-Reassign
-	// move cap after a cold target solve; New rejects a probe or time
-	// budget on it. The zero Budget is unlimited.
+	// honors both dimensions per Solve/Reassign, and wolt-incremental
+	// honors only Budget.Moves, as its per-Reassign move cap after a
+	// cold target solve; New rejects a probe budget on it. The zero
+	// Budget is unlimited.
 	Budget Budget
-	// Ctx, when non-nil, makes the local-search family interruptible:
-	// cancellation stops a solve at the next probe checkpoint and the
-	// best-so-far valid assignment is returned (the anytime contract,
-	// DESIGN.md §11). Other strategies ignore it.
-	Ctx context.Context
 	// Observer receives per-solve Stats; nil disables instrumentation.
 	Observer Observer
 }
@@ -213,15 +206,15 @@ func Register(name string, f Factory) {
 
 // New builds a configured instance of the named strategy. The error
 // wraps ErrUnknown for unregistered names and lists the valid ones, and
-// rejects a probe or time budget on wolt-incremental, whose only budget
-// is Budget.Moves.
+// rejects a probe budget on wolt-incremental, whose only budget is
+// Budget.Moves.
 func New(name string, cfg Config) (Strategy, error) {
 	f, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("%w %q (want one of: %v)", ErrUnknown, name, Names())
 	}
-	if name == "wolt-incremental" && (cfg.Budget.Probes > 0 || cfg.Budget.Time > 0) {
-		return nil, fmt.Errorf("strategy: wolt-incremental takes only a move budget, got %+v; use wolt-hillclimb for a probe- or time-budgeted warm repair", cfg.Budget)
+	if name == "wolt-incremental" && cfg.Budget.Probes > 0 {
+		return nil, fmt.Errorf("strategy: wolt-incremental takes only a move budget, got %+v; use wolt-hillclimb for a probe-budgeted warm repair", cfg.Budget)
 	}
 	return f(cfg), nil
 }

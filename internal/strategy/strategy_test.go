@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/plcwifi/wolt/internal/baseline"
 	"github.com/plcwifi/wolt/internal/model"
@@ -70,10 +69,10 @@ func TestNewUnknownStrategy(t *testing.T) {
 }
 
 // TestIncrementalRejectsSearchBudget: wolt-incremental's only budget is
-// Budget.Moves; a probe or time budget asks for a warm hill-climb
-// repair, which is wolt-hillclimb, and New says so.
+// Budget.Moves; a probe budget asks for a warm hill-climb repair,
+// which is wolt-hillclimb, and New says so.
 func TestIncrementalRejectsSearchBudget(t *testing.T) {
-	for _, b := range []Budget{{Probes: 60}, {Time: time.Millisecond}, {Probes: 60, Moves: 3}} {
+	for _, b := range []Budget{{Probes: 60}, {Probes: 60, Moves: 3}} {
 		_, err := New("wolt-incremental", Config{Budget: b})
 		if err == nil || !strings.Contains(err.Error(), "wolt-hillclimb") {
 			t.Errorf("New(wolt-incremental, %+v) error = %v, want one naming wolt-hillclimb", b, err)

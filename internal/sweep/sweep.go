@@ -35,9 +35,6 @@ type Config struct {
 	Trials int
 	// Seed drives all randomness.
 	Seed int64
-	// Radio is the WiFi model; nil selects the enterprise calibration
-	// (14 dBm, exponent 3.5, 7 dB shadowing).
-	Radio *radio.Model
 	// ModelOpts selects the evaluation model (redistribution on by
 	// default-zero semantics is NOT applied here; set explicitly).
 	ModelOpts model.Options
@@ -164,10 +161,9 @@ func Run(cfg Config) ([]Result, error) {
 	return results, nil
 }
 
+// radioModel is the enterprise calibration of the WiFi model (14 dBm,
+// exponent 3.5, 7 dB shadowing).
 func (c Config) radioModel() radio.Model {
-	if c.Radio != nil {
-		return *c.Radio
-	}
 	rm := radio.DefaultModel()
 	rm.Channel.TxPowerDBm = 14
 	rm.Channel.PathLossExponent = 3.5

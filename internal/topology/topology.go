@@ -144,18 +144,6 @@ func Generate(cfg Config) (*Topology, error) {
 	return topo, nil
 }
 
-// AddUser appends a user at the given position and returns its ID.
-func (t *Topology) AddUser(pos Point) int {
-	id := t.nextUserID()
-	t.Users = append(t.Users, User{ID: id, Pos: pos})
-	return id
-}
-
-// AddRandomUser appends a uniformly placed user using rng and returns its ID.
-func (t *Topology) AddRandomUser(rng *rand.Rand) int {
-	return t.AddUser(t.RandomPoint(rng))
-}
-
 // AddUserWithID appends a user with a caller-chosen ID. It returns an
 // error if the ID is already present. Used by trace replay, where user
 // IDs are owned by the workload generator.
@@ -217,16 +205,6 @@ func (t *Topology) PLCCapacities() []float64 {
 		cs[j] = e.PLCCapacityMbps
 	}
 	return cs
-}
-
-func (t *Topology) nextUserID() int {
-	next := 0
-	for _, u := range t.Users {
-		if u.ID >= next {
-			next = u.ID + 1
-		}
-	}
-	return next
 }
 
 func randomPoint(rng *rand.Rand, w, h float64) Point {

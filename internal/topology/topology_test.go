@@ -164,9 +164,9 @@ func TestAddRemoveUser(t *testing.T) {
 		t.Error("user 1 still present after removal")
 	}
 	// Fresh IDs are never reused even after removals.
-	id2 := topo.AddRandomUser(rand.New(rand.NewSource(1)))
+	id2 := topo.AddUser(topo.RandomPoint(rand.New(rand.NewSource(1))))
 	if id2 != 4 {
-		t.Errorf("AddRandomUser ID = %d, want 4", id2)
+		t.Errorf("AddUser ID = %d, want 4", id2)
 	}
 }
 
@@ -202,4 +202,21 @@ func TestPLCCapacities(t *testing.T) {
 	if len(cs) != 2 || cs[0] != 60 || cs[1] != 160 {
 		t.Errorf("PLCCapacities = %v", cs)
 	}
+}
+
+// AddUser appends a user at the given position and returns its ID.
+func (t *Topology) AddUser(pos Point) int {
+	id := t.nextUserID()
+	t.Users = append(t.Users, User{ID: id, Pos: pos})
+	return id
+}
+
+func (t *Topology) nextUserID() int {
+	next := 0
+	for _, u := range t.Users {
+		if u.ID >= next {
+			next = u.ID + 1
+		}
+	}
+	return next
 }

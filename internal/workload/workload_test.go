@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -357,4 +358,81 @@ func TestDiurnalShapeThinsArrivals(t *testing.T) {
 	if !reflect.DeepEqual(events, again) {
 		t.Error("shaped trace not deterministic for a fixed seed")
 	}
+}
+
+// DefaultConfig mirrors the paper's setting: arrival rate 3, departure
+// rate 1. With epoch length 16 the expected net growth is +32 users per
+// epoch, matching the paper's 36 → 66 → 102 trajectory.
+func DefaultConfig() Config {
+	return Config{
+		ArrivalRate:   3,
+		DepartureRate: 1,
+		Horizon:       48,
+		InitialUsers:  36,
+	}
+}
+
+// Population replays a trace and returns the number of users present just
+// after time t (initial population included).
+func Population(initial int, events []Event, t float64) int {
+	n := initial
+	for _, ev := range events {
+		if ev.Time > t {
+			break
+		}
+		switch ev.Kind {
+		case Arrival:
+			n++
+		case Departure:
+			n--
+		}
+	}
+	return n
+}
+
+// EpochStats summarizes churn within one epoch.
+type EpochStats struct {
+	Arrivals   int
+	Departures int
+	// EndPopulation is the population at the end of the epoch.
+	EndPopulation int
+}
+
+// Epochs splits a trace into consecutive epochs of the given length and
+// tallies per-epoch churn. The number of epochs is ceil(horizon/epochLen)
+// inferred from the last event (at least one).
+func Epochs(initial int, events []Event, epochLen, horizon float64) ([]EpochStats, error) {
+	if epochLen <= 0 {
+		return nil, fmt.Errorf("workload: non-positive epoch length %v", epochLen)
+	}
+	if horizon <= 0 {
+		return nil, fmt.Errorf("workload: non-positive horizon %v", horizon)
+	}
+	numEpochs := int(math.Ceil(horizon / epochLen))
+	out := make([]EpochStats, numEpochs)
+	pop := initial
+	for _, ev := range events {
+		idx := int(ev.Time / epochLen)
+		if idx >= numEpochs {
+			break
+		}
+		switch ev.Kind {
+		case Arrival:
+			out[idx].Arrivals++
+			pop++
+		case Departure:
+			out[idx].Departures++
+			pop--
+		}
+		out[idx].EndPopulation = pop
+	}
+	// Carry populations through event-free epochs.
+	pop = initial
+	for i := range out {
+		if out[i].Arrivals == 0 && out[i].Departures == 0 {
+			out[i].EndPopulation = pop
+		}
+		pop = out[i].EndPopulation
+	}
+	return out, nil
 }

@@ -184,6 +184,10 @@ fi
 # and shard membership is static: a ring fixed at construction (live
 # resharding, its routing snapshot and epoch, the mutable Ring type and
 # the engine's global-width report read-back are gone).
+# This list only needs names a caller could bring back: a deleted
+# exported name that returns without a non-test caller (or a config
+# field no caller sets) already fails the export check in
+# exports_test.go, which runs under go test ./....
 # Test files are covered too; the one exemption is the experiments test
 # that pins the refusal of the retired "tcp-json" plane name.
 bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic|deficitOrder|sweepOrder|WarmOptions|assignWarm|\.Unlimited\(|\.HillClimb\(|\.KOpt\(|\.Anneal\(|scanPool|takeScan|releaseScan|userRec|scanPoolCap|applyLocked|Phase1Solver|Phase1Auction|Phase1Hungarian|AuctionMaximize|AnnealOptions|\bInitTemp\b|FloorFrac|\bStepFrac\b|\btypeCode\b|\bcodeType\b|keepaliveLoop|AddShard|RemoveShard|AppendReport|NewRing|routing\.Load|\.Epoch\(\)' \

@@ -1,0 +1,9 @@
+package main
+
+import (
+	"fmt"
+
+	"example.com/fixture/internal/lib"
+)
+
+func main() { fmt.Println(lib.NestedOnly()) }
