@@ -1,6 +1,7 @@
 package control
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -87,29 +88,28 @@ type EngineConfig struct {
 // internal/shard members all drive the same Engine; none of them carry
 // policy logic of their own.
 //
-// The user table is a flat, ID-sorted row slice with pooled per-row
-// buffers rather than a map of heap nodes: a departed user's rate
-// vectors park at the slice tail and the next arrival reuses them. A
-// row keeps only the owned-width projection of the user's scan: a
-// shard member owning k of the deployment's extenders stores k rates
-// per user, however wide the reports it is sent. The
+// The user table is a flat slice of stable row slots with pooled
+// per-row buffers, and an index from user ID to slot: a join appends a
+// slot, a leave moves the last slot into the freed one, and the
+// departed user's rate vectors park at the slice tail for the next
+// arrival to reuse. A row keeps only the owned-width projection of the
+// user's scan: a shard member owning k of the deployment's extenders
+// stores k rates per user, however wide the reports it is sent. The
 // model.Network the strategy sees and the working assignment are kept
 // in lockstep with the table: a join, leave or update is one logged row
-// edit (Network.InsertRow, RemoveRow, SetRow) plus the matching edit of
+// edit (Network.AppendRow, RemoveRow, SetRow) plus the matching edit of
 // the assignment, and a failed operation makes the inverse edit. The
-// strategy's evaluator and candidate cache replay those edits instead
-// of rebuilding, so a placement-only join rebuilds nothing. It still
-// costs O(users): each insert or remove shifts every later entry of
-// the engine's rows, the Network's rows, the evaluator's member
-// indices and the candidate slots by one place, which is memmove work
-// that grows linearly with the table (BenchmarkEngineJoinLeaveScaling).
-// A Reassign, which may move anyone, edits the assignment in place; its
-// directives come from one sequential compare of the assignment with
-// the directed column, which reads the row table only for rows that
-// moved. The steady-state per-event path (join, update, leave
-// under an anytime policy) performs O(1) allocations regardless of
-// table size — the discipline the million-user city harness depends on
-// (DESIGN.md §12).
+// network is keyed by user ID, so every sum, visit order and tie-break
+// follows user ID, not slot order, and the strategy's evaluator and
+// caches replay each edit in O(cell) or O(extenders): neither a join
+// nor a leave does work that grows with the table
+// (BenchmarkEngineJoinLeaveScaling). A Reassign, which may move anyone,
+// edits the assignment in place; its directives, in ascending user ID,
+// come from the rows it reports writing (rowWriter), or from
+// a compare of every row. The steady-state per-event path
+// (join, update, leave under an anytime policy) performs O(1)
+// allocations regardless of table size — the discipline the
+// million-user city harness depends on (DESIGN.md §12).
 //
 // All methods are safe for concurrent use; each operation runs under the
 // engine's lock (strategy instances are not safe for concurrent solves).
@@ -127,9 +127,11 @@ type Engine struct {
 	placementJoins bool
 
 	mu sync.Mutex
-	// rows is the user table, sorted by ascending user ID. Rows beyond
-	// len(rows) (up to cap) hold pooled buffers from departed users.
+	// rows is the user table, one slot per user in no particular order,
+	// and index finds each user's row. Rows beyond len(rows) (up to cap)
+	// hold pooled buffers from departed users.
 	rows           []userRow
+	index          rowIndex
 	joins          int
 	leaves         int
 	reassociations int
@@ -141,9 +143,10 @@ type Engine struct {
 
 	// net and assign are the member's view the strategy works on, row
 	// for row in lockstep with rows: net's rows alias the table's
-	// owned-width rate buffers and assign holds each row's local
-	// extender index. Every table edit is the matching logged row edit
-	// of net.
+	// owned-width rate buffers, keyed by user ID, and assign holds each
+	// row's local extender index. Every table edit is the matching
+	// logged row edit of net, and every other edit of assign is reported
+	// to net (Network.AssignmentEdited).
 	net    model.Network
 	assign model.Assignment
 	// directed is each row's last directed association (local extender
@@ -158,13 +161,13 @@ type Engine struct {
 	prevRates, prevRSSI []float64
 }
 
-// userRow is one user's slot in the flat table. It stores only the
-// owned-width projection of the user's scan report: entry l is the
-// report's value for global extender owned[l], the rates of the
-// extenders this engine assigns, and the network row aliases rates. The
-// slices keep their capacity across occupants.
+// userRow is one user's slot in the flat table (its ID is the row's
+// network key). It stores only the owned-width projection of the user's
+// scan report: entry l is the report's value for global extender
+// owned[l], the rates of the extenders this engine assigns, and the
+// network row aliases rates. The slices keep their capacity across
+// occupants.
 type userRow struct {
-	id    int
 	rates []float64 // owned width
 	rssi  []float64 // owned width, or empty when the report had none
 }
@@ -283,13 +286,6 @@ func (e *Engine) validateScan(userID int, rates, rssi []float64) error {
 	return fmt.Errorf("user %d reaches no extender owned by this shard", userID)
 }
 
-// rowIndex locates userID in the sorted table: (insertion position,
-// whether the user is present).
-func (e *Engine) rowIndex(userID int) (int, bool) {
-	pos := sort.Search(len(e.rows), func(i int) bool { return e.rows[i].id >= userID })
-	return pos, pos < len(e.rows) && e.rows[pos].id == userID
-}
-
 // setReport gathers the owned entries of a global-width scan report
 // into a row's pooled buffers.
 func (e *Engine) setReport(r *userRow, rates, rssi []float64) {
@@ -305,40 +301,37 @@ func (e *Engine) setReport(r *userRow, rates, rssi []float64) {
 	}
 }
 
-// insertRow opens the sorted slot pos for a new user, reusing the pooled
-// buffers parked at the slice tail by earlier departures, and stores its
-// scan report. The network, the assignment and the directed column gain
-// the matching row, unassigned.
-func (e *Engine) insertRow(pos, userID int, rates, rssi []float64) {
-	n := len(e.rows)
-	if cap(e.rows) > n {
-		e.rows = e.rows[:n+1]
+// appendRow opens a slot at the end of the table for a new user,
+// reusing the pooled buffers parked there, stores its scan report and
+// returns the slot. The network, the assignment and the directed column
+// gain the matching row, unassigned.
+func (e *Engine) appendRow(userID int, rates, rssi []float64) int {
+	pos := len(e.rows)
+	if cap(e.rows) > pos {
+		e.rows = e.rows[:pos+1]
 	} else {
 		e.rows = append(e.rows, userRow{})
 	}
-	spare := e.rows[n] // pooled buffers (or zero row) past the old end
-	copy(e.rows[pos+1:n+1], e.rows[pos:n])
-	spare.id = userID
-	e.rows[pos] = spare
 	r := &e.rows[pos]
 	e.setReport(r, rates, rssi)
-	e.net.InsertRow(pos, r.rates)
-	e.assign = slices.Insert(e.assign, pos, model.Unassigned)
-	e.directed = slices.Insert(e.directed, pos, model.Unassigned)
+	e.net.AppendRow(userID, r.rates)
+	e.index.add(&e.net, pos)
+	e.assign = append(e.assign, model.Unassigned)
+	e.directed = append(e.directed, model.Unassigned)
+	return pos
 }
 
-// removeRow closes the slot pos, parking its buffers at the tail for the
-// next arrival to reuse, and drops the matching network, assignment and
-// directed row.
+// removeRow closes the slot pos by moving the last slot into it, parks
+// the departed user's buffers at the tail, and makes the matching
+// network, assignment and directed edit.
 func (e *Engine) removeRow(pos int) {
-	n := len(e.rows)
-	spare := e.rows[pos]
-	copy(e.rows[pos:n-1], e.rows[pos+1:n])
-	e.rows[n-1] = spare
-	e.rows = e.rows[:n-1]
+	last := len(e.rows) - 1
+	e.index.remove(&e.net, pos, last)
+	e.rows[pos], e.rows[last] = e.rows[last], e.rows[pos]
+	e.rows = e.rows[:last]
 	e.net.RemoveRow(pos)
-	e.assign = slices.Delete(e.assign, pos, pos+1)
-	e.directed = slices.Delete(e.directed, pos, pos+1)
+	e.assign[pos], e.directed[pos] = e.assign[last], e.directed[last]
+	e.assign, e.directed = e.assign[:last], e.directed[:last]
 }
 
 // setRow stores a fresh scan report in row pos and logs it as the
@@ -358,11 +351,10 @@ func (e *Engine) Join(userID int, rates, rssi []float64) ([]Directive, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pos, present := e.rowIndex(userID)
-	if present {
+	if _, pos := e.index.find(&e.net, userID); pos >= 0 {
 		return nil, fmt.Errorf("user %d already joined", userID)
 	}
-	e.insertRow(pos, userID, rates, rssi)
+	pos := e.appendRow(userID, rates, rssi)
 	e.joins++
 	// Placement-only joins skip the full re-solve unless this is a
 	// scheduled periodic repair (FullResolveEvery counts joins from 1).
@@ -400,8 +392,8 @@ func (e *Engine) Update(userID int, rates, rssi []float64) ([]Directive, error) 
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pos, present := e.rowIndex(userID)
-	if !present {
+	_, pos := e.index.find(&e.net, userID)
+	if pos < 0 {
 		return nil, fmt.Errorf("user %d not joined", userID)
 	}
 	prev := e.assign[pos]
@@ -427,6 +419,7 @@ func (e *Engine) Update(userID int, rates, rssi []float64) ([]Directive, error) 
 	e.setRow(pos, rates, rssi)
 	if roamed {
 		e.assign[pos] = model.Unassigned
+		e.net.AssignmentEdited()
 	}
 	dirs, err := e.solveLocked(pos, false)
 	if err != nil {
@@ -434,6 +427,7 @@ func (e *Engine) Update(userID int, rates, rssi []float64) ([]Directive, error) 
 		r.rssi = append(r.rssi[:0], e.prevRSSI...)
 		e.net.SetRow(pos, r.rates)
 		e.assign[pos] = prev
+		e.net.AssignmentEdited()
 		return nil, err
 	}
 	return dirs, nil
@@ -451,8 +445,8 @@ func (e *Engine) Update(userID int, rates, rssi []float64) ([]Directive, error) 
 func (e *Engine) Leave(userID int) ([]Directive, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pos, present := e.rowIndex(userID)
-	if !present {
+	_, pos := e.index.find(&e.net, userID)
+	if pos < 0 {
 		return nil, false
 	}
 	e.removeRow(pos)
@@ -475,8 +469,8 @@ func (e *Engine) Leave(userID int) ([]Directive, bool) {
 func (e *Engine) Extender(userID int) (int, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pos, present := e.rowIndex(userID)
-	if !present {
+	_, pos := e.index.find(&e.net, userID)
+	if pos < 0 {
 		return model.Unassigned, false
 	}
 	return e.globalOf(e.directed[pos]), true
@@ -489,7 +483,7 @@ func (e *Engine) Stats() Stats {
 	defer e.mu.Unlock()
 	assignment := make(map[int]int, len(e.rows))
 	for i := range e.rows {
-		assignment[e.rows[i].id] = e.globalOf(e.directed[i])
+		assignment[e.net.Key(i)] = e.globalOf(e.directed[i])
 	}
 	return Stats{
 		Policy:           e.policy,
@@ -530,24 +524,21 @@ func (e *Engine) StatsLite() Stats {
 // operation's row edit, so net and assign are current.
 //
 // A placement changes only row row, so it emits at most that row's
-// directive; only a Reassign, which may move anyone, compares the whole
-// assignment with the directed column. Steady state this path allocates
-// only the returned directive slice.
+// directive; a Reassign, which may move anyone, also emits for the rows
+// it wrote (emit). Steady state this path allocates only the returned
+// directive slice.
 func (e *Engine) solveLocked(row int, placementOnly bool) ([]Directive, error) {
 	if e.policy == PolicyRSSI {
 		// Signal-strength placement touches only the reporting user; no
 		// strategy call.
 		e.assign[row] = e.strongest(&e.rows[row])
-		return e.emitRow(row), nil
+		return e.emit(row, false), nil
 	}
 	placed, err := e.applyStrategy(row, placementOnly)
 	if err != nil {
 		return nil, err
 	}
-	if placed {
-		return e.emitRow(row), nil
-	}
-	return e.emitAll(), nil
+	return e.emit(row, !placed), nil
 }
 
 // strongest returns the local index of the owned extender with the
@@ -570,30 +561,42 @@ func (e *Engine) strongest(u *userRow) int {
 	return best
 }
 
-// emitRow folds row i of the working assignment into the directed
-// column and returns its directive, if the row changed.
-func (e *Engine) emitRow(i int) []Directive {
-	if e.assign[i] == e.directed[i] {
-		return nil
-	}
-	return []Directive{e.direct(i)}
-}
+// rowWriter is a policy whose Reassign reports the rows of prev it
+// wrote (with repeats; none when it failed).
+type rowWriter interface{ Written() []int }
 
-// emitAll folds the working assignment into the directed column and
-// returns the changed users' directives — exactly one allocation, sized
-// to the change set. The compare walks two int columns; only rows that
-// moved touch the row table.
-func (e *Engine) emitAll() []Directive {
+// emit folds an operation's changes to the working assignment into the
+// directed column and returns their directives in ascending user ID —
+// one allocation, sized to the change set. It compares the operation's
+// own row (-1 for none) and, after a Reassign, the rows the policy
+// reports writing (rowWriter) or else every row; a row listed twice is
+// directed once.
+func (e *Engine) emit(row int, reassigned bool) []Directive {
 	e.dirs = e.dirs[:0]
-	for i, j := range e.assign {
-		if j != e.directed[i] {
-			e.dirs = append(e.dirs, e.direct(i))
+	if row >= 0 {
+		e.emitInto(row)
+	}
+	if w, ok := e.strategy.(rowWriter); reassigned && ok {
+		for _, i := range w.Written() {
+			e.emitInto(i)
+		}
+	} else if reassigned {
+		for i := range e.assign {
+			e.emitInto(i)
 		}
 	}
 	if len(e.dirs) == 0 {
 		return nil
 	}
+	slices.SortFunc(e.dirs, func(a, b Directive) int { return cmp.Compare(a.UserID, b.UserID) })
 	return slices.Clone(e.dirs)
+}
+
+// emitInto appends row i's directive to dirs, if the row changed.
+func (e *Engine) emitInto(i int) {
+	if e.assign[i] != e.directed[i] {
+		e.dirs = append(e.dirs, e.direct(i))
+	}
 }
 
 // direct records row i's move to its working assignment and returns its
@@ -604,7 +607,7 @@ func (e *Engine) direct(i int) Directive {
 	if reassoc {
 		e.reassociations++
 	}
-	return Directive{UserID: e.rows[i].id, Extender: e.globalOf(e.assign[i]), Reassociation: reassoc}
+	return Directive{UserID: e.net.Key(i), Extender: e.globalOf(e.assign[i]), Reassociation: reassoc}
 }
 
 // globalOf maps a local extender index to its global ID
@@ -645,4 +648,60 @@ func (e *Engine) applyStrategy(row int, placementOnly bool) (placed bool, err er
 	}
 	return false, fmt.Errorf("control: policy %q cannot place an arriving user: %w",
 		e.policy, strategy.ErrNoOnlineForm)
+}
+
+// rowIndex finds a user's row by ID: an open-addressing table of row+1
+// (0 marks an empty bucket) with linear probing, at most half full. A
+// bucket's user ID is its row's network key, so a bucket holds 4 bytes
+// where a map would hold the ID and the row.
+type rowIndex struct{ b []int32 }
+
+// home is id's first bucket in a table of mask+1 buckets.
+func home(id, mask int) int { return int(uint64(id)*0x9e3779b97f4a7c15>>32) & mask }
+
+// find returns the bucket holding user id and its row, or the empty
+// bucket where id would go and -1.
+func (x *rowIndex) find(n *model.Network, id int) (int, int) {
+	if len(x.b) == 0 {
+		return 0, -1
+	}
+	mask := len(x.b) - 1
+	for h := home(id, mask); ; h = (h + 1) & mask {
+		if r := int(x.b[h]) - 1; r < 0 || n.Key(r) == id {
+			return h, r
+		}
+	}
+}
+
+// add indexes row, the network's last, doubling the table (and placing
+// every row afresh) when it would pass half full.
+func (x *rowIndex) add(n *model.Network, row int) {
+	if 2*(row+1) > len(x.b) {
+		x.b = make([]int32, max(16, 2*len(x.b)))
+		for r := 0; r < row; r++ {
+			h, _ := x.find(n, n.Key(r))
+			x.b[h] = int32(r + 1)
+		}
+	}
+	h, _ := x.find(n, n.Key(row))
+	x.b[h] = int32(row + 1)
+}
+
+// remove drops row from the table and renames the entry of last, which
+// the table edit that follows moves into row. Emptying a bucket moves
+// each later entry of its probe run back into the hole when the hole
+// lies on that entry's path from its home bucket.
+func (x *rowIndex) remove(n *model.Network, row, last int) {
+	mask := len(x.b) - 1
+	h, _ := x.find(n, n.Key(row))
+	for j := (h + 1) & mask; x.b[j] != 0; j = (j + 1) & mask {
+		if (j-home(n.Key(int(x.b[j])-1), mask))&mask >= (j-h)&mask {
+			x.b[h], h = x.b[j], j
+		}
+	}
+	x.b[h] = 0
+	if row != last {
+		h, _ = x.find(n, n.Key(last))
+		x.b[h] = int32(row + 1)
+	}
 }

@@ -593,13 +593,13 @@ func BenchmarkEngineChurnEvent(b *testing.B) {
 
 // BenchmarkEngineJoinLeaveScaling prices one leave + rejoin pair on a
 // shard-member engine (wolt-hillclimb, 4 of 8 extenders owned,
-// placement-only joins) at three table sizes. Neither operation
-// rebuilds the member's view, but the pair is not flat across sizes:
-// the remove and the insert each shift every later entry of the
-// engine's rows, the Network's rows, the evaluator's member indices
-// and the candidate slots, so the cost grows linearly with the table.
-// On a 2-vCPU VM it read about 3.8, 13 and 49 µs/op at 250, 1000 and
-// 4000 users, with about 60% of the 4000-user CPU samples in memmove.
+// placement-only joins) at three table sizes. Rows are stable slots, so
+// neither operation moves other users' rows, member indices or
+// candidate slots; what still grows with the table is the O(cell)
+// re-sum of each touched cell, under Redistribute about a quarter of
+// the users here. On a 2-vCPU VM it read about 2.0, 3.7 and 13 µs/op
+// at 250, 1000 and 4000 users, with most of the 4000-user CPU samples
+// in DeltaEval.recomputeCell and joinDemand.
 func BenchmarkEngineJoinLeaveScaling(b *testing.B) {
 	for _, n := range []int{250, 1000, 4000} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {

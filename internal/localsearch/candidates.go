@@ -20,10 +20,12 @@ import (
 // (Network.Generation), and filled lazily: For fills a user's
 // fixed-stride slot the first time it is asked for in the current
 // epoch. Ensure catches up with logged row edits the way
-// model.DeltaEval.Sync does — slots shift on insert and remove, and an
-// inserted or set row's slot goes stale — and starts a new epoch, which
-// marks every slot stale, only for a wholesale change: another network
-// or M, an Invalidate, or a gap longer than the edit log. A warm repair
+// model.DeltaEval.Sync does, in O(M) each — an insert appends a stale
+// slot, a remove moves the last slot into the freed one, and a set
+// row's slot goes stale — and starts a new epoch, which marks every
+// slot stale, only for a wholesale change: another network or M, an
+// Invalidate, a positional shift, or a gap longer than the edit log. A
+// warm repair
 // that visits a few dozen users therefore pays for a few dozen rows,
 // not for every user the network holds.
 type Candidates struct {
@@ -57,8 +59,7 @@ func (c *Candidates) Ensure(n *model.Network, m int) {
 	if m <= 0 || m > n.NumExtenders() {
 		m = n.NumExtenders()
 	}
-	if c.net == n && c.m == m && n.Replayable(c.gen) {
-		c.replay()
+	if c.net == n && c.m == m && n.Replayable(c.gen) && c.replay() {
 		return
 	}
 	// Grown with append's headroom, so a population that gains one user
@@ -73,29 +74,31 @@ func (c *Candidates) Ensure(n *model.Network, m int) {
 	c.net, c.gen, c.m = n, n.Generation(), m
 }
 
-// replay applies the network's row edits since c.gen. A stamp of 0
+// replay applies the network's row edits since c.gen, and reports false
+// at a positional shift, which it leaves to a new epoch. A stamp of 0
 // predates every epoch, so it marks a slot stale.
-func (c *Candidates) replay() {
+func (c *Candidates) replay() bool {
 	n, m := c.net, c.m
 	for g := c.gen + 1; g <= n.Generation(); g++ {
 		e := n.Edit(g)
 		switch e.Kind {
 		case model.EditInsert:
-			c.stamp = slices.Insert(c.stamp, e.Row, 0)
-			c.cnt = slices.Insert(c.cnt, e.Row, 0)
-			at := e.Row * m
+			c.stamp = append(c.stamp, 0)
+			c.cnt = append(c.cnt, 0)
 			c.flat = slices.Grow(c.flat, m)[:len(c.flat)+m]
-			copy(c.flat[at+m:], c.flat[at:])
 		case model.EditRemove:
-			c.stamp = slices.Delete(c.stamp, e.Row, e.Row+1)
-			c.cnt = slices.Delete(c.cnt, e.Row, e.Row+1)
-			at := e.Row * m
-			c.flat = slices.Delete(c.flat, at, at+m)
+			last := len(c.stamp) - 1
+			c.stamp[e.Row], c.cnt[e.Row] = c.stamp[last], c.cnt[last]
+			copy(c.flat[e.Row*m:], c.flat[last*m:])
+			c.stamp, c.cnt, c.flat = c.stamp[:last], c.cnt[:last], c.flat[:last*m]
 		case model.EditSet:
 			c.stamp[e.Row] = 0
+		case model.EditShift:
+			return false
 		}
 	}
 	c.gen = n.Generation()
+	return true
 }
 
 // For returns user i's candidate extenders, best rate first, filling

@@ -30,8 +30,10 @@
 package localsearch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/plcwifi/wolt/internal/model"
 	"github.com/plcwifi/wolt/internal/seed"
@@ -187,6 +189,8 @@ type Result struct {
 	// score; Improving/Commits is the improving-move ratio
 	// surfaced in strategy.Stats.
 	Improving int
+	// Written lists, with repeats, the rows of Assign the search wrote.
+	Written []int
 	// Trajectory is the best-so-far utility after seeding and after
 	// each improvement (the aggregate under the zero sum-rate
 	// utility): the anytime quality curve.
@@ -308,6 +312,10 @@ type Searcher struct {
 	// random draw can never spin on an unreachable user.
 	movable []int
 
+	// order is k-opt's seed order and arrivals place's users, both in
+	// key order; written collects Result.Written.
+	order, arrivals, written []int
+
 	// hill-climb visit order, kept across searches (rank.go).
 	rank deficitRank
 	// reach counts each user's reachable extenders, current with the
@@ -410,6 +418,7 @@ func (s *Searcher) begin(n *model.Network, start model.Assignment, method Method
 	s.reach.sync(n)
 	s.cands.Ensure(n, DefaultNeighborhood)
 	s.placed, s.commits, s.improving = 0, 0, 0
+	s.written = s.written[:0]
 	if method != HillClimbing || s.unplaced() > 0 {
 		s.catchUp()
 		s.place(r)
@@ -442,20 +451,22 @@ func (s *Searcher) unplaced() int {
 	return free
 }
 
-// place greedily assigns every Unassigned user to the candidate that
-// maximizes the score (the aggregate, under the zero utility) — the
-// same arrivals-are-free rule as core.AssignIncrementalWith, so the
-// move budget is untouched. Probes still count (they are real work),
-// and an exhausted budget leaves the remaining users unassigned, which
-// is still a valid state. The cells' member counts say how many users
-// are unassigned, so the scan stops after the last of them — a warm
-// repair with no arrivals scans nothing.
+// place greedily assigns every Unassigned user, in ascending key order,
+// to the candidate that maximizes the score (the aggregate, under the
+// zero utility) — the same arrivals-are-free rule as
+// core.AssignIncrementalWith, so the move budget is untouched. Probes
+// still count (they are real work), and an exhausted budget leaves the
+// remaining users unassigned, which is still a valid state. The cells'
+// member counts say how many users are unassigned, so the scan stops
+// after the last of them — a warm repair with no arrivals scans nothing.
 func (s *Searcher) place(r *run) {
-	for i, free := 0, s.unplaced(); free > 0; i++ {
-		if s.delta.Assigned(i) != model.Unassigned {
-			continue
+	s.arrivals = s.arrivals[:0]
+	for i, free := 0, s.unplaced(); len(s.arrivals) < free; i++ {
+		if s.delta.Assigned(i) == model.Unassigned {
+			s.arrivals = append(s.arrivals, i)
 		}
-		free--
+	}
+	for _, i := range inKeyOrder(s.net, s.arrivals) {
 		bestTo := -1
 		bestSc := model.Score{Primary: math.Inf(-1), Tie: math.Inf(-1)}
 		for _, to := range s.cands.For(i) {
@@ -477,13 +488,20 @@ func (s *Searcher) place(r *run) {
 }
 
 // commit applies the move (i: from → to) to the evaluator and the
-// caller's assignment, and marks i's place in the visit order out of
-// date.
+// caller's assignment, records the write, and marks i's place in the
+// visit order out of date.
 func (s *Searcher) commit(i, from, to int) {
 	s.delta.Commit(i, from, to)
 	s.out[i] = to
+	s.written = append(s.written, i)
 	s.rank.touch(i)
 	s.commits++
+}
+
+// inKeyOrder sorts rows by their order key in n and returns them.
+func inKeyOrder(n *model.Network, rows []int) []int {
+	slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(n.Key(a), n.Key(b)) })
+	return rows
 }
 
 // noteBest records the committed state as the new best. Only the
@@ -626,7 +644,11 @@ func (s *Searcher) kopt(n *model.Network, opts Options, r *run) {
 			return
 		}
 		improved := false
+		s.order = s.order[:0]
 		for u := 0; u < users; u++ {
+			s.order = append(s.order, u)
+		}
+		for _, u := range inKeyOrder(n, s.order) {
 			if s.tryChain(n, u, r) {
 				improved = true
 			}
@@ -692,8 +714,9 @@ func (s *Searcher) tryChain(n *model.Network, u0 int, r *run) bool {
 			break
 		}
 		// Eject the destination cell's weakest link (lowest rate to
-		// bestTo, lowest index on ties) that the chain hasn't moved
-		// yet: the member whose departure would help that cell most.
+		// bestTo, lowest key on ties: members are in key order) that
+		// the chain hasn't moved yet: the member whose departure would
+		// help that cell most.
 		u = -1
 		worst := math.Inf(1)
 		for _, m := range s.delta.Members(bestTo) {
@@ -746,6 +769,7 @@ func (s *Searcher) anneal(n *model.Network, opts Options, r *run) {
 			s.movable = append(s.movable, i)
 		}
 	}
+	inKeyOrder(n, s.movable)
 	if len(s.movable) == 0 {
 		r.stop = StopOptimum
 		return
@@ -805,10 +829,12 @@ func (s *Searcher) anneal(n *model.Network, opts Options, r *run) {
 // is trajectory[0] (the post-placement baseline). Every method but
 // Annealing ends on its best state, which the commits have already
 // written into the caller's assignment; the annealer copies its best
-// state over the walk's end state.
+// state over the walk's end state, an assignment edit the evaluator did
+// not make (model.Network.AssignmentEdited).
 func (s *Searcher) finish(r *run) *Result {
 	if s.annealing {
 		copy(s.out, s.best)
+		s.net.AssignmentEdited()
 	}
 	s.res = Result{
 		Assign:     s.out,
@@ -817,6 +843,7 @@ func (s *Searcher) finish(r *run) *Result {
 		Placed:     s.placed,
 		Commits:    s.commits,
 		Improving:  s.improving,
+		Written:    s.written,
 		Trajectory: s.traj,
 		Stop:       r.stop,
 	}

@@ -17,25 +17,23 @@ const (
 
 // deficitRank is the hill climb's persistent visit order: every user of
 // the searcher's committed state, by descending rate deficit in the
-// utility's own units, ties by ascending index — a strict total order.
-// A user's deficit (model.Utility.Deficit of its best reachable rate vs
-// its current rate) depends only on its own rate row and its own
-// extender, so the order survives across searches and is repaired edit
-// by edit instead of being rebuilt per pass:
+// utility's own units, ties by ascending order key (model.Network.Key)
+// — a strict total order, whatever row a user sits in. A user's deficit
+// (model.Utility.Deficit of its best reachable rate vs its current
+// rate) depends only on its own rate row and its own extender, so the
+// order survives across searches and is repaired edit by edit instead
+// of being rebuilt per pass:
 //
 //   - row edits, replayed when a search first needs the order
-//     (Searcher.catchUp): an insert shifts indices at or above the row
-//     up and queues the new user, a remove drops the user and shifts
-//     the indices above it down, a set marks the user dirty. Shifting
-//     keeps relative order, index tie-break included;
+//     (Searcher.catchUp): an insert queues the new user, a remove drops
+//     the user and renames the moved last row's entry, a set marks the
+//     user dirty;
 //   - every Commit the searcher makes marks the moved user dirty. Place
 //     does not replay: it maps the placed user back through the edits
-//     not yet replayed (touchAt), so a join costs O(edits) here and the
-//     O(users) index shift is paid once, by the next search that
-//     probes;
+//     not yet replayed (touchAt), so a join costs O(edits) here;
 //   - a wholesale change — another network or utility, a gap longer
-//     than the edit log, or an evaluator re-Attach — marks every key
-//     out of date.
+//     than the edit log, a positional shift, or an evaluator re-Attach
+//     — marks every key out of date.
 //
 // Each user's best reachable rate, a max-scan of its row, is cached
 // apart from the keys and kept through every replayed edit, so a
@@ -63,6 +61,7 @@ type deficitRank struct {
 
 	best  []float64 // each user's best reachable rate, current with gen
 	key   []float64 // each user's deficit as placed in the order
+	id    []int     // each user's order key, taken with its deficit
 	state []uint8   // rankClean, rankDirty or rankNew
 	pos   []int     // each heap entry's index in heap
 	queue []int     // the dirty and new users, in marking order
@@ -78,9 +77,7 @@ type deficitRank struct {
 // Attach count marks the keys out of date too. Call it after the
 // evaluator's Sync, before the order is next read or touched.
 func (r *deficitRank) sync(n *model.Network, util model.Utility, evals int) {
-	if r.net == n && n.Replayable(r.gen) {
-		r.replay()
-	} else {
+	if r.net != n || !n.Replayable(r.gen) || !r.replay() {
 		r.net, r.gen, r.stale = n, n.Generation(), true
 		r.best = slices.Grow(r.best[:0], n.NumUsers())[:n.NumUsers()]
 		for u, row := range n.WiFiRates {
@@ -93,23 +90,24 @@ func (r *deficitRank) sync(n *model.Network, util model.Utility, evals int) {
 }
 
 // replay applies the network's row edits since r.gen: always to the
-// best-rate cache, and to the order unless its keys are out of date.
-func (r *deficitRank) replay() {
+// best-rate cache, and to the order unless its keys are out of date;
+// false means a positional shift, left to a rebuild.
+func (r *deficitRank) replay() bool {
 	n := r.net
 	for g := r.gen + 1; g <= n.Generation(); g++ {
 		e := n.Edit(g)
 		switch e.Kind {
 		case model.EditInsert:
-			r.best = slices.Insert(r.best, e.Row, bestRate(e.Rates))
+			r.best = append(r.best, bestRate(e.Rates))
 			if !r.stale {
-				r.shift(e.Row, 1)
-				r.key = slices.Insert(r.key, e.Row, 0)
-				r.state = slices.Insert(r.state, e.Row, rankNew)
-				r.pos = slices.Insert(r.pos, e.Row, 0)
+				r.key = append(r.key, 0)
+				r.id = append(r.id, 0)
+				r.state = append(r.state, rankNew)
+				r.pos = append(r.pos, 0)
 				r.queue = append(r.queue, e.Row)
 			}
 		case model.EditRemove:
-			r.best = slices.Delete(r.best, e.Row, e.Row+1)
+			last := len(r.best) - 1
 			if !r.stale {
 				if r.state[e.Row] != rankClean {
 					r.queue = slices.DeleteFunc(r.queue, func(u int) bool { return u == e.Row })
@@ -117,58 +115,63 @@ func (r *deficitRank) replay() {
 				if r.state[e.Row] != rankNew {
 					r.detach(e.Row)
 				}
-				r.key = slices.Delete(r.key, e.Row, e.Row+1)
-				r.state = slices.Delete(r.state, e.Row, e.Row+1)
-				r.pos = slices.Delete(r.pos, e.Row, e.Row+1)
-				r.shift(e.Row+1, -1)
+				if last != e.Row {
+					r.rename(last, e.Row)
+				}
+				r.key, r.id, r.state, r.pos = r.key[:last], r.id[:last], r.state[:last], r.pos[:last]
 			}
+			r.best[e.Row] = r.best[last]
+			r.best = r.best[:last]
 		case model.EditSet:
 			r.best[e.Row] = bestRate(e.Rates)
 			r.touch(e.Row)
+		case model.EditShift:
+			return false
 		}
 	}
 	r.gen = n.Generation()
+	return true
 }
 
-// shift adds delta to every user index at or above row. It preserves
-// relative order, including the index tie-break, so neither the head
-// nor the heap needs re-sorting.
-func (r *deficitRank) shift(row, delta int) {
-	for _, list := range [][]int{r.head, r.heap, r.queue} {
-		for k, u := range list {
-			// Unconditional store: the compiler turns the select into a
-			// conditional move, as the indices arrive in deficit order,
-			// where a branch on them would mispredict half the time.
-			if u >= row {
-				u += delta
-			}
-			list[k] = u
+// rename moves user u's entries to the free row v.
+func (r *deficitRank) rename(u, v int) {
+	if r.state[u] != rankClean {
+		r.queue[slices.Index(r.queue, u)] = v
+	}
+	if r.state[u] != rankNew {
+		if r.inHead(u) {
+			r.head[r.search(u)] = v
+		} else {
+			r.heap[r.pos[u]] = v
 		}
 	}
+	r.key[v], r.id[v], r.state[v], r.pos[v] = r.key[u], r.id[u], r.state[u], r.pos[u]
 }
 
 // touchAt marks user i of network n's current generation dirty while
 // the order may still trail n by logged edits: i is mapped back through
-// them to its index at r.gen, and a user inserted since needs no mark
+// them to its row at r.gen, and a user inserted since needs no mark
 // (the replay queues it as new). When the order cannot replay n, the
 // next sync rebuilds it and no mark is needed either.
 func (r *deficitRank) touchAt(n *model.Network, i int) {
 	if r.stale || r.net != n || !n.Replayable(r.gen) {
 		return
 	}
+	users := n.NumUsers()
 	for g := n.Generation(); g > r.gen; g-- {
 		switch e := n.Edit(g); e.Kind {
 		case model.EditInsert:
 			if i == e.Row {
 				return
 			}
-			if i > e.Row {
-				i--
-			}
+			users--
 		case model.EditRemove:
-			if i >= e.Row {
-				i++
+			if i == e.Row {
+				i = users // the row the edit moved into e.Row
 			}
+			users++
+		case model.EditShift:
+			return
 		}
 	}
 	r.touch(i)
@@ -192,17 +195,16 @@ func (r *deficitRank) flush(d *model.DeltaEval) {
 	switch {
 	case r.stale:
 		r.key = slices.Grow(r.key[:0], users)[:users]
+		r.id = slices.Grow(r.id[:0], users)[:users]
 		r.state = slices.Grow(r.state[:0], users)[:users]
 		r.pos = slices.Grow(r.pos[:0], users)[:users]
 		for u := range r.key {
-			r.key[u] = r.deficit(d, u)
-			r.state[u] = rankClean
+			r.rekey(d, u)
 		}
 		r.stale = false
 	case len(r.queue)*(bits.Len(uint(users))+len(r.head)/8) > users:
 		for _, u := range r.queue {
-			r.key[u] = r.deficit(d, u)
-			r.state[u] = rankClean
+			r.rekey(d, u)
 		}
 	default:
 		for _, u := range r.queue {
@@ -214,7 +216,7 @@ func (r *deficitRank) flush(d *model.DeltaEval) {
 				}
 				r.detach(u)
 			}
-			r.key[u] = k
+			r.key[u], r.id[u] = k, r.net.Key(u)
 			r.state[u] = rankClean
 			r.place(u)
 		}
@@ -223,6 +225,12 @@ func (r *deficitRank) flush(d *model.DeltaEval) {
 	}
 	r.queue = r.queue[:0]
 	r.rebuild()
+}
+
+// rekey takes user u's deficit and order key afresh and marks it clean.
+func (r *deficitRank) rekey(d *model.DeltaEval, u int) {
+	r.key[u], r.id[u] = r.deficit(d, u), r.net.Key(u)
+	r.state[u] = rankClean
 }
 
 // deficit is user u's sort key in the committed state of d: the
@@ -271,12 +279,12 @@ func (r *deficitRank) at(p int) int {
 	return r.head[p]
 }
 
-// less is the strict total order: deficit descending, index ascending.
+// less is the strict total order: deficit descending, key ascending.
 func (r *deficitRank) less(a, b int) bool {
 	if r.key[a] != r.key[b] {
 		return r.key[a] > r.key[b]
 	}
-	return a < b
+	return r.id[a] < r.id[b]
 }
 
 // rebuild empties the head and heapifies every user in O(users).
@@ -303,9 +311,15 @@ func (r *deficitRank) place(u int) {
 	r.up(len(r.heap) - 1)
 }
 
+// inHead reports whether placed user u is in the head.
+func (r *deficitRank) inHead(u int) bool {
+	last := len(r.head) - 1
+	return last >= 0 && !r.less(r.head[last], u)
+}
+
 // detach removes placed user u from the order under its current key.
 func (r *deficitRank) detach(u int) {
-	if last := len(r.head) - 1; last >= 0 && !r.less(r.head[last], u) {
+	if r.inHead(u) {
 		p := r.search(u)
 		r.head = slices.Delete(r.head, p, p+1)
 		return

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -22,10 +23,10 @@ import (
 // Bit-identity contract (DESIGN.md §10): every aggregate and per-user
 // throughput reported by a DeltaEval is bit-for-bit identical to a fresh
 // EvaluateWith of the same assignment. EvaluateWith accumulates each
-// cell's Σ 1/r in ascending user-index order, walks the active set in
-// ascending extender order through the water-fill, and sums the
-// aggregate in that same order; DeltaEval maintains each cell's member
-// list sorted ascending, alongside a parallel array of the members'
+// cell's Σ 1/r in ascending key order (Network.Key), walks the active
+// set in ascending extender order through the water-fill, and sums the
+// aggregate in that same order; DeltaEval keeps each cell's member list
+// in ascending key order, alongside a parallel array of the members'
 // 1/r terms (each computed by the same division EvaluateWith performs),
 // and recomputes an affected cell's harmonic sum by re-summing that
 // array in member order, so the floating-point operation sequence —
@@ -56,7 +57,8 @@ type DeltaEval struct {
 	gen  uint64
 
 	assign  Assignment  // private copy, updated by Commit
-	members [][]int     // per-cell user indices, ascending
+	aedits  uint64      // the network's AssignmentEdited count at the last Sync
+	members [][]int     // per-cell user indices, in ascending key order
 	inv     [][]float64 // per-cell 1/r of each member, parallel to members
 	invSum  []float64   // per-cell Σ 1/r over members, summed ascending
 	count   []int       // len(members[j])
@@ -99,6 +101,7 @@ func (d *DeltaEval) Attach(n *Network, a Assignment, opts Options) error {
 	d.net = n
 	d.opts = opts
 	d.gen = n.gen
+	d.aedits = n.assignEdits
 	d.Evals++
 	d.memoUser = -1
 
@@ -114,11 +117,18 @@ func (d *DeltaEval) Attach(n *Network, a Assignment, opts Options) error {
 		d.members[j] = d.members[j][:0]
 		d.inv[j] = d.inv[j][:0]
 	}
-	// Appending users in ascending index order keeps every member list
-	// sorted — the invariant all delta recomputation relies on.
+	// Member lists in ascending key order: the invariant all delta
+	// recomputation relies on.
 	for i, j := range a {
 		if j != Unassigned {
 			d.members[j] = append(d.members[j], i)
+		}
+	}
+	for j, m := range d.members {
+		if n.keys != nil {
+			slices.SortFunc(m, func(a, b int) int { return cmp.Compare(n.keys[a], n.keys[b]) })
+		}
+		for _, i := range m {
 			d.inv[j] = append(d.inv[j], 1/n.WiFiRates[i][j])
 		}
 	}
@@ -147,25 +157,28 @@ func (d *DeltaEval) Attach(n *Network, a Assignment, opts Options) error {
 // (network, assignment, options) triple, as cheaply as it can. When the
 // evaluator trails n only by logged row edits (Network.Replayable) it
 // replays them in order, each an O(cell) edit of the accumulators that
-// keeps member order and therefore every cell sum's float sequence:
+// keeps every member list in key order and therefore every cell sum's
+// float sequence:
 //
-//   - insert: member indices at or above the row shift up and the new
-//     user enters unassigned;
+//   - insert: the new user enters unassigned;
 //   - remove: the user leaves its cell exactly as Commit(i, from,
-//     Unassigned) would take it out, then the indices above it shift
-//     down;
+//     Unassigned) would take it out, and the moved last row's member
+//     entry is renamed in place;
 //   - set: the user's cached 1/r is recomputed from the new row and its
-//     cell re-summed and re-shared.
+//     cell re-summed and re-shared (on a keyed network, a set that
+//     leaves the cell unreachable takes the user out, as its owner does);
+//   - shift: the member lists are rebuilt from the assignment, O(users).
 //
-// A row of the wrong width, or a set that leaves the user's committed
-// cell unreachable, stops the replay; the evaluator then falls back to
+// A row of the wrong width, or another set that leaves the user's cell
+// unreachable, stops the replay; the evaluator then falls back to
 // Attach, which reports the error exactly as it would have without the
 // replay. Anything else — another network or options, an Invalidate, a
 // gap longer than the log — is an Attach too, as is a replayed state
-// whose assignment differs from a. After an error the evaluator is
-// detached, so neither a half-finished replay nor a rejected pair can
-// be probed. The result is bit-identical to a fresh Attach either way
-// (DESIGN.md §10).
+// whose assignment differs from a; on a keyed network the assignments
+// are compared only after Network.AssignmentEdited. After an error the
+// evaluator is detached, so neither a half-finished replay nor a
+// rejected pair can be probed. The result is bit-identical to a fresh
+// Attach either way (DESIGN.md §10).
 func (d *DeltaEval) Sync(n *Network, a Assignment, opts Options) error {
 	if d.net == n && d.opts == opts && d.gen != n.gen && n.Replayable(d.gen) {
 		if !d.replay() {
@@ -173,6 +186,7 @@ func (d *DeltaEval) Sync(n *Network, a Assignment, opts Options) error {
 		}
 	}
 	if d.matches(n, a, opts) {
+		d.aedits = n.assignEdits
 		return nil
 	}
 	if err := d.Attach(n, a, opts); err != nil {
@@ -185,7 +199,10 @@ func (d *DeltaEval) Sync(n *Network, a Assignment, opts Options) error {
 // matches reports whether the evaluator's committed state is exactly
 // the given (network, assignment, options) triple.
 func (d *DeltaEval) matches(n *Network, a Assignment, opts Options) bool {
-	return d.net == n && d.gen == n.gen && d.opts == opts && slices.Equal(d.assign, a)
+	if d.net != n || d.gen != n.gen || d.opts != opts || len(d.assign) != len(a) {
+		return false
+	}
+	return n.keys != nil && d.aedits == n.assignEdits || slices.Equal(d.assign, a)
 }
 
 // replay applies the network's logged row edits since the evaluator's
@@ -196,46 +213,65 @@ func (d *DeltaEval) replay() bool {
 	d.memoUser = -1
 	for g := d.gen + 1; g <= n.gen; g++ {
 		e := n.Edit(g)
+		if e.Rates != nil && len(e.Rates) != n.NumExtenders() {
+			return false
+		}
 		switch e.Kind {
 		case EditInsert:
-			if len(e.Rates) != n.NumExtenders() {
-				return false
-			}
-			d.shiftMembers(e.Row, 1)
-			d.assign = slices.Insert(d.assign, e.Row, Unassigned)
+			d.assign = append(d.assign, Unassigned)
 		case EditRemove:
-			if from := d.assign[e.Row]; from != Unassigned {
-				d.move(e.Row, from, Unassigned)
+			d.leave(e.Row)
+			last := len(d.assign) - 1
+			if j := d.assign[last]; j != Unassigned && last != e.Row {
+				d.members[j][slices.Index(d.members[j], last)] = e.Row
 			}
-			d.assign = slices.Delete(d.assign, e.Row, e.Row+1)
-			d.shiftMembers(e.Row+1, -1)
+			d.assign[e.Row] = d.assign[last]
+			d.assign = d.assign[:last]
 		case EditSet:
-			if len(e.Rates) != n.NumExtenders() {
-				return false
-			}
 			if j := d.assign[e.Row]; j != Unassigned {
 				r := e.Rates[j]
-				if r <= 0 {
+				switch {
+				case r > 0:
+					d.inv[j][slices.Index(d.members[j], e.Row)] = 1 / r
+					d.recomputeCell(j)
+					d.recommit()
+				case n.keys == nil:
 					return false
+				default: // the compare ending this Sync checks the owner did too
+					d.leave(e.Row)
+					d.aedits = n.assignEdits - 1
 				}
-				k, _ := slices.BinarySearch(d.members[j], e.Row)
-				d.inv[j][k] = 1 / r
-				d.recomputeCell(j)
-				d.recommit()
 			}
+		case EditShift:
+			if e.Rates != nil {
+				d.assign = slices.Insert(d.assign, e.Row, Unassigned)
+			} else {
+				d.leave(e.Row)
+				d.assign = slices.Delete(d.assign, e.Row, e.Row+1)
+			}
+			d.renumber()
 		}
 		d.gen = g
 	}
 	return true
 }
 
-// shiftMembers adds delta to every member index at or above row. Each
-// member list stays ascending, so no cell's summation order changes.
-func (d *DeltaEval) shiftMembers(row, delta int) {
-	for _, m := range d.members {
-		k, _ := slices.BinarySearch(m, row)
-		for ; k < len(m); k++ {
-			m[k] += delta
+// leave takes user i out of its committed cell, if it has one.
+func (d *DeltaEval) leave(i int) {
+	if from := d.assign[i]; from != Unassigned {
+		d.move(i, from, Unassigned)
+	}
+}
+
+// renumber rebuilds the member lists of an unkeyed network, whose row
+// order is its key order, from the assignment after an EditShift.
+func (d *DeltaEval) renumber() {
+	for j := range d.members {
+		d.members[j] = d.members[j][:0]
+	}
+	for i, j := range d.assign {
+		if j != Unassigned {
+			d.members[j] = append(d.members[j], i)
 		}
 	}
 }
@@ -279,8 +315,8 @@ func (d *DeltaEval) AppendAssignment(dst Assignment) Assignment {
 	return append(dst[:0], d.assign...)
 }
 
-// Members returns cell j's committed member list, ascending by user
-// index. The slice is owned by the evaluator — callers must not mutate
+// Members returns cell j's committed member list, in ascending key
+// order. The slice is owned by the evaluator — callers must not mutate
 // it, and it is valid only until the next Commit or Attach. Chain
 // searches (k-opt eject/reinsert) use it to pick the user displaced by
 // a move without rebuilding per-cell tables of their own.
@@ -405,7 +441,7 @@ func (d *DeltaEval) exactProbe(i, from, to int) (agg, own, util float64) {
 
 // Commit applies the move (i: from → to) to the committed state: the two
 // affected member lists (and their parallel 1/r arrays) are edited in
-// place, their harmonic sums recomputed in ascending member order, the
+// place, their harmonic sums recomputed in member (key) order, the
 // active set updated, and the water-fill re-run — leaving every
 // accumulator bit-identical to a fresh Attach of the moved assignment.
 func (d *DeltaEval) Commit(i, from, to int) {
@@ -421,13 +457,13 @@ func (d *DeltaEval) Commit(i, from, to int) {
 func (d *DeltaEval) move(i, from, to int) {
 	d.memoUser = -1
 	if from != Unassigned {
-		k, _ := slices.BinarySearch(d.members[from], i)
+		k := slices.Index(d.members[from], i)
 		d.members[from] = slices.Delete(d.members[from], k, k+1)
 		d.inv[from] = slices.Delete(d.inv[from], k, k+1)
 		d.recomputeCell(from)
 	}
 	if to != Unassigned {
-		k, _ := slices.BinarySearch(d.members[to], i)
+		k := d.search(to, i)
 		d.members[to] = slices.Insert(d.members[to], k, i)
 		d.inv[to] = slices.Insert(d.inv[to], k, 1/d.net.WiFiRates[i][to])
 		d.recomputeCell(to)
@@ -459,10 +495,18 @@ func (d *DeltaEval) move(i, from, to int) {
 	d.recommit()
 }
 
+// search returns user i's position, present or prospective, in cell j's
+// key-ordered member list, by the network's current keys.
+func (d *DeltaEval) search(j, i int) int {
+	n := d.net
+	k, _ := slices.BinarySearchFunc(d.members[j], n.Key(i), func(m, key int) int { return cmp.Compare(n.Key(m), key) })
+	return k
+}
+
 // recomputeCell rebuilds cell j's harmonic sum, count and WiFi demand
-// from its 1/r array. Members are ascending, so the summation order —
-// and every rounding — matches EvaluateWith's user-index-order
-// accumulation exactly.
+// from its 1/r array. Members are in key order, so the summation order
+// — and every rounding — matches EvaluateWith's key-order accumulation
+// exactly.
 func (d *DeltaEval) recomputeCell(j int) {
 	var inv float64
 	for _, v := range d.inv[j] {
@@ -669,7 +713,7 @@ func (d *DeltaEval) leaveDemand(i, from int, bounded bool) float64 {
 		d.memoDem = upperDemand(c, d.invSum[from]-x, d.invSum[from], len(cell))
 		return d.memoDem
 	}
-	k, _ := slices.BinarySearch(d.members[from], i)
+	k := d.search(from, i)
 	var inv float64
 	for _, v := range cell[:k] {
 		inv += v
@@ -691,7 +735,7 @@ func (d *DeltaEval) joinDemand(i, to int, bounded bool) float64 {
 		s := d.invSum[to] + x
 		return upperDemand(c, s, s, d.count[to]+1)
 	}
-	k, _ := slices.BinarySearch(d.members[to], i)
+	k := d.search(to, i)
 	cell := d.inv[to]
 	var inv float64
 	for _, v := range cell[:k] {

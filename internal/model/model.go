@@ -19,6 +19,7 @@
 package model
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -31,9 +32,13 @@ const Unassigned = -1
 // Network is the input of the association problem: the WiFi PHY rate
 // matrix r_ij and the PLC isolation capacities c_j. A long-lived
 // network (a controller's user table) changes one row at a time through
-// InsertRow, RemoveRow and SetRow, which state built on it replays
-// instead of rebuilding; such a network must not be copied, since the
-// copy would share its edit log.
+// logged row edits, which state built on it replays instead of
+// rebuilding; such a network must not be copied, since the copy would
+// share its edit log. A row's order key is its index until AppendRow
+// keys the network, and then the key AppendRow gave it (a controller's
+// user ID), wherever the row moves. Everything that depends on user
+// order (cell sums, visit orders, tie-breaks) follows ascending key
+// order, so where a row sits changes no result.
 type Network struct {
 	// WiFiRates[i][j] is the WiFi PHY rate (Mbps) of user i when
 	// connected to extender j. A non-positive entry means user i cannot
@@ -42,10 +47,11 @@ type Network struct {
 	// PLCCaps[j] is the PLC isolation capacity c_j (Mbps) of extender j.
 	PLCCaps []float64
 
-	// gen counts mutations of the rate/capacity data: row edits
-	// (InsertRow, RemoveRow, SetRow) and wholesale changes (Invalidate).
-	// Freshly built networks start at generation 0, which is always
-	// consistent with a fresh Attach.
+	// keys[i] is row i's order key; nil until the network is keyed.
+	keys []int
+	// gen counts mutations of the rate/capacity data: row edits and
+	// wholesale changes (Invalidate). Freshly built networks start at
+	// generation 0, which is always consistent with a fresh Attach.
 	gen uint64
 	// floor is the generation of the last Invalidate: edits at or below
 	// it cannot be replayed, so state built before it must be rebuilt.
@@ -53,6 +59,8 @@ type Network struct {
 	// edits is the row-edit log, edits[g%editLogSize] being the edit
 	// that produced generation g. Allocated on the first row edit.
 	edits *[editLogSize]RowEdit
+	// assignEdits counts AssignmentEdited calls.
+	assignEdits uint64
 }
 
 // editLogSize bounds how many row edits a stateful evaluator or cache
@@ -60,20 +68,23 @@ type Network struct {
 // longer gap is a full rebuild.
 const editLogSize = 64
 
-// EditKind names the three row edits a Network records.
+// EditKind names the row edits a Network records.
 type EditKind uint8
 
 const (
-	// EditInsert opened a new row (a new user, unassigned) at Row.
+	// EditInsert appended row Row (a new user, unassigned).
 	EditInsert EditKind = iota + 1
-	// EditRemove deleted row Row; later rows shifted down by one.
+	// EditRemove deleted row Row by moving the last row into it.
 	EditRemove
 	// EditSet replaced row Row's rates in place.
 	EditSet
+	// EditShift inserted (Rates non-nil) or deleted row Row in the
+	// middle of an unkeyed network, renumbering the rows above it.
+	EditShift
 )
 
 // RowEdit is one logged row edit. Rates is the row slice the edit
-// installed (nil for EditRemove); the network keeps referencing it, so
+// installed (nil for a removal); the network keeps referencing it, so
 // its contents are the row's current rates until the next edit of that
 // row.
 type RowEdit struct {
@@ -82,19 +93,51 @@ type RowEdit struct {
 	Rates []float64
 }
 
-// InsertRow inserts rates as row i (a new user), shifting rows i and
-// above up by one, and logs the edit. The network keeps rates, not a
-// copy; a caller that rewrites it later must call SetRow again.
+// InsertRow inserts rates as row i (a new user) of an unkeyed network,
+// shifting rows i and above up by one, and logs the edit. The network
+// keeps rates, not a copy; a caller that rewrites it later must call
+// SetRow again.
 func (n *Network) InsertRow(i int, rates []float64) {
 	n.WiFiRates = slices.Insert(n.WiFiRates, i, rates)
-	n.record(RowEdit{Kind: EditInsert, Row: i, Rates: rates})
+	kind := EditShift
+	if i == len(n.WiFiRates)-1 {
+		kind = EditInsert
+	}
+	n.record(RowEdit{Kind: kind, Row: i, Rates: rates})
 }
 
-// RemoveRow deletes row i (a departed user), shifting rows above it
-// down by one, and logs the edit.
+// RemoveRow deletes row i (a departed user) and logs the edit: a keyed
+// network moves its last row, key and all, into row i; an unkeyed one
+// shifts the rows above it down by one.
 func (n *Network) RemoveRow(i int) {
-	n.WiFiRates = slices.Delete(n.WiFiRates, i, i+1)
-	n.record(RowEdit{Kind: EditRemove, Row: i})
+	last := len(n.WiFiRates) - 1
+	kind := EditRemove
+	if n.keys != nil {
+		n.WiFiRates[i], n.keys[i] = n.WiFiRates[last], n.keys[last]
+		n.keys = n.keys[:last]
+	} else if i != last {
+		kind = EditShift
+		copy(n.WiFiRates[i:], n.WiFiRates[i+1:])
+	}
+	n.WiFiRates[last] = nil
+	n.WiFiRates = n.WiFiRates[:last]
+	n.record(RowEdit{Kind: kind, Row: i})
+}
+
+// AppendRow appends rates as a new last row (a new user, unassigned)
+// with order key key, and logs the edit; like InsertRow, it keeps rates
+// itself. It keys the network: earlier rows keep their index as key,
+// and keys must be distinct.
+func (n *Network) AppendRow(key int, rates []float64) {
+	if n.keys == nil {
+		n.keys = make([]int, len(n.WiFiRates))
+		for i := range n.keys {
+			n.keys[i] = i
+		}
+	}
+	n.keys = append(n.keys, key)
+	n.WiFiRates = append(n.WiFiRates, rates)
+	n.record(RowEdit{Kind: EditInsert, Row: len(n.WiFiRates) - 1, Rates: rates})
 }
 
 // SetRow installs rates as row i (fresh scan of an existing user) and
@@ -112,8 +155,36 @@ func (n *Network) record(e RowEdit) {
 	n.edits[n.gen%editLogSize] = e
 }
 
+// Key returns row i's order key.
+func (n *Network) Key(i int) int {
+	if n.keys == nil {
+		return i
+	}
+	return n.keys[i]
+}
+
+// KeyOrder returns the rows in ascending key order, in dst's storage,
+// or nil when the rows already are in that order (an unkeyed network
+// always is).
+func (n *Network) KeyOrder(dst []int) []int {
+	if slices.IsSorted(n.keys) {
+		return nil
+	}
+	dst = dst[:0]
+	for i := range n.keys {
+		dst = append(dst, i)
+	}
+	slices.SortFunc(dst, func(a, b int) int { return cmp.Compare(n.keys[a], n.keys[b]) })
+	return dst
+}
+
+// AssignmentEdited reports an edit of the owner's assignment that no
+// evaluator made (an un-assign, a rollback). On a keyed network
+// DeltaEval.Sync compares assignments only after such a report.
+func (n *Network) AssignmentEdited() { n.assignEdits++ }
+
 // Invalidate records a wholesale mutation of the network's rates or
-// capacities (anything but InsertRow/RemoveRow/SetRow). Every DeltaEval
+// capacities (anything but a logged row edit). Every DeltaEval
 // attached before the call will panic on its next probe instead of
 // silently answering from stale accumulators, and no earlier row edit
 // can be replayed; the owner must Attach (or Sync) again.
@@ -292,6 +363,7 @@ type EvalScratch struct {
 	Evals int
 
 	invSum    []float64 // Σ 1/r_ij per extender
+	order     []int     // rows in key order (KeyOrder)
 	count     []int     // users per extender
 	active    []int     // extenders with >= 1 user
 	need      []float64 // water-filling demand fractions
@@ -337,13 +409,22 @@ func EvaluateWith(s *EvalScratch, n *Network, a Assignment, opts Options) (*Resu
 
 	// Per-cell harmonic sums: validation above guarantees every assigned
 	// rate is positive, so each cell's WiFi aggregate is count/Σ(1/r)
-	// (eq. 1). Users accumulate in index order, matching the group-wise
-	// summation order exactly.
+	// (eq. 1). Users accumulate in ascending key order, matching the
+	// group-wise summation order exactly.
 	invSum := growZeroFloats(s.invSum, numExt)
 	s.invSum = invSum
 	count := growZeroInts(s.count, numExt)
 	s.count = count
-	for i, j := range a {
+	order := n.KeyOrder(s.order)
+	if order != nil {
+		s.order = order
+	}
+	for k := range a {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		j := a[i]
 		if j == Unassigned {
 			continue
 		}

@@ -31,8 +31,11 @@ func syncRow(rng *rand.Rand, numExt int) []float64 {
 
 // syncEdit applies one random row edit to the network and mirrors it in
 // the assignment: inserts enter unassigned, removes drop the row, and
-// sets draw a fresh row. Some sets zero the user's own extender, and a
-// few rows have the wrong width, so the replay's refusals are hit.
+// sets draw a fresh row. An unkeyed network gets positional edits
+// anywhere in the table; a keyed one gets appends with random keys and
+// swap-removes, its owner's edits. Some sets zero the user's own
+// extender, and a few rows have the wrong width, so the replay's
+// refusals are hit.
 func syncEdit(rng *rand.Rand, n *Network, a Assignment) Assignment {
 	numExt := n.NumExtenders()
 	users := n.NumUsers()
@@ -42,11 +45,20 @@ func syncEdit(rng *rand.Rand, n *Network, a Assignment) Assignment {
 		if rng.Intn(40) == 0 {
 			row = row[:numExt-1]
 		}
+		if n.keys != nil {
+			n.AppendRow(rng.Int(), row)
+			return append(a, Unassigned)
+		}
 		i := rng.Intn(users + 1)
 		n.InsertRow(i, row)
 		return slices.Insert(a, i, Unassigned)
 	case k < 7:
 		i := rng.Intn(users)
+		if n.keys != nil {
+			n.RemoveRow(i)
+			a[i] = a[users-1]
+			return a[:users-1]
+		}
 		n.RemoveRow(i)
 		return slices.Delete(a, i, i+1)
 	default:
@@ -65,7 +77,7 @@ func syncEdit(rng *rand.Rand, n *Network, a Assignment) Assignment {
 
 // repairInstance makes a rejected (network, assignment) pair valid
 // again with the fewest edits: wrong-width rows are redrawn, and users
-// on an unreachable extender are unassigned.
+// on an unreachable extender are unassigned, an edit it reports.
 func repairInstance(rng *rand.Rand, n *Network, a Assignment) {
 	for i, row := range n.WiFiRates {
 		if len(row) != n.NumExtenders() {
@@ -73,6 +85,7 @@ func repairInstance(rng *rand.Rand, n *Network, a Assignment) {
 		}
 		if j := a[i]; j != Unassigned && n.WiFiRates[i][j] <= 0 {
 			a[i] = Unassigned
+			n.AssignmentEdited()
 		}
 	}
 }
@@ -82,10 +95,17 @@ func repairInstance(rng *rand.Rand, n *Network, a Assignment) {
 // Invalidate), interleaved with probes and commits, and requires after
 // every Sync that it agrees exactly with a fresh Attach of the same
 // pair: the same error or none, and == on every committed quantity,
-// every member list and cell sum, and a set of random probes.
-func checkSyncAgainstAttach(t *testing.T, base int64, numExt, numUsers, steps int, opts Options) (syncs, replays int) {
+// every member list and cell sum, and a set of random probes. A keyed
+// network gets its owner's edits (syncEdit).
+func checkSyncAgainstAttach(t *testing.T, base int64, numExt, numUsers, steps int, opts Options, keyed bool) (syncs, replays int) {
 	t.Helper()
 	n, a := deltaInstance(base, numExt, numUsers)
+	if keyed {
+		n.keys = make([]int, n.NumUsers())
+		for i := range n.keys {
+			n.keys[i] = i
+		}
+	}
 	rng := seed.Rand(base, seed.DeltaFuzz, 3)
 	var d DeltaEval
 	if err := d.Attach(n, a, opts); err != nil {
@@ -181,19 +201,24 @@ func compareEvaluators(t *testing.T, step int, d, ref *DeltaEval, n *Network, a 
 
 // FuzzDeltaSync is the differential harness of the row-edit replay:
 // whatever mix of inserts, removes and sets (refused ones included) the
-// network logs, Sync must leave the evaluator exactly where a fresh
-// Attach would, under every sharing mode and utility family.
+// network logs, positional or a keyed owner's, Sync must leave the
+// evaluator exactly where a fresh Attach would, under every sharing mode
+// and utility family.
 func FuzzDeltaSync(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(10), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(4), uint8(1))
 	f.Add(int64(3), uint8(5), uint8(20), uint8(2))
 	f.Add(int64(4), uint8(2), uint8(15), uint8(3))
 	f.Add(int64(5), uint8(4), uint8(18), uint8(4))
+	f.Add(int64(6), uint8(3), uint8(12), uint8(5))
+	f.Add(int64(7), uint8(5), uint8(20), uint8(6))
+	f.Add(int64(8), uint8(2), uint8(16), uint8(7))
 	f.Fuzz(func(t *testing.T, base int64, ext, users, optSel uint8) {
 		numExt := int(ext%6) + 2
 		numUsers := int(users % 24)
 		opts := syncOptions[int(optSel)%len(syncOptions)]
-		checkSyncAgainstAttach(t, base, numExt, numUsers, 60, opts)
+		keyed := int(optSel)/len(syncOptions)%2 == 1
+		checkSyncAgainstAttach(t, base, numExt, numUsers, 60, opts, keyed)
 	})
 }
 
@@ -203,9 +228,11 @@ func TestDeltaSyncReplays(t *testing.T) {
 	syncs, replays := 0, 0
 	for base := int64(0); base < 10; base++ {
 		for _, opts := range syncOptions {
-			s, r := checkSyncAgainstAttach(t, base, 4, 16, 40, opts)
-			syncs += s
-			replays += r
+			for _, keyed := range []bool{false, true} {
+				s, r := checkSyncAgainstAttach(t, base, 4, 16, 40, opts, keyed)
+				syncs += s
+				replays += r
+			}
 		}
 	}
 	if replays*2 < syncs {

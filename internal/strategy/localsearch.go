@@ -22,11 +22,12 @@ func init() {
 // forms honor Config.Budget under the anytime contract (DESIGN.md §11):
 // they always return the best-so-far valid association.
 type lsStrategy struct {
-	name   string
-	method localsearch.Method
-	cfg    Config
-	opts   localsearch.Options
-	search localsearch.Searcher
+	name    string
+	method  localsearch.Method
+	cfg     Config
+	opts    localsearch.Options
+	search  localsearch.Searcher
+	written []int // the last Reassign's Result.Written
 }
 
 func newLocalSearch(name string, method localsearch.Method) Factory {
@@ -89,15 +90,21 @@ func (s *lsStrategy) Solve(n *model.Network) (model.Assignment, error) {
 // it allocates nothing once the Searcher has grown to the network.
 func (s *lsStrategy) Reassign(n *model.Network, prev model.Assignment) (model.Assignment, error) {
 	t0 := time.Now()
+	s.written = nil
 	res, err := s.search.Search(n, prev, s.method, s.opts)
 	if err != nil {
 		return nil, err
 	}
+	s.written = res.Written
 	if s.cfg.Observer != nil {
 		s.cfg.Observer(lsStats(s.name, n, res, time.Since(t0)))
 	}
 	return prev, nil
 }
+
+// Written returns the rows of prev the last Reassign wrote, with
+// repeats, or none when it failed.
+func (s *lsStrategy) Written() []int { return s.written }
 
 // Add implements Online: one arrival, placed on the candidate extender
 // that maximizes the aggregate. Returns the chosen extender (or

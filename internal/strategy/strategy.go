@@ -171,6 +171,43 @@ func adopt(prev, next model.Assignment) (model.Assignment, error) {
 	return prev, nil
 }
 
+// keyOrder hands a whole-network solver (the two-phase solve,
+// wolt-incremental) a keyed network's rows in ascending key order, the
+// order its tie-breaks and greedy passes follow, and maps the result
+// back to rows.
+type keyOrder struct {
+	rows []int // the last gather's rows in key order; nil when in order
+	net  model.Network
+	prev model.Assignment
+}
+
+// gather returns n and prev with their rows in ascending key order.
+func (g *keyOrder) gather(n *model.Network, prev model.Assignment) (*model.Network, model.Assignment) {
+	if g.rows = n.KeyOrder(g.rows); g.rows == nil {
+		return n, prev
+	}
+	g.net.PLCCaps, g.net.WiFiRates, g.prev = n.PLCCaps, g.net.WiFiRates[:0], g.prev[:0]
+	for _, i := range g.rows {
+		g.net.WiFiRates = append(g.net.WiFiRates, n.WiFiRates[i])
+		if prev != nil {
+			g.prev = append(g.prev, prev[i])
+		}
+	}
+	g.net.Invalidate()
+	return &g.net, g.prev
+}
+
+// adopt is the package adopt for a result over the last gather's rows.
+func (g *keyOrder) adopt(prev, next model.Assignment) (model.Assignment, error) {
+	if g.rows == nil || len(prev) != len(next) {
+		return adopt(prev, next)
+	}
+	for k, i := range g.rows {
+		prev[i] = next[k]
+	}
+	return prev, nil
+}
+
 // emit forwards a Stats record to the observer, if any.
 func (c Config) emit(s Stats) {
 	if c.Observer != nil {

@@ -70,6 +70,7 @@ type woltStrategy struct {
 	opts    core.Options
 	scratch core.Scratch
 	eval    model.EvalScratch
+	keys    keyOrder
 }
 
 // newWOLT builds the factory of a two-phase variant. A zero solver
@@ -110,14 +111,15 @@ func (w *woltStrategy) Solve(n *model.Network) (model.Assignment, error) {
 }
 
 // Reassign implements Reassigner: WOLT's controller recomputes the full
-// association at every epoch and copies it into prev, whose contents it
-// ignores.
+// association at every epoch, over the users in key order, and copies
+// it into prev, whose contents it ignores.
 func (w *woltStrategy) Reassign(n *model.Network, prev model.Assignment) (model.Assignment, error) {
-	next, err := w.Solve(n)
+	gn, _ := w.keys.gather(n, nil)
+	next, err := w.Solve(gn)
 	if err != nil {
 		return nil, err
 	}
-	return adopt(prev, next)
+	return w.keys.adopt(prev, next)
 }
 
 // incrementalStrategy is the budgeted re-association extension: Reassign
@@ -129,6 +131,7 @@ type incrementalStrategy struct {
 	opts    core.Options
 	budget  int
 	scratch core.Scratch
+	keys    keyOrder
 }
 
 // Name implements Strategy.
@@ -148,12 +151,13 @@ func (s *incrementalStrategy) Solve(n *model.Network) (model.Assignment, error) 
 // Reassign implements Reassigner.
 func (s *incrementalStrategy) Reassign(n *model.Network, prev model.Assignment) (model.Assignment, error) {
 	start := time.Now()
-	res, err := core.AssignIncrementalWith(&s.scratch, n, prev, s.budget, s.opts, s.cfg.ModelOpts)
+	gn, gprev := s.keys.gather(n, prev)
+	res, err := core.AssignIncrementalWith(&s.scratch, gn, gprev, s.budget, s.opts, s.cfg.ModelOpts)
 	if err != nil {
 		return nil, err
 	}
 	st := woltStats("wolt-incremental", n, res.Target, time.Since(start), res.Evals)
 	st.DeltaProbes = res.DeltaProbes
 	s.cfg.emit(st)
-	return adopt(prev, res.Assign)
+	return s.keys.adopt(prev, res.Assign)
 }
