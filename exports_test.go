@@ -36,11 +36,7 @@ import (
 // A hit is deleted, moved into the tests of the one package that uses
 // it, or listed in exportAllowlist with the reason it must stay.
 var exportAllowlist = map[string]string{
-	// Positional row edit of the unkeyed test streams that pin search
-	// trajectories and evaluator counts (TestLocalSearchGolden,
-	// FuzzHillClimbDominated); a controller's table uses AppendRow.
-	"model.Network.InsertRow": "positional insert of the golden and differential test streams",
-	// Seed streams: iota stream IDs, so deleting one renumbers every later stream.
+	// Seed streams: iota stream IDs, so deleting one changes every later stream's ID.
 	"seed.DeltaFuzz":       "seed stream of the delta differential fuzzers",
 	"seed.DeltaBench":      "seed stream of the delta benchmarks (BENCH_delta.jsonl)",
 	"seed.LocalSearchFuzz": "seed stream of the local-search differential fuzzers",

@@ -28,6 +28,9 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if s.Now() != 0 || s.Pending() != 5 {
+		t.Errorf("scheduling ran events: now=%v pending=%d", s.Now(), s.Pending())
+	}
 	s.Run(100)
 	if !sort.Float64sAreSorted(order) {
 		t.Errorf("events ran out of order: %v", order)
@@ -160,29 +163,6 @@ func TestManyRandomEventsStaySorted(t *testing.T) {
 	}
 }
 
-// TestNextAtPeeks: the peek sees the earliest event and runs nothing.
-func TestNextAtPeeks(t *testing.T) {
-	s := New()
-	if _, ok := s.NextAt(); ok {
-		t.Error("empty queue: NextAt reported an event")
-	}
-	for _, at := range []float64{5, 2, 9} {
-		if err := s.ScheduleAt(at, func(*Sim) {}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if at, ok := s.NextAt(); !ok || at != 2 {
-		t.Fatalf("NextAt = %v,%v, want 2,true", at, ok)
-	}
-	if s.Now() != 0 || s.Pending() != 3 {
-		t.Error("NextAt advanced the simulation")
-	}
-	s.Step()
-	if at, ok := s.NextAt(); !ok || at != 5 {
-		t.Fatalf("after one step NextAt = %v,%v, want 5,true", at, ok)
-	}
-}
-
 // TestSteadyStateAllocFree pins the event free-list: a self-rescheduling
 // chain (the shape of every open-loop generator) recycles one event
 // struct instead of allocating per occurrence.
@@ -218,13 +198,4 @@ func (s *Sim) Run(maxEvents uint64) uint64 {
 		n++
 	}
 	return n
-}
-
-// NextAt peeks at the next event's time without executing it, reporting
-// false on an empty queue.
-func (s *Sim) NextAt() (float64, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].at, true
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"github.com/plcwifi/wolt/internal/parallel"
 	"github.com/plcwifi/wolt/internal/seed"
 	"github.com/plcwifi/wolt/internal/shard"
+	"github.com/plcwifi/wolt/internal/stats"
 	"github.com/plcwifi/wolt/internal/topology"
 )
 
@@ -112,14 +112,15 @@ func Shard(opts Options) (*ShardResult, error) {
 			if global > 0 {
 				gap = (global - sharded) / global * 100
 			}
+			p95, _ := stats.Percentile(joins, 95) // 0 for no joins, as before
 			res.Runs = append(res.Runs, ShardRun{
 				Users:          users,
 				Shards:         k,
 				GlobalMbps:     global,
 				ShardedMbps:    sharded,
 				GapPct:         gap,
-				MeanJoinMicros: meanFloat(joins),
-				P95JoinMicros:  percentile(joins, 0.95),
+				MeanJoinMicros: stats.Mean(joins),
+				P95JoinMicros:  p95,
 			})
 		}
 	}
@@ -183,35 +184,6 @@ func shardUserCounts(users int) []int {
 		}
 	}
 	return out
-}
-
-func meanFloat(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// percentile returns the p-quantile (0..1) by nearest-rank on a sorted
-// copy.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // Tables implements Tabler.

@@ -24,10 +24,9 @@ import (
 // slot, a remove moves the last slot into the freed one, and a set
 // row's slot goes stale — and starts a new epoch, which marks every
 // slot stale, only for a wholesale change: another network or M, an
-// Invalidate, a positional shift, or a gap longer than the edit log. A
-// warm repair
-// that visits a few dozen users therefore pays for a few dozen rows,
-// not for every user the network holds.
+// Invalidate, or a gap longer than the edit log. A warm repair that
+// visits a few dozen users therefore pays for a few dozen rows, not for
+// every user the network holds.
 type Candidates struct {
 	net *model.Network
 	gen uint64
@@ -59,7 +58,8 @@ func (c *Candidates) Ensure(n *model.Network, m int) {
 	if m <= 0 || m > n.NumExtenders() {
 		m = n.NumExtenders()
 	}
-	if c.net == n && c.m == m && n.Replayable(c.gen) && c.replay() {
+	if c.net == n && c.m == m && n.Replayable(c.gen) {
+		c.replay()
 		return
 	}
 	// Grown with append's headroom, so a population that gains one user
@@ -74,10 +74,9 @@ func (c *Candidates) Ensure(n *model.Network, m int) {
 	c.net, c.gen, c.m = n, n.Generation(), m
 }
 
-// replay applies the network's row edits since c.gen, and reports false
-// at a positional shift, which it leaves to a new epoch. A stamp of 0
+// replay applies the network's row edits since c.gen. A stamp of 0
 // predates every epoch, so it marks a slot stale.
-func (c *Candidates) replay() bool {
+func (c *Candidates) replay() {
 	n, m := c.net, c.m
 	for g := c.gen + 1; g <= n.Generation(); g++ {
 		e := n.Edit(g)
@@ -93,12 +92,9 @@ func (c *Candidates) replay() bool {
 			c.stamp, c.cnt, c.flat = c.stamp[:last], c.cnt[:last], c.flat[:last*m]
 		case model.EditSet:
 			c.stamp[e.Row] = 0
-		case model.EditShift:
-			return false
 		}
 	}
 	c.gen = n.Generation()
-	return true
 }
 
 // For returns user i's candidate extenders, best rate first, filling

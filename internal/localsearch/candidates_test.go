@@ -121,7 +121,7 @@ func TestCandidatesLazyMatchesEager(t *testing.T) {
 func TestCandidatesReplayMatchesFresh(t *testing.T) {
 	rng := seed.Rand(8, seed.LocalSearchFuzz, 0)
 	numExt := 6
-	n := tieNetwork(rng, numExt, 20)
+	n := keyedNetwork(tieNetwork(rng, numExt, 20))
 	row := func() []float64 { return tieNetwork(rng, numExt, 1).WiFiRates[0] }
 	var c Candidates
 	for step := 0; step < 200; step++ {
@@ -129,7 +129,7 @@ func TestCandidatesReplayMatchesFresh(t *testing.T) {
 		c.Ensure(n, m)
 		// Fill a random subset, so edits land on filled and stale slots.
 		for q := 0; q < n.NumUsers()/2; q++ {
-			c.For(rng.Intn(n.NumUsers()))
+			c.For(rowAt(n, rng.Intn(n.NumUsers())))
 		}
 		batch := 1 + rng.Intn(5)
 		if rng.Intn(15) == 0 {
@@ -138,11 +138,11 @@ func TestCandidatesReplayMatchesFresh(t *testing.T) {
 		for b := 0; b < batch; b++ {
 			switch k := rng.Intn(3); {
 			case k == 0 || n.NumUsers() < 2:
-				n.InsertRow(rng.Intn(n.NumUsers()+1), row())
+				n.AppendRow(keyAt(n, rng.Intn(n.NumUsers()+1)), row())
 			case k == 1:
-				n.RemoveRow(rng.Intn(n.NumUsers()))
+				n.RemoveRow(rowAt(n, rng.Intn(n.NumUsers())))
 			default:
-				n.SetRow(rng.Intn(n.NumUsers()), row())
+				n.SetRow(rowAt(n, rng.Intn(n.NumUsers())), row())
 			}
 		}
 		if rng.Intn(20) == 0 {

@@ -143,14 +143,16 @@ func passProbes(n *model.Network) int {
 }
 
 // checkHillClimbDominated drives a Searcher and an oracle through the
-// same warm stream — bursts of row inserts, removes and sets (some
-// longer than the edit log), arrivals placed online or left to the next
-// search, PLC capacities rescaled between every cell capped and none —
-// and requires every hill climb to return exactly the oracle's Result.
-// Most searches run the model dominance covers (at most five extenders,
-// so every neighborhood covers them all); the rest run Redistribute or
-// a non-sum-rate utility, where no pass may be priced. Budgets are
-// unlimited, 1, or K−1, K or K+1 for the pass probe count K.
+// same warm stream on a keyed network — bursts of row appends at any
+// key position, removes that move the last row into the freed one,
+// and sets (some longer than the edit log), arrivals placed online or
+// left to the next search, PLC capacities rescaled between every cell
+// capped and none — and requires every hill climb to return exactly
+// the oracle's Result. Most searches run the model dominance covers
+// (at most five extenders, so every neighborhood covers them all);
+// the rest run Redistribute or a non-sum-rate utility, where no pass
+// may be priced. Budgets are unlimited, 1, or K−1, K or K+1 for the
+// pass probe count K.
 func checkHillClimbDominated(t testing.TB, base int64, steps int, cov *dominatedCoverage) {
 	rng := seed.Rand(base, seed.LocalSearchFuzz, 5)
 	numExt := 1 + rng.Intn(5)
@@ -159,6 +161,7 @@ func checkHillClimbDominated(t testing.TB, base int64, steps int, cov *dominated
 	for u := rng.Intn(48); u > 0; u-- {
 		n.WiFiRates = append(n.WiFiRates, domRow(rng, numExt))
 	}
+	n = keyedNetwork(n)
 	a := make(model.Assignment, n.NumUsers())
 	for i := range a {
 		a[i] = model.Unassigned
@@ -184,10 +187,10 @@ func checkHillClimbDominated(t testing.TB, base int64, steps int, cov *dominated
 			users := n.NumUsers()
 			switch k := rng.Intn(3); {
 			case k == 0 || users < 2:
-				row := rng.Intn(users + 1)
-				n.InsertRow(row, domRow(rng, numExt))
-				a = slices.Insert(a, row, model.Unassigned)
-				b = slices.Insert(b, row, model.Unassigned)
+				n.AppendRow(keyAt(n, rng.Intn(users+1)), domRow(rng, numExt))
+				row := users
+				a = append(a, model.Unassigned)
+				b = append(b, model.Unassigned)
 				if rng.Intn(2) == 0 {
 					got, err := s.Place(n, a, row, opts)
 					if err != nil {
@@ -203,12 +206,12 @@ func checkHillClimbDominated(t testing.TB, base int64, steps int, cov *dominated
 					a[row], b[row] = got, want
 				}
 			case k == 1:
-				row := rng.Intn(users)
+				row := rowAt(n, rng.Intn(users))
 				n.RemoveRow(row)
-				a = slices.Delete(a, row, row+1)
-				b = slices.Delete(b, row, row+1)
+				a = swapDelete(a, row)
+				b = swapDelete(b, row)
 			default:
-				row, rates := rng.Intn(users), domRow(rng, numExt)
+				row, rates := rowAt(n, rng.Intn(users)), domRow(rng, numExt)
 				if j := a[row]; j != model.Unassigned && rates[j] <= 0 {
 					rates[j] = 1 + 60*rng.Float64()
 				}

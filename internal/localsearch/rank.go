@@ -32,8 +32,8 @@ const (
 //     does not replay: it maps the placed user back through the edits
 //     not yet replayed (touchAt), so a join costs O(edits) here;
 //   - a wholesale change — another network or utility, a gap longer
-//     than the edit log, a positional shift, or an evaluator re-Attach
-//     — marks every key out of date.
+//     than the edit log, or an evaluator re-Attach — marks every key
+//     out of date.
 //
 // Each user's best reachable rate, a max-scan of its row, is cached
 // apart from the keys and kept through every replayed edit, so a
@@ -77,7 +77,9 @@ type deficitRank struct {
 // Attach count marks the keys out of date too. Call it after the
 // evaluator's Sync, before the order is next read or touched.
 func (r *deficitRank) sync(n *model.Network, util model.Utility, evals int) {
-	if r.net != n || !n.Replayable(r.gen) || !r.replay() {
+	if r.net == n && n.Replayable(r.gen) {
+		r.replay()
+	} else {
 		r.net, r.gen, r.stale = n, n.Generation(), true
 		r.best = slices.Grow(r.best[:0], n.NumUsers())[:n.NumUsers()]
 		for u, row := range n.WiFiRates {
@@ -90,9 +92,8 @@ func (r *deficitRank) sync(n *model.Network, util model.Utility, evals int) {
 }
 
 // replay applies the network's row edits since r.gen: always to the
-// best-rate cache, and to the order unless its keys are out of date;
-// false means a positional shift, left to a rebuild.
-func (r *deficitRank) replay() bool {
+// best-rate cache, and to the order unless its keys are out of date.
+func (r *deficitRank) replay() {
 	n := r.net
 	for g := r.gen + 1; g <= n.Generation(); g++ {
 		e := n.Edit(g)
@@ -125,12 +126,9 @@ func (r *deficitRank) replay() bool {
 		case model.EditSet:
 			r.best[e.Row] = bestRate(e.Rates)
 			r.touch(e.Row)
-		case model.EditShift:
-			return false
 		}
 	}
 	r.gen = n.Generation()
-	return true
 }
 
 // rename moves user u's entries to the free row v.
@@ -170,8 +168,6 @@ func (r *deficitRank) touchAt(n *model.Network, i int) {
 				i = users // the row the edit moved into e.Row
 			}
 			users++
-		case model.EditShift:
-			return
 		}
 	}
 	r.touch(i)

@@ -14,10 +14,11 @@ import (
 var rankUtilities = []model.Utility{{}, model.AlphaFair(2), model.Utility{MaxMin: true}}
 
 // freshOrder is the reference visit order: every user by descending
-// deficit, ties by ascending index, as sort.Sort arranges it.
+// deficit, ties by ascending order key, as sort.Sort arranges it.
 type freshOrder struct {
 	order   []int
 	deficit []float64
+	key     []int
 }
 
 func (f *freshOrder) Len() int { return len(f.order) }
@@ -26,7 +27,7 @@ func (f *freshOrder) Less(a, b int) bool {
 	if f.deficit[ia] != f.deficit[ib] {
 		return f.deficit[ia] > f.deficit[ib]
 	}
-	return ia < ib
+	return f.key[ia] < f.key[ib]
 }
 func (f *freshOrder) Swap(a, b int) { f.order[a], f.order[b] = f.order[b], f.order[a] }
 
@@ -39,6 +40,7 @@ func (r *deficitRank) clone() *deficitRank {
 	c := *r
 	c.best = slices.Clone(r.best)
 	c.key = slices.Clone(r.key)
+	c.id = slices.Clone(r.id)
 	c.state = slices.Clone(r.state)
 	c.pos = slices.Clone(r.pos)
 	c.queue = slices.Clone(r.queue)
@@ -125,9 +127,9 @@ func checkRankOrder(t testing.TB, s *Searcher, n *model.Network, u model.Utility
 		got = append(got, i)
 	}
 
-	ref := freshOrder{order: make([]int, users), deficit: make([]float64, users)}
+	ref := freshOrder{order: make([]int, users), deficit: make([]float64, users), key: make([]int, users)}
 	for i, row := range n.WiFiRates {
-		ref.order[i] = i
+		ref.order[i], ref.key[i] = i, n.Key(i)
 		best := 0.0
 		if cand := s.cands.For(i); len(cand) > 0 {
 			best = row[cand[0]]
@@ -192,16 +194,18 @@ func reachable(rng *rand.Rand, row []float64) int {
 }
 
 // checkRankReplay drives one Searcher through a random stream of row
-// edits (inserts, removes, sets; some batches longer than the edit log,
-// some ending in Invalidate), Place calls, hill-climb/k-opt/anneal
-// searches under random probe budgets, utility switches and start
-// perturbations that force an evaluator Attach. After every Place and
-// search the persistent order must equal a fresh sort of the committed
-// state, and every result must equal a fresh Searcher's.
+// edits on a keyed network (appends at any key position, removes that
+// move the last row into the freed one, sets; some batches longer than
+// the edit log, some ending in Invalidate), Place calls,
+// hill-climb/k-opt/anneal searches under random probe budgets, utility
+// switches and start perturbations that force an evaluator Attach.
+// After every Place and search the persistent order must equal a fresh
+// sort of the committed state, and every result must equal a fresh
+// Searcher's.
 func checkRankReplay(t testing.TB, base int64, steps int, util0 int, cov *rankCoverage) {
 	rng := seed.Rand(base, seed.LocalSearchFuzz, 3)
 	numExt := 1 + rng.Intn(6)
-	n := tieNetwork(rng, numExt, 1+rng.Intn(40))
+	n := keyedNetwork(tieNetwork(rng, numExt, 1+rng.Intn(40)))
 	a := make(model.Assignment, n.NumUsers())
 	for i, row := range n.WiFiRates {
 		a[i] = model.Unassigned
@@ -229,18 +233,17 @@ func checkRankReplay(t testing.TB, base int64, steps int, util0 int, cov *rankCo
 				users := n.NumUsers()
 				switch k := rng.Intn(3); {
 				case k == 0 || users < 2:
-					row := rng.Intn(users + 1)
-					n.InsertRow(row, randomRow(rng, numExt))
-					a = slices.Insert(a, row, model.Unassigned)
+					n.AppendRow(keyAt(n, rng.Intn(users+1)), randomRow(rng, numExt))
+					a = append(a, model.Unassigned)
 				case k == 1:
-					row := rng.Intn(users)
+					row := rowAt(n, rng.Intn(users))
 					n.RemoveRow(row)
-					a = slices.Delete(a, row, row+1)
+					a = swapDelete(a, row)
 				default:
-					row, rates := rng.Intn(users), randomRow(rng, numExt)
+					row, rates := rowAt(n, rng.Intn(users)), randomRow(rng, numExt)
 					if j := a[row]; j != model.Unassigned && rates[j] <= 0 {
 						if rng.Intn(4) == 0 {
-							a[row] = model.Unassigned // the caller drops the user: an Attach
+							a[row] = model.Unassigned // the caller drops the user, as the replay does
 						} else {
 							rates[j] = 12
 						}
@@ -253,8 +256,8 @@ func checkRankReplay(t testing.TB, base int64, steps int, util0 int, cov *rankCo
 			}
 		case 2: // an arrival placed online
 			var free []int
-			for i, j := range a {
-				if j == model.Unassigned {
+			for _, i := range rowsByKey(n) {
+				if a[i] == model.Unassigned {
 					free = append(free, i)
 				}
 			}
@@ -275,8 +278,9 @@ func checkRankReplay(t testing.TB, base int64, steps int, util0 int, cov *rankCo
 		case 3: // the caller switches utility
 			u = rankUtilities[rng.Intn(len(rankUtilities))]
 		case 4: // the caller moves a user itself: the next sync attaches
-			i := rng.Intn(n.NumUsers())
+			i := rowAt(n, rng.Intn(n.NumUsers()))
 			a[i] = reachable(rng, n.WiFiRates[i])
+			n.AssignmentEdited()
 		default:
 			method, o := allMethods[rng.Intn(len(allMethods))], opts()
 			in := a.Clone()
@@ -335,6 +339,7 @@ func FuzzSweepOrderReplay(f *testing.F) {
 func TestSearcherReuseMatchesFresh(t *testing.T) {
 	for _, u := range rankUtilities {
 		n, a := searchInstance(41, 8, 300)
+		n = keyedNetwork(n)
 		rng := seed.Rand(41, seed.LocalSearchFuzz, 4)
 		var s Searcher
 		for step := 0; step < 150; step++ {
@@ -348,9 +353,9 @@ func TestSearcherReuseMatchesFresh(t *testing.T) {
 			opts := Options{Model: model.Options{Redistribute: true, Utility: u}, Seed: int64(step), Budget: Budget{Probes: probes}}
 			switch rng.Intn(3) {
 			case 0: // join
-				row := rng.Intn(n.NumUsers() + 1)
-				n.InsertRow(row, searchRow(rng, 8))
-				a = slices.Insert(a, row, model.Unassigned)
+				n.AppendRow(keyAt(n, rng.Intn(n.NumUsers()+1)), searchRow(rng, 8))
+				a = append(a, model.Unassigned)
+				row := len(a) - 1
 				got, err := s.Place(n, a, row, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -362,11 +367,11 @@ func TestSearcherReuseMatchesFresh(t *testing.T) {
 				a[row] = got
 				continue
 			case 1: // leave
-				row := rng.Intn(n.NumUsers())
+				row := rowAt(n, rng.Intn(n.NumUsers()))
 				n.RemoveRow(row)
-				a = slices.Delete(a, row, row+1)
+				a = swapDelete(a, row)
 			default: // rate update, keeping the current link reachable
-				row, rates := rng.Intn(n.NumUsers()), searchRow(rng, 8)
+				row, rates := rowAt(n, rng.Intn(n.NumUsers())), searchRow(rng, 8)
 				if j := a[row]; j != model.Unassigned && rates[j] <= 0 {
 					rates[j] = 30
 				}

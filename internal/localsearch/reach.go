@@ -11,8 +11,8 @@ import (
 // replays logged row edits (an insert or a set counts its row, a remove
 // drops the user's count and moves the last one into its place) and
 // rescans every row only for a wholesale change: another network, an
-// Invalidate, a positional shift or a gap longer than the edit log. The
-// sum prices a dominated hill-climb pass without visiting a user
+// Invalidate or a gap longer than the edit log. The sum prices a
+// dominated hill-climb pass without visiting a user
 // (Searcher.chargeDominated), so it is synced by every search.
 type reachCount struct {
 	net *model.Network
@@ -23,7 +23,9 @@ type reachCount struct {
 
 // sync makes the counts current with network n.
 func (c *reachCount) sync(n *model.Network) {
-	if c.net != n || !n.Replayable(c.gen) || !c.replay() {
+	if c.net == n && n.Replayable(c.gen) {
+		c.replay()
+	} else {
 		c.net = n
 		c.n = slices.Grow(c.n[:0], n.NumUsers())[:n.NumUsers()]
 		c.sum = 0
@@ -35,9 +37,8 @@ func (c *reachCount) sync(n *model.Network) {
 	c.gen = n.Generation()
 }
 
-// replay applies the network's row edits since c.gen, and reports false
-// at a positional shift, which it leaves to a rescan.
-func (c *reachCount) replay() bool {
+// replay applies the network's row edits since c.gen.
+func (c *reachCount) replay() {
 	n := c.net
 	for g := c.gen + 1; g <= n.Generation(); g++ {
 		e := n.Edit(g)
@@ -55,11 +56,8 @@ func (c *reachCount) replay() bool {
 			k := countReachable(e.Rates)
 			c.sum += int(k - c.n[e.Row])
 			c.n[e.Row] = k
-		case model.EditShift:
-			return false
 		}
 	}
-	return true
 }
 
 // countReachable counts the row's positive rates.

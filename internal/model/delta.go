@@ -165,20 +165,19 @@ func (d *DeltaEval) Attach(n *Network, a Assignment, opts Options) error {
 //     Unassigned) would take it out, and the moved last row's member
 //     entry is renamed in place;
 //   - set: the user's cached 1/r is recomputed from the new row and its
-//     cell re-summed and re-shared (on a keyed network, a set that
-//     leaves the cell unreachable takes the user out, as its owner does);
-//   - shift: the member lists are rebuilt from the assignment, O(users).
+//     cell re-summed and re-shared; a set that leaves the cell
+//     unreachable takes the user out, as its owner does, and forces the
+//     assignment compare.
 //
-// A row of the wrong width, or another set that leaves the user's cell
-// unreachable, stops the replay; the evaluator then falls back to
-// Attach, which reports the error exactly as it would have without the
-// replay. Anything else — another network or options, an Invalidate, a
-// gap longer than the log — is an Attach too, as is a replayed state
-// whose assignment differs from a; on a keyed network the assignments
-// are compared only after Network.AssignmentEdited. After an error the
-// evaluator is detached, so neither a half-finished replay nor a
-// rejected pair can be probed. The result is bit-identical to a fresh
-// Attach either way (DESIGN.md §10).
+// A row of the wrong width stops the replay; the evaluator then falls
+// back to Attach, which reports the error exactly as it would have
+// without the replay. Anything else — another network or options, an
+// Invalidate, a gap longer than the log — is an Attach too, as is a
+// replayed state whose assignment differs from a; on a keyed network
+// the assignments are compared only after Network.AssignmentEdited.
+// After an error the evaluator is detached, so neither a half-finished
+// replay nor a rejected pair can be probed. The result is bit-identical
+// to a fresh Attach either way (DESIGN.md §10).
 func (d *DeltaEval) Sync(n *Network, a Assignment, opts Options) error {
 	if d.net == n && d.opts == opts && d.gen != n.gen && n.Replayable(d.gen) {
 		if !d.replay() {
@@ -207,7 +206,7 @@ func (d *DeltaEval) matches(n *Network, a Assignment, opts Options) bool {
 
 // replay applies the network's logged row edits since the evaluator's
 // generation (see Sync). It reports false, with the state half-edited,
-// when an edit must be refused.
+// at a row of the wrong width.
 func (d *DeltaEval) replay() bool {
 	n := d.net
 	d.memoUser = -1
@@ -228,28 +227,17 @@ func (d *DeltaEval) replay() bool {
 			d.assign[e.Row] = d.assign[last]
 			d.assign = d.assign[:last]
 		case EditSet:
-			if j := d.assign[e.Row]; j != Unassigned {
-				r := e.Rates[j]
-				switch {
-				case r > 0:
-					d.inv[j][slices.Index(d.members[j], e.Row)] = 1 / r
-					d.recomputeCell(j)
-					d.recommit()
-				case n.keys == nil:
-					return false
-				default: // the compare ending this Sync checks the owner did too
-					d.leave(e.Row)
-					d.aedits = n.assignEdits - 1
-				}
-			}
-		case EditShift:
-			if e.Rates != nil {
-				d.assign = slices.Insert(d.assign, e.Row, Unassigned)
-			} else {
+			j := d.assign[e.Row]
+			switch {
+			case j == Unassigned:
+			case e.Rates[j] > 0:
+				d.inv[j][slices.Index(d.members[j], e.Row)] = 1 / e.Rates[j]
+				d.recomputeCell(j)
+				d.recommit()
+			default: // the compare ending this Sync checks the owner did too
 				d.leave(e.Row)
-				d.assign = slices.Delete(d.assign, e.Row, e.Row+1)
+				d.aedits = n.assignEdits - 1
 			}
-			d.renumber()
 		}
 		d.gen = g
 	}
@@ -260,19 +248,6 @@ func (d *DeltaEval) replay() bool {
 func (d *DeltaEval) leave(i int) {
 	if from := d.assign[i]; from != Unassigned {
 		d.move(i, from, Unassigned)
-	}
-}
-
-// renumber rebuilds the member lists of an unkeyed network, whose row
-// order is its key order, from the assignment after an EditShift.
-func (d *DeltaEval) renumber() {
-	for j := range d.members {
-		d.members[j] = d.members[j][:0]
-	}
-	for i, j := range d.assign {
-		if j != Unassigned {
-			d.members[j] = append(d.members[j], i)
-		}
 	}
 }
 

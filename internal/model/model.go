@@ -34,11 +34,13 @@ const Unassigned = -1
 // network (a controller's user table) changes one row at a time through
 // logged row edits, which state built on it replays instead of
 // rebuilding; such a network must not be copied, since the copy would
-// share its edit log. A row's order key is its index until AppendRow
-// keys the network, and then the key AppendRow gave it (a controller's
-// user ID), wherever the row moves. Everything that depends on user
-// order (cell sums, visit orders, tie-breaks) follows ascending key
-// order, so where a row sits changes no result.
+// share its edit log. A row's order key is its index until the first
+// AppendRow or RemoveRow keys the network, and then the key it had or
+// AppendRow gave it (a controller's user ID), wherever the row moves:
+// a row is only ever appended, or moved from the end into a freed row.
+// Everything that depends on user order (cell sums, visit orders,
+// tie-breaks) follows ascending key order, so where a row sits changes
+// no result.
 type Network struct {
 	// WiFiRates[i][j] is the WiFi PHY rate (Mbps) of user i when
 	// connected to extender j. A non-positive entry means user i cannot
@@ -78,9 +80,6 @@ const (
 	EditRemove
 	// EditSet replaced row Row's rates in place.
 	EditSet
-	// EditShift inserted (Rates non-nil) or deleted row Row in the
-	// middle of an unkeyed network, renumbering the rows above it.
-	EditShift
 )
 
 // RowEdit is one logged row edit. Rates is the row slice the edit
@@ -93,55 +92,45 @@ type RowEdit struct {
 	Rates []float64
 }
 
-// InsertRow inserts rates as row i (a new user) of an unkeyed network,
-// shifting rows i and above up by one, and logs the edit. The network
-// keeps rates, not a copy; a caller that rewrites it later must call
-// SetRow again.
-func (n *Network) InsertRow(i int, rates []float64) {
-	n.WiFiRates = slices.Insert(n.WiFiRates, i, rates)
-	kind := EditShift
-	if i == len(n.WiFiRates)-1 {
-		kind = EditInsert
-	}
-	n.record(RowEdit{Kind: kind, Row: i, Rates: rates})
-}
-
-// RemoveRow deletes row i (a departed user) and logs the edit: a keyed
-// network moves its last row, key and all, into row i; an unkeyed one
-// shifts the rows above it down by one.
+// RemoveRow deletes row i (a departed user) by moving the last row,
+// key and all, into it, and logs the edit. An unkeyed network is keyed
+// first (keyRows).
 func (n *Network) RemoveRow(i int) {
+	n.keyRows()
 	last := len(n.WiFiRates) - 1
-	kind := EditRemove
-	if n.keys != nil {
-		n.WiFiRates[i], n.keys[i] = n.WiFiRates[last], n.keys[last]
-		n.keys = n.keys[:last]
-	} else if i != last {
-		kind = EditShift
-		copy(n.WiFiRates[i:], n.WiFiRates[i+1:])
-	}
+	n.WiFiRates[i], n.keys[i] = n.WiFiRates[last], n.keys[last]
 	n.WiFiRates[last] = nil
-	n.WiFiRates = n.WiFiRates[:last]
-	n.record(RowEdit{Kind: kind, Row: i})
+	n.WiFiRates, n.keys = n.WiFiRates[:last], n.keys[:last]
+	n.record(RowEdit{Kind: EditRemove, Row: i})
 }
 
 // AppendRow appends rates as a new last row (a new user, unassigned)
-// with order key key, and logs the edit; like InsertRow, it keeps rates
-// itself. It keys the network: earlier rows keep their index as key,
-// and keys must be distinct.
+// with order key key, and logs the edit. The network keeps rates, not a
+// copy; a caller that rewrites it later must call SetRow again. An
+// unkeyed network is keyed first (keyRows), and keys must be distinct.
 func (n *Network) AppendRow(key int, rates []float64) {
-	if n.keys == nil {
-		n.keys = make([]int, len(n.WiFiRates))
-		for i := range n.keys {
-			n.keys[i] = i
-		}
-	}
+	n.keyRows()
 	n.keys = append(n.keys, key)
 	n.WiFiRates = append(n.WiFiRates, rates)
 	n.record(RowEdit{Kind: EditInsert, Row: len(n.WiFiRates) - 1, Rates: rates})
 }
 
+// keyRows keys an unkeyed network, each row taking its index as key,
+// the order it had. Its owner never had to report assignment edits
+// (AssignmentEdited), so keying counts as one report.
+func (n *Network) keyRows() {
+	if n.keys != nil {
+		return
+	}
+	n.keys = make([]int, len(n.WiFiRates))
+	for i := range n.keys {
+		n.keys[i] = i
+	}
+	n.assignEdits++
+}
+
 // SetRow installs rates as row i (fresh scan of an existing user) and
-// logs the edit. As with InsertRow, the network keeps rates itself.
+// logs the edit. As with AppendRow, the network keeps rates itself.
 func (n *Network) SetRow(i int, rates []float64) {
 	n.WiFiRates[i] = rates
 	n.record(RowEdit{Kind: EditSet, Row: i, Rates: rates})
@@ -180,8 +169,15 @@ func (n *Network) KeyOrder(dst []int) []int {
 
 // AssignmentEdited reports an edit of the owner's assignment that no
 // evaluator made (an un-assign, a rollback). On a keyed network
-// DeltaEval.Sync compares assignments only after such a report.
-func (n *Network) AssignmentEdited() { n.assignEdits++ }
+// DeltaEval.Sync compares assignments only after such a report. An
+// unkeyed network records nothing, since Sync always compares there and
+// keying counts as a report (keyRows); so searches that share a
+// read-only unkeyed network across goroutines do not write to it.
+func (n *Network) AssignmentEdited() {
+	if n.keys != nil {
+		n.assignEdits++
+	}
+}
 
 // Invalidate records a wholesale mutation of the network's rates or
 // capacities (anything but a logged row edit). Every DeltaEval

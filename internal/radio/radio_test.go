@@ -125,8 +125,10 @@ func TestModelFloorRate(t *testing.T) {
 	if got := m.RateAt(10000); got != m.MinRateFloorMbps {
 		t.Errorf("RateAt(10km) = %v, want floor %v", got, m.MinRateFloorMbps)
 	}
-	if got := m.RateAt(1); got != 54 {
-		t.Errorf("RateAt(1m) = %v, want 54", got)
+	for _, d := range []float64{1, 2} {
+		if got := m.RateAt(d); got != 54 {
+			t.Errorf("RateAt(%vm) = %v, want 54", d, got)
+		}
 	}
 }
 
@@ -141,27 +143,6 @@ func TestModelRatePositiveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRateMatrix(t *testing.T) {
-	m := DefaultModel()
-	dist := [][]float64{
-		{1, 100},
-		{50, 2},
-	}
-	r := m.RateMatrix(dist)
-	if len(r) != 2 || len(r[0]) != 2 {
-		t.Fatalf("bad shape: %v", r)
-	}
-	if r[0][0] != 54 {
-		t.Errorf("r[0][0] = %v, want 54", r[0][0])
-	}
-	if r[0][1] >= r[0][0] {
-		t.Errorf("far rate %v not below near rate %v", r[0][1], r[0][0])
-	}
-	if r[1][1] != 54 {
-		t.Errorf("r[1][1] = %v, want 54", r[1][1])
 	}
 }
 
@@ -254,19 +235,6 @@ func (t *RateTable) Steps() []RateStep {
 // RSSIAt returns the unshadowed RSSI at distance d meters.
 func (m Model) RSSIAt(d float64) float64 {
 	return m.Channel.RSSIDBm(d)
-}
-
-// RateMatrix converts a |users| × |extenders| distance matrix into a PHY
-// rate matrix r_ij (no shadowing; row/column indices are not stable IDs).
-func (m Model) RateMatrix(distances [][]float64) [][]float64 {
-	r := make([][]float64, len(distances))
-	for i, row := range distances {
-		r[i] = make([]float64, len(row))
-		for j, d := range row {
-			r[i][j] = m.RateAt(d)
-		}
-	}
-	return r
 }
 
 // RateAt returns the PHY rate of a user at distance d meters from an

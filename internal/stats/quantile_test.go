@@ -96,30 +96,6 @@ func TestQuantileDeterministic(t *testing.T) {
 	}
 }
 
-func TestQuantileReset(t *testing.T) {
-	q := MustQuantile(0.9)
-	for i := 0; i < 100; i++ {
-		q.Add(float64(i))
-	}
-	q.Reset()
-	if q.Count() != 0 || q.Value() != 0 {
-		t.Fatalf("after Reset: Count=%d Value=%v, want 0/0", q.Count(), q.Value())
-	}
-	if q.P() != 0.9 {
-		t.Errorf("Reset lost the target quantile: P=%v", q.P())
-	}
-	// A reset estimator behaves like a fresh one.
-	fresh := MustQuantile(0.9)
-	r1, r2 := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		q.Add(r1.Float64())
-		fresh.Add(r2.Float64())
-	}
-	if q.Value() != fresh.Value() {
-		t.Errorf("reset estimator diverged from fresh one: %v vs %v", q.Value(), fresh.Value())
-	}
-}
-
 // TestQuantileMonotoneInput is the adversarial stream for marker
 // algorithms: strictly increasing input.
 func TestQuantileMonotoneInput(t *testing.T) {
@@ -152,20 +128,8 @@ func TestExactQuantile(t *testing.T) {
 	}
 }
 
-// P returns the target quantile the estimator tracks.
-func (q *Quantile) P() float64 { return q.p }
-
 // Count returns the number of observations added.
 func (q *Quantile) Count() int { return q.n }
-
-// Reset returns the estimator to its initial empty state, keeping the
-// target quantile.
-func (q *Quantile) Reset() {
-	n := q.p
-	*q = Quantile{p: n}
-	q.want = [5]float64{1, 1 + 2*n, 1 + 4*n, 3 + 2*n, 5}
-	q.dWant = [5]float64{0, n / 2, n, (1 + n) / 2, 1}
-}
 
 // ExactQuantile is the nearest-rank reference the estimator's tests
 // compare against: the ceil(p*n)-th smallest sample. It copies and

@@ -201,23 +201,6 @@ func TestCDFIsMonotone(t *testing.T) {
 	}
 }
 
-func TestMeanCI(t *testing.T) {
-	mean, hw := MeanCI([]float64{10, 10, 10, 10})
-	if mean != 10 || hw != 0 {
-		t.Errorf("MeanCI constant = (%v,%v), want (10,0)", mean, hw)
-	}
-	mean, hw = MeanCI([]float64{0, 10})
-	if mean != 5 {
-		t.Errorf("mean = %v, want 5", mean)
-	}
-	if hw <= 0 {
-		t.Errorf("half-width = %v, want > 0", hw)
-	}
-	if _, hw := MeanCI([]float64{1}); hw != 0 {
-		t.Errorf("singleton half-width = %v, want 0", hw)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if got := Ratio(10, 4); got != 2.5 {
 		t.Errorf("Ratio(10,4) = %v, want 2.5", got)
@@ -239,18 +222,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// MeanCI returns the sample mean of xs together with the half-width of an
-// approximate 95% confidence interval (normal approximation).
-func MeanCI(xs []float64) (mean, halfWidth float64) {
-	mean = Mean(xs)
-	if len(xs) < 2 {
-		return mean, 0
-	}
-	const z95 = 1.96
-	halfWidth = z95 * StdDev(xs) / math.Sqrt(float64(len(xs)))
-	return mean, halfWidth
 }
 
 // StdDev returns the unbiased sample standard deviation of xs.

@@ -24,10 +24,12 @@ func (d goldenDigest) int(v int) {
 
 func (d goldenDigest) float(v float64) { d.int(int(math.Float64bits(v))) }
 
-func (d goldenDigest) assignment(a model.Assignment) {
+// assignment folds a in n's key order, so the digest does not depend
+// on which row a user sits in.
+func (d goldenDigest) assignment(n *model.Network, a model.Assignment) {
 	d.int(len(a))
-	for _, j := range a {
-		d.int(j)
+	for _, i := range rowsByKey(n) {
+		d.int(a[i])
 	}
 }
 
@@ -65,7 +67,10 @@ func goldenRow(rng *rand.Rand, numExt int) []float64 {
 // wolt-anneal, which TestCoordinatorDirectiveStream does not cover:
 // registry instances with fixed seeds and probe budgets, with and
 // without Redistribute, run one cold Solve and then a warm Reassign
-// after every row edit of a 60-step arrival/departure/rescan stream.
+// after every row edit of a 60-step arrival/departure/rescan stream on
+// a keyed network. The stream draws a position in key order for each
+// edit: an arrival is appended with a key that sorts at that position,
+// and a departure moves the last row into the freed one.
 // The digest covers every assignment and every Stats field but the
 // timings, so any change to the search order, the annealing schedule
 // or the rng draws shows as a new digest.
@@ -81,11 +86,11 @@ func TestLocalSearchGolden(t *testing.T) {
 		probes       int
 		want         uint64
 	}{
-		{"wolt-kopt", false, 300, 0xbcd717060ccdfc8b},
-		{"wolt-kopt", true, 300, 0x9f531c2586d60878},
-		{"wolt-kopt", true, 0, 0xbcad9e7df77ca6e8},
+		{"wolt-kopt", false, 300, 0x19a38d648cb52096},
+		{"wolt-kopt", true, 300, 0xfa2b05152b46e2c9},
+		{"wolt-kopt", true, 0, 0x0b5328c874ed855b},
 		{"wolt-anneal", false, 300, 0x75b6e843756635b4},
-		{"wolt-anneal", true, 300, 0x1f5b98c6696a1a97},
+		{"wolt-anneal", true, 300, 0x63066fb0d2a1dabf},
 		{"wolt-anneal", false, 0, 0x7f3dc1a306b009f0},
 	}
 	for _, tc := range cases {
@@ -109,24 +114,25 @@ func TestLocalSearchGolden(t *testing.T) {
 			n.PLCCaps[j] = 60 + 840*rng.Float64()
 		}
 		for i := 0; i < users; i++ {
-			n.InsertRow(i, goldenRow(rng, numExt))
+			n.AppendRow(i*keyGap, goldenRow(rng, numExt))
 		}
 		assign, err := st.Solve(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.assignment(assign)
+		d.assignment(n, assign)
 		for step := 0; step < steps; step++ {
-			i := rng.Intn(n.NumUsers())
+			p := rng.Intn(n.NumUsers())
+			i := rowsByKey(n)[p]
 			switch roll := rng.Float64(); {
 			case roll < 0.3:
-				n.InsertRow(i, goldenRow(rng, numExt))
-				assign = append(assign, 0)
-				copy(assign[i+1:], assign[i:])
-				assign[i] = model.Unassigned
+				n.AppendRow(keyAt(n, p), goldenRow(rng, numExt))
+				assign = append(assign, model.Unassigned)
 			case roll < 0.5 && n.NumUsers() > numExt:
+				last := len(assign) - 1
 				n.RemoveRow(i)
-				assign = append(assign[:i], assign[i+1:]...)
+				assign[i] = assign[last]
+				assign = assign[:last]
 			default:
 				row := goldenRow(rng, numExt)
 				if j := assign[i]; j != model.Unassigned && row[j] <= 0 {
@@ -137,7 +143,7 @@ func TestLocalSearchGolden(t *testing.T) {
 			if assign, err = st.(Reassigner).Reassign(n, assign); err != nil {
 				t.Fatal(err)
 			}
-			d.assignment(assign)
+			d.assignment(n, assign)
 		}
 		label := tc.name
 		if tc.redistribute {
@@ -150,4 +156,40 @@ func TestLocalSearchGolden(t *testing.T) {
 			t.Errorf("%s probes=%d: digest %#x, want %#x", label, tc.probes, got, tc.want)
 		}
 	}
+}
+
+// keyGap spaces the keys of a network built in key order, so that keyAt
+// finds a fresh key between two neighbours for 40 nested inserts.
+const keyGap = 1 << 40
+
+// rowsByKey returns n's rows in ascending key order.
+func rowsByKey(n *model.Network) []int {
+	if rows := n.KeyOrder(nil); rows != nil {
+		return rows
+	}
+	rows := make([]int, n.NumUsers())
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
+// keyAt returns a fresh key that sorts at position p of n's key order,
+// between the keys now at positions p-1 and p: an AppendRow with it
+// adds the user a positional stream inserts at p.
+func keyAt(n *model.Network, p int) int {
+	rows := rowsByKey(n)
+	switch {
+	case len(rows) == 0:
+		return 0
+	case p == 0:
+		return n.Key(rows[0]) - keyGap
+	case p == len(rows):
+		return n.Key(rows[p-1]) + keyGap
+	}
+	lo, hi := n.Key(rows[p-1]), n.Key(rows[p])
+	if hi-lo < 2 {
+		panic("keyAt: no free key between two neighbours")
+	}
+	return lo + (hi-lo)/2
 }

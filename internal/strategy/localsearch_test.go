@@ -199,7 +199,7 @@ func TestWarmRepairAnswersFromBound(t *testing.T) {
 	var assign model.Assignment
 	for i := 0; i < users; i++ {
 		xs[i], ys[i] = 60*rng.Float64(), 60*rng.Float64()
-		n.InsertRow(i, cityRates(xs[i], ys[i]))
+		n.AppendRow(i, cityRates(xs[i], ys[i]))
 		assign = append(assign, model.Unassigned)
 		if _, err := online.Add(n, assign, i); err != nil {
 			t.Fatal(err)

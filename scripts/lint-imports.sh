@@ -186,20 +186,22 @@ fi
 # the engine's global-width report read-back are gone), and a member
 # engine's rows are stable slots (the evaluator's member-index shift and
 # the visit order's index shift that every insert and remove paid are
-# gone).
+# gone), and a row edit is an append, a set or a remove that moves the
+# last row into the freed one (the positional insert, the shift edit and
+# the evaluator's member-list rebuild after it are gone).
 # This list only needs names a caller could bring back: a deleted
 # exported name that returns without a non-test caller (or a config
 # field no caller sets) already fails the export check in
 # exports_test.go, which runs under go test ./....
 # Test files are covered too; the one exemption is the experiments test
 # that pins the refusal of the retired "tcp-json" plane name.
-bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic|deficitOrder|sweepOrder|WarmOptions|assignWarm|\.Unlimited\(|\.HillClimb\(|\.KOpt\(|\.Anneal\(|scanPool|takeScan|releaseScan|userRec|scanPoolCap|applyLocked|Phase1Solver|Phase1Auction|Phase1Hungarian|AuctionMaximize|AnnealOptions|\bInitTemp\b|FloorFrac|\bStepFrac\b|\btypeCode\b|\bcodeType\b|keepaliveLoop|AddShard|RemoveShard|AppendReport|NewRing|routing\.Load|\.Epoch\(\)|shiftMembers|func \(r \*deficitRank\) shift\(|r\.shift\(' \
+bad=$(grep -rnE 'jsonConn|CodecJSON|DialCodec|PolicyKind|"wolt-fair"|"tcp-json"|core\.AssignProportionalFair|\bBestExtender|\bNumShards\(|StrategyPolicy|RandomPolicy|sequentialOnly|strategyBacked|forcesSequential|assignBestRSSI|assignStatic|deficitOrder|sweepOrder|WarmOptions|assignWarm|\.Unlimited\(|\.HillClimb\(|\.KOpt\(|\.Anneal\(|scanPool|takeScan|releaseScan|userRec|scanPoolCap|applyLocked|Phase1Solver|Phase1Auction|Phase1Hungarian|AuctionMaximize|AnnealOptions|\bInitTemp\b|FloorFrac|\bStepFrac\b|\btypeCode\b|\bcodeType\b|keepaliveLoop|AddShard|RemoveShard|AppendReport|NewRing|routing\.Load|\.Epoch\(\)|shiftMembers|func \(r \*deficitRank\) shift\(|r\.shift\(|InsertRow|EditShift|renumber\(' \
 	--include='*.go' . \
 	| grep -v '^\./internal/experiments/experiments_test\.go:.*"tcp-json"' || true)
 if [ -n "$bad" ]; then
 	echo "import lint: removed identifier reintroduced:" >&2
 	echo "$bad" >&2
-	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values, the hill climb's visit order is the persistent localsearch.deficitRank, wolt-hillclimb is the one warm repair, Searcher.Search is the one search entry point, a shard member's control.Engine is its one user table, Hungarian is the one Phase I engine, the annealing schedule and roam step are constants, a wire.MsgType is its own wire code, the agent keepalive is a timer, and shard membership is fixed at construction (OwnerMapFor is the one ring), and engine rows are stable slots whose edits no replay shifts" >&2
+	echo "the wire codec is binary-only, policies are registry strings, wolt-pf/model.ProportionalFairness replace the fair aliases, and shard.OwnerForRates is the one routing rule, netsim policies are netsim.Policy values, the hill climb's visit order is the persistent localsearch.deficitRank, wolt-hillclimb is the one warm repair, Searcher.Search is the one search entry point, a shard member's control.Engine is its one user table, Hungarian is the one Phase I engine, the annealing schedule and roam step are constants, a wire.MsgType is its own wire code, the agent keepalive is a timer, and shard membership is fixed at construction (OwnerMapFor is the one ring), and engine rows are stable slots whose edits no replay shifts, and a row edit appends, sets or moves the last row into a freed one" >&2
 	exit 1
 fi
 # One bench driver: scripts/bench.sh runs every recorded benchmark and
